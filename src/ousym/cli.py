@@ -11,8 +11,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation error (bad arguments or any library
 error), 2 internal error. JSON is printed with sorted keys and CSV floats
-with repr, so identical seeds give byte-identical output at any thread
-count.
+with repr, so identical seeds give byte-identical output.
 """
 
 import argparse

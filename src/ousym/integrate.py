@@ -2,15 +2,16 @@
 strong-convergence studies, reference fixtures, and CSV output.
 
 Randomness is counter-based (Philox keyed by (seed, path_index)), so every
-path is reproducible in isolation and results do not depend on how work is
-split across threads. Coarsening a grid sums consecutive increments, which
-is what lets an exact solution on a fine grid serve as the reference for
-Euler-Maruyama on coarser rungs driven by the same noise.
+path is reproducible in isolation and a batch of paths gives the same
+numbers as the paths one at a time. All path work runs in this thread:
+single paths, ensembles and convergence studies step whole batches of paths
+through one Euler-Maruyama loop. Coarsening a grid sums consecutive
+increments, which is what lets an exact solution on a fine grid serve as
+the reference for Euler-Maruyama on coarser rungs driven by the same noise.
 """
 
 import io
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +23,14 @@ from .errors import (DimensionMismatch, DomainExit, InvalidGrid,
 from .model import ConstantForce, LinearForce
 
 BLOWUP_GUARD = 1e12
+IMAG_TOL = 1e-10
+# fine increments drawn at once by convergence_study; bounds its memory
+BLOCK_VALUES = 1 << 19
 
 
 def thread_count():
-    """Worker count for path ensembles: OUSYM_THREADS or the CPU count."""
+    """OUSYM_THREADS or the CPU count. Path work is single-threaded: the
+    value is validated and reported, and no output depends on it."""
     raw = os.environ.get("OUSYM_THREADS", "").strip()
     if raw:
         try:
@@ -61,18 +66,19 @@ class WienerGrid:
 
     def cumulative(self):
         """w values at grid times, (n_proc, steps + 1), w(t0) = 0."""
-        out = np.zeros((self.n_proc, self.steps + 1))
-        np.cumsum(self.increments, axis=1, out=out[:, 1:])
-        return out
+        return _cumulative(self.increments)
 
 
-def sample_wiener(n_proc, t0, t1, steps, seed=0, path_index=0):
-    """Draw one path's increments with a counter-based generator.
+def _cumulative(inc):
+    """Running sums (..., steps + 1) of increments (..., steps), from 0."""
+    out = np.zeros(inc.shape[:-1] + (inc.shape[-1] + 1,))
+    np.cumsum(inc, axis=-1, out=out[..., 1:])
+    return out
 
-    The key is (seed, path_index): any path of any ensemble can be
-    regenerated alone, and ensembles are identical however the path loop is
-    scheduled.
-    """
+
+def _philox_increments(n_proc, t0, t1, steps, seed, indices):
+    """N(0, dt) increments (len(indices), n_proc, steps); row j is the path
+    keyed (seed, indices[j]), drawn row-major as (n_proc, steps)."""
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise InvalidGrid(f"steps must be a positive integer, got {steps!r}")
     if not (np.isfinite(t0) and np.isfinite(t1)) or not t1 > t0:
@@ -81,11 +87,23 @@ def sample_wiener(n_proc, t0, t1, steps, seed=0, path_index=0):
         raise InvalidGrid("n_proc must be >= 1")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InvalidGrid("seed must be a non-negative integer")
+    out = np.empty((len(indices), int(n_proc), int(steps)))
+    for row, idx in zip(out, indices):
+        gen = np.random.Generator(np.random.Philox(key=[seed, idx]))
+        gen.standard_normal(out=row)
+    out *= np.sqrt((t1 - t0) / steps)
+    return out
+
+
+def sample_wiener(n_proc, t0, t1, steps, seed=0, path_index=0):
+    """Draw one path's increments with a counter-based generator.
+
+    The key is (seed, path_index): any path of any ensemble can be
+    regenerated alone, and a batch of paths draws exactly these numbers.
+    """
     if not isinstance(path_index, (int, np.integer)) or path_index < 0:
         raise InvalidGrid("path_index must be a non-negative integer")
-    dt = (t1 - t0) / steps
-    gen = np.random.Generator(np.random.Philox(key=[seed, path_index]))
-    inc = gen.standard_normal((n_proc, int(steps))) * np.sqrt(dt)
+    inc = _philox_increments(n_proc, t0, t1, steps, seed, [path_index])[0]
     return WienerGrid(
         t0=float(t0), t1=float(t1), steps=int(steps), n_proc=int(n_proc),
         seed=int(seed), path_index=int(path_index), increments=inc,
@@ -151,32 +169,73 @@ def _ou_labels(n):
         f"v{i + 1}" for i in range(n))
 
 
-def _force_fn(force, n):
-    """Vectorized force on an (n,) array; fast paths for closed forms."""
+def _force_fn(force, n, paths):
+    """Force on a (paths, n) batch of positions."""
     if isinstance(force, ConstantForce):
         c = np.asarray(force.c, dtype=float)
         return lambda x: c
     if isinstance(force, LinearForce):
         L = np.asarray(force.L, dtype=float)
         K = np.asarray(force.K, dtype=float)
-        return lambda x: L @ x + K
-    return lambda x: np.asarray(force.evaluate(list(x)), dtype=float)
+        # a stacked matmul rounds like L @ x on each path; x @ L.T does not
+        return lambda x: (L @ x[..., None])[..., 0] + K
+    buf = np.empty((paths, n))
+
+    def evaluate(x):
+        # a single path evaluates on numpy scalars: cheaper than length-1
+        # columns, and array ** can round differently from scalar **
+        args = list(x[0]) if paths == 1 else [x[:, j] for j in range(n)]
+        for j, col in enumerate(force.evaluate(args)):
+            buf[:, j] = col
+        return buf
+    return evaluate
 
 
-def _force_fn_batch(force, n):
-    """Force on a (paths, n) batch of positions."""
-    if isinstance(force, ConstantForce):
-        c = np.asarray(force.c, dtype=float)
-        return lambda x: np.broadcast_to(c, x.shape)
-    if isinstance(force, LinearForce):
-        L = np.asarray(force.L, dtype=float)
-        K = np.asarray(force.K, dtype=float)
-        return lambda x: x @ L.T + K
-    def batch(x):
-        cols = force.evaluate([x[:, j] for j in range(n)])
-        return np.column_stack([np.broadcast_to(col, x.shape[:1])
-                                for col in cols])
-    return batch
+def _em_batch(step, state, inc, t0, dt, guard, record=None, strict=True):
+    """The Euler-Maruyama loop over a (paths, d) batch; returns the terminal
+    states and the (paths,) mask of paths that blew up, i.e. failed
+    max |state| <= guard (NaN fails it). step(s, dw, out) writes the next
+    states into out; inc is (paths, n_proc, steps); record, if given, gets
+    all (steps + 1, paths, d) states. strict raises at the first blow-up.
+    """
+    blown = np.zeros(state.shape[0], dtype=bool)
+    spare = (np.empty_like(state), np.empty_like(state))
+    if record is not None:
+        record[0] = state
+    # overflow and NaN in the arithmetic are what the guard reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(inc.shape[2]):
+            out = spare[k % 2] if record is None else record[k + 1]
+            step(state, inc[:, :, k], out)
+            # the whole-batch test is cheap; the per-path one is not
+            if not np.abs(out).max() <= guard:
+                if strict:
+                    raise NonFiniteState(
+                        f"path blew up at step {k + 1} "
+                        f"(t = {t0 + (k + 1) * dt})")
+                blown |= ~(np.abs(out).max(axis=1) <= guard)
+            state = out
+    return state, blown
+
+
+def _ou_em(sys, x0, t0, t1, inc, guard=BLOWUP_GUARD, record=None,
+           strict=True):
+    """_em_batch with the euler_maruyama scheme, driven by inc
+    (paths, n, steps)."""
+    n = sys.n
+    x, v = _split_state(n, x0)
+    beta = np.asarray(sys.beta, dtype=float)
+    mu = np.asarray(sys.mu, dtype=float)
+    F = _force_fn(sys.force, n, inc.shape[0])
+    dt = (t1 - t0) / inc.shape[2]
+
+    def step(s, dw, out):
+        x, v = s[:, :n], s[:, n:]
+        np.add(x, v * dt, out=out[:, :n])
+        out[:, n:] = v + (F(x) - beta * v) * dt + mu * dw
+
+    start = np.tile(np.concatenate((x, v)), (inc.shape[0], 1))
+    return _em_batch(step, start, inc, t0, dt, guard, record, strict)
 
 
 def _grid_meta(grid, scheme):
@@ -186,32 +245,15 @@ def _grid_meta(grid, scheme):
 
 
 def euler_maruyama(sys, x0, grid, guard=BLOWUP_GUARD):
-    """Explicit first-order scheme:
+    """Explicit first-order scheme on one path:
         x_{k+1} = x_k + v_k dt
         v_{k+1} = v_k + (F(x_k) - beta v_k) dt + mu dw_k
+    NonFiniteState when a state leaves [-guard, guard] or is NaN.
     """
-    n = sys.n
-    if grid.n_proc != n:
-        raise DimensionMismatch(
-            f"grid drives {grid.n_proc} processes, system has n = {n}")
-    x, v = _split_state(n, x0)
-    beta = np.asarray(sys.beta, dtype=float)
-    mu = np.asarray(sys.mu, dtype=float)
-    F = _force_fn(sys.force, n)
-    dt = grid.dt
-    inc = grid.increments
-    states = np.empty((grid.steps + 1, 2 * n))
-    states[0, :n] = x
-    states[0, n:] = v
-    for k in range(grid.steps):
-        force_val = F(x)
-        x, v = x + v * dt, v + (force_val - beta * v) * dt + mu * inc[:, k]
-        if max(np.max(np.abs(x)), np.max(np.abs(v))) > guard:
-            raise NonFiniteState(
-                f"path blew up at step {k + 1} (t = {grid.t0 + (k + 1) * dt})")
-        states[k + 1, :n] = x
-        states[k + 1, n:] = v
-    return Path(times=grid.times, states=states, labels=_ou_labels(n),
+    record = np.empty((grid.steps + 1, 1, 2 * sys.n))
+    _ou_em(sys, x0, grid.t0, grid.t1, _one_path(sys, grid), guard, record)
+    return Path(times=grid.times, states=record[:, 0],
+                labels=_ou_labels(sys.n),
                 meta=_grid_meta(grid, "euler-maruyama"))
 
 
@@ -224,74 +266,36 @@ def euler_maruyama_general(drift, sigma, x0, grid, labels=None,
     x = np.asarray(x0, dtype=float).ravel()
     d = x.shape[0]
     dt = grid.dt
-    inc = grid.increments
-    states = np.empty((grid.steps + 1, d))
-    states[0] = x
-    for k in range(grid.steps):
-        f = np.asarray(drift(x), dtype=float)
-        s = np.asarray(sigma(x), dtype=float).reshape(d, grid.n_proc)
-        x = x + f * dt + s @ inc[:, k]
-        if np.max(np.abs(x)) > guard or not np.all(np.isfinite(x)):
-            raise NonFiniteState(f"path blew up at step {k + 1}")
-        states[k + 1] = x
+
+    def step(s, dw, out):
+        f = np.asarray(drift(s[0]), dtype=float)
+        g = np.asarray(sigma(s[0]), dtype=float).reshape(d, grid.n_proc)
+        out[0] = s[0] + f * dt + g @ dw[0]
+
+    record = np.empty((grid.steps + 1, 1, d))
+    _em_batch(step, x[None], grid.increments[None], grid.t0, dt, guard,
+              record)
     if labels is None:
         labels = tuple(f"x{i + 1}" for i in range(d))
-    return Path(times=grid.times, states=states, labels=tuple(labels),
+    return Path(times=grid.times, states=record[:, 0], labels=tuple(labels),
                 meta=_grid_meta(grid, "euler-maruyama"))
 
 
-def _chunk_ranges(total, chunk):
-    return [(i, min(i + chunk, total)) for i in range(0, total, chunk)]
-
-
 def euler_maruyama_ensemble(sys, x0, t0, t1, steps, n_paths, seed=0,
-                            chunk=512, guard=BLOWUP_GUARD):
+                            chunk=2048, guard=BLOWUP_GUARD):
     """Terminal states of n_paths Euler-Maruyama paths, (n_paths, 2n).
 
-    Paths are keyed (seed, index); chunks of paths are advanced together
-    and may run on several threads, each writing a disjoint output slice,
-    so the result is identical for any OUSYM_THREADS.
+    Row i is driven by the increments keyed (seed, i), so it equals
+    euler_maruyama on sample_wiener(..., path_index=i). Up to chunk paths
+    are stepped together; their increments take chunk * n * steps floats.
     """
-    n = sys.n
-    x_init, v_init = _split_state(n, x0)
-    beta = np.asarray(sys.beta, dtype=float)
-    mu = np.asarray(sys.mu, dtype=float)
-    Fb = _force_fn_batch(sys.force, n)
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise InvalidGrid("steps must be a positive integer")
     if n_paths < 1:
         raise InvalidGrid("n_paths must be >= 1")
-    dt = (t1 - t0) / steps
-    sq = np.sqrt(dt)
-    out = np.empty((n_paths, 2 * n))
-
-    def run_chunk(bounds):
-        i0, i1 = bounds
-        m = i1 - i0
-        inc = np.empty((m, n, steps))
-        for j in range(m):
-            gen = np.random.Generator(np.random.Philox(key=[seed, i0 + j]))
-            inc[j] = gen.standard_normal((n, steps))
-        inc *= sq
-        x = np.broadcast_to(x_init, (m, n)).copy()
-        v = np.broadcast_to(v_init, (m, n)).copy()
-        for k in range(steps):
-            f = Fb(x)
-            x, v = x + v * dt, v + (f - beta * v) * dt + inc[:, :, k]
-            if np.max(np.abs(v)) > guard or np.max(np.abs(x)) > guard:
-                raise NonFiniteState(
-                    f"ensemble chunk [{i0}, {i1}) blew up at step {k + 1}")
-        out[i0:i1, :n] = x
-        out[i0:i1, n:] = v
-
-    ranges = _chunk_ranges(n_paths, chunk)
-    workers = min(thread_count(), len(ranges))
-    if workers <= 1:
-        for b in ranges:
-            run_chunk(b)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, ranges))
+    out = np.empty((n_paths, 2 * sys.n))
+    for i0 in range(0, n_paths, chunk):
+        inc = _philox_increments(sys.n, t0, t1, steps, seed,
+                                 range(i0, min(i0 + chunk, n_paths)))
+        out[i0:i0 + len(inc)], _ = _ou_em(sys, x0, t0, t1, inc, guard)
     return out
 
 
@@ -317,6 +321,36 @@ def ito_integral(a, grid, proc=0):
 
 # --- exact solvers ---
 
+def _one_path(sys, grid):
+    if grid.n_proc != sys.n:
+        raise DimensionMismatch(
+            f"grid drives {grid.n_proc} processes, system has n = {sys.n}")
+    return grid.increments[None]
+
+
+def _exact_constant_paths(sys, x0, t, inc):
+    """Constant-force states (paths, steps + 1, 2n) on the times t, from
+    increments (paths, n, steps). Real arithmetic: the leakage is zero."""
+    if not isinstance(sys.force, ConstantForce):
+        raise WrongForceClass("exact_solve_constant needs a constant force")
+    n = sys.n
+    x, v = _split_state(n, x0)
+    states = np.empty((inc.shape[0], t.shape[0], 2 * n))
+    for i in range(n):
+        b, m, c = sys.beta[i], sys.mu[i], sys.force.c[i]
+        # I(t_k) = sum_{j<k} exp(b t_j) dw_j, the quadrature for z
+        integ = _cumulative(np.exp(b * t[:-1]) * inc[:, i])
+        z0 = -np.exp(b * t[0]) / b * v[i]
+        y0 = x[i] + v[i] / b
+        z = z0 - (c / b ** 2) * (np.exp(b * t) - np.exp(b * t[0])) \
+            - (m / b) * integ
+        y = y0 + (c / b) * (t - t[0]) + (m / b) * _cumulative(inc[:, i])
+        vi = -b * np.exp(-b * t) * z
+        states[:, :, n + i] = vi
+        states[:, :, i] = y - vi / b
+    return states, np.zeros(inc.shape[0])
+
+
 def exact_solve_constant(sys, x0, grid):
     """Exact constant-force solution through the rectifying variables
 
@@ -325,52 +359,22 @@ def exact_solve_constant(sys, x0, grid):
 
     which reduce both equations to pure quadrature.
     """
-    if not isinstance(sys.force, ConstantForce):
-        raise WrongForceClass("exact_solve_constant needs a constant force")
-    n = sys.n
-    if grid.n_proc != n:
-        raise DimensionMismatch(
-            f"grid drives {grid.n_proc} processes, system has n = {n}")
-    x, v = _split_state(n, x0)
     t = grid.times
-    cums = grid.cumulative()
-    states = np.empty((grid.steps + 1, 2 * n))
-    for i in range(n):
-        b, m, c = sys.beta[i], sys.mu[i], sys.force.c[i]
-        # I(t_k) = sum_{j<k} exp(b t_j) dw_j, the quadrature for z
-        integ = np.zeros(grid.steps + 1)
-        np.cumsum(np.exp(b * t[:-1]) * grid.increments[i], out=integ[1:])
-        z0 = -np.exp(b * grid.t0) / b * v[i]
-        y0 = x[i] + v[i] / b
-        z = z0 - (c / b ** 2) * (np.exp(b * t) - np.exp(b * grid.t0)) \
-            - (m / b) * integ
-        y = y0 + (c / b) * (t - grid.t0) + (m / b) * cums[i]
-        vi = -b * np.exp(-b * t) * z
-        states[:, n + i] = vi
-        states[:, i] = y - vi / b
-    return Path(times=t, states=states, labels=_ou_labels(n),
+    states, _ = _exact_constant_paths(sys, x0, t, _one_path(sys, grid))
+    return Path(times=t, states=states[0], labels=_ou_labels(sys.n),
                 meta=_grid_meta(grid, "exact-rectified"))
 
 
-def exact_solve_linear(sys, x0, grid, imag_tol=1e-10):
-    """Exact solution for a regular linear force (n = 1 or isotropic).
-
-    In eigenmode coordinates q = M^-1 x each mode splits into two processes
-        y_pm = exp(kappa_pm t) (kappa_mp q + p) / (kappa_mp - kappa_pm)
-    whose drift vanishes identically, leaving the quadratures
-        dy_pm = mu exp(kappa_pm t) / (kappa_mp - kappa_pm) dW~.
-    Complex eigenvalues are carried in complex arithmetic and the imaginary
-    part of the reassembled state is checked against imag_tol.
-    """
+def _exact_linear_paths(sys, x0, t, inc):
+    """Eigenmode states (paths, steps + 1, 2n) on the times t, from
+    increments (paths, n, steps), and each path's largest imaginary part
+    over its whole path (paths,)."""
     if not isinstance(sys.force, LinearForce):
         raise WrongForceClass("exact_solve_linear needs a linear force")
     n = sys.n
     if n > 1 and not sys.isotropic:
         raise WrongForceClass(
             "the exact linear solver covers n = 1 or isotropic systems")
-    if grid.n_proc != n:
-        raise DimensionMismatch(
-            f"grid drives {grid.n_proc} processes, system has n = {n}")
     x, v = _split_state(n, x0)
     L = np.asarray(sys.force.L, dtype=float)
     K = np.asarray(sys.force.K, dtype=float)
@@ -397,42 +401,58 @@ def exact_solve_linear(sys, x0, grid, imag_tol=1e-10):
     s0 = x + shift
     q0 = Minv @ s0.astype(complex)
     p0 = Minv @ v.astype(complex)
-    dW = Minv @ grid.increments.astype(complex)  # per-mode noise, (n, steps)
+    dW = Minv @ inc.astype(complex)  # per-mode noise, (paths, n, steps)
 
-    t = grid.times
-    q = np.empty((n, grid.steps + 1), dtype=complex)
-    p = np.empty((n, grid.steps + 1), dtype=complex)
+    q = np.empty((inc.shape[0], n, t.shape[0]), dtype=complex)
+    p = np.empty_like(q)
     for i in range(n):
         kp, km = mode_rates(beta, lams[i])
-        yp0 = np.exp(kp * grid.t0) * (km * q0[i] + p0[i]) / (km - kp)
-        ym0 = np.exp(km * grid.t0) * (kp * q0[i] + p0[i]) / (kp - km)
+        yp0 = np.exp(kp * t[0]) * (km * q0[i] + p0[i]) / (km - kp)
+        ym0 = np.exp(km * t[0]) * (kp * q0[i] + p0[i]) / (kp - km)
         ap = mu * np.exp(kp * t[:-1]) / (km - kp)
         am = mu * np.exp(km * t[:-1]) / (kp - km)
-        yp = np.empty(grid.steps + 1, dtype=complex)
-        ym = np.empty(grid.steps + 1, dtype=complex)
-        yp[0] = yp0
-        ym[0] = ym0
-        np.cumsum(ap * dW[i], out=yp[1:])
-        yp[1:] += yp0
-        np.cumsum(am * dW[i], out=ym[1:])
-        ym[1:] += ym0
+        yp = np.empty((inc.shape[0], t.shape[0]), dtype=complex)
+        ym = np.empty_like(yp)
+        yp[:, 0] = yp0
+        ym[:, 0] = ym0
+        np.cumsum(ap * dW[:, i], axis=1, out=yp[:, 1:])
+        yp[:, 1:] += yp0
+        np.cumsum(am * dW[:, i], axis=1, out=ym[:, 1:])
+        ym[:, 1:] += ym0
         ep = np.exp(-kp * t)
         em = np.exp(-km * t)
-        q[i] = ep * yp + em * ym
-        p[i] = -kp * ep * yp - km * em * ym
-    s_path = (M @ q).T  # (steps + 1, n)
-    v_path = (M @ p).T
-    worst_imag = max(float(np.max(np.abs(s_path.imag))),
-                     float(np.max(np.abs(v_path.imag))))
-    if worst_imag > imag_tol:
+        q[:, i] = ep * yp + em * ym
+        p[:, i] = -kp * ep * yp - km * em * ym
+    s_path = M @ q  # (paths, n, steps + 1)
+    v_path = M @ p
+    leak = np.maximum(np.max(np.abs(s_path.imag), axis=(1, 2)),
+                      np.max(np.abs(v_path.imag), axis=(1, 2)))
+    states = np.empty((inc.shape[0], t.shape[0], 2 * n))
+    states[:, :, :n] = s_path.real.transpose(0, 2, 1) - shift
+    states[:, :, n:] = v_path.real.transpose(0, 2, 1)
+    return states, leak
+
+
+def exact_solve_linear(sys, x0, grid, imag_tol=IMAG_TOL):
+    """Exact solution for a regular linear force (n = 1 or isotropic).
+
+    In eigenmode coordinates q = M^-1 x each mode splits into two processes
+        y_pm = exp(kappa_pm t) (kappa_mp q + p) / (kappa_mp - kappa_pm)
+    whose drift vanishes identically, leaving the quadratures
+        dy_pm = mu exp(kappa_pm t) / (kappa_mp - kappa_pm) dW~.
+    Complex eigenvalues are carried in complex arithmetic and the imaginary
+    part of the reassembled state is checked against imag_tol.
+    """
+    t = grid.times
+    states, leak = _exact_linear_paths(sys, x0, t, _one_path(sys, grid))
+    worst_imag = float(leak[0])
+    if not worst_imag <= imag_tol:
         raise NonFiniteState(
             f"imaginary leakage {worst_imag:.3e} exceeds {imag_tol:.1e}")
-    states = np.empty((grid.steps + 1, 2 * n))
-    states[:, :n] = s_path.real - shift
-    states[:, n:] = v_path.real
     meta = _grid_meta(grid, "exact-eigenmodes")
     meta["max_imag_leakage"] = worst_imag
-    return Path(times=t, states=states, labels=_ou_labels(n), meta=meta)
+    return Path(times=t, states=states[0], labels=_ou_labels(sys.n),
+                meta=meta)
 
 
 # --- convergence studies ---
@@ -468,9 +488,11 @@ class OUConvergenceProblem:
         self.n_proc = sys.n
         if isinstance(sys.force, ConstantForce):
             self._exact = exact_solve_constant
+            self._exact_paths = _exact_constant_paths
             self.name = "ou-constant"
         elif isinstance(sys.force, LinearForce):
             self._exact = exact_solve_linear
+            self._exact_paths = _exact_linear_paths
             self.name = "ou-linear"
         else:
             raise WrongForceClass(
@@ -482,55 +504,84 @@ class OUConvergenceProblem:
     def em_terminal(self, x0, grid):
         return euler_maruyama(self.sys, x0, grid).terminal()
 
+    def exact_terminals(self, x0, t0, t1, inc):
+        t = np.linspace(t0, t1, inc.shape[2] + 1)
+        states, leak = self._exact_paths(self.sys, x0, t, inc)
+        return states[:, -1], ~(leak <= IMAG_TOL)
 
-class GBMConvergenceProblem:
+    def em_terminals(self, x0, t0, t1, inc):
+        return _ou_em(self.sys, x0, t0, t1, inc, strict=False)
+
+
+class _ScalarProblem:
+    """Euler-Maruyama side of a scalar fixture dy = drift(y) dt +
+    sigma(y) dw whose drift and sigma act elementwise."""
+
+    n_proc = 1
+
+    def em_terminal(self, x0, grid):
+        return euler_maruyama_general(
+            self.drift, lambda y: self.sigma(y).reshape(1, 1), x0,
+            grid).terminal()
+
+    def em_terminals(self, x0, t0, t1, inc):
+        dt = (t1 - t0) / inc.shape[2]
+
+        def step(y, dw, out):
+            np.add(y + self.drift(y) * dt, self.sigma(y) * dw, out=out)
+
+        start = np.full((inc.shape[0], 1), float(x0[0]))
+        return _em_batch(step, start, inc, t0, dt, BLOWUP_GUARD,
+                         strict=False)
+
+
+class GBMConvergenceProblem(_ScalarProblem):
     """dx = a x dt + b x dw with the exponential closed form."""
 
     def __init__(self, a, b):
         self.a, self.b = float(a), float(b)
-        self.n_proc = 1
         self.name = "gbm"
 
-    def exact_terminal(self, x0, grid):
-        w = grid.cumulative()[0, -1]
-        T = grid.t1 - grid.t0
-        return np.array([float(x0[0]) * np.exp(
-            (self.a - 0.5 * self.b ** 2) * T + self.b * w)])
+    def drift(self, x):
+        return self.a * x
 
-    def em_terminal(self, x0, grid):
-        a, b = self.a, self.b
-        path = euler_maruyama_general(
-            lambda x: a * x, lambda x: (b * x).reshape(1, 1), x0, grid)
+    def sigma(self, x):
+        return self.b * x
+
+    def exact_terminal(self, x0, grid):
+        path, _ = solve_reference_problem(
+            "gbm", {"a": self.a, "b": self.b, "x0": x0[0]}, grid)
         return path.terminal()
 
+    def exact_terminals(self, x0, t0, t1, inc):
+        w = _cumulative(inc)[:, :, -1]
+        x = float(x0[0]) * np.exp(
+            (self.a - 0.5 * self.b ** 2) * (t1 - t0) + self.b * w)
+        return x, np.zeros(inc.shape[0], dtype=bool)
 
-class KozlovConvergenceProblem:
+
+class KozlovConvergenceProblem(_ScalarProblem):
     """dy = (exp(-y) - exp(-2y)/2) dt + exp(-y) dw, solvable through
     x = exp(y)."""
 
-    n_proc = 1
     name = "kozlov-exp"
 
+    def drift(self, y):
+        return np.exp(-y) - 0.5 * np.exp(-2.0 * y)
+
+    def sigma(self, y):
+        return np.exp(-y)
+
     def exact_terminal(self, x0, grid):
-        acc = np.exp(float(x0[0])) + (grid.times - grid.t0) \
-            + grid.cumulative()[0]
-        if np.min(acc) <= 1e-9:
-            raise DomainExit("transformed state hit the domain floor")
-        return np.array([np.log(acc[-1])])
+        path, _ = solve_reference_problem("kozlovexp", {"y0": x0[0]}, grid)
+        return path.terminal()
 
-    def em_terminal(self, x0, grid):
-        # exp(-y) overflows once a path dives far negative; the blow-up
-        # guard turns the resulting non-finite state into NonFiniteState,
-        # so silence the intermediate warnings
-        def drift(y):
-            with np.errstate(over="ignore", invalid="ignore"):
-                return np.exp(-y) - 0.5 * np.exp(-2.0 * y)
-
-        def sigma(y):
-            with np.errstate(over="ignore"):
-                return np.exp(-y).reshape(1, 1)
-
-        return euler_maruyama_general(drift, sigma, x0, grid).terminal()
+    def exact_terminals(self, x0, t0, t1, inc):
+        t = np.linspace(t0, t1, inc.shape[2] + 1)
+        acc = np.exp(float(x0[0])) + (t - t0) + _cumulative(inc)
+        exited = ~(np.min(acc[:, 0], axis=1) > 1e-9)
+        with np.errstate(invalid="ignore"):
+            return np.log(acc[:, :, -1]), exited
 
 
 def convergence_study(problem, x0, t0, t1, ladder_steps, n_paths=200,
@@ -541,6 +592,10 @@ def convergence_study(problem, x0, t0, t1, ladder_steps, n_paths=200,
     rung re-drives Euler-Maruyama with the coarsened copy of the same
     noise. Paths where any solver exits its domain or blows up are skipped
     whole (deterministically, by path index) and counted.
+
+    Paths go in blocks of at most BLOCK_VALUES fine increments. problem
+    has n_proc, name and exact_terminals / em_terminals(x0, t0, t1, inc):
+    increments (paths, n_proc, steps) to terminals and a mask to skip.
     """
     ladder = [int(s) for s in ladder_steps]
     if not ladder or any(s < 1 for s in ladder):
@@ -554,29 +609,22 @@ def convergence_study(problem, x0, t0, t1, ladder_steps, n_paths=200,
         if finest % s != 0:
             raise InvalidGrid(
                 f"rung {s} does not divide the finest grid {finest}")
-    rungs = len(ladder)
-    errs = np.zeros((n_paths, rungs))
+    m = problem.n_proc
+    block = max(1, BLOCK_VALUES // (m * finest))
+    errs = np.zeros((n_paths, len(ladder)))
     skip = np.zeros(n_paths, dtype=bool)
-
-    def run_path(idx):
-        fine = sample_wiener(problem.n_proc, t0, t1, finest, seed=seed,
-                             path_index=idx)
-        try:
-            ref = problem.exact_terminal(x0, fine)
-            for r, s in enumerate(ladder):
-                g = coarsen(fine, finest // s)
-                em = problem.em_terminal(x0, g)
-                errs[idx, r] = float(np.max(np.abs(em - ref)))
-        except (DomainExit, NonFiniteState):
-            skip[idx] = True
-
-    workers = min(thread_count(), n_paths)
-    if workers <= 1:
-        for idx in range(n_paths):
-            run_path(idx)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_path, range(n_paths)))
+    for i0 in range(0, n_paths, block):
+        rows = slice(i0, min(i0 + block, n_paths))
+        fine = _philox_increments(m, t0, t1, finest, seed,
+                                  range(n_paths)[rows])
+        ref, skip[rows] = problem.exact_terminals(x0, t0, t1, fine)
+        for r, s in enumerate(ladder):
+            coarse = fine.reshape(len(fine), m, s, finest // s).sum(axis=3)
+            em, blown = problem.em_terminals(x0, t0, t1, coarse)
+            skip[rows] |= blown
+            # skipped paths may hold inf or NaN; their errors are unused
+            with np.errstate(invalid="ignore"):
+                errs[rows, r] = np.max(np.abs(em - ref), axis=1)
 
     used = int(np.sum(~skip))
     if used == 0:

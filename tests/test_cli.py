@@ -164,6 +164,50 @@ def test_converge_csv_shape(constant_system, capsys):
     assert lines[-1].startswith("# fitted_order=")
 
 
+GOLDEN_CONVERGE = [
+    ({"n": 1, "beta": [1.5], "mu": [0.8],
+      "force": {"type": "constant", "c": [0.4]}},
+     ["--x0=0.3,-0.2", "--seed", "5"],
+     "# problem=ou-constant\n"
+     "# seed=5\n"
+     "# n_paths=37\n"
+     "# used_paths=37\n"
+     "# refine=8\n"
+     "dt,strong_error\n"
+     "0.125,0.029181460246308227\n"
+     "0.0625,0.01938817221204019\n"
+     "0.03125,0.00983825994548509\n"
+     "# fitted_order=0.7842884992020404\n"),
+    ({"n": 2, "beta": [2.0, 2.0], "mu": [0.7, 0.7],
+      "force": {"type": "linear", "L": [[-2.0, 1.0], [-1.0, -2.0]],
+                "K": [0.3, -0.1]}},
+     ["--x0=0.5,-0.3,0.1,0.2", "--seed", "6"],
+     "# problem=ou-linear\n"
+     "# seed=6\n"
+     "# n_paths=37\n"
+     "# used_paths=37\n"
+     "# refine=8\n"
+     "dt,strong_error\n"
+     "0.125,0.07109558952052432\n"
+     "0.0625,0.03324610866706797\n"
+     "0.03125,0.015958862715829622\n"
+     "# fitted_order=1.0777011099879878\n"),
+]
+
+
+@pytest.mark.parametrize("payload,extra,expected", GOLDEN_CONVERGE,
+                         ids=["constant-n1", "linear-iso-n2"])
+def test_converge_golden_output(tmp_path, capsys, payload, extra, expected):
+    # pinned stdout: any change to the noise keying, the coarsening, the
+    # solvers' arithmetic or the report format shows up here
+    system = write_system(tmp_path, "golden.json", payload)
+    code, out, err = run(capsys, "converge", "--system", system,
+                         "--paths", "37", "--ladder", "3",
+                         "--base-steps", "8", "--refine", "8", *extra)
+    assert code == 0 and err == ""
+    assert out == expected
+
+
 def test_reference_gbm_certificate(capsys):
     code, out, _ = run(capsys, "reference", "--problem", "gbm",
                        "--steps", "200")

@@ -8,13 +8,14 @@ from scipy.integrate import solve_ivp
 
 from ousym import (ConstantForce, DomainExit, GBMConvergenceProblem,
                    InvalidGrid, KozlovConvergenceProblem, LinearForce,
-                   NonFiniteState, OUConvergenceProblem, WienerGrid,
-                   build_ou_system, coarsen, convergence_study,
+                   NonFiniteState, OUConvergenceProblem, OusymError,
+                   WienerGrid, build_ou_system, coarsen, convergence_study,
                    euler_maruyama, euler_maruyama_ensemble,
                    euler_maruyama_general, exact_solve_constant,
-                   exact_solve_linear, ito_integral, read_path_csv,
-                   sample_wiener, solve_reference_problem,
-                   write_convergence_csv, write_path_csv)
+                   exact_solve_linear, integrate, ito_integral,
+                   parse_force_expression, read_path_csv, sample_wiener,
+                   solve_reference_problem, write_convergence_csv,
+                   write_path_csv)
 
 
 def manual_grid(increments, t0=0.0, t1=1.0):
@@ -272,6 +273,126 @@ def test_ensemble_matches_single_paths():
         g = sample_wiener(1, 0.0, 1.0, 50, seed=19, path_index=idx)
         single = euler_maruyama(sys1, [0.0, 0.0], g)
         assert np.allclose(term[idx], single.terminal(), atol=1e-13)
+
+
+@pytest.mark.parametrize("beta,mu", [([1.0], [2.5]),
+                                     ([1.0, 1.5], [0.7, 1.9])])
+def test_ensemble_applies_mu(beta, mu):
+    n, t1, steps, n_paths, seed = len(mu), 6.0, 600, 4000, 23
+    sys_ = build_ou_system(n, beta, mu, ConstantForce([0.0] * n))
+    x0 = [0.0] * (2 * n)
+    term = euler_maruyama_ensemble(sys_, x0, 0.0, t1, steps, n_paths,
+                                   seed=seed)
+    # first and last rows of each chunk of the default 2048
+    for idx in (0, 1, 2047, 2048, n_paths - 1):
+        g = sample_wiener(n, 0.0, t1, steps, seed=seed, path_index=idx)
+        single = euler_maruyama(sys_, x0, g).terminal()
+        assert np.max(np.abs(term[idx] - single)) <= 1e-12
+    # the velocities are stationary OU by t1: variance mu^2 / (2 beta)
+    for i in range(n):
+        target = mu[i] ** 2 / (2.0 * beta[i])
+        band = 3.0 * target * np.sqrt(2.0 / (n_paths - 1))
+        assert abs(np.var(term[:, n + i], ddof=1) - target) <= band
+
+
+def nan_drift(x):
+    return np.full_like(x, np.nan)
+
+
+def test_nan_states_are_caught():
+    g = sample_wiener(1, 0.0, 1.0, 10, seed=1)
+    with pytest.raises(NonFiniteState):
+        euler_maruyama_general(nan_drift, lambda x: np.ones((1, 1)), [0.5],
+                               g)
+    # 0/0 in the force: max(|x|, |v|) > guard alone would let NaN through
+    sys1 = build_ou_system(1, [1.0], [1.0],
+                           parse_force_expression("x1/x1", 1))
+    with pytest.raises(NonFiniteState):
+        euler_maruyama(sys1, [0.0, 0.0], g)
+    with pytest.raises(NonFiniteState):
+        euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, 10, 3)
+
+    class NaNDrift(GBMConvergenceProblem):
+        def drift(self, x):
+            return nan_drift(x)
+
+    with pytest.raises(NonFiniteState):
+        NaNDrift(1.0, 0.5).em_terminal([1.0], g)
+    # in a study every path blows up, so every path is skipped
+    with pytest.raises(OusymError, match="every path was skipped"):
+        convergence_study(NaNDrift(1.0, 0.5), [1.0], 0.0, 1.0, [8, 16],
+                          n_paths=5, refine=2)
+
+
+class CappedGBM(GBMConvergenceProblem):
+    """GBM whose drift turns NaN above a level, so some paths blow up."""
+
+    def drift(self, x):
+        return np.where(x > 1.6, np.nan, self.a * x)
+
+
+def per_path_study(problem, x0, t1, ladder, n_paths, seed, refine):
+    """Plain loop over path indices with the single-grid adapters."""
+    finest = ladder[-1] * refine
+    rows = []
+    for idx in range(n_paths):
+        fine = sample_wiener(problem.n_proc, 0.0, t1, finest, seed=seed,
+                             path_index=idx)
+        try:
+            ref = problem.exact_terminal(x0, fine)
+            rows.append([float(np.max(np.abs(
+                problem.em_terminal(x0, coarsen(fine, finest // s)) - ref)))
+                for s in ladder])
+        except (DomainExit, NonFiniteState):
+            continue
+    errors = tuple(float(e) for e in np.array(rows).mean(axis=0))
+    return errors, len(rows), n_paths - len(rows)
+
+
+@pytest.mark.parametrize("problem,x0,t1,ladder,refine", [
+    (KozlovConvergenceProblem(), [-1.0], 4.0, [16, 32], 8),
+    # two paths here touch the floor on the fine grid while EM survives
+    (KozlovConvergenceProblem(), [0.0], 4.0, [2, 4], 64),
+    (OUConvergenceProblem(build_ou_system(
+        2, [2.0, 2.0], [0.7, 0.7],
+        LinearForce([[-2.0, 1.0], [-1.0, -2.0]], [0.3, -0.1]))),
+     [0.5, -0.3, 0.1, 0.2], 1.0, [8, 16, 32], 4),
+    (GBMConvergenceProblem(1.0, 0.5), [1.0], 1.0, [16, 64], 4),
+    (CappedGBM(1.0, 0.5), [1.0], 1.0, [16, 64], 4),
+], ids=["kozlov", "kozlov-exits", "linear-iso-n2", "gbm", "gbm-nan-drift"])
+def test_batched_study_equals_per_path_loop(monkeypatch, problem, x0, t1,
+                                            ladder, refine):
+    finest = ladder[-1] * refine
+    # blocks of 8 paths: 29 paths end in a partial block
+    monkeypatch.setattr(integrate, "BLOCK_VALUES",
+                        8 * problem.n_proc * finest)
+    n_paths, seed = 29, 5
+    rep = convergence_study(problem, x0, 0.0, t1, ladder, n_paths=n_paths,
+                            seed=seed, refine=refine)
+    errors, used, skipped = per_path_study(problem, x0, t1, ladder, n_paths,
+                                           seed, refine)
+    assert rep.errors == errors
+    assert rep.used_paths == used
+    assert rep.skipped_paths == skipped
+    if problem.name == "kozlov-exp" or isinstance(problem, CappedGBM):
+        assert 0 < skipped < n_paths
+
+
+def test_study_skips_by_whole_path_leakage(monkeypatch):
+    # complex modes leave roundoff-sized imaginary parts that differ by
+    # path; a tolerance between them must skip exactly the paths whose
+    # single-path solve reports more leakage than it
+    sys2 = build_ou_system(2, [1.0, 1.0], [0.6, 0.6],
+                           LinearForce([[-3.0, 1.0], [-1.0, -3.0]]))
+    x0, ladder, refine, n_paths = [0.4, -0.2, 0.3, 0.1], [8, 16], 4, 12
+    leaks = [exact_solve_linear(sys2, x0, sample_wiener(
+        2, 0.0, 1.0, ladder[-1] * refine, seed=2, path_index=i)
+    ).meta["max_imag_leakage"] for i in range(n_paths)]
+    tol = float(np.median(leaks))
+    monkeypatch.setattr(integrate, "IMAG_TOL", tol)
+    rep = convergence_study(OUConvergenceProblem(sys2), x0, 0.0, 1.0,
+                            ladder, n_paths=n_paths, seed=2, refine=refine)
+    assert 0 < rep.skipped_paths == sum(leak > tol for leak in leaks)
 
 
 def test_ensemble_thread_count_invariance(monkeypatch):
