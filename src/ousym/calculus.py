@@ -6,15 +6,21 @@ ExtendedPoint; vector fields on the extended space return one component per
 entry of extended_coords(p), in the order x-block, v-block, t, w-block,
 z-block.
 
-The primary engine is hyper-dual numbers (exact to rounding); central finite
-differences are available as an independent cross-check.
+The primary engine is hyper-dual numbers (exact to rounding), all seeded by
+duals.seed in vector mode, so each field is evaluated once per derivative
+need rather than once per coordinate: e1 = I gives the gradient over every
+extended coordinate (_gradients), and e1 = e2 = D, with rows
+D_k = d/dW_k + sum_j sigma_jk d/dS_j, gives the dw-block terms and the Ito
+Laplacian (_ito_jet). Central finite differences (engine="fd") stay as the
+independent cross-check.
 """
 
 import numpy as np
 
 from dataclasses import dataclass
 
-from .duals import HyperDual, value
+from . import duals
+from .duals import value
 from .errors import NonFiniteResult, WrongForceClass
 from .model import ConstantForce
 
@@ -123,21 +129,46 @@ def stack_probes(probes):
         z=tuple(col("z", i) for i in range(len(first.z))))
 
 
-def _seed_point(p, c1, c2=None):
-    if c2 is None:
-        return p.with_coord(c1, HyperDual(p.coord(c1), 1.0, 0.0, 0.0))
-    if c2 == c1:
-        return p.with_coord(c1, HyperDual(p.coord(c1), 1.0, 1.0, 0.0))
-    q = p.with_coord(c1, HyperDual(p.coord(c1), 1.0, 0.0, 0.0))
-    return q.with_coord(c2, HyperDual(q.coord(c2), 0.0, 1.0, 0.0))
+def _at(p, vals):
+    """p with its coordinates replaced by vals, in extended_coords order."""
+    i = len(p.x)
+    j = i + len(p.v)
+    k = j + 1 + len(p.w)
+    return ExtendedPoint(x=tuple(vals[:i]), v=tuple(vals[i:j]), t=vals[j],
+                         w=tuple(vals[j + 1:k]), z=tuple(vals[k:]))
 
 
-def _d1(r):
-    return r.f1 if isinstance(r, HyperDual) else (np.zeros_like(r) if isinstance(r, np.ndarray) else 0.0)
+def _probe_shape(p):
+    """Broadcast shape of p's coordinates: () for a plain point."""
+    return np.broadcast_shapes(*{np.shape(p.coord(c))
+                                 for c in extended_coords(p)})
 
 
-def _d12(r):
-    return r.f12 if isinstance(r, HyperDual) else (np.zeros_like(r) if isinstance(r, np.ndarray) else 0.0)
+def _jet(fvec, p, e1, e2=None):
+    """Evaluate fvec once at p seeded along e1 (and e2), see duals.seed.
+
+    Returns per component the value, the first derivatives along every e1
+    direction and, given e2, the second derivatives along every (e1, e2)
+    pair; derivative arrays have the seed's leading axes, then p's probe
+    axes.
+    """
+    vals = [p.coord(c) for c in extended_coords(p)]
+    shape = np.broadcast_shapes(e1.shape[:-1], *{np.shape(v) for v in vals})
+    out = fvec(_at(p, duals.seed(vals, e1, e2)))
+    return ([value(c) for c in out], [duals.d1(c, shape) for c in out],
+            None if e2 is None else [duals.d12(c, shape) for c in out])
+
+
+def _gradients(fvec, p):
+    """Values and gradients of every component of fvec at p, one pass.
+
+    grads[a][b] is d(component a)/d(coordinate b), coordinates in
+    extended_coords(p) order.
+    """
+    n = len(extended_coords(p))
+    lead = (n,) + (1,) * len(_probe_shape(p))
+    vals, grads, _ = _jet(fvec, p, np.eye(n).reshape(lead + (n,)))
+    return vals, grads
 
 
 def _check_finite(out, what):
@@ -163,11 +194,13 @@ def derivative(f, p, coord, order=1, coord2=None, engine="dual"):
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     if engine == "dual":
-        if order == 1:
-            out = _d1(f(_seed_point(p, coord)))
-        else:
-            out = _d12(f(_seed_point(p, coord, coord2 or coord)))
-        return _check_finite(out, "derivative")
+        coords = extended_coords(p)
+        e1 = np.array([c == coord for c in coords], dtype=float)
+        e2 = (np.array([c == (coord2 or coord) for c in coords], dtype=float)
+              if order == 2 else None)
+        r = f(_at(p, duals.seed([p.coord(c) for c in coords], e1, e2)))
+        read = duals.d1 if order == 1 else duals.d12
+        return _check_finite(read(r, np.shape(value(r))), "derivative")
     if engine != "fd":
         raise ValueError(f"unknown engine {engine!r}")
     c1 = coord
@@ -191,58 +224,43 @@ def derivative(f, p, coord, order=1, coord2=None, engine="dual"):
     return _check_finite(out, "derivative")
 
 
-def grad_components(fvec, p, coord):
-    """d/d(coord) of every component of a vector-valued callable, one pass."""
-    r = fvec(_seed_point(p, coord))
-    return [_d1(ri) for ri in r]
-
-
-def second_components(fvec, p, c1, c2):
-    """Mixed second derivative of every component, one pass."""
-    r = fvec(_seed_point(p, c1, c2))
-    return [_d12(ri) for ri in r]
-
-
 def _sigma_values(proc, p):
-    sig = proc.sigma(p)
-    return [[value(e) for e in row] for row in sig]
+    return [[value(e) for e in row] for row in proc.sigma(p)]
 
 
-def _is_zero(coef):
-    return np.all(np.asarray(coef) == 0.0)
+def _stacked(entries):
+    """One array of broadcast-compatible entries, the entry axis first."""
+    return np.stack(np.broadcast_arrays(*entries))
+
+
+def _ito_jet(fvec, proc, p):
+    """Values, dw-block terms and Ito Laplacians of every component of fvec.
+
+    One evaluation seeded with e1 = e2 = D, where row k of D is the direction
+    d/dW_k + sum_j sigma_jk d/dS_j (S over the full state, W over the full
+    active + ghost Wiener coordinates). Then
+        Delta f = sum_k d2f/dW_k dW_k + 2 sum_{j,k} sigma_jk d2f/dS_j dW_k
+                  + sum_{j,l} (sigma sigma^T)_jl d2f/dS_j dS_l
+                = sum_k (D_k . grad)^2 f,
+    and the first derivatives D_k . grad f are the dw-block terms.
+    """
+    coords = extended_coords(p)
+    S = [coords.index(c) for c in proc.state_coords]
+    W = [coords.index(c) for c in proc.wiener_coords]
+    sig = _sigma_values(proc, p)
+    D = np.zeros((len(W),) + _probe_shape(p) + (len(coords),))
+    for k, w in enumerate(W):
+        D[k, ..., w] = 1.0
+        for j, s in enumerate(S):
+            D[k, ..., s] = sig[j][k]
+    vals, dw_terms, second = _jet(fvec, p, D, D)
+    return vals, dw_terms, [d.sum(axis=0) for d in second]
 
 
 def ito_laplacian_components(fvec, proc, p):
-    """Ito Laplacian applied to each component of a vector-valued callable.
-
-    Delta f = sum_k d2f/dW_k dW_k + 2 sum_{j,k} sigma_{jk} d2f/dS_j dW_k
-              + sum_{j,l} (sigma sigma^T)_{jl} d2f/dS_j dS_l
-    with S over the full state and W over the full (active + ghost) Wiener
-    coordinates; structurally zero coefficients are skipped.
-    """
-    S = list(proc.state_coords)
-    W = list(proc.wiener_coords)
-    sig = _sigma_values(proc, p)
-    probe = fvec(p)
-    total = [r * 0.0 for r in (value(c) for c in probe)]
-
-    for k, Wk in enumerate(W):
-        d2 = second_components(fvec, p, Wk, Wk)
-        total = [a + b for a, b in zip(total, d2)]
-    for j, Sj in enumerate(S):
-        for k, Wk in enumerate(W):
-            coef = sig[j][k]
-            if _is_zero(coef):
-                continue
-            d2 = second_components(fvec, p, Sj, Wk)
-            total = [a + 2.0 * coef * b for a, b in zip(total, d2)]
-    for j, Sj in enumerate(S):
-        for l, Sl in enumerate(S):
-            coef = sum(sig[j][k] * sig[l][k] for k in range(len(W)))
-            if _is_zero(coef):
-                continue
-            d2 = second_components(fvec, p, Sj, Sl)
-            total = [a + coef * b for a, b in zip(total, d2)]
+    """Ito Laplacian applied to each component of a vector-valued callable,
+    from one evaluation along the diffusion directions (see _ito_jet)."""
+    total = _ito_jet(fvec, proc, p)[2]
     for entry in total:
         _check_finite(entry, "ito_laplacian")
     return total
@@ -260,25 +278,33 @@ def lie_bracket(X, Y, p, engine="dual"):
     in that same coordinate order.
     """
     coords = extended_coords(p)
-    Xv = [value(c) for c in X(p)]
-    Yv = [value(c) for c in Y(p)]
+    if engine == "dual":
+        Xv, dX = _gradients(X, p)
+        Yv, dY = _gradients(Y, p)
+    else:
+        Xv = [value(c) for c in X(p)]
+        Yv = [value(c) for c in Y(p)]
     if len(Xv) != len(coords) or len(Yv) != len(coords):
         raise NonFiniteResult(
             f"vector fields must have {len(coords)} components")
-    out = [xv * 0.0 for xv in Xv]
-    for b, cb in enumerate(coords):
-        if _is_zero(Xv[b]) and _is_zero(Yv[b]):
-            continue
+    if engine == "dual":
+        dX, dY = _stacked(dX), _stacked(dY)
+    Xv, Yv = _stacked(Xv), _stacked(Yv)
+    # coordinates where both fields vanish at every probe add nothing
+    live = ((Xv != 0.0).reshape(len(coords), -1).any(axis=1)
+            | (Yv != 0.0).reshape(len(coords), -1).any(axis=1))
+    out = np.zeros((len(coords),) + _probe_shape(p))
+    for b in np.flatnonzero(live):
+        cb = coords[b]
         if engine == "dual":
-            dY = grad_components(Y, p, cb)
-            dX = grad_components(X, p, cb)
+            dYb, dXb = dY[:, b], dX[:, b]
         else:
-            dY = [derivative(lambda q, a=a: Y(q)[a], p, cb, engine="fd")
-                  for a in range(len(coords))]
-            dX = [derivative(lambda q, a=a: X(q)[a], p, cb, engine="fd")
-                  for a in range(len(coords))]
-        for a in range(len(coords)):
-            out[a] = out[a] + Xv[b] * dY[a] - Yv[b] * dX[a]
-    for entry in out:
-        _check_finite(entry, "lie_bracket")
-    return out
+            dYb = _stacked([derivative(lambda q, a=a: Y(q)[a], p, cb,
+                                       engine="fd")
+                            for a in range(len(coords))])
+            dXb = _stacked([derivative(lambda q, a=a: X(q)[a], p, cb,
+                                       engine="fd")
+                            for a in range(len(coords))])
+        out = out + Xv[b] * dYb - Yv[b] * dXb
+    _check_finite(out, "lie_bracket")
+    return list(out)

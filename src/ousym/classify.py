@@ -24,10 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import duals
-from .calculus import lie_bracket, sample_probes, stack_probes
+from .calculus import (_at, extended_coords, lie_bracket, sample_probes,
+                       stack_probes)
 from .errors import CertificationFailed, NotDiagonalizable, WrongForceClass
 from .model import ConstantForce, LinearForce, classify_force
-from .symmetry import (InvariantCandidate, SymmetryGenerator,
+from .symmetry import (ExpDecay, InvariantCandidate, SymmetryGenerator,
+                       Translation, _family_json, _max_abs,
                        affine_invariant_nullspace, f_residual,
                        max_invariant_residual, max_residuals, sigma_residual,
                        solve_wsym_linear_constraint)
@@ -94,23 +96,6 @@ class SymmetryAlgebra:
 def _cplx(z):
     z = complex(z)
     return [z.real, z.imag]
-
-
-def _family_json(fam):
-    if fam is None or isinstance(fam, str):
-        return {"kind": fam or "Generic"}
-    name = type(fam).__name__
-    if name == "ExpDecay":
-        return {"kind": "ExpDecay", "i": fam.i, "kappa": fam.kappa}
-    if name == "Translation":
-        return {"kind": "Translation", "i": fam.i}
-    if name == "LinearMode":
-        return {"kind": "LinearMode", "kappa": _cplx(fam.kappa),
-                "part": fam.part}
-    if name == "ModuleScaled":
-        return {"kind": "ModuleScaled", "scaling": fam.scaling,
-                "base": _family_json(fam.base)}
-    return {"kind": name}
 
 
 def classify_invariants(sys, probes=None, tol=CERT_TOL_INVARIANT):
@@ -217,22 +202,21 @@ def _certify(gens, sys, probes, tol=CERT_TOL_RESIDUAL):
                 f"f-residual {mf:.3e}, sigma-residual {ms:.3e} > {tol:.1e}")
 
 
+def _pairwise_brackets(gens, sys, probes):
+    """(left, right, max |[left, right]|) over the stacked probes, for every
+    pair of generators."""
+    p = stack_probes(probes)
+    fields = [g.as_extended_field(sys) for g in gens]
+    return [(gens[a].label, gens[b].label,
+             _max_abs(lie_bracket(fields[a], fields[b], p)))
+            for a in range(len(gens)) for b in range(a + 1, len(gens))]
+
+
 def _quick_bracket_table(gens, sys, probes, limit=4):
     """Pairwise max |[A, B]| over a few probes, for the emitted basis."""
-    rows = []
-    pts = probes[:limit]
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            fa = gens[a].as_extended_field(sys)
-            fb = gens[b].as_extended_field(sys)
-            worst = 0.0
-            for p in pts:
-                br = lie_bracket(fa, fb, p)
-                worst = max(worst, max(float(np.max(np.abs(np.asarray(e))))
-                                       for e in br))
-            rows.append((("left", gens[a].label), ("right", gens[b].label),
-                         ("max_abs_bracket", worst)))
-    return tuple(rows)
+    return tuple((("left", left), ("right", right), ("max_abs_bracket", worst))
+                 for left, right, worst
+                 in _pairwise_brackets(gens, sys, probes[:limit]))
 
 
 def classify_symmetries(sys, probes=None, tol=CERT_TOL_RESIDUAL):
@@ -319,7 +303,9 @@ def expdecay_residual_scan(sys, kappas, i=1, probes=None, chunk=2000):
     """
     if probes is None:
         probes = sample_probes(sys, count=32, seed=0)
-    stacked = stack_probes(probes)
+    st = stack_probes(probes)
+    # a leading length-1 axis, ahead of the probe axis, for the rate block
+    stacked = _at(st, [st.coord(c)[None] for c in extended_coords(st)])
     n_probes = len(probes)
     kappas = np.asarray(kappas, dtype=float).ravel()
     n = sys.n
@@ -373,11 +359,11 @@ def _chi_vector(sys, p):
 
 
 def _scaling_partial(fn, chis, j):
-    from .duals import HyperDual
-    seeded = list(chis)
-    seeded[j] = HyperDual(seeded[j], 1.0, 0.0, 0.0)
-    r = fn(seeded)
-    return r.f1 if isinstance(r, HyperDual) else 0.0
+    """d fn / d chi_j at plain chi values, one pass seeded on every chi."""
+    n = len(chis)
+    lead = (n,) + (1,) * max(np.ndim(c) for c in chis)
+    return duals.d1(fn(duals.seed(chis, np.eye(n).reshape(lead + (n,)))),
+                    lead)[j]
 
 
 def _scaled_field(sys, base, fn):
@@ -408,19 +394,10 @@ def structure_constants(alg, sample_fs=None, probes=None):
     rows = []
 
     if alg.case_tag in ("LinearPair1D", "LinearAbelian2n"):
-        for a in range(len(alg.generators)):
-            for b in range(a + 1, len(alg.generators)):
-                fa = alg.generators[a].as_extended_field(sys)
-                fb = alg.generators[b].as_extended_field(sys)
-                worst = 0.0
-                for p in probes:
-                    br = lie_bracket(fa, fb, p)
-                    worst = max(worst, _max_entry(br))
-                rows.append({"left": alg.generators[a].label,
-                             "right": alg.generators[b].label,
-                             "predicted": "0",
-                             "max_discrepancy": worst})
-        return rows
+        return [{"left": left, "right": right, "predicted": "0",
+                 "max_discrepancy": worst}
+                for left, right, worst
+                in _pairwise_brackets(alg.generators, sys, probes)]
 
     if alg.case_tag != "ConstantModule":
         return rows
@@ -428,8 +405,9 @@ def structure_constants(alg, sample_fs=None, probes=None):
     if sample_fs is None:
         sample_fs = default_scaling_functions()
     n = sys.n
-    X = [g for g in alg.generators if type(g.family).__name__ == "ExpDecay"]
-    Y = [g for g in alg.generators if type(g.family).__name__ == "Translation"]
+    X = [g for g in alg.generators if isinstance(g.family, ExpDecay)]
+    Y = [g for g in alg.generators if isinstance(g.family, Translation)]
+    stacked = stack_probes(probes)
 
     def predicted_scaled(base, coef_fn):
         base_field = base.as_extended_field(sys)
@@ -448,7 +426,7 @@ def structure_constants(alg, sample_fs=None, probes=None):
                     # [X_f^i, X_g^j] = 0
                     A = _scaled_field(sys, X[i], f)
                     Bf = _scaled_field(sys, X[j], g)
-                    worst = _bracket_vs(sys, A, Bf, None, probes)
+                    worst = _bracket_vs(A, Bf, None, stacked)
                     rows.append({"left": f"{fl}*X{i + 1}",
                                  "right": f"{gl}*X{j + 1}",
                                  "predicted": "0",
@@ -461,7 +439,7 @@ def structure_constants(alg, sample_fs=None, probes=None):
                         return (bj / mj) * _scaling_partial(f, chis, j) * g(chis)
 
                     pred = predicted_scaled(X[i], coef_xy)
-                    worst = _bracket_vs(sys, A, Bf, pred, probes)
+                    worst = _bracket_vs(A, Bf, pred, stacked)
                     rows.append({"left": f"{fl}*X{i + 1}",
                                  "right": f"{gl}*Y{j + 1}",
                                  "predicted": f"(beta{j + 1}/mu{j + 1})*"
@@ -484,7 +462,7 @@ def structure_constants(alg, sample_fs=None, probes=None):
                     def pred_sum(p, pred1=pred1, pred2=pred2):
                         return [u + w for u, w in zip(pred1(p), pred2(p))]
 
-                    worst = _bracket_vs(sys, A, Bf, pred_sum, probes)
+                    worst = _bracket_vs(A, Bf, pred_sum, stacked)
                     rows.append({"left": f"{fl}*Y{i + 1}",
                                  "right": f"{gl}*Y{j + 1}",
                                  "predicted": f"(beta{j + 1}/mu{j + 1})*"
@@ -495,18 +473,9 @@ def structure_constants(alg, sample_fs=None, probes=None):
     return rows
 
 
-def _max_entry(vec):
-    return max(float(np.max(np.abs(np.asarray(e)))) for e in vec)
-
-
-def _bracket_vs(sys, A, B, predicted, probes):
-    worst = 0.0
-    for p in probes:
-        br = lie_bracket(A, B, p)
-        if predicted is None:
-            diff = br
-        else:
-            pr = predicted(p)
-            diff = [u - w for u, w in zip(br, pr)]
-        worst = max(worst, _max_entry(diff))
-    return worst
+def _bracket_vs(A, B, predicted, p):
+    """Max |[A, B] - predicted| over the stacked probes p."""
+    br = lie_bracket(A, B, p)
+    if predicted is not None:
+        br = [u - w for u, w in zip(br, predicted(p))]
+    return _max_abs(br)

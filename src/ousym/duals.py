@@ -1,12 +1,14 @@
 """Hyper-dual numbers: forward-mode first and second derivatives.
 
 A HyperDual carries four components (f, f1, f2, f12) representing
-f(p) + f1*e1 + f2*e2 + f12*e1*e2 with e1^2 = e2^2 = 0. Seeding e1 on one
-coordinate and e2 on another (or the same one) yields exact first, second,
-and mixed derivatives in a single evaluation, with no truncation error.
+f(p) + f1*e1 + f2*e2 + f12*e1*e2 with e1^2 = e2^2 = 0. Seeding e1 along one
+direction and e2 along another (or the same one) yields exact first, second,
+and mixed directional derivatives, with no truncation error.
 
-Components may be floats or numpy arrays; arithmetic broadcasts, which is what
-makes batched residual evaluation over probe grids cheap.
+Components may be floats or numpy arrays; arithmetic broadcasts. seed() uses
+that to carry a whole stack of directions at once (vector, or "chunk", mode):
+one evaluation returns a full gradient, Hessian or set of directional second
+derivatives at every probe.
 """
 
 import numpy as np
@@ -127,6 +129,40 @@ def _value(x):
 def value(x):
     """Value part of a scalar-or-HyperDual."""
     return _value(x)
+
+
+def seed(values, e1, e2=None):
+    """Seed coordinate a as HyperDual(values[a], e1[..., a], e2[..., a], 0).
+
+    The last axis of e1 (and e2) runs over the coordinates; the leading axes
+    are seed directions and broadcast against the probe axes of values, so
+    they come first with one axis per probe axis (of length 1 for a shared
+    direction). One evaluation on the seeded coordinates then carries the
+    derivative along every e1 direction in f1 and the second derivative
+    along every (e1, e2) pair in f12; read them with d1 and d12.
+    """
+    e1 = np.asarray(e1, dtype=float)
+    e2 = None if e2 is None else np.asarray(e2, dtype=float)
+    return [HyperDual(v, e1[..., a], 0.0 if e2 is None else e2[..., a], 0.0)
+            for a, v in enumerate(values)]
+
+
+def _broadcast(part, shape):
+    if np.shape(part) == shape:
+        return part
+    return np.broadcast_to(part, np.broadcast_shapes(np.shape(part), shape))
+
+
+def d1(r, shape):
+    """f1 of a seeded result broadcast to shape (0 for a plain value)."""
+    return (_broadcast(r.f1, shape) if isinstance(r, HyperDual)
+            else np.zeros(shape))
+
+
+def d12(r, shape):
+    """f12 of a seeded result broadcast to shape (0 for a plain value)."""
+    return (_broadcast(r.f12, shape) if isinstance(r, HyperDual)
+            else np.zeros(shape))
 
 
 def _chain(x, v, d1, d2):

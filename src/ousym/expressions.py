@@ -139,8 +139,6 @@ class BinOp:
         if self.op == "/":
             return a / b
         if isinstance(a, duals.HyperDual) or isinstance(b, duals.HyperDual):
-            if not isinstance(a, duals.HyperDual):
-                a = duals.HyperDual(a)
             return a ** b
         bf = float(b) if np.ndim(b) == 0 else None
         if bf is not None and not bf.is_integer() and np.any(np.asarray(a) < 0):

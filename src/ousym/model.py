@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import duals
-from .duals import HyperDual
 from .errors import (DimensionMismatch, EmptyProbeSet, NonFiniteEvaluation,
                      NonPositiveFriction, UnclassifiableForce, ZeroNoise)
 from .expressions import parse_components
@@ -27,17 +26,6 @@ def default_x_probes(n, count=32, seed=0, low=-2.0, high=2.0):
     """Deterministic probe points in [low, high]^n for force classification."""
     rng = np.random.default_rng(seed)
     return [tuple(row) for row in rng.uniform(low, high, size=(count, n))]
-
-
-def _seeded(x, j, k=None):
-    """Copy of coordinate list with hyper-dual seeds on slots j and k."""
-    xs = list(x)
-    if k is None or k == j:
-        xs[j] = HyperDual(xs[j], 1.0, 1.0 if k == j else 0.0, 0.0)
-    else:
-        xs[j] = HyperDual(xs[j], 1.0, 0.0, 0.0)
-        xs[k] = HyperDual(xs[k], 0.0, 1.0, 0.0)
-    return xs
 
 
 class ForceField:
@@ -54,24 +42,16 @@ class ForceField:
 
     def jacobian(self, x):
         """dF^i/dx^j at a plain float point, exact via hyper-duals."""
-        J = np.zeros((self.n, self.n))
-        for j in range(self.n):
-            F = self.evaluate(_seeded(x, j))
-            for i, Fi in enumerate(F):
-                J[i, j] = Fi.f1 if isinstance(Fi, HyperDual) else 0.0
-        return J
+        F = self.evaluate(duals.seed(x, np.eye(self.n)))
+        return np.array([duals.d1(Fi, (self.n,)) for Fi in F])
 
     def hessians(self, x):
         """List of the n symmetric matrices (H_i)_{jk} = d2 F^i / dx^j dx^k."""
-        H = np.zeros((self.n, self.n, self.n))
-        for j in range(self.n):
-            for k in range(j, self.n):
-                F = self.evaluate(_seeded(x, j, k))
-                for i, Fi in enumerate(F):
-                    d2 = Fi.f12 if isinstance(Fi, HyperDual) else 0.0
-                    H[i, j, k] = d2
-                    H[i, k, j] = d2
-        return [H[i] for i in range(self.n)]
+        eye = np.eye(self.n)
+        F = self.evaluate(duals.seed(x, eye[:, None], eye[None]))
+        # (j, k) and (k, j) can round differently; mirror one triangle
+        return [np.triu(h) + np.triu(h, 1).T
+                for h in (duals.d12(Fi, (self.n, self.n)) for Fi in F)]
 
 
 class ConstantForce(ForceField):
@@ -190,18 +170,22 @@ def classify_force(force, probes=None, tol=1e-8):
         if not all(np.isfinite(c) for c in p):
             raise NonFiniteEvaluation(f"non-finite probe {p}")
 
-    values, jacobians, hessian_sets = [], [], []
-    for p in probes:
-        F = [duals.value(c) for c in force.evaluate(list(p))]
-        if not all(np.isfinite(fi) for fi in F):
+    # one pass seeded along (e_j, e_k) at every probe: values, Jacobians
+    # and Hessians, probes first
+    n, count = force.n, len(probes)
+    eye = np.eye(n)
+    out = force.evaluate(duals.seed([np.array(c) for c in zip(*probes)],
+                                    eye[:, None, None], eye[None, :, None]))
+    full = (n, n, count)
+    values = np.array([np.broadcast_to(duals.value(c), (count,))
+                       for c in out]).T
+    jacobians = np.moveaxis([duals.d1(c, full)[:, 0] for c in out], -1, 0)
+    hessian_sets = np.moveaxis([duals.d12(c, full) for c in out], -1, 0)
+    for p, F, J, H in zip(probes, values, jacobians, hessian_sets):
+        if not np.all(np.isfinite(F)):
             raise NonFiniteEvaluation(f"force non-finite at probe {p}")
-        J = force.jacobian(list(p))
-        H = force.hessians(list(p))
-        if not (np.all(np.isfinite(J)) and all(np.all(np.isfinite(h)) for h in H)):
+        if not (np.all(np.isfinite(J)) and np.all(np.isfinite(H))):
             raise NonFiniteEvaluation(f"force derivatives non-finite at {p}")
-        values.append(F)
-        jacobians.append(J)
-        hessian_sets.append(H)
 
     scale = max(1.0, max(float(np.max(np.abs(F))) for F in values),
                 max(float(np.max(np.abs(J))) for J in jacobians))
@@ -305,18 +289,6 @@ class OUSystem:
     def sigma(self, p=None):
         """Constant diffusion matrix over (state) x (wiener) coordinates."""
         return self._sigma
-
-    @property
-    def sigma_active(self):
-        """The 2n x n block that multiplies the active increments dw."""
-        return self._sigma[:, :self.n].copy()
-
-    def rho(self):
-        """Drift rates rho_i = c_i / mu_i of the chi variables (constant force)."""
-        from .errors import WrongForceClass
-        if not isinstance(self.force, ConstantForce):
-            raise WrongForceClass("rho is defined for constant force only")
-        return tuple(self.force.c[i] / self.mu[i] for i in range(self.n))
 
     def __repr__(self):
         return (f"OUSystem(n={self.n}, beta={list(self.beta)}, "

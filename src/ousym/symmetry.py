@@ -24,15 +24,12 @@ import numpy as np
 from scipy.linalg import null_space
 
 from . import duals
-from .calculus import (ExtendedPoint, grad_components,
-                       ito_laplacian_components, sample_probes, stack_probes)
+from .calculus import (ExtendedPoint, _gradients, _ito_jet, _sigma_values,
+                       extended_coords, ito_laplacian_components,
+                       sample_probes, stack_probes)
 from .duals import value
 from .errors import DimensionMismatch, NotAnInvariant
 from .model import ConstantForce
-
-
-def _is_zero(coef):
-    return np.all(np.asarray(coef) == 0.0)
 
 
 # --- structured family tags ---
@@ -43,11 +40,17 @@ class ExpDecay:
     i: int
     kappa: float
 
+    def to_json(self):
+        return {"kind": "ExpDecay", "i": self.i, "kappa": self.kappa}
+
 
 @dataclass(frozen=True)
 class Translation:
     """d/dx_i."""
     i: int
+
+    def to_json(self):
+        return {"kind": "Translation", "i": self.i}
 
 
 @dataclass(frozen=True)
@@ -56,14 +59,29 @@ class LinearMode:
     kappa: complex
     part: str  # "re" | "im"
 
+    def to_json(self):
+        return {"kind": "LinearMode",
+                "kappa": [self.kappa.real, self.kappa.imag], "part": self.part}
+
 
 @dataclass(frozen=True)
 class ModuleScaled:
     base: object
     scaling: str
 
+    def to_json(self):
+        return {"kind": "ModuleScaled", "scaling": self.scaling,
+                "base": _family_json(self.base)}
+
 
 GENERIC = "Generic"
+
+
+def _family_json(fam):
+    """JSON form of a family tag: a family dataclass or a plain name."""
+    if fam is None or isinstance(fam, str):
+        return {"kind": fam or "Generic"}
+    return fam.to_json()
 
 
 def _complex_profile(C, kappa, part):
@@ -296,10 +314,6 @@ class InvariantCandidate:
         return self.theta(p)
 
     @staticmethod
-    def from_affine(affine, label="Theta"):
-        return InvariantCandidate(affine=affine, label=label)
-
-    @staticmethod
     def chi(sys, i):
         """chi_i = w_i - v_i/mu_i - (beta_i/mu_i) x_i + (c_i/mu_i) t."""
         if not isinstance(sys.force, ConstantForce):
@@ -369,55 +383,49 @@ class ResidualReport:
     max_abs: float
 
 
-def _sigma_value_matrix(proc, p):
-    return [[value(e) for e in row] for row in proc.sigma(p)]
+def _positions(proc, p):
+    """Indices of the state coordinates and of t in extended_coords(p)."""
+    coords = extended_coords(p)
+    return [coords.index(c) for c in proc.state_coords], coords.index(("t", 0))
 
 
 def f_residual(X, sys, p):
     """Left side of the dt determining block, one entry per state coord."""
-    S = list(sys.state_coords)
-    phi_at = [value(c) for c in X.phi(p)]
-    if len(phi_at) != len(S):
+    S, t = _positions(sys, p)
+    phi, dphi = _gradients(X.phi, p)
+    if len(phi) != len(S):
         raise DimensionMismatch(
-            f"generator has {len(phi_at)} components for state dim {len(S)}")
-    dphi_dt = grad_components(X.phi, p, ("t", 0))
-    dphi_dS = [grad_components(X.phi, p, Sj) for Sj in S]
-    fvals = [value(c) for c in sys.drift(p)]
-    ddrift_dS = [grad_components(sys.drift, p, Sj) for Sj in S]
+            f"generator has {len(phi)} components for state dim {len(S)}")
+    fvals, ddrift = _gradients(sys.drift, p)
     lap = ito_laplacian_components(X.phi, sys, p)
     out = []
     for i in range(len(S)):
-        acc = dphi_dt[i] + 0.5 * lap[i]
-        for j in range(len(S)):
-            acc = acc + fvals[j] * dphi_dS[j][i] - phi_at[j] * ddrift_dS[j][i]
+        acc = dphi[i][t] + 0.5 * lap[i]
+        for j, Sj in enumerate(S):
+            acc = acc + fvals[j] * dphi[i][Sj] - phi[j] * ddrift[i][Sj]
         out.append(acc)
     return out
 
 
 def sigma_residual(X, sys, p):
     """Left side of the dw determining block: state rows, Wiener columns."""
-    S = list(sys.state_coords)
-    W = list(sys.wiener_coords)
-    sig = _sigma_value_matrix(sys, p)
-    phi_at = [value(c) for c in X.phi(p)]
-    dphi_dS = [grad_components(X.phi, p, Sj) for Sj in S]
-    dsig_dS = None
+    S, _ = _positions(sys, p)
+    nW = len(sys.wiener_coords)
+    sig = _sigma_values(sys, p)
+    phi, dw_terms, _ = _ito_jet(X.phi, sys, p)
+    dsig = None
     if not sys.sigma_is_constant:
-        def sig_flat(q):
-            return [e for row in sys.sigma(q) for e in row]
-        dsig_dS = [grad_components(sig_flat, p, Sj) for Sj in S]
+        _, dsig = _gradients(
+            lambda q: [e for row in sys.sigma(q) for e in row], p)
     R = X.R
-    rows = [[None] * len(W) for _ in range(len(S))]
-    for k, Wk in enumerate(W):
-        dphi_dWk = grad_components(X.phi, p, Wk)
+    rows = [[None] * nW for _ in range(len(S))]
+    for k in range(nW):
         for i in range(len(S)):
-            acc = dphi_dWk[i]
-            for j in range(len(S)):
-                acc = acc + sig[j][k] * dphi_dS[j][i]
-            if dsig_dS is not None:
-                for j in range(len(S)):
-                    acc = acc - phi_at[j] * dsig_dS[j][i * len(W) + k]
-            for m in range(len(W)):
+            acc = dw_terms[i][k]
+            if dsig is not None:
+                for j, Sj in enumerate(S):
+                    acc = acc - phi[j] * dsig[i * nW + k][Sj]
+            for m in range(nW):
                 if R[m, k] != 0.0:
                     acc = acc - sig[i][m] * R[m, k]
             rows[i][k] = acc
@@ -427,27 +435,19 @@ def sigma_residual(X, sys, p):
 def invariant_residual(theta, sys, p):
     """n+1 invariance conditions: active dw coefficients, then the dt one."""
     th = theta.evaluate if isinstance(theta, InvariantCandidate) else theta
-    S = list(sys.state_coords)
+    S, t = _positions(sys, p)
     W = list(sys.wiener_coords)
-    active_cols = [W.index(c) for c in sys.active_wiener_coords]
-    sig = _sigma_value_matrix(sys, p)
 
     def th_vec(q):
         return [th(q)]
 
-    dth_dS = [grad_components(th_vec, p, Sj)[0] for Sj in S]
-    out = []
-    for k in active_cols:
-        acc = grad_components(th_vec, p, W[k])[0]
-        for j in range(len(S)):
-            if not _is_zero(sig[j][k]):
-                acc = acc + dth_dS[j] * sig[j][k]
-        out.append(acc)
+    _, (dth,) = _gradients(th_vec, p)
+    _, (dth_dw,), (lap,) = _ito_jet(th_vec, sys, p)
+    out = [dth_dw[W.index(c)] for c in sys.active_wiener_coords]
     fvals = [value(c) for c in sys.drift(p)]
-    acc = grad_components(th_vec, p, ("t", 0))[0]
-    acc = acc + 0.5 * ito_laplacian_components(th_vec, sys, p)[0]
-    for j in range(len(S)):
-        acc = acc + dth_dS[j] * fvals[j]
+    acc = dth[t] + 0.5 * lap
+    for j, Sj in enumerate(S):
+        acc = acc + dth[Sj] * fvals[j]
     out.append(acc)
     return out
 
@@ -461,7 +461,7 @@ def residual_report(X, sys, p):
                           max_abs=max_abs)
 
 
-def _entry_max(entries):
+def _max_abs(entries):
     return max(float(np.max(np.abs(np.asarray(e)))) for e in entries)
 
 
@@ -470,12 +470,12 @@ def max_residuals(X, sys, probes):
     p = stack_probes(probes)
     fres = f_residual(X, sys, p)
     sres = sigma_residual(X, sys, p)
-    return _entry_max(fres), _entry_max(e for row in sres for e in row)
+    return _max_abs(fres), _max_abs(e for row in sres for e in row)
 
 
 def max_invariant_residual(theta, sys, probes):
     p = stack_probes(probes)
-    return _entry_max(invariant_residual(theta, sys, p))
+    return _max_abs(invariant_residual(theta, sys, p))
 
 
 def scale_by_invariant(X, alpha, sys, probes=None, tol=1e-8):

@@ -265,10 +265,13 @@ def test_criterion_11_byte_identical_across_thread_counts(tmp_path):
         ["classify", "--system", str(system)],
         ["reference", "--problem", "gbm", "--steps", "100"],
     ]
+    # the subprocesses import the same ousym as this test run
+    src = os.path.dirname(os.path.dirname(duals.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for argv in commands:
         outputs = set()
         for threads in ("1", "4", "8"):
-            env = dict(os.environ, OUSYM_THREADS=threads)
+            env = dict(os.environ, OUSYM_THREADS=threads, PYTHONPATH=path)
             proc = subprocess.run([sys.executable, "-m", "ousym"] + argv,
                                   capture_output=True, env=env)
             assert proc.returncode == 0, proc.stderr.decode()

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from ousym import (ConstantForce, build_ou_system, derivative,
-                   extended_coords, gbm_process, ito_laplacian, lie_bracket,
+                   extended_coords, gbm_process, ito_laplacian,
+                   kozlov_exp_process, lie_bracket, parse_force_expression,
                    point, sample_probes, stack_probes)
-from ousym.calculus import ito_laplacian_components
+from ousym import duals
+from ousym.calculus import _gradients, ito_laplacian_components
 
 
 def _sys(n=1, beta=(1.0,), mu=(1.0,), c=(0.0,)):
@@ -26,7 +28,6 @@ def test_derivative_orders():
 
 
 def test_dual_and_fd_engines_agree():
-    import ousym.duals as duals
     p = point(x=[0.7], v=[-0.3], t=0.4, w=[0.2])
 
     def f(q):
@@ -39,6 +40,57 @@ def test_dual_and_fd_engines_agree():
     d2_dual = derivative(f, p, ("x", 0), coord2=("v", 0), engine="dual")
     d2_fd = derivative(f, p, ("x", 0), coord2=("v", 0), engine="fd")
     assert d2_fd == pytest.approx(d2_dual, rel=1e-4, abs=1e-6)
+
+    # a nonlinear field in every block at n=3, anisotropic beta/mu, on a
+    # stacked probe set: gradient and Ito Laplacian against central
+    # differences
+    mu = (0.6, 1.7, 2.4)
+    sys3 = build_ou_system(3, [0.9, 1.6, 2.2], list(mu),
+                           ConstantForce([0.1, -0.4, 0.3]))
+    stacked = stack_probes(sample_probes(sys3, count=5, seed=9))
+    stacked = stacked.with_coord(("z", 1), stacked.x[2] * 0.5)
+
+    def g(q):
+        return (duals.sin(q.x[0] * q.v[1]) * duals.exp(-0.3 * q.t)
+                + q.w[0] * q.w[2] * q.v[2] + q.z[1] * q.x[2] ** 3
+                + q.v[0] ** 2 * q.w[1] - duals.cos(q.x[1]) * q.z[0] * q.t)
+
+    _, (grad,) = _gradients(lambda q: [g(q)], stacked)
+    for b, c in enumerate(extended_coords(stacked)):
+        fd = derivative(g, stacked, c, engine="fd")
+        assert np.allclose(derivative(g, stacked, c, engine="dual"), fd,
+                           rtol=1e-6, atol=1e-8)
+        assert np.allclose(grad[b], fd, rtol=1e-6, atol=1e-8)
+    lap_fd = 0.0
+    for i in range(3):
+        w, v, z = ("w", i), ("v", i), ("z", i)
+        lap_fd = lap_fd + sum(
+            coef * derivative(g, stacked, a, coord2=b, engine="fd")
+            for coef, a, b in ((1.0, w, w), (1.0, z, z), (2.0 * mu[i], v, w),
+                               (mu[i] ** 2, v, v)))
+    assert np.allclose(ito_laplacian(g, sys3, stacked), lap_fd,
+                       rtol=1e-4, atol=1e-6)
+
+    # Jacobian and Hessians of a cubic expression force
+    force = parse_force_expression(
+        "x1^3 - x2*x3; 2*x2^3 + x1*x2*x3; x3^3 - x1^2*x2", 3)
+    x = [0.7, -1.1, 0.4]
+    at = point(x=x, v=[0.0] * 3)
+
+    def comp(i):
+        return lambda q: force.evaluate(q.x)[i]
+
+    J = force.jacobian(x)
+    H = force.hessians(x)
+    for i in range(3):
+        for j in range(3):
+            xj = ("x", j)
+            assert J[i, j] == pytest.approx(
+                derivative(comp(i), at, xj, engine="fd"), rel=1e-6, abs=1e-8)
+            for k in range(3):
+                assert H[i][j, k] == pytest.approx(
+                    derivative(comp(i), at, xj, coord2=("x", k), engine="fd"),
+                    rel=1e-4, abs=1e-4)
 
 
 def test_ito_laplacian_oracles():
@@ -75,6 +127,24 @@ def test_ito_laplacian_on_custom_process():
     p = point(x=[2.0])
     val = ito_laplacian(lambda q: q.x[0] ** 3, gbm, p)
     assert val == pytest.approx(0.25 * 4.0 * 6.0 * 2.0, rel=1e-12)
+
+    # sigma varies with the state (GBM b x, Kozlov exp(-y)): on stacked
+    # probes, Delta f = sigma^2 f_xx + 2 sigma f_xw + f_ww by central
+    # differences
+    def f(q):
+        return q.x[0] ** 3 * duals.exp(-q.t) + duals.sin(q.x[0] * q.w[0])
+
+    x, w = ("x", 0), ("w", 0)
+    for proc, sigma in ((gbm, lambda y: 0.5 * y),
+                        (kozlov_exp_process(), lambda y: np.exp(-y))):
+        stacked = stack_probes(sample_probes(proc, count=6, seed=3,
+                                             box=(0.2, 2.0)))
+        s = sigma(stacked.x[0])
+        oracle = (s * s * derivative(f, stacked, x, order=2, engine="fd")
+                  + 2.0 * s * derivative(f, stacked, x, coord2=w, engine="fd")
+                  + derivative(f, stacked, w, order=2, engine="fd"))
+        assert np.allclose(ito_laplacian(f, proc, stacked), oracle,
+                           rtol=1e-4, atol=1e-6)
 
 
 def test_ito_laplacian_components_batched():
@@ -120,7 +190,6 @@ def test_lie_bracket_antisymmetry_and_jacobi():
     p0 = point(x=[0.8], v=[0.1], t=0.2, w=[0.4])
     coords = extended_coords(p0)
     nc = len(coords)
-    import ousym.duals as duals
 
     rng = np.random.default_rng(2)
 
@@ -152,6 +221,19 @@ def test_lie_bracket_antisymmetry_and_jacobi():
         def F(p):
             return lie_bracket(A, B, p, engine="dual")
         return F
+
+    # vector-seeded brackets at stacked probes against central differences
+    # and against the same brackets taken one probe at a time
+    probes = sample_probes(sys1, count=6, seed=8)
+    stacked = stack_probes(probes)
+    for A, B in ((X, Y), (Y, Z), (Z, X)):
+        dual = lie_bracket(A, B, stacked, engine="dual")
+        fd = lie_bracket(A, B, stacked, engine="fd")
+        for d, e in zip(dual, fd):
+            assert np.allclose(d, e, rtol=1e-6, atol=1e-8)
+        pointwise = np.array([as_floats(lie_bracket(A, B, q))
+                              for q in probes]).T
+        assert np.allclose(np.array(dual), pointwise, rtol=1e-14, atol=1e-15)
 
     j1 = as_floats(lie_bracket(X, bracket_field(Y, Z), p0, engine="fd"))
     j2 = as_floats(lie_bracket(Y, bracket_field(Z, X), p0, engine="fd"))
