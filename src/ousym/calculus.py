@@ -11,8 +11,9 @@ duals.seed in vector mode, so each field is evaluated once per derivative
 need rather than once per coordinate: e1 = I gives the gradient over every
 extended coordinate (_gradients), and e1 = e2 = D, with rows
 D_k = d/dW_k + sum_j sigma_jk d/dS_j, gives the dw-block terms and the Ito
-Laplacian (_ito_jet). Central finite differences (engine="fd") stay as the
-independent cross-check.
+Laplacian (_ito_jet). derivative() seeds only the coordinates it is asked
+for. Central finite differences (engine="fd") stay as the independent
+cross-check.
 """
 
 import numpy as np
@@ -194,11 +195,15 @@ def derivative(f, p, coord, order=1, coord2=None, engine="dual"):
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     if engine == "dual":
-        coords = extended_coords(p)
-        e1 = np.array([c == coord for c in coords], dtype=float)
-        e2 = (np.array([c == (coord2 or coord) for c in coords], dtype=float)
-              if order == 2 else None)
-        r = f(_at(p, duals.seed([p.coord(c) for c in coords], e1, e2)))
+        # seed only the coordinates asked for; the rest stay plain
+        pair = [coord] if coord2 in (None, coord) else [coord, coord2]
+        eye = np.eye(len(pair))
+        seeds = duals.seed([p.coord(c) for c in pair], eye[0],
+                           None if order == 1 else eye[-1])
+        q = p
+        for c, s in zip(pair, seeds):
+            q = q.with_coord(c, s)
+        r = f(q)
         read = duals.d1 if order == 1 else duals.d12
         return _check_finite(read(r, np.shape(value(r))), "derivative")
     if engine != "fd":
@@ -234,7 +239,8 @@ def _stacked(entries):
 
 
 def _ito_jet(fvec, proc, p):
-    """Values, dw-block terms and Ito Laplacians of every component of fvec.
+    """Values, dw-block terms and Ito Laplacians of every component of fvec;
+    a Laplacian that is not finite raises NonFiniteResult.
 
     One evaluation seeded with e1 = e2 = D, where row k of D is the direction
     d/dW_k + sum_j sigma_jk d/dS_j (S over the full state, W over the full
@@ -254,16 +260,14 @@ def _ito_jet(fvec, proc, p):
         for j, s in enumerate(S):
             D[k, ..., s] = sig[j][k]
     vals, dw_terms, second = _jet(fvec, p, D, D)
-    return vals, dw_terms, [d.sum(axis=0) for d in second]
+    lap = [_check_finite(d.sum(axis=0), "ito_laplacian") for d in second]
+    return vals, dw_terms, lap
 
 
 def ito_laplacian_components(fvec, proc, p):
     """Ito Laplacian applied to each component of a vector-valued callable,
     from one evaluation along the diffusion directions (see _ito_jet)."""
-    total = _ito_jet(fvec, proc, p)[2]
-    for entry in total:
-        _check_finite(entry, "ito_laplacian")
-    return total
+    return _ito_jet(fvec, proc, p)[2]
 
 
 def ito_laplacian(f, sys, p):

@@ -30,8 +30,8 @@ from .errors import CertificationFailed, NotDiagonalizable, WrongForceClass
 from .model import ConstantForce, LinearForce, classify_force
 from .symmetry import (ExpDecay, InvariantCandidate, SymmetryGenerator,
                        Translation, _family_json, _max_abs,
-                       affine_invariant_nullspace, f_residual,
-                       max_invariant_residual, max_residuals, sigma_residual,
+                       _residual_blocks, affine_invariant_nullspace,
+                       max_invariant_residual, max_residuals,
                        solve_wsym_linear_constraint)
 
 CERT_TOL_RESIDUAL = 1e-6
@@ -333,9 +333,8 @@ def expdecay_residual_scan(sys, kappas, i=1, probes=None, chunk=2000):
             return comps
 
         gen = SymmetryGenerator(phi, 2 * n, 2 * n)
-        entries = list(f_residual(gen, sys, stacked))
-        for row in sigma_residual(gen, sys, stacked):
-            entries.extend(row)
+        fres, sres = _residual_blocks(gen, sys, stacked)
+        entries = fres + [e for row in sres for e in row]
         out[j0:j0 + m] = np.maximum.reduce(
             [reduce_entry(e, m) for e in entries])
     return out
@@ -359,11 +358,9 @@ def _chi_vector(sys, p):
 
 
 def _scaling_partial(fn, chis, j):
-    """d fn / d chi_j at plain chi values, one pass seeded on every chi."""
-    n = len(chis)
-    lead = (n,) + (1,) * max(np.ndim(c) for c in chis)
-    return duals.d1(fn(duals.seed(chis, np.eye(n).reshape(lead + (n,)))),
-                    lead)[j]
+    """d fn / d chi_j at plain chi values, seeded on chi_j."""
+    return duals.d1(fn(duals.seed(chis, np.eye(len(chis))[j])),
+                    np.shape(chis[0]))
 
 
 def _scaled_field(sys, base, fn):

@@ -98,7 +98,8 @@ class HyperDual:
         v = self.f ** p
         d1 = p * self.f ** (p - 1)
         d2 = p * (p - 1) * self.f ** (p - 2)
-        return _chain(self, v, d1, d2)
+        chain = _chain_at_pole if np.any(self.f == 0.0) else _chain
+        return chain(self, v, d1, d2)
 
     def __rpow__(self, base):
         return exp(self * log(base))
@@ -170,6 +171,19 @@ def _chain(x, v, d1, d2):
     return HyperDual(v, d1 * x.f1, d1 * x.f2, d1 * x.f12 + d2 * x.f1 * x.f2)
 
 
+def _chain_at_pole(x, v, d1, d2):
+    """_chain for a g whose derivatives may be infinite at x.f (sqrt at 0).
+
+    A seed direction whose component is 0 carries no derivative of x, so it
+    gets an exact 0 there, as an unseeded coordinate would, not inf * 0 = nan.
+    """
+    def times(d, part):
+        with np.errstate(invalid="ignore"):
+            return np.where(np.asarray(part) == 0.0, 0.0, d * part)
+    return HyperDual(v, times(d1, x.f1), times(d1, x.f2),
+                     times(d1, x.f12) + times(d2, x.f1 * x.f2))
+
+
 # -- math facade: accepts floats, numpy arrays, or HyperDuals --
 
 def exp(x):
@@ -193,7 +207,8 @@ def sqrt(x):
         raise EvaluationDomainError("sqrt argument must be nonnegative")
     if isinstance(x, HyperDual):
         v = np.sqrt(x.f)
-        return _chain(x, v, 0.5 / v, -0.25 / (v * x.f))
+        chain = _chain_at_pole if np.any(v == 0.0) else _chain
+        return chain(x, v, 0.5 / v, -0.25 / (v * x.f))
     return np.sqrt(x)
 
 

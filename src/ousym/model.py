@@ -41,17 +41,33 @@ class ForceField:
         raise NotImplementedError
 
     def jacobian(self, x):
-        """dF^i/dx^j at a plain float point, exact via hyper-duals."""
-        F = self.evaluate(duals.seed(x, np.eye(self.n)))
-        return np.array([duals.d1(Fi, (self.n,)) for Fi in F])
+        """dF^i/dx^j at x, exact via hyper-duals, from one evaluation.
+
+        x is a point of floats or of stacked probe columns (arrays of one
+        shape); the result has shape (n, n) followed by the probe axes.
+        """
+        n = self.n
+        probe = np.broadcast_shapes(*map(np.shape, x))
+        eye = np.eye(n).reshape((n,) + (1,) * len(probe) + (n,))
+        F = self.evaluate(duals.seed(x, eye))
+        return np.array([duals.d1(Fi, (n,) + probe) for Fi in F])
 
     def hessians(self, x):
-        """List of the n symmetric matrices (H_i)_{jk} = d2 F^i / dx^j dx^k."""
-        eye = np.eye(self.n)
-        F = self.evaluate(duals.seed(x, eye[:, None], eye[None]))
-        # (j, k) and (k, j) can round differently; mirror one triangle
-        return [np.triu(h) + np.triu(h, 1).T
-                for h in (duals.d12(Fi, (self.n, self.n)) for Fi in F)]
+        """List of the n symmetric matrices (H_i)_{jk} = d2 F^i / dx^j dx^k.
+
+        x is as for jacobian; each matrix has shape (n, n) followed by the
+        probe axes.
+        """
+        n = self.n
+        probe = np.broadcast_shapes(*map(np.shape, x))
+        pad = (1,) * len(probe)
+        eye = np.eye(n)
+        F = self.evaluate(duals.seed(x, eye.reshape((n, 1) + pad + (n,)),
+                                     eye.reshape((1, n) + pad + (n,))))
+        # (j, k) and (k, j) can round differently; mirror the upper triangle
+        upper = np.triu(np.ones((n, n), dtype=bool)).reshape((n, n) + pad)
+        return [np.where(upper, h, np.swapaxes(h, 0, 1))
+                for h in (duals.d12(Fi, (n, n) + probe) for Fi in F)]
 
 
 class ConstantForce(ForceField):
@@ -63,12 +79,6 @@ class ConstantForce(ForceField):
 
     def evaluate(self, x):
         return list(self.c)
-
-    def jacobian(self, x):
-        return np.zeros((self.n, self.n))
-
-    def hessians(self, x):
-        return [np.zeros((self.n, self.n)) for _ in range(self.n)]
 
     def __repr__(self):
         return f"ConstantForce(c={list(self.c)})"
@@ -95,12 +105,6 @@ class LinearForce(ForceField):
                     acc = acc + self.L[i, j] * x[j]
             out.append(acc)
         return out
-
-    def jacobian(self, x):
-        return self.L.copy()
-
-    def hessians(self, x):
-        return [np.zeros((self.n, self.n)) for _ in range(self.n)]
 
     def __repr__(self):
         return f"LinearForce(L={self.L.tolist()}, K={self.K.tolist()})"
@@ -170,17 +174,13 @@ def classify_force(force, probes=None, tol=1e-8):
         if not all(np.isfinite(c) for c in p):
             raise NonFiniteEvaluation(f"non-finite probe {p}")
 
-    # one pass seeded along (e_j, e_k) at every probe: values, Jacobians
-    # and Hessians, probes first
-    n, count = force.n, len(probes)
-    eye = np.eye(n)
-    out = force.evaluate(duals.seed([np.array(c) for c in zip(*probes)],
-                                    eye[:, None, None], eye[None, :, None]))
-    full = (n, n, count)
+    # every probe at once, as stacked columns; probes first below
+    count = len(probes)
+    cols = [np.array(c) for c in zip(*probes)]
     values = np.array([np.broadcast_to(duals.value(c), (count,))
-                       for c in out]).T
-    jacobians = np.moveaxis([duals.d1(c, full)[:, 0] for c in out], -1, 0)
-    hessian_sets = np.moveaxis([duals.d12(c, full) for c in out], -1, 0)
+                       for c in force.evaluate(cols)]).T
+    jacobians = np.moveaxis(force.jacobian(cols), -1, 0)
+    hessian_sets = np.moveaxis(np.array(force.hessians(cols)), -1, 0)
     for p, F, J, H in zip(probes, values, jacobians, hessian_sets):
         if not np.all(np.isfinite(F)):
             raise NonFiniteEvaluation(f"force non-finite at probe {p}")

@@ -389,36 +389,31 @@ def _positions(proc, p):
     return [coords.index(c) for c in proc.state_coords], coords.index(("t", 0))
 
 
-def f_residual(X, sys, p):
-    """Left side of the dt determining block, one entry per state coord."""
+def _residual_blocks(X, sys, p):
+    """Both determining blocks of X at p: the dt block (one entry per state
+    coord) and the dw block (state rows, Wiener columns), sharing one
+    gradient pass and one diffusion-direction jet of phi."""
     S, t = _positions(sys, p)
     phi, dphi = _gradients(X.phi, p)
     if len(phi) != len(S):
         raise DimensionMismatch(
             f"generator has {len(phi)} components for state dim {len(S)}")
+    _, dw_terms, lap = _ito_jet(X.phi, sys, p)
     fvals, ddrift = _gradients(sys.drift, p)
-    lap = ito_laplacian_components(X.phi, sys, p)
-    out = []
+    fres = []
     for i in range(len(S)):
         acc = dphi[i][t] + 0.5 * lap[i]
         for j, Sj in enumerate(S):
             acc = acc + fvals[j] * dphi[i][Sj] - phi[j] * ddrift[i][Sj]
-        out.append(acc)
-    return out
-
-
-def sigma_residual(X, sys, p):
-    """Left side of the dw determining block: state rows, Wiener columns."""
-    S, _ = _positions(sys, p)
+        fres.append(acc)
     nW = len(sys.wiener_coords)
     sig = _sigma_values(sys, p)
-    phi, dw_terms, _ = _ito_jet(X.phi, sys, p)
     dsig = None
     if not sys.sigma_is_constant:
         _, dsig = _gradients(
             lambda q: [e for row in sys.sigma(q) for e in row], p)
     R = X.R
-    rows = [[None] * nW for _ in range(len(S))]
+    sres = [[None] * nW for _ in range(len(S))]
     for k in range(nW):
         for i in range(len(S)):
             acc = dw_terms[i][k]
@@ -428,8 +423,18 @@ def sigma_residual(X, sys, p):
             for m in range(nW):
                 if R[m, k] != 0.0:
                     acc = acc - sig[i][m] * R[m, k]
-            rows[i][k] = acc
-    return rows
+            sres[i][k] = acc
+    return fres, sres
+
+
+def f_residual(X, sys, p):
+    """Left side of the dt determining block, one entry per state coord."""
+    return _residual_blocks(X, sys, p)[0]
+
+
+def sigma_residual(X, sys, p):
+    """Left side of the dw determining block: state rows, Wiener columns."""
+    return _residual_blocks(X, sys, p)[1]
 
 
 def invariant_residual(theta, sys, p):
@@ -454,8 +459,9 @@ def invariant_residual(theta, sys, p):
 
 def residual_report(X, sys, p):
     """Both determining blocks at one plain-float point."""
-    fres = np.array([float(e) for e in f_residual(X, sys, p)])
-    sres = np.array([[float(e) for e in row] for row in sigma_residual(X, sys, p)])
+    fres, sres = _residual_blocks(X, sys, p)
+    fres = np.array([float(e) for e in fres])
+    sres = np.array([[float(e) for e in row] for row in sres])
     max_abs = max(float(np.max(np.abs(fres))), float(np.max(np.abs(sres))))
     return ResidualReport(point=p, f_residual=fres, sigma_residual=sres,
                           max_abs=max_abs)
@@ -467,9 +473,7 @@ def _max_abs(entries):
 
 def max_residuals(X, sys, probes):
     """Max |f-residual| and |sigma-residual| over a probe set (batched)."""
-    p = stack_probes(probes)
-    fres = f_residual(X, sys, p)
-    sres = sigma_residual(X, sys, p)
+    fres, sres = _residual_blocks(X, sys, stack_probes(probes))
     return _max_abs(fres), _max_abs(e for row in sres for e in row)
 
 

@@ -91,6 +91,17 @@ def test_dual_and_fd_engines_agree():
                 assert H[i][j, k] == pytest.approx(
                     derivative(comp(i), at, xj, coord2=("x", k), engine="fd"),
                     rel=1e-4, abs=1e-4)
+    # stacked probe columns give every probe's Jacobian and Hessians at once,
+    # each equal to its own single-point result and exactly symmetric
+    pts = [x, [-0.3, 0.9, 1.6], [1.2, 0.05, -0.8]]
+    cols = [np.array(c) for c in zip(*pts)]
+    Js, Hs = force.jacobian(cols), force.hessians(cols)
+    assert Js.shape == (3, 3, 3)
+    for k, pt in enumerate(pts):
+        assert np.array_equal(Js[..., k], force.jacobian(pt))
+        for Hi_k, Hi in zip(Hs, force.hessians(pt)):
+            assert np.array_equal(Hi_k[..., k], Hi)
+            assert np.array_equal(Hi, Hi.T)
 
 
 def test_ito_laplacian_oracles():
@@ -239,6 +250,39 @@ def test_lie_bracket_antisymmetry_and_jacobi():
     j2 = as_floats(lie_bracket(Y, bracket_field(Z, X), p0, engine="fd"))
     j3 = as_floats(lie_bracket(Z, bracket_field(X, Y), p0, engine="fd"))
     assert np.max(np.abs(j1 + j2 + j3)) < 1e-5
+
+
+def test_infinite_partial_stays_in_its_own_coordinate():
+    # sqrt(x2) has an infinite x2-partial at x2 = 0; derivatives along the
+    # other coordinates must stay finite, as with one coordinate seeded
+    p = point(x=[0.7, 0.0], v=[-1.3, 0.4])
+    f = lambda q: q.x[0] * q.v[0] + duals.sqrt(q.x[1])
+    assert derivative(f, p, ("x", 0)) == -1.3
+    assert derivative(f, p, ("x", 0), coord2=("v", 0)) == 1.0
+    assert derivative(f, p, ("v", 0), order=2) == 0.0
+
+    coords = extended_coords(p)
+    ix, iv = coords.index(("x", 0)), coords.index(("v", 0))
+
+    def X(q):
+        out = [0.0] * len(coords)
+        out[ix] = 1.0
+        return out
+
+    def Y(q):
+        out = [0.0] * len(coords)
+        out[iv] = q.x[0] * duals.sqrt(q.x[1]) + 1.0
+        return out
+
+    stacked = stack_probes([p, point(x=[0.2, 0.5], v=[0.1, 0.0])])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, (grad,) = _gradients(lambda q: [f(q)], stacked)
+        dual = lie_bracket(X, Y, stacked)
+    assert grad[ix].tolist() == [-1.3, 0.1]
+    assert grad[coords.index(("x", 1))][0] == np.inf
+    fd = lie_bracket(X, Y, stacked, engine="fd")
+    for d, e in zip(dual, fd):
+        assert np.allclose(d, e, rtol=1e-6, atol=1e-8)
 
 
 def test_sample_probes_shape_and_range():

@@ -133,6 +133,11 @@ def test_hessians_symmetric():
     f = parse_force_expression("x1^2*x2 + sin(x1*x2); exp(x1)*x2^2", 2)
     for h in [np.asarray(m) for m in f.hessians([0.4, -0.9])]:
         assert np.allclose(h, h.T, atol=1e-12)
+    # at stacked probes the mirrored triangle makes them exactly symmetric
+    cols = [np.array([0.4, 1.7, 0.7]), np.array([-0.9, -1.8, 1.8])]
+    for h in f.hessians(cols):
+        assert h.shape == (2, 2, 3)
+        assert np.array_equal(h, np.swapaxes(h, 0, 1))
 
 
 def test_json_round_trip():
