@@ -14,6 +14,13 @@ D_k = d/dW_k + sum_j sigma_jk d/dS_j, gives the dw-block terms and the Ito
 Laplacian (_ito_jet). derivative() seeds only the coordinates it is asked
 for. Central finite differences (engine="fd") stay as the independent
 cross-check.
+
+Every Lie bracket goes through two steps: _field_jet takes one field's
+values and Jacobian once (one seeded evaluation with engine="dual"; the
+field at p and at p +- h along each coordinate with engine="fd"), and
+_contract forms [X, Y] from two jets. lie_bracket is the two steps for one
+pair; the bracket table and structure_constants take each field's jet once
+and contract it with every partner.
 """
 
 import numpy as np
@@ -22,7 +29,8 @@ from dataclasses import dataclass
 
 from . import duals
 from .duals import value
-from .errors import NonFiniteResult, WrongForceClass
+from .errors import (DimensionMismatch, EvaluationDomainError,
+                     NonFiniteResult, WrongForceClass)
 from .model import ConstantForce
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -233,9 +241,10 @@ def _sigma_values(proc, p):
     return [[value(e) for e in row] for row in proc.sigma(p)]
 
 
-def _stacked(entries):
-    """One array of broadcast-compatible entries, the entry axis first."""
-    return np.stack(np.broadcast_arrays(*entries))
+def _stacked(entries, shape):
+    """One array of the entries, each broadcast to shape, the entry axis
+    first."""
+    return np.stack([np.broadcast_to(e, shape) for e in entries])
 
 
 def _ito_jet(fvec, proc, p):
@@ -275,40 +284,76 @@ def ito_laplacian(f, sys, p):
     return ito_laplacian_components(lambda q: [f(q)], sys, p)[0]
 
 
+def _field_jet(F, p, engine="dual"):
+    """Values and Jacobian of the vector field F at p, each evaluation of F
+    shared by all of its components.
+
+    Returns (vals, jac) at full shape: vals[a] is component a and jac[a, b]
+    is d(component a)/d(coordinate b), coordinates in extended_coords(p)
+    order, then p's probe axes. engine "dual" reads both from one
+    vector-seeded pass (_gradients). engine "fd" evaluates F at p and at
+    p +- h along each coordinate (2 evaluations per coordinate) and takes
+    central differences with step cbrt(machine eps) * max(1, |coord|). A
+    difference that is not finite, or a coordinate along which F leaves its
+    domain (EvaluationDomainError, recorded as NaN), is left for _contract
+    to drop or reject. A field without one component per coordinate raises
+    DimensionMismatch.
+    """
+    coords = extended_coords(p)
+    n = len(coords)
+    shape = _probe_shape(p)
+    if engine == "dual":
+        vals, grads = _gradients(F, p)
+    elif engine == "fd":
+        vals = [value(c) for c in F(p)]
+        rows = [[] for _ in vals]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for c in coords:
+                v = p.coord(c)
+                h = _fd_step(value(v))
+                try:
+                    diffs = [(u - d) / (2 * h) for u, d in zip(
+                        F(p.with_coord(c, v + h)), F(p.with_coord(c, v - h)))]
+                except EvaluationDomainError:
+                    diffs = [np.nan] * len(vals)
+                for row, d in zip(rows, diffs):
+                    row.append(d)
+        grads = [_stacked(row, shape) for row in rows]
+    else:
+        raise ValueError(f"unknown engine {engine!r}")
+    if len(vals) != n:
+        raise DimensionMismatch(
+            f"vector field has {len(vals)} components for {n} coordinates")
+    return _stacked(vals, shape), _stacked(grads, (n,) + shape)
+
+
+def _contract(X, Y):
+    """[X, Y] = sum_b X_b dY[:, b] - Y_b dX[:, b] from two _field_jet
+    results; one row per coordinate.
+
+    Coordinates where both fields vanish at every probe are skipped, so a
+    non-finite partial along such a coordinate cannot turn the bracket into
+    NaN; any other non-finite entry raises NonFiniteResult.
+    """
+    (Xv, dX), (Yv, dY) = X, Y
+    n = len(Xv)
+    live = ((Xv != 0.0).reshape(n, -1).any(axis=1)
+            | (Yv != 0.0).reshape(n, -1).any(axis=1))
+    out = np.zeros(Xv.shape)
+    for b in np.flatnonzero(live):
+        out = out + Xv[b] * dY[:, b] - Yv[b] * dX[:, b]
+    return _check_finite(out, "lie_bracket")
+
+
 def lie_bracket(X, Y, p, engine="dual"):
     """Commutator [X, Y] = (X . grad) Y - (Y . grad) X at p.
 
     X and Y are vector fields over extended_coords(p); the result is a list
-    in that same coordinate order.
+    in that same coordinate order. Each field's jet (values and Jacobian) is
+    taken once by _field_jet, then the two jets are contracted by _contract.
+    engine "dual" evaluates each field once, seeded along every coordinate;
+    engine "fd" evaluates each field at p and at p +- h along every
+    coordinate (2N + 1 evaluations for N coordinates) and takes central
+    differences. A field without N components raises DimensionMismatch.
     """
-    coords = extended_coords(p)
-    if engine == "dual":
-        Xv, dX = _gradients(X, p)
-        Yv, dY = _gradients(Y, p)
-    else:
-        Xv = [value(c) for c in X(p)]
-        Yv = [value(c) for c in Y(p)]
-    if len(Xv) != len(coords) or len(Yv) != len(coords):
-        raise NonFiniteResult(
-            f"vector fields must have {len(coords)} components")
-    if engine == "dual":
-        dX, dY = _stacked(dX), _stacked(dY)
-    Xv, Yv = _stacked(Xv), _stacked(Yv)
-    # coordinates where both fields vanish at every probe add nothing
-    live = ((Xv != 0.0).reshape(len(coords), -1).any(axis=1)
-            | (Yv != 0.0).reshape(len(coords), -1).any(axis=1))
-    out = np.zeros((len(coords),) + _probe_shape(p))
-    for b in np.flatnonzero(live):
-        cb = coords[b]
-        if engine == "dual":
-            dYb, dXb = dY[:, b], dX[:, b]
-        else:
-            dYb = _stacked([derivative(lambda q, a=a: Y(q)[a], p, cb,
-                                       engine="fd")
-                            for a in range(len(coords))])
-            dXb = _stacked([derivative(lambda q, a=a: X(q)[a], p, cb,
-                                       engine="fd")
-                            for a in range(len(coords))])
-        out = out + Xv[b] * dYb - Yv[b] * dXb
-    _check_finite(out, "lie_bracket")
-    return list(out)
+    return list(_contract(_field_jet(X, p, engine), _field_jet(Y, p, engine)))

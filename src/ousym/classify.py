@@ -24,15 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import duals
-from .calculus import (_at, extended_coords, lie_bracket, sample_probes,
-                       stack_probes)
+from .calculus import (_at, _contract, _field_jet, extended_coords,
+                       sample_probes, stack_probes)
 from .errors import CertificationFailed, NotDiagonalizable, WrongForceClass
 from .model import ConstantForce, LinearForce, classify_force
 from .symmetry import (ExpDecay, InvariantCandidate, SymmetryGenerator,
-                       Translation, _family_json, _max_abs,
+                       Translation, _family_json, _max_abs, _max_blocks,
                        _residual_blocks, affine_invariant_nullspace,
-                       max_invariant_residual, max_residuals,
-                       solve_wsym_linear_constraint)
+                       invariant_residual, solve_wsym_linear_constraint)
 
 CERT_TOL_RESIDUAL = 1e-6
 CERT_TOL_INVARIANT = 1e-10
@@ -106,8 +105,9 @@ def classify_invariants(sys, probes=None, tol=CERT_TOL_INVARIANT):
     dim, _basis = affine_invariant_nullspace(sys, probes=probes)
     if fc.tag == "Constant":
         gens = [InvariantCandidate.chi(sys, i) for i in range(1, sys.n + 1)]
+        p = stack_probes(probes)
         for g in gens:
-            worst = max_invariant_residual(g, sys, probes)
+            worst = _max_abs(invariant_residual(g, sys, p))
             if worst > tol:
                 raise CertificationFailed(
                     f"{g.label} failed invariance certification: "
@@ -194,8 +194,9 @@ def _emit_linear_modes(sys, L):
 
 
 def _certify(gens, sys, probes, tol=CERT_TOL_RESIDUAL):
+    p = stack_probes(probes)
     for g in gens:
-        mf, ms = max_residuals(g, sys, probes)
+        mf, ms = _max_blocks(g, sys, p)
         if max(mf, ms) > tol:
             raise CertificationFailed(
                 f"generator {g.label} failed the determining equations: "
@@ -204,11 +205,11 @@ def _certify(gens, sys, probes, tol=CERT_TOL_RESIDUAL):
 
 def _pairwise_brackets(gens, sys, probes):
     """(left, right, max |[left, right]|) over the stacked probes, for every
-    pair of generators."""
+    pair of generators; each generator's jet is taken once."""
     p = stack_probes(probes)
-    fields = [g.as_extended_field(sys) for g in gens]
+    jets = [_field_jet(g.as_extended_field(sys), p) for g in gens]
     return [(gens[a].label, gens[b].label,
-             _max_abs(lie_bracket(fields[a], fields[b], p)))
+             float(np.max(np.abs(_contract(jets[a], jets[b])))))
             for a in range(len(gens)) for b in range(a + 1, len(gens))]
 
 
@@ -382,8 +383,11 @@ def structure_constants(alg, sample_fs=None, probes=None):
         [X_f^i, X_g^j] = 0
         [X_f^i, Y_g^j] = (beta_j/mu_j) f_j g X^i
         [Y_f^i, Y_g^j] = (beta_j/mu_j) f_j g Y^i - (beta_i/mu_i) f g_i Y^j
-    with f_j the partial of f in chi_j. For the linear cases every pairwise
-    bracket is predicted to vanish.
+    with f_j the partial of f in chi_j. Each bracket comes from one jet per
+    scaled field f X^i and f Y^i; each prediction is the right-hand side
+    evaluated at the probes, from f, its chi-partials and the base fields'
+    values, so it does not reuse the bracket. For the linear cases every
+    pairwise bracket is predicted to vanish.
     """
     sys = alg.system
     if probes is None:
@@ -404,75 +408,50 @@ def structure_constants(alg, sample_fs=None, probes=None):
     n = sys.n
     X = [g for g in alg.generators if isinstance(g.family, ExpDecay)]
     Y = [g for g in alg.generators if isinstance(g.family, Translation)]
-    stacked = stack_probes(probes)
+    p = stack_probes(probes)
+    chis = _chi_vector(sys, p)
+    fns = [f for _, f in sample_fs]
+    fv = [f(chis) for f in fns]
+    dv = [[_scaling_partial(f, chis, j) for j in range(n)] for f in fns]
 
-    def predicted_scaled(base, coef_fn):
-        base_field = base.as_extended_field(sys)
+    def jets(G):
+        """jets(G)[k][i]: the jet of fns[k] * G[i], taken once."""
+        return [[_field_jet(_scaled_field(sys, g, f), p) for g in G]
+                for f in fns]
 
-        def field(p):
-            return [coef_fn(p) * c for c in base_field(p)]
+    jX, jY = jets(X), jets(Y)
+    vX = [g.as_extended_field(sys)(p) for g in X]
+    vY = [g.as_extended_field(sys)(p) for g in Y]
 
-        return field
+    def discrepancy(A, B, predicted):
+        return _max_abs([u - w for u, w in zip(_contract(A, B), predicted)])
 
-    for fl, f in sample_fs:
-        for gl, g in sample_fs:
+    for a, (fl, _) in enumerate(sample_fs):
+        for b, (gl, _) in enumerate(sample_fs):
             for i in range(n):
                 for j in range(n):
-                    bi, bj = sys.beta[i], sys.beta[j]
-                    mi, mj = sys.mu[i], sys.mu[j]
-                    # [X_f^i, X_g^j] = 0
-                    A = _scaled_field(sys, X[i], f)
-                    Bf = _scaled_field(sys, X[j], g)
-                    worst = _bracket_vs(A, Bf, None, stacked)
-                    rows.append({"left": f"{fl}*X{i + 1}",
-                                 "right": f"{gl}*X{j + 1}",
-                                 "predicted": "0",
-                                 "max_discrepancy": worst})
-                    # [X_f^i, Y_g^j] = (beta_j/mu_j) f_j g X^i
-                    Bf = _scaled_field(sys, Y[j], g)
-
-                    def coef_xy(p, f=f, g=g, j=j, bj=bj, mj=mj):
-                        chis = _chi_vector(sys, p)
-                        return (bj / mj) * _scaling_partial(f, chis, j) * g(chis)
-
-                    pred = predicted_scaled(X[i], coef_xy)
-                    worst = _bracket_vs(A, Bf, pred, stacked)
-                    rows.append({"left": f"{fl}*X{i + 1}",
-                                 "right": f"{gl}*Y{j + 1}",
-                                 "predicted": f"(beta{j + 1}/mu{j + 1})*"
-                                              f"d{j + 1}[{fl}]*{gl}*X{i + 1}",
-                                 "max_discrepancy": worst})
-                    # [Y_f^i, Y_g^j]
-                    A = _scaled_field(sys, Y[i], f)
-
-                    def coef_yy_1(p, f=f, g=g, j=j, bj=bj, mj=mj):
-                        chis = _chi_vector(sys, p)
-                        return (bj / mj) * _scaling_partial(f, chis, j) * g(chis)
-
-                    def coef_yy_2(p, f=f, g=g, i=i, bi=bi, mi=mi):
-                        chis = _chi_vector(sys, p)
-                        return -(bi / mi) * f(chis) * _scaling_partial(g, chis, i)
-
-                    pred1 = predicted_scaled(Y[i], coef_yy_1)
-                    pred2 = predicted_scaled(Y[j], coef_yy_2)
-
-                    def pred_sum(p, pred1=pred1, pred2=pred2):
-                        return [u + w for u, w in zip(pred1(p), pred2(p))]
-
-                    worst = _bracket_vs(A, Bf, pred_sum, stacked)
-                    rows.append({"left": f"{fl}*Y{i + 1}",
-                                 "right": f"{gl}*Y{j + 1}",
-                                 "predicted": f"(beta{j + 1}/mu{j + 1})*"
-                                              f"d{j + 1}[{fl}]*{gl}*Y{i + 1} - "
-                                              f"(beta{i + 1}/mu{i + 1})*{fl}*"
-                                              f"d{i + 1}[{gl}]*Y{j + 1}",
-                                 "max_discrepancy": worst})
+                    # (beta_j/mu_j) f_j g and -(beta_i/mu_i) f g_i
+                    cj = (sys.beta[j] / sys.mu[j]) * dv[a][j] * fv[b]
+                    ci = -(sys.beta[i] / sys.mu[i]) * fv[a] * dv[b][i]
+                    rows.append({
+                        "left": f"{fl}*X{i + 1}", "right": f"{gl}*X{j + 1}",
+                        "predicted": "0",
+                        "max_discrepancy": discrepancy(
+                            jX[a][i], jX[b][j], [0.0] * len(vX[i]))})
+                    rows.append({
+                        "left": f"{fl}*X{i + 1}", "right": f"{gl}*Y{j + 1}",
+                        "predicted": f"(beta{j + 1}/mu{j + 1})*"
+                                     f"d{j + 1}[{fl}]*{gl}*X{i + 1}",
+                        "max_discrepancy": discrepancy(
+                            jX[a][i], jY[b][j], [cj * c for c in vX[i]])})
+                    rows.append({
+                        "left": f"{fl}*Y{i + 1}", "right": f"{gl}*Y{j + 1}",
+                        "predicted": f"(beta{j + 1}/mu{j + 1})*"
+                                     f"d{j + 1}[{fl}]*{gl}*Y{i + 1} - "
+                                     f"(beta{i + 1}/mu{i + 1})*{fl}*"
+                                     f"d{i + 1}[{gl}]*Y{j + 1}",
+                        "max_discrepancy": discrepancy(
+                            jY[a][i], jY[b][j],
+                            [cj * u + ci * w
+                             for u, w in zip(vY[i], vY[j])])})
     return rows
-
-
-def _bracket_vs(A, B, predicted, p):
-    """Max |[A, B] - predicted| over the stacked probes p."""
-    br = lie_bracket(A, B, p)
-    if predicted is not None:
-        br = [u - w for u, w in zip(br, predicted(p))]
-    return _max_abs(br)

@@ -471,15 +471,19 @@ def _max_abs(entries):
     return max(float(np.max(np.abs(np.asarray(e)))) for e in entries)
 
 
-def max_residuals(X, sys, probes):
-    """Max |f-residual| and |sigma-residual| over a probe set (batched)."""
-    fres, sres = _residual_blocks(X, sys, stack_probes(probes))
+def _max_blocks(X, sys, p):
+    """Max |f-residual| and |sigma-residual| over the stacked probes p."""
+    fres, sres = _residual_blocks(X, sys, p)
     return _max_abs(fres), _max_abs(e for row in sres for e in row)
 
 
+def max_residuals(X, sys, probes):
+    """Max |f-residual| and |sigma-residual| over a probe set (batched)."""
+    return _max_blocks(X, sys, stack_probes(probes))
+
+
 def max_invariant_residual(theta, sys, probes):
-    p = stack_probes(probes)
-    return _max_abs(invariant_residual(theta, sys, p))
+    return _max_abs(invariant_residual(theta, sys, stack_probes(probes)))
 
 
 def scale_by_invariant(X, alpha, sys, probes=None, tol=1e-8):

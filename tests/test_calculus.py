@@ -9,6 +9,7 @@ from ousym import (ConstantForce, build_ou_system, derivative,
                    point, sample_probes, stack_probes)
 from ousym import duals
 from ousym.calculus import _gradients, ito_laplacian_components
+from ousym.errors import DimensionMismatch
 
 
 def _sys(n=1, beta=(1.0,), mu=(1.0,), c=(0.0,)):
@@ -283,6 +284,53 @@ def test_infinite_partial_stays_in_its_own_coordinate():
     fd = lie_bracket(X, Y, stacked, engine="fd")
     for d, e in zip(dual, fd):
         assert np.allclose(d, e, rtol=1e-6, atol=1e-8)
+
+
+def test_lie_bracket_engines_agree_on_dense_fields():
+    # every component depends on several coordinates, so every entry of the
+    # bracket sums terms from every column of both Jacobians
+    sys2 = build_ou_system(2, [0.9, 1.4], [1.1, 0.7],
+                           ConstantForce([0.2, -0.3]))
+    stacked = stack_probes(sample_probes(sys2, count=5, seed=6))
+    nc = len(extended_coords(stacked))
+
+    def X(q):
+        c = [q.coord(a) for a in extended_coords(q)]
+        return [duals.sin(c[a] * c[(a + 1) % nc]) + 0.3 * c[(a + 3) % nc]
+                for a in range(nc)]
+
+    def Y(q):
+        c = [q.coord(a) for a in extended_coords(q)]
+        return [duals.exp(-0.2 * c[(a + 2) % nc]) * c[a] for a in range(nc)]
+
+    dual = np.array(lie_bracket(X, Y, stacked))
+    fd = np.array(lie_bracket(X, Y, stacked, engine="fd"))
+    assert dual.shape == (nc, 5)
+    assert np.min(np.max(np.abs(dual), axis=1)) > 1e-2
+    assert np.allclose(fd, dual, rtol=1e-6, atol=1e-8)
+    assert np.array_equal(np.array(lie_bracket(Y, X, stacked)), -dual)
+
+
+def test_lie_bracket_rejects_wrong_component_count():
+    # a field with one component too few is a shape error for either engine
+    p = point(x=[0.8, -0.2], v=[0.1, 0.5], t=0.2, w=[0.4, 0.3])
+    nc = len(extended_coords(p))
+
+    def full(q):
+        return [q.x[0]] + [0.0] * (nc - 1)
+
+    def short(q):
+        return [q.x[0]] + [0.0] * (nc - 2)
+
+    stacked = stack_probes([p, point(x=[0.2, 0.5], v=[0.1, 0.0])])
+    for engine in ("dual", "fd"):
+        for q in (p, stacked):
+            with pytest.raises(DimensionMismatch):
+                lie_bracket(full, short, q, engine=engine)
+            with pytest.raises(DimensionMismatch):
+                lie_bracket(short, full, q, engine=engine)
+    with pytest.raises(ValueError):
+        lie_bracket(full, full, p, engine="spline")
 
 
 def test_sample_probes_shape_and_range():

@@ -1,5 +1,6 @@
 """Closed-form classification of invariants and symmetry algebras."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,6 +11,9 @@ from ousym import (ConstantForce, LinearForce, NotDiagonalizable,
                    classify_symmetries, expdecay_residual_scan, lie_bracket,
                    max_residuals, mode_rates, parse_force_expression, point,
                    sample_probes, structure_constants)
+from ousym import duals
+from ousym.classify import _quick_bracket_table, default_scaling_functions
+from ousym.symmetry import SymmetryGenerator
 
 
 def lin1d(alpha, beta=3.0, mu=1.0):
@@ -200,6 +204,61 @@ def test_structure_constants_linear_case():
     assert len(rows) == 1
     assert rows[0]["predicted"] == "0"
     assert rows[0]["max_discrepancy"] <= 1e-10
+
+
+def _counted(gens):
+    """Copies of gens whose phi counts its plain and its seeded calls."""
+    counts = [{"plain": 0, "seeded": 0} for _ in gens]
+    out = []
+    for g, count in zip(gens, counts):
+        def phi(p, g=g, count=count):
+            seeded = isinstance(p.t, duals.HyperDual)
+            count["seeded" if seeded else "plain"] += 1
+            return g.phi(p)
+        out.append(SymmetryGenerator(phi, g.state_dim, g.wiener_dim, R=g.R,
+                                     family=g.family, label=g.label))
+    return out, counts
+
+
+def test_brackets_take_one_jet_per_field():
+    # isotropic n=4: each of the 2n generators is in 2n-1 pairs of the
+    # bracket table, but its extended field is evaluated once
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    L = Q @ np.diag([0.6, 1.1, 1.9, 2.7]) @ Q.T
+    sys4 = build_ou_system(4, [1.3] * 4, [0.8] * 4, LinearForce(L))
+    alg = classify_symmetries(sys4)
+    assert alg.case_tag == "LinearAbelian2n"
+    gens, counts = _counted(alg.generators)
+    table = _quick_bracket_table(gens, sys4, sample_probes(sys4, seed=2))
+    assert len(table) == 8 * 7 // 2
+    assert counts == [{"plain": 0, "seeded": 1}] * 8
+    assert [dict(row)["max_abs_bracket"] for row in table] == [
+        dict(row)["max_abs_bracket"] for row in alg.commutators]
+
+    # constant n=2 module: one jet per scaled field f * X_i and f * Y_i,
+    # plus one plain evaluation of each base field for the predictions
+    sys2 = build_ou_system(2, [1.0, 2.0], [1.5, 0.7],
+                           ConstantForce([0.3, -0.4]))
+    alg = classify_symmetries(sys2)
+    gens, counts = _counted(alg.generators)
+    rows = structure_constants(dataclasses.replace(alg, generators=gens))
+    assert rows == structure_constants(alg)
+    nf = len(default_scaling_functions())
+    assert counts == [{"plain": 1, "seeded": nf}] * 4
+
+
+def test_structure_constants_flag_a_mismatched_system():
+    # negative control: the predictions use the system's beta/mu, the
+    # generators were built for another one, so some relation must fail
+    sys2 = build_ou_system(2, [1.0, 2.0], [1.5, 0.7],
+                           ConstantForce([0.3, -0.4]))
+    alg = classify_symmetries(sys2)
+    assert max(r["max_discrepancy"] for r in structure_constants(alg)) <= 1e-8
+    other = build_ou_system(2, [1.6, 0.9], [0.8, 1.2],
+                            ConstantForce([0.3, -0.4]))
+    rows = structure_constants(dataclasses.replace(alg, system=other))
+    assert max(r["max_discrepancy"] for r in rows) > 1e-3
 
 
 def test_residual_scan_dips_at_true_rate():
