@@ -108,7 +108,7 @@ def classify_invariants(sys, probes=None, tol=CERT_TOL_INVARIANT):
         p = stack_probes(probes)
         for g in gens:
             worst = _max_abs(invariant_residual(g, sys, p))
-            if worst > tol:
+            if not worst <= tol:
                 raise CertificationFailed(
                     f"{g.label} failed invariance certification: "
                     f"{worst:.3e} > {tol:.1e}")
@@ -197,7 +197,7 @@ def _certify(gens, sys, probes, tol=CERT_TOL_RESIDUAL):
     p = stack_probes(probes)
     for g in gens:
         mf, ms = _max_blocks(g, sys, p)
-        if max(mf, ms) > tol:
+        if not (mf <= tol and ms <= tol):
             raise CertificationFailed(
                 f"generator {g.label} failed the determining equations: "
                 f"f-residual {mf:.3e}, sigma-residual {ms:.3e} > {tol:.1e}")

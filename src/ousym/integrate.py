@@ -3,15 +3,20 @@ strong-convergence studies, reference fixtures, and CSV output.
 
 Randomness is counter-based (Philox keyed by (seed, path_index)), so every
 path is reproducible in isolation and a batch of paths gives the same
-numbers as the paths one at a time. All path work runs in this thread:
+numbers as the paths one at a time. Stepping runs in the calling thread:
 single paths, ensembles and convergence studies step whole batches of paths
-through one Euler-Maruyama loop. Coarsening a grid sums consecutive
-increments, which is what lets an exact solution on a fine grid serve as
-the reference for Euler-Maruyama on coarser rungs driven by the same noise.
+through one Euler-Maruyama loop. Ensembles and convergence studies take
+their noise from _increment_blocks, where one worker thread draws the next
+block of paths while the caller steps the current one (OUSYM_THREADS=1
+turns the worker off); the numbers never depend on it. Coarsening a grid
+sums consecutive increments, which is what lets an exact solution on a fine
+grid serve as the reference for Euler-Maruyama on coarser rungs driven by
+the same noise.
 """
 
-import io
+import concurrent.futures
 import os
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +34,10 @@ BLOCK_VALUES = 1 << 19
 
 
 def thread_count():
-    """OUSYM_THREADS or the CPU count. Path work is single-threaded: the
-    value is validated and reported, and no output depends on it."""
+    """OUSYM_THREADS or the CPU count. Above 1, ensembles and convergence
+    studies draw the next block of noise on one worker thread while the
+    current block steps; 1 keeps everything in the calling thread. No
+    output depends on it."""
     raw = os.environ.get("OUSYM_THREADS", "").strip()
     if raw:
         try:
@@ -93,6 +100,33 @@ def _philox_increments(n_proc, t0, t1, steps, seed, indices):
         gen.standard_normal(out=row)
     out *= np.sqrt((t1 - t0) / steps)
     return out
+
+
+def _increment_blocks(n_proc, t0, t1, steps, seed, n_paths, block):
+    """(first_index, increments) over paths [0, n_paths) in blocks of at
+    most block paths, each drawn by _philox_increments.
+
+    With more than one block and thread_count() > 1, one worker thread
+    draws block j + 1 while the caller works on block j (Philox fills
+    release the GIL), so two blocks are alive at once. Closing the iterator
+    shuts the worker down; an error in a draw is raised here unchanged.
+    """
+    def draw(i0):
+        return _philox_increments(n_proc, t0, t1, steps, seed,
+                                  range(i0, min(i0 + block, n_paths)))
+
+    starts = range(0, n_paths, block)
+    if len(starts) < 2 or thread_count() < 2:
+        for i0 in starts:
+            yield i0, draw(i0)
+        return
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as worker:
+        inc = draw(starts[0])
+        for i0, ahead in zip(starts, starts[1:]):
+            nxt = worker.submit(draw, ahead)
+            yield i0, inc
+            inc = nxt.result()
+        yield starts[-1], inc
 
 
 def sample_wiener(n_proc, t0, t1, steps, seed=0, path_index=0):
@@ -287,15 +321,19 @@ def euler_maruyama_ensemble(sys, x0, t0, t1, steps, n_paths, seed=0,
 
     Row i is driven by the increments keyed (seed, i), so it equals
     euler_maruyama on sample_wiener(..., path_index=i). Up to chunk paths
-    are stepped together; their increments take chunk * n * steps floats.
+    are stepped together; their increments take chunk * n * steps floats,
+    and while one chunk steps the next is drawn, so peak memory is two
+    chunks of increments (one with OUSYM_THREADS=1).
     """
     if n_paths < 1:
         raise InvalidGrid("n_paths must be >= 1")
+    if not isinstance(chunk, (int, np.integer)) or chunk < 1:
+        raise InvalidGrid(f"chunk must be a positive integer, got {chunk!r}")
     out = np.empty((n_paths, 2 * sys.n))
-    for i0 in range(0, n_paths, chunk):
-        inc = _philox_increments(sys.n, t0, t1, steps, seed,
-                                 range(i0, min(i0 + chunk, n_paths)))
-        out[i0:i0 + len(inc)], _ = _ou_em(sys, x0, t0, t1, inc, guard)
+    with closing(_increment_blocks(sys.n, t0, t1, steps, seed, n_paths,
+                                   chunk)) as blocks:
+        for i0, inc in blocks:
+            out[i0:i0 + len(inc)], _ = _ou_em(sys, x0, t0, t1, inc, guard)
     return out
 
 
@@ -593,9 +631,11 @@ def convergence_study(problem, x0, t0, t1, ladder_steps, n_paths=200,
     noise. Paths where any solver exits its domain or blows up are skipped
     whole (deterministically, by path index) and counted.
 
-    Paths go in blocks of at most BLOCK_VALUES fine increments. problem
-    has n_proc, name and exact_terminals / em_terminals(x0, t0, t1, inc):
-    increments (paths, n_proc, steps) to terminals and a mask to skip.
+    Paths go in blocks of at most BLOCK_VALUES fine increments; the next
+    block is drawn while the current one runs, so peak memory is two
+    blocks (one with OUSYM_THREADS=1). problem has n_proc, name and
+    exact_terminals / em_terminals(x0, t0, t1, inc): increments
+    (paths, n_proc, steps) to terminals and a mask to skip.
     """
     ladder = [int(s) for s in ladder_steps]
     if not ladder or any(s < 1 for s in ladder):
@@ -613,18 +653,19 @@ def convergence_study(problem, x0, t0, t1, ladder_steps, n_paths=200,
     block = max(1, BLOCK_VALUES // (m * finest))
     errs = np.zeros((n_paths, len(ladder)))
     skip = np.zeros(n_paths, dtype=bool)
-    for i0 in range(0, n_paths, block):
-        rows = slice(i0, min(i0 + block, n_paths))
-        fine = _philox_increments(m, t0, t1, finest, seed,
-                                  range(n_paths)[rows])
-        ref, skip[rows] = problem.exact_terminals(x0, t0, t1, fine)
-        for r, s in enumerate(ladder):
-            coarse = fine.reshape(len(fine), m, s, finest // s).sum(axis=3)
-            em, blown = problem.em_terminals(x0, t0, t1, coarse)
-            skip[rows] |= blown
-            # skipped paths may hold inf or NaN; their errors are unused
-            with np.errstate(invalid="ignore"):
-                errs[rows, r] = np.max(np.abs(em - ref), axis=1)
+    with closing(_increment_blocks(m, t0, t1, finest, seed, n_paths,
+                                   block)) as blocks:
+        for i0, fine in blocks:
+            rows = slice(i0, i0 + len(fine))
+            ref, skip[rows] = problem.exact_terminals(x0, t0, t1, fine)
+            for r, s in enumerate(ladder):
+                coarse = fine.reshape(len(fine), m, s,
+                                      finest // s).sum(axis=3)
+                em, blown = problem.em_terminals(x0, t0, t1, coarse)
+                skip[rows] |= blown
+                # skipped paths may hold inf or NaN; their errors are unused
+                with np.errstate(invalid="ignore"):
+                    errs[rows, r] = np.max(np.abs(em - ref), axis=1)
 
     used = int(np.sum(~skip))
     if used == 0:
@@ -708,10 +749,10 @@ def write_path_csv(path, dest, extra_meta=None):
         for key in sorted(meta):
             fh.write(f"# {key}={meta[key]}\n")
         fh.write("t," + ",".join(path.labels) + "\n")
-        for k in range(path.times.shape[0]):
-            row = [repr(float(path.times[k]))]
-            row += [repr(float(val)) for val in path.states[k]]
-            fh.write(",".join(row) + "\n")
+        # repr of a Python float is repr(float(v)) of the numpy value
+        table = np.column_stack((path.times, path.states)).astype(
+            float, copy=False).tolist()
+        fh.write("".join(",".join(map(repr, row)) + "\n" for row in table))
     finally:
         if owned:
             fh.close()
@@ -735,7 +776,12 @@ def write_convergence_csv(report, dest):
 
 
 def read_path_csv(src):
-    """Inverse of write_path_csv; returns (meta, labels, times, states)."""
+    """Inverse of write_path_csv; returns (meta, labels, times, states).
+
+    Comment lines may appear anywhere and blank lines are skipped. The
+    first other line is the header; a data line whose cell count differs
+    from the header's raises DimensionMismatch. states is (rows, labels).
+    """
     if hasattr(src, "read"):
         text = src.read()
     else:
@@ -743,9 +789,8 @@ def read_path_csv(src):
             text = fh.read()
     meta = {}
     labels = None
-    times = []
     rows = []
-    for line in io.StringIO(text):
+    for number, line in enumerate(text.split("\n"), 1):
         line = line.strip()
         if not line:
             continue
@@ -755,10 +800,15 @@ def read_path_csv(src):
                 k, _, val = body.partition("=")
                 meta[k.strip()] = val.strip()
             continue
-        cells = line.split(",")
         if labels is None:
-            labels = tuple(cells[1:])
+            labels = tuple(line.split(",")[1:])
             continue
-        times.append(float(cells[0]))
-        rows.append([float(c) for c in cells[1:]])
-    return meta, labels, np.asarray(times), np.asarray(rows)
+        if line.count(",") != len(labels):
+            raise DimensionMismatch(
+                f"line {number} has {line.count(',') + 1} cells, the "
+                f"header has {len(labels) + 1}")
+        rows.append(line)
+    # one conversion; numpy parses each cell as float() does
+    values = np.array(",".join(rows).split(",") if rows else [],
+                      dtype=float).reshape(len(rows), 1 + len(labels or ()))
+    return meta, labels, values[:, 0], values[:, 1:]

@@ -468,7 +468,10 @@ def residual_report(X, sys, p):
 
 
 def _max_abs(entries):
-    return max(float(np.max(np.abs(np.asarray(e)))) for e in entries)
+    """Largest |entry| over residual entries (scalars or probe arrays);
+    NaN if any entry holds NaN, wherever it sits."""
+    return float(np.max(np.abs(np.concatenate(
+        [np.ravel(e) for e in entries]))))
 
 
 def _max_blocks(X, sys, p):
@@ -491,7 +494,7 @@ def scale_by_invariant(X, alpha, sys, probes=None, tol=1e-8):
     if probes is None:
         probes = sample_probes(sys, count=50, seed=7)
     worst = max_invariant_residual(alpha, sys, probes)
-    if worst > tol:
+    if not worst <= tol:
         raise NotAnInvariant(
             f"{getattr(alpha, 'label', 'alpha')} fails the invariance "
             f"conditions: max residual {worst:.3e} > {tol:.1e}")

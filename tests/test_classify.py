@@ -291,3 +291,18 @@ def test_algebra_json_serializable():
         assert len(back["generators"]) == len(alg.generators)
         inv = classify_invariants(sys_)
         json.dumps(inv.to_json(), sort_keys=True)
+
+
+def test_nan_residual_fails_certification(monkeypatch):
+    from ousym import CertificationFailed, classify
+    sys1 = lin1d(-4.0)
+    # a NaN in either block, after or before a finite one, is not <= tol
+    for blocks in ((0.0, np.nan), (np.nan, 0.0)):
+        monkeypatch.setattr(classify, "_max_blocks",
+                            lambda *_a, b=blocks: b)
+        with pytest.raises(CertificationFailed):
+            classify_symmetries(sys1)
+    monkeypatch.setattr(classify, "_max_abs", lambda _e: np.nan)
+    with pytest.raises(CertificationFailed):
+        classify_invariants(
+            build_ou_system(1, [1.0], [2.0], ConstantForce([0.5])))

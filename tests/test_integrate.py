@@ -1,13 +1,16 @@
 """Wiener grids, Euler-Maruyama, exact solvers, convergence, CSV."""
 
 import io
+import threading
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
-from ousym import (ConstantForce, DomainExit, GBMConvergenceProblem,
-                   InvalidGrid, KozlovConvergenceProblem, LinearForce,
+from ousym import (ConstantForce, DimensionMismatch, DomainExit,
+                   GBMConvergenceProblem, InvalidGrid,
+                   KozlovConvergenceProblem, LinearForce,
                    NonFiniteState, OUConvergenceProblem, OusymError,
                    WienerGrid, build_ou_system, coarsen, convergence_study,
                    euler_maruyama, euler_maruyama_ensemble,
@@ -153,6 +156,53 @@ def test_exact_linear_affine_offset():
     assert path.terminal()[1] == pytest.approx(ref[1], abs=1e-8)
 
 
+def gaussian_transition(sys_, s0, t):
+    """Mean and covariance of the OU state at time t from s0, in closed form:
+    ds = (A s + b) dt + G dW with A = [[0, I], [L, -B]], b = (0, K),
+    G = (0, diag(mu)). The mean is expm of the affine-augmented A applied
+    to (s0, 1); the covariance int_0^t e^{As} G G^T e^{A^T s} ds comes from
+    Van Loan's block exponential (IEEE TAC 1978): with
+    expm([[-A, G G^T], [0, A^T]] t) = [[., F12], [0, F22]], it is
+    F22^T F12."""
+    n = sys_.n
+    if isinstance(sys_.force, ConstantForce):
+        L, K = np.zeros((n, n)), np.asarray(sys_.force.c, dtype=float)
+    else:
+        L, K = np.asarray(sys_.force.L), np.asarray(sys_.force.K)
+    A = np.block([[np.zeros((n, n)), np.eye(n)], [L, -np.diag(sys_.beta)]])
+    G = np.vstack((np.zeros((n, n)), np.diag(sys_.mu)))
+    aug = np.zeros((2 * n + 1, 2 * n + 1))
+    aug[:2 * n, :2 * n] = A
+    aug[n:2 * n, 2 * n] = K
+    mean = (expm(aug * t) @ np.append(s0, 1.0))[:2 * n]
+    Z = np.zeros((2 * n, 2 * n))
+    E = expm(np.block([[-A, G @ G.T], [Z, A.T]]) * t)
+    return mean, E[2 * n:, 2 * n:].T @ E[:2 * n, 2 * n:]
+
+
+@pytest.mark.parametrize("sys_,solver", [
+    (build_ou_system(2, [1.0, 2.0], [0.5, 1.5], ConstantForce([0.3, -0.2])),
+     exact_solve_constant),
+    # eigenvalues -3 +- i: complex mode rates, plus an affine offset
+    (build_ou_system(2, [1.0, 1.0], [0.6, 0.6],
+                     LinearForce([[-3.0, 1.0], [-1.0, -3.0]], [0.3, -0.1])),
+     exact_solve_linear),
+], ids=["constant-n2", "linear-iso-n2-complex"])
+def test_exact_ensemble_matches_gaussian_transition(sys_, solver):
+    s0, t1, steps, n_paths = np.array([0.4, -0.2, 0.3, 0.1]), 1.5, 512, 3000
+    term = np.array([solver(sys_, s0, sample_wiener(
+        2, 0.0, t1, steps, seed=31, path_index=i)).terminal()
+        for i in range(n_paths)])
+    mean, cov = gaussian_transition(sys_, s0, t1)
+    # the solvers' left-point noise quadrature biases the covariance by
+    # about beta * dt (< 0.6% here), far inside these sampling bands
+    sd = np.sqrt(np.diag(cov))
+    assert np.all(np.abs(term.mean(axis=0) - mean)
+                  <= 5.0 * sd / np.sqrt(n_paths))
+    band = np.sqrt((np.outer(sd, sd) ** 2 + cov ** 2) / (n_paths - 1))
+    assert np.all(np.abs(np.cov(term.T) - cov) <= 5.0 * band)
+
+
 def test_exact_linear_mode_increments():
     # reconstruct y_+ from the path and check dy_+ = alpha_+(t) dw exactly
     alpha, beta, mu = 4.0, 3.0, 1.0
@@ -265,14 +315,124 @@ def test_em_general_matches_ou_em():
     assert np.allclose(a.states, b.states, atol=1e-14)
 
 
-def test_ensemble_matches_single_paths():
+def test_ensemble_matches_single_paths(monkeypatch):
+    # 11 paths in chunks of 4: three blocks, the last one partial, so with
+    # two threads two blocks are drawn ahead
     sys1 = build_ou_system(1, [1.0], [1.0], ConstantForce([0.0]))
-    term = euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, 50, 6,
-                                   seed=19, chunk=4)
-    for idx in range(6):
-        g = sample_wiener(1, 0.0, 1.0, 50, seed=19, path_index=idx)
-        single = euler_maruyama(sys1, [0.0, 0.0], g)
-        assert np.allclose(term[idx], single.terminal(), atol=1e-13)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OUSYM_THREADS", threads)
+        term = euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, 50, 11,
+                                       seed=19, chunk=4)
+        for idx in range(11):
+            g = sample_wiener(1, 0.0, 1.0, 50, seed=19, path_index=idx)
+            single = euler_maruyama(sys1, [0.0, 0.0], g)
+            assert np.array_equal(term[idx], single.terminal())
+
+
+def test_ensemble_property_rows_are_single_paths():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=30, deadline=None)
+    @hypothesis.given(n=st.integers(1, 2), chunk=st.integers(1, 9),
+                      n_paths=st.integers(1, 23), seed=st.integers(0, 99),
+                      threads=st.sampled_from(["1", "2"]))
+    def check(n, chunk, n_paths, seed, threads):
+        sys_ = build_ou_system(n, [1.5] * n, [0.8] * n,
+                               LinearForce(-np.eye(n), [0.2] * n))
+        x0 = [0.3] * (2 * n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("OUSYM_THREADS", threads)
+            term = euler_maruyama_ensemble(sys_, x0, 0.0, 1.0, 12, n_paths,
+                                           seed=seed, chunk=chunk)
+        assert term.shape == (n_paths, 2 * n)
+        for idx in range(n_paths):
+            g = sample_wiener(n, 0.0, 1.0, 12, seed=seed, path_index=idx)
+            assert np.array_equal(term[idx],
+                                  euler_maruyama(sys_, x0, g).terminal())
+
+    check()
+
+
+def traced_draws(monkeypatch, tamper=None):
+    """Record the thread and first index of every block draw; tamper(first
+    index, increments) may change a block or raise."""
+    seen = []
+    draw = integrate._philox_increments
+
+    def wrapped(n_proc, t0, t1, steps, seed, indices):
+        seen.append((threading.current_thread(), indices[0]))
+        inc = draw(n_proc, t0, t1, steps, seed, indices)
+        if tamper is not None:
+            tamper(indices[0], inc)
+        return inc
+
+    monkeypatch.setattr(integrate, "_philox_increments", wrapped)
+    return seen
+
+
+@pytest.mark.parametrize("threads,workers", [("1", 0), ("2", 1)])
+def test_prefetch_draws_ahead_on_one_worker(monkeypatch, threads, workers):
+    monkeypatch.setenv("OUSYM_THREADS", threads)
+    seen = traced_draws(monkeypatch)
+    sys1 = build_ou_system(1, [1.0], [1.0], ConstantForce([0.3]))
+    before = threading.active_count()
+    euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, 20, 10, chunk=3)
+    assert threading.active_count() == before
+    assert [i0 for _, i0 in seen] == [0, 3, 6, 9]
+    # the first block is drawn in the calling thread, the rest ahead
+    assert seen[0][0] is threading.current_thread()
+    assert len({t for t, _ in seen[1:]}
+               - {threading.current_thread()}) == workers
+
+
+def test_blowup_in_second_block_stops_the_worker(monkeypatch):
+    monkeypatch.setenv("OUSYM_THREADS", "2")
+
+    def blow_up(i0, inc):
+        if i0 == 4:
+            inc[...] = 1e300
+
+    seen = traced_draws(monkeypatch, blow_up)
+    sys1 = build_ou_system(1, [1.0], [1.0], ConstantForce([0.3]))
+    before = threading.active_count()
+    with pytest.raises(NonFiniteState):
+        euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, 20, 16, chunk=4)
+    assert threading.active_count() == before
+    # block 2 was being drawn ahead while block 1 blew up
+    assert [i0 for _, i0 in seen] == [0, 4, 8]
+
+
+def test_draw_error_reaches_the_caller_unchanged(monkeypatch):
+    monkeypatch.setenv("OUSYM_THREADS", "2")
+    err = RuntimeError("draw failed")
+
+    def fail(i0, _inc):
+        if i0 == 8:
+            raise err
+
+    traced_draws(monkeypatch, fail)
+    sys1 = build_ou_system(1, [1.0], [1.0], ConstantForce([0.3]))
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, 20, 16, chunk=4)
+    assert info.value is err
+    assert threading.active_count() == before
+    # blocks of 4 paths of 32 fine steps in the study too
+    monkeypatch.setattr(integrate, "BLOCK_VALUES", 4 * 32)
+    with pytest.raises(RuntimeError) as info:
+        convergence_study(OUConvergenceProblem(sys1), [0.0, 0.0], 0.0, 1.0,
+                          [8, 16], n_paths=16, refine=2)
+    assert info.value is err
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("chunk", [0, -1, 2.5, "4"])
+def test_ensemble_rejects_bad_chunk(chunk):
+    sys1 = build_ou_system(1, [1.0], [1.0], ConstantForce([0.3]))
+    with pytest.raises(InvalidGrid, match="chunk"):
+        euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, 10, 5,
+                                chunk=chunk)
 
 
 @pytest.mark.parametrize("beta,mu", [([1.0], [2.5]),
@@ -428,6 +588,63 @@ def test_path_csv_round_trip(tmp_path):
     assert meta["seed"] == "21"
     assert np.array_equal(times, path.times)
     assert np.array_equal(states, path.states)
+
+
+def test_path_csv_golden_bytes_and_exact_read_back():
+    vals = np.array([-0.0, 5e-324, 1e-5, 1e16, np.inf, np.nan])
+    times = vals.copy()
+    states = np.column_stack((np.roll(vals, -1), -np.roll(vals, -2)))
+    path = integrate.Path(times=times, states=states, labels=("x1", "v1"),
+                          meta={"seed": 3, "scheme": "golden"})
+    buf = io.StringIO()
+    write_path_csv(path, buf, extra_meta={"note": "a=b"})
+    # the per-value formatting the bulk writer replaced
+    expected = "# note=a=b\n# scheme=golden\n# seed=3\nt,x1,v1\n"
+    for k in range(len(times)):
+        row = [repr(float(times[k]))]
+        row += [repr(float(val)) for val in states[k]]
+        expected += ",".join(row) + "\n"
+    assert buf.getvalue() == expected
+    assert expected.splitlines()[4] == "-0.0,5e-324,-1e-05"
+    meta, labels, t, st = read_path_csv(io.StringIO(buf.getvalue()))
+    assert meta == {"note": "a=b", "scheme": "golden", "seed": "3"}
+    assert labels == ("x1", "v1")
+    for got, want in ((t, times), (st, states)):
+        assert got.shape == want.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64),
+                              want[~nan].view(np.int64))
+
+
+def test_read_path_csv_line_grammar():
+    text = ("# a = 1\n\n  t,x1  \n# mid=2\n0.0,1.5\n\n  0.5 , -2.0  \n"
+            "# no value here\n1.0,1e-3\n# end=3\n")
+    meta, labels, times, states = read_path_csv(io.StringIO(text))
+    assert meta == {"a": "1", "mid": "2", "end": "3"}
+    assert labels == ("x1",)
+    assert times.tolist() == [0.0, 0.5, 1.0]
+    assert states.tolist() == [[1.5], [-2.0], [1e-3]]
+
+
+@pytest.mark.parametrize("rows,line", [
+    ("0.0,1.0,2.0\n0.1,1.0\n", 5),              # ragged: a cell short
+    ("0.0,1.0,2.0,9.0\n0.1,1.0,2.0,9.0\n", 4),  # every row one cell long
+    ("0.0,1.0,2.0\n\n0.1,1.0,2.0,\n", 6),       # trailing comma
+], ids=["ragged", "extra-cell", "trailing-comma"])
+def test_read_path_csv_rejects_malformed_rows(rows, line):
+    text = "# seed=1\n\nt,x1,v1\n" + rows
+    with pytest.raises(DimensionMismatch, match=f"line {line} "):
+        read_path_csv(io.StringIO(text))
+
+
+def test_read_path_csv_header_only(tmp_path):
+    dest = tmp_path / "empty.csv"
+    dest.write_text("# seed=1\nt,x1,x2,v1,v2\n")
+    meta, labels, times, states = read_path_csv(str(dest))
+    assert labels == ("x1", "x2", "v1", "v2")
+    assert times.shape == (0,)
+    assert states.shape == (0, 4)
 
 
 def test_convergence_csv_format():

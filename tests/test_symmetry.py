@@ -206,3 +206,26 @@ def test_residual_report_fields():
     assert len(rep.sigma_residual) == 2
     # one column per formal process (active w1 plus ghost z1)
     assert len(rep.sigma_residual[0]) == 2
+
+
+@pytest.mark.parametrize("entries", [
+    [[1.0], [np.nan]],
+    [[np.nan], [1.0]],
+    [0.5, np.array([2.0, np.nan, -3.0])],
+    [np.array([-4.0, 1.0]), 0.0, np.float64(np.nan)],
+])
+def test_max_abs_propagates_nan_in_any_entry(entries):
+    from ousym.symmetry import _max_abs
+    assert np.isnan(_max_abs(entries))
+    finite = [np.nan_to_num(np.asarray(e, dtype=float)) for e in entries]
+    assert _max_abs(finite) == max(float(np.max(np.abs(e))) for e in finite)
+
+
+def test_nan_invariant_residual_is_not_an_invariant(monkeypatch):
+    from ousym import symmetry
+    sys1 = build_ou_system(1, [1.0], [1.0], ConstantForce([0.2]))
+    monkeypatch.setattr(symmetry, "max_invariant_residual",
+                        lambda *_a: np.nan)
+    with pytest.raises(NotAnInvariant):
+        scale_by_invariant(SymmetryGenerator.exp_decay(1, 1.0, 1),
+                           InvariantCandidate.chi(sys1, 1), sys1)
