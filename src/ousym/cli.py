@@ -24,7 +24,7 @@ from . import integrate, model
 from .calculus import sample_probes
 from .errors import DimensionMismatch, OusymError
 from .expressions import parse_expression
-from .symmetry import SymmetryGenerator, max_residuals
+from .symmetry import SymmetryGenerator, _max_abs, max_residuals
 
 
 class _UsageError(OusymError):
@@ -237,7 +237,7 @@ def _cmd_verify(args):
     _emit_json({"generator": gen.label,
                 "max_f_residual": mf,
                 "max_sigma_residual": ms,
-                "max_residual": max(mf, ms),
+                "max_residual": _max_abs((mf, ms)),
                 "probes": args.probes,
                 "seed": args.seed})
     return 0

@@ -14,7 +14,6 @@ grid serve as the reference for Euler-Maruyama on coarser rungs driven by
 the same noise.
 """
 
-import concurrent.futures
 import os
 from contextlib import closing
 from dataclasses import dataclass
@@ -120,6 +119,7 @@ def _increment_blocks(n_proc, t0, t1, steps, seed, n_paths, block):
         for i0 in starts:
             yield i0, draw(i0)
         return
+    import concurrent.futures  # loaded only when a worker is needed
     with concurrent.futures.ThreadPoolExecutor(max_workers=1) as worker:
         inc = draw(starts[0])
         for i0, ahead in zip(starts, starts[1:]):

@@ -21,14 +21,13 @@ derivatives; nothing is trusted symbolically.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from . import duals
 from .calculus import (ExtendedPoint, _gradients, _ito_jet, _sigma_values,
                        extended_coords, ito_laplacian_components,
                        sample_probes, stack_probes)
 from .duals import value
-from .errors import DimensionMismatch, NotAnInvariant
+from .errors import DimensionMismatch, NonFiniteResult, NotAnInvariant
 from .model import ConstantForce
 
 
@@ -504,6 +503,19 @@ def scale_by_invariant(X, alpha, sys, probes=None, tol=1e-8):
 
 # --- linear W-symmetry constraint ---
 
+def _null_space(A, rcond=None):
+    """Orthonormal basis (columns) of the null space of A by SVD: singular
+    values at most max(s) * rcond count as zero, rcond = eps * max(M, N)
+    by default. A non-finite A raises NonFiniteResult."""
+    if not np.all(np.isfinite(A)):
+        raise NonFiniteResult("null-space matrix is not finite")
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    if rcond is None:
+        rcond = np.finfo(s.dtype).eps * max(A.shape)
+    rank = np.sum(s > np.amax(s, initial=0.0) * rcond, dtype=int)
+    return vh[rank:].T
+
+
 def solve_wsym_linear_constraint(L, B):
     """Basis of solutions R of  L R = B R - R B  (B diagonal).
 
@@ -519,7 +531,7 @@ def solve_wsym_linear_constraint(L, B):
     n = L.shape[0]
     eye = np.eye(n)
     M = np.kron(eye, L) - np.kron(eye, B) + np.kron(B.T, eye)
-    ns = null_space(M)
+    ns = _null_space(M)
     return [ns[:, k].reshape((n, n), order="F") for k in range(ns.shape[1])]
 
 
@@ -560,7 +572,7 @@ def affine_invariant_nullspace(sys, probes=None, rcond=1e-9):
             rows.append(np.array(arr, dtype=float))
         columns.append(np.concatenate(rows))
     A = np.column_stack(columns)
-    ns = null_space(A, rcond=rcond)
+    ns = _null_space(A, rcond=rcond)
     basis = []
     for k in range(ns.shape[1]):
         vec = ns[:, k]

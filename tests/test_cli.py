@@ -1,9 +1,11 @@
 """End-to-end checks of the command-line entry point via main()."""
 
 import json
+import math
 
 import pytest
 
+from ousym import cli
 from ousym.cli import main, parse_generator_spec
 from ousym.model import system_from_json
 
@@ -84,6 +86,16 @@ def test_verify_perturbed_rate_fails_loudly(linear_system, capsys):
                        "--generator", "expdecay:i=1,kappa=4.01")
     assert code == 0
     assert json.loads(out)["max_residual"] >= 1e-3
+
+
+def test_verify_max_residual_keeps_nan(linear_system, capsys, monkeypatch):
+    # a NaN sigma-residual after a finite f-residual must reach max_residual
+    monkeypatch.setattr(cli, "max_residuals",
+                        lambda *_a: (0.0, float("nan")))
+    code, out, _ = run(capsys, "verify", "--system", linear_system,
+                       "--generator", "expdecay:i=1,kappa=4")
+    assert code == 0
+    assert math.isnan(json.loads(out)["max_residual"])
 
 
 def test_verify_json_spec_matches_shorthand(linear_system, capsys):

@@ -5,8 +5,6 @@ import threading
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from ousym import (ConstantForce, DimensionMismatch, DomainExit,
                    GBMConvergenceProblem, InvalidGrid,
@@ -85,6 +83,7 @@ def test_em_blowup_guard():
 
 
 def test_exact_constant_against_ivp():
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     b, c, mu = 1.3, -0.4, 1e-12
     sys1 = build_ou_system(1, [b], [mu], ConstantForce([c]))
     g = sample_wiener(1, 0.0, 2.0, 256, seed=4)
@@ -124,6 +123,7 @@ def test_exact_constant_monte_carlo_mean():
 
 
 def test_exact_linear_against_ivp():
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     alpha, beta, mu = 4.0, 3.0, 1e-12
     sys1 = build_ou_system(1, [beta], [mu], LinearForce([[alpha]]))
     g = sample_wiener(1, 0.0, 1.0, 128, seed=6)
@@ -140,6 +140,7 @@ def test_exact_linear_against_ivp():
 
 
 def test_exact_linear_affine_offset():
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     # F = Lx + K handled by shifting to the fixed point
     beta, mu = 2.0, 1e-12
     sys1 = build_ou_system(1, [beta], [mu], LinearForce([[-2.0]], [1.0]))
@@ -164,6 +165,7 @@ def gaussian_transition(sys_, s0, t):
     Van Loan's block exponential (IEEE TAC 1978): with
     expm([[-A, G G^T], [0, A^T]] t) = [[., F12], [0, F22]], it is
     F22^T F12."""
+    expm = pytest.importorskip("scipy.linalg").expm
     n = sys_.n
     if isinstance(sys_.force, ConstantForce):
         L, K = np.zeros((n, n)), np.asarray(sys_.force.c, dtype=float)
@@ -190,10 +192,10 @@ def gaussian_transition(sys_, s0, t):
 ], ids=["constant-n2", "linear-iso-n2-complex"])
 def test_exact_ensemble_matches_gaussian_transition(sys_, solver):
     s0, t1, steps, n_paths = np.array([0.4, -0.2, 0.3, 0.1]), 1.5, 512, 3000
+    mean, cov = gaussian_transition(sys_, s0, t1)
     term = np.array([solver(sys_, s0, sample_wiener(
         2, 0.0, t1, steps, seed=31, path_index=i)).terminal()
         for i in range(n_paths)])
-    mean, cov = gaussian_transition(sys_, s0, t1)
     # the solvers' left-point noise quadrature biases the covariance by
     # about beta * dt (< 0.6% here), far inside these sampling bands
     sd = np.sqrt(np.diag(cov))

@@ -1,7 +1,11 @@
 """Source-layout rules for the ousym package, checked on its source text."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import ousym
@@ -56,3 +60,91 @@ def test_philox_draws_only_in_sampling_and_the_block_iterator():
     assert _calling_functions({"_philox_increments"}) == {
         ("integrate.py", "sample_wiener"),
         ("integrate.py", "_increment_blocks")}
+
+
+def _run_python(code, *args):
+    """Run code in a fresh interpreter that imports this ousym."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_import_loads_neither_scipy_nor_a_thread_pool():
+    proc = _run_python(
+        "import sys, ousym; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+        "or m == 'concurrent.futures'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# argv[1] is "block" or "open", argv[2] a JSON list of ousym command lines;
+# prints a JSON list of [exit code, stdout] and whether scipy imported
+_CLI_WITH_OPTIONAL_SCIPY_BLOCK = """
+import contextlib, io, json, sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+if sys.argv[1] == "block":
+    sys.meta_path.insert(0, BlockScipy())
+from ousym.cli import main
+results = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+try:
+    import scipy.linalg
+    scipy_imports = True
+except ImportError:
+    scipy_imports = False
+print(json.dumps({"results": results, "scipy_imports": scipy_imports}))
+"""
+
+
+def test_cli_runs_with_scipy_blocked(tmp_path):
+    systems = {
+        "constant": {"n": 1, "beta": [1.0], "mu": [2.0],
+                     "force": {"type": "constant", "c": [0.5]}},
+        "linear": {"n": 1, "beta": [3.0], "mu": [1.0],
+                   "force": {"type": "linear", "L": [[4.0]]}},
+        # anisotropic: classify solves the W-matrix constraint
+        "aniso": {"n": 2, "beta": [1.0, 2.0], "mu": [1.0, 1.0],
+                  "force": {"type": "linear",
+                            "L": [[0.0, 1.0], [1.0, 0.0]]}},
+    }
+    path = {}
+    for name, payload in systems.items():
+        path[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    commands = [
+        ["classify", "--system", path["aniso"]],
+        ["classify", "--system", path["constant"]],
+        ["invariants", "--system", path["constant"]],
+        ["invariants", "--system", path["linear"]],
+        ["verify", "--system", path["linear"],
+         "--generator", "expdecay:i=1,kappa=4"],
+        ["converge", "--system", path["constant"], "--paths", "8",
+         "--ladder", "2", "--base-steps", "4", "--refine", "4"],
+        ["simulate", "--system", path["constant"], "--steps", "20"],
+    ]
+    runs = {}
+    for mode in ("block", "open"):
+        proc = _run_python(_CLI_WITH_OPTIONAL_SCIPY_BLOCK, mode,
+                           json.dumps(commands))
+        assert proc.returncode == 0, proc.stderr
+        runs[mode] = json.loads(proc.stdout)
+    assert not runs["block"]["scipy_imports"]
+    for argv, blocked, open_ in zip(commands, runs["block"]["results"],
+                                    runs["open"]["results"]):
+        assert blocked[0] == 0, argv
+        assert blocked == open_ and blocked[1], argv

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from ousym import (ConstantForce, DimensionMismatch, InvariantCandidate,
-                   LinearForce, NotAnInvariant, SymmetryGenerator,
-                   affine_invariant_nullspace, build_ou_system, f_residual,
-                   gbm_process, invariant_residual, max_invariant_residual,
-                   max_residuals, point, residual_report, sample_probes,
-                   scale_by_invariant, sigma_residual,
+                   LinearForce, NonFiniteResult, NotAnInvariant,
+                   SymmetryGenerator, affine_invariant_nullspace,
+                   build_ou_system, f_residual, gbm_process,
+                   invariant_residual, max_invariant_residual, max_residuals,
+                   parse_force_expression, point, residual_report,
+                   sample_probes, scale_by_invariant, sigma_residual,
                    solve_wsym_linear_constraint)
-from ousym import duals
+from ousym import duals, symmetry
 
 
 def test_sigma_residual_unit_entry_oracle():
@@ -194,6 +195,141 @@ def test_affine_nullspace_dimensions():
                             ConstantForce([0.5, -1.0, 2.0]))
     dim, _ = affine_invariant_nullspace(sysc3)
     assert dim == 3
+
+
+def test_wsym_constraint_rejects_non_finite_input():
+    # a NaN off the diagonal of B passes the diagonality check (NaN > 0 is
+    # false), so the null-space solve itself must refuse it
+    B = np.diag([1.0, 2.0])
+    B[0, 1] = np.nan
+    with pytest.raises(NonFiniteResult):
+        solve_wsym_linear_constraint(np.zeros((2, 2)), B)
+    L = np.eye(2)
+    L[1, 0] = np.inf
+    with pytest.raises(NonFiniteResult):
+        solve_wsym_linear_constraint(L, np.eye(2))
+
+
+def test_affine_nullspace_rejects_overflowing_force():
+    sys1 = build_ou_system(1, [1.0], [1.0],
+                           parse_force_expression("exp(400*x1)", 1))
+    with pytest.raises(NonFiniteResult):
+        affine_invariant_nullspace(sys1)
+
+
+def test_null_space_rejects_inf():
+    # an SVD of a matrix with an inf entry returns without error; taken at
+    # face value it would give a full null space
+    A = np.eye(3)
+    A[1, 2] = np.inf
+    with pytest.raises(NonFiniteResult):
+        symmetry._null_space(A)
+
+
+def test_null_space_rank_rule():
+    # singular values 1, 1e-8 and ~1e-17: the default rcond = eps * 3
+    # drops only the last, rcond = 1e-6 drops two; an all-zero or empty
+    # matrix has rank 0
+    rng = np.random.default_rng(3)
+    U, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    V, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    A = U @ np.diag([1.0, 1e-8, 0.0]) @ V.T
+    assert symmetry._null_space(A).shape == (3, 1)
+    assert symmetry._null_space(A, rcond=1e-6).shape == (3, 2)
+    for Z in (np.zeros((2, 3)), np.zeros((0, 3))):
+        assert symmetry._null_space(Z).shape == (3, 3)
+
+
+@pytest.fixture(scope="module")
+def null_space_inputs():
+    """Every (A, rcond) that solve_wsym_linear_constraint and
+    affine_invariant_nullspace pass to _null_space on seeded systems: the
+    W-constraint matrices for n = 1..8 (generic L and B; L = 0 with
+    repeated B entries; isotropic B with a rank-deficient symmetric L) and
+    the affine systems of constant and linear forces for n = 1..4."""
+    seen = []
+    solve = symmetry._null_space
+
+    def record(A, rcond=None):
+        seen.append((A.copy(), rcond))
+        return solve(A, rcond)
+
+    rng = np.random.default_rng(5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symmetry, "_null_space", record)
+        for n in range(1, 9):
+            solve_wsym_linear_constraint(rng.normal(size=(n, n)),
+                                         np.diag(rng.normal(size=n)))
+            solve_wsym_linear_constraint(
+                np.zeros((n, n)), np.diag(rng.integers(1, 3, n) * 1.0))
+            Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            d = rng.normal(size=n)
+            d[:max(1, n // 2)] = 0.0
+            solve_wsym_linear_constraint(Q @ np.diag(d) @ Q.T, 1.7 * np.eye(n))
+        for n in range(1, 5):
+            beta, mu = rng.uniform(0.2, 3.0, n), rng.uniform(0.2, 3.0, n)
+            for force in (ConstantForce(rng.uniform(-3.0, 3.0, n)),
+                          LinearForce(rng.normal(size=(n, n)),
+                                      rng.normal(size=n))):
+                affine_invariant_nullspace(
+                    build_ou_system(n, beta, mu, force))
+    return seen
+
+
+def test_null_space_oracles(null_space_inputs):
+    dims = []
+    for A, rcond in null_space_inputs:
+        ns = symmetry._null_space(A, rcond)
+        smax = np.linalg.norm(A, 2)
+        tol = None if rcond is None else rcond * smax
+        dims.append(ns.shape[1])
+        assert ns.shape == (A.shape[1],
+                            A.shape[1] - np.linalg.matrix_rank(A, tol=tol))
+        assert np.allclose(ns.T @ ns, np.eye(ns.shape[1]), atol=1e-12)
+        assert np.max(np.abs(A @ ns), initial=0.0) <= 1e-12 * smax
+    # both callers, and both empty and non-empty null spaces, were seen
+    assert {rcond for _, rcond in null_space_inputs} == {None, 1e-9}
+    assert min(dims) == 0 and max(dims) > 0
+
+
+def test_null_space_matches_scipy(null_space_inputs):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    for A, rcond in null_space_inputs:
+        assert np.array_equal(symmetry._null_space(A, rcond),
+                              scipy_linalg.null_space(A, rcond=rcond))
+
+
+def test_affine_nullspace_dimension_property():
+    # constant forces have the n chi invariants; a linear force with a
+    # regular matrix has no affine invariant
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def vec(n, lo, hi):
+        return st.lists(st.floats(lo, hi), min_size=n, max_size=n)
+
+    @hypothesis.settings(max_examples=25, deadline=None)
+    @hypothesis.given(data=st.data(), n=st.integers(1, 4))
+    def check(data, n):
+        beta, mu = data.draw(vec(n, 0.2, 3.0)), data.draw(vec(n, 0.2, 3.0))
+        c = data.draw(vec(n, -3.0, 3.0))
+        dim, _ = affine_invariant_nullspace(
+            build_ou_system(n, beta, mu, ConstantForce(c)))
+        assert dim == n
+        # L = U diag(s) V^T with orthogonal U, V: smallest singular value
+        # min(s) >= 0.1
+        U, _ = np.linalg.qr(np.reshape(data.draw(vec(n * n, -1.0, 1.0)),
+                                       (n, n)))
+        V, _ = np.linalg.qr(np.reshape(data.draw(vec(n * n, -1.0, 1.0)),
+                                       (n, n)))
+        s = data.draw(vec(n, 0.1, 3.0))
+        L = U @ np.diag(s) @ V.T
+        K = data.draw(vec(n, -3.0, 3.0))
+        dim, _ = affine_invariant_nullspace(
+            build_ou_system(n, beta, mu, LinearForce(L, K)))
+        assert dim == 0
+
+    check()
 
 
 def test_residual_report_fields():
