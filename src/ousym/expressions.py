@@ -144,7 +144,8 @@ class BinOp:
         if bf is not None and not bf.is_integer() and np.any(np.asarray(a) < 0):
             from .errors import EvaluationDomainError
             raise EvaluationDomainError("fractional power of a negative base")
-        return a ** b
+        # the ufunc on scalars rounds like on arrays; scalar ** calls libm
+        return np.power(a, b)
 
 
 class _Token:

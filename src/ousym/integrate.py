@@ -4,14 +4,15 @@ strong-convergence studies, reference fixtures, and CSV output.
 Randomness is counter-based (Philox keyed by (seed, path_index)), so every
 path is reproducible in isolation and a batch of paths gives the same
 numbers as the paths one at a time. Stepping runs in the calling thread:
-single paths, ensembles and convergence studies step whole batches of paths
-through one Euler-Maruyama loop. Ensembles and convergence studies take
-their noise from _increment_blocks, where one worker thread draws the next
-block of paths while the caller steps the current one (OUSYM_THREADS=1
-turns the worker off); the numbers never depend on it. Coarsening a grid
-sums consecutive increments, which is what lets an exact solution on a fine
-grid serve as the reference for Euler-Maruyama on coarser rungs driven by
-the same noise.
+ensembles and convergence studies step whole batches of paths through one
+Euler-Maruyama loop, and a single path steps on Python floats through the
+same operations, so it equals its row of any batch bit for bit. Ensembles
+and convergence studies take their noise from _increment_blocks, where one
+worker thread draws the next block of paths while the caller steps the
+current one (OUSYM_THREADS=1 turns the worker off); the numbers never
+depend on it. Coarsening a grid sums consecutive increments, which is what
+lets an exact solution on a fine grid serve as the reference for
+Euler-Maruyama on coarser rungs driven by the same noise.
 """
 
 import os
@@ -216,13 +217,15 @@ def _force_fn(force, n, paths):
     buf = np.empty((paths, n))
 
     def evaluate(x):
-        # a single path evaluates on numpy scalars: cheaper than length-1
-        # columns, and array ** can round differently from scalar **
-        args = list(x[0]) if paths == 1 else [x[:, j] for j in range(n)]
-        for j, col in enumerate(force.evaluate(args)):
+        for j, col in enumerate(force.evaluate([x[:, j] for j in range(n)])):
             buf[:, j] = col
         return buf
     return evaluate
+
+
+def _blew_up(k, t0, dt):
+    return NonFiniteState(f"path blew up at step {k + 1} "
+                          f"(t = {t0 + (k + 1) * dt})")
 
 
 def _em_batch(step, state, inc, t0, dt, guard, record=None, strict=True):
@@ -244,24 +247,76 @@ def _em_batch(step, state, inc, t0, dt, guard, record=None, strict=True):
             # the whole-batch test is cheap; the per-path one is not
             if not np.abs(out).max() <= guard:
                 if strict:
-                    raise NonFiniteState(
-                        f"path blew up at step {k + 1} "
-                        f"(t = {t0 + (k + 1) * dt})")
+                    raise _blew_up(k, t0, dt)
                 blown |= ~(np.abs(out).max(axis=1) <= guard)
             state = out
     return state, blown
 
 
+def _em_one_path(sys, x, v, inc, t0, dt, guard, record, strict):
+    """_em_batch for the euler_maruyama scheme on one path, stepped on
+    Python floats: on a (1, 2n) batch numpy call overhead is most of a
+    step. Every operation is the batch step's, in its order, so the path
+    equals that path's row of any batch bit for bit, guard included.
+    inc is (n, steps); returns the (1, 2n) terminal state and blown mask.
+    """
+    force = sys.force
+    if isinstance(force, ConstantForce):
+        c = list(force.c)
+
+        def F(x):
+            return c
+    elif isinstance(force, LinearForce):
+        L, K = force.L, force.K
+
+        # the matrix-vector product rounds like the stacked matmul of
+        # _force_fn; a Python sum over the row does not
+        def F(x):
+            return (L.dot(x) + K).tolist()
+    else:
+        # numpy scalars give the guard inf or NaN where Python floats raise
+        def F(x):
+            return [float(f) for f in force.evaluate(
+                [np.float64(s) for s in x])]
+
+    x, v = x.tolist(), v.tolist()
+    beta, mu = sys.beta, sys.mu
+    row = x + v
+    rows = [row]
+    blown = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, dw in enumerate(inc.T.tolist()):
+            f = F(x)
+            x, v = ([a + b * dt for a, b in zip(x, v)],
+                    [b + (fi - be * b) * dt + m * w
+                     for b, fi, be, m, w in zip(v, f, beta, mu, dw)])
+            row = x + v
+            for s in row:
+                if not abs(s) <= guard:
+                    if strict:
+                        raise _blew_up(k, t0, dt)
+                    blown = True
+                    break
+            if record is not None:
+                rows.append(row)
+    if record is not None:
+        record[:, 0] = rows
+    return np.array([row]), np.array([blown])
+
+
 def _ou_em(sys, x0, t0, t1, inc, guard=BLOWUP_GUARD, record=None,
            strict=True):
     """_em_batch with the euler_maruyama scheme, driven by inc
-    (paths, n, steps)."""
+    (paths, n, steps); a one-path batch goes to _em_one_path."""
     n = sys.n
     x, v = _split_state(n, x0)
+    dt = (t1 - t0) / inc.shape[2]
+    if inc.shape[0] == 1:
+        return _em_one_path(sys, x, v, inc[0], t0, dt, guard, record,
+                            strict)
     beta = np.asarray(sys.beta, dtype=float)
     mu = np.asarray(sys.mu, dtype=float)
     F = _force_fn(sys.force, n, inc.shape[0])
-    dt = (t1 - t0) / inc.shape[2]
 
     def step(s, dw, out):
         x, v = s[:, :n], s[:, n:]
@@ -282,7 +337,8 @@ def euler_maruyama(sys, x0, grid, guard=BLOWUP_GUARD):
     """Explicit first-order scheme on one path:
         x_{k+1} = x_k + v_k dt
         v_{k+1} = v_k + (F(x_k) - beta v_k) dt + mu dw_k
-    NonFiniteState when a state leaves [-guard, guard] or is NaN.
+    NonFiniteState when a state leaves [-guard, guard] or is NaN. The path
+    steps on Python floats and rounds like the batched ensemble loop.
     """
     record = np.empty((grid.steps + 1, 1, 2 * sys.n))
     _ou_em(sys, x0, grid.t0, grid.t1, _one_path(sys, grid), guard, record)

@@ -335,14 +335,29 @@ def test_ensemble_property_rows_are_single_paths():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    @hypothesis.settings(max_examples=30, deadline=None)
-    @hypothesis.given(n=st.integers(1, 2), chunk=st.integers(1, 9),
+    def force(kind, n, seed):
+        if kind == "constant":
+            return ConstantForce(np.linspace(-0.7, 0.4, n))
+        if kind == "linear":
+            # dense, so that each force component is a rounded sum
+            rng = np.random.default_rng(seed)
+            return LinearForce(rng.normal(size=(n, n)) - 2.0 * np.eye(n),
+                               rng.normal(size=n))
+        # ^ on a numpy scalar and on an array must round alike
+        return parse_force_expression("; ".join(
+            f"-0.9*x{i + 1}^3 + 1.1*sin(x{(i + 1) % n + 1})"
+            f" + 0.2*abs(x{i + 1})^2.5" for i in range(n)), n)
+
+    @hypothesis.settings(max_examples=50, deadline=None)
+    @hypothesis.given(kind=st.sampled_from(["constant", "linear",
+                                            "expression"]),
+                      n=st.integers(1, 3), chunk=st.integers(1, 9),
                       n_paths=st.integers(1, 23), seed=st.integers(0, 99),
                       threads=st.sampled_from(["1", "2"]))
-    def check(n, chunk, n_paths, seed, threads):
+    def check(kind, n, chunk, n_paths, seed, threads):
         sys_ = build_ou_system(n, [1.5] * n, [0.8] * n,
-                               LinearForce(-np.eye(n), [0.2] * n))
-        x0 = [0.3] * (2 * n)
+                               force(kind, n, seed))
+        x0 = [1.3] * (2 * n)
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("OUSYM_THREADS", threads)
             term = euler_maruyama_ensemble(sys_, x0, 0.0, 1.0, 12, n_paths,
@@ -484,6 +499,58 @@ def test_nan_states_are_caught():
     with pytest.raises(OusymError, match="every path was skipped"):
         convergence_study(NaNDrift(1.0, 0.5), [1.0], 0.0, 1.0, [8, 16],
                           n_paths=5, refine=2)
+
+
+# one force per class that drives x past the guard 1e3 from (1, 0) with
+# beta 0.1, and one that makes the force NaN there
+BLOWUP_FORCES = {
+    "constant": ConstantForce([50.0]),
+    "linear": LinearForce([[50.0]]),
+    "expression": parse_force_expression("50*x1 + 0.1*x1^3", 1),
+}
+NAN_FORCES = {
+    "constant": ConstantForce([np.nan]),
+    "linear": LinearForce([[np.nan]]),
+    "expression": parse_force_expression("(x1 - 1)/(x1 - 1)", 1),
+}
+
+
+def one_and_two_paths(force, strict, t1=20.0, steps=200):
+    """_ou_em on one path, which takes the scalar kernel, and on a 2-row
+    batch of the same increments, which takes the batch loop: each
+    outcome, a (terminal, blown) pair or the NonFiniteState raised."""
+    sys1 = build_ou_system(1, [0.1], [1.0], force)
+    inc = sample_wiener(1, 0.0, t1, steps, seed=3).increments[None]
+    outcomes = []
+    for batch in (inc, np.concatenate((inc, inc))):
+        try:
+            outcomes.append(integrate._ou_em(sys1, [1.0, 0.0], 0.0, t1,
+                                             batch, 1e3, strict=strict))
+        except NonFiniteState as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+@pytest.mark.parametrize("forces", [BLOWUP_FORCES, NAN_FORCES])
+@pytest.mark.parametrize("kind", ["constant", "linear", "expression"])
+def test_scalar_kernel_guard_matches_the_batch_loop(forces, kind):
+    one, two = one_and_two_paths(forces[kind], strict=True)
+    assert isinstance(one, NonFiniteState)
+    assert str(one) == str(two)
+    (term1, blown1), (term2, blown2) = one_and_two_paths(forces[kind],
+                                                        strict=False)
+    assert blown1.tolist() == [True] and blown2.tolist() == [True, True]
+    assert not np.all(np.abs(term1) <= 1e3)
+    assert np.array_equal(term1[0], term2[0], equal_nan=True)
+
+
+def test_scalar_kernel_passes_division_by_zero_to_the_guard():
+    # numpy scalars turn 1/0 into inf; Python floats would raise
+    sys1 = build_ou_system(1, [1.0], [1.0], parse_force_expression("1/x1", 1))
+    g = sample_wiener(1, 0.0, 1.0, 10, seed=1)
+    with np.errstate(divide="ignore"), pytest.raises(
+            NonFiniteState, match="at step 1 "):
+        euler_maruyama(sys1, [0.0, 0.0], g)
 
 
 class CappedGBM(GBMConvergenceProblem):

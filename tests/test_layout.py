@@ -62,6 +62,16 @@ def test_philox_draws_only_in_sampling_and_the_block_iterator():
         ("integrate.py", "_increment_blocks")}
 
 
+def test_euler_maruyama_loops_are_pinned():
+    # one batch loop; one-path OU batches step on Python floats instead
+    assert _calling_functions({"_em_batch"}) == {
+        ("integrate.py", "_ou_em"),
+        ("integrate.py", "euler_maruyama_general"),
+        ("integrate.py", "_ScalarProblem")}
+    assert _calling_functions({"_em_one_path"}) == {
+        ("integrate.py", "_ou_em")}
+
+
 def _run_python(code, *args):
     """Run code in a fresh interpreter that imports this ousym."""
     path = os.pathsep.join(filter(None, [str(SRC.parent),
