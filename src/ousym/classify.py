@@ -143,18 +143,24 @@ def _is_real_vec(vec, tol=1e-12):
         1.0, float(np.max(np.abs(vec))))
 
 
-def _emit_linear_modes(sys, L):
-    """2n certified generators from the eigenmodes of L, pairing complex
-    conjugate modes into real/imaginary parts."""
-    n = sys.n
-    beta = sys.beta[0]
-    lams, M = np.linalg.eig(L.astype(float))
-    lams = lams.astype(complex)
+def _eigenmodes(L):
+    """Eigenvalues and eigenvector matrix M of L, both complex; raises
+    NotDiagonalizable when M is numerically singular (L is defective)."""
+    lams, M = np.linalg.eig(np.asarray(L, dtype=float))
     M = M.astype(complex)
     svals = np.linalg.svd(M, compute_uv=False)
     if svals[-1] < 1e-10 * svals[0]:
         raise NotDiagonalizable(
             "force matrix is defective: eigenvector matrix is singular")
+    return lams.astype(complex), M
+
+
+def _emit_linear_modes(sys, L):
+    """2n certified generators from the eigenmodes of L, pairing complex
+    conjugate modes into real/imaginary parts."""
+    n = sys.n
+    beta = sys.beta[0]
+    lams, M = _eigenmodes(L)
     modes = []
     for i in range(n):
         kp, km = mode_rates(beta, lams[i])

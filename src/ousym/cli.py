@@ -324,9 +324,6 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OusymError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,6 +13,15 @@ current one (OUSYM_THREADS=1 turns the worker off); the numbers never
 depend on it. Coarsening a grid sums consecutive increments, which is what
 lets an exact solution on a fine grid serve as the reference for
 Euler-Maruyama on coarser rungs driven by the same noise.
+
+A convergence study talks to an adapter (OUConvergenceProblem,
+GBMConvergenceProblem, KozlovConvergenceProblem) through two batched maps,
+exact_terminals and em_terminals, from increments (paths, n_proc, steps)
+to terminal states and a mask of paths to skip. Every adapter also has the
+single-grid pair exact_terminal / em_terminal, which is the batched pair on
+a batch of one and raises DomainExit or NonFiniteState where a study would
+skip the path. The GBM and Kozlov closed forms are written once, batched,
+and serve both the adapters and solve_reference_problem.
 """
 
 import os
@@ -21,10 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import mode_rates
+from .classify import _eigenmodes, mode_rates
 from .errors import (DimensionMismatch, DomainExit, InvalidGrid,
-                     NonFiniteState, NotDiagonalizable, OusymError,
-                     WrongForceClass)
+                     NonFiniteState, OusymError, WrongForceClass)
 from .model import ConstantForce, LinearForce
 
 BLOWUP_GUARD = 1e12
@@ -146,6 +154,12 @@ def sample_wiener(n_proc, t0, t1, steps, seed=0, path_index=0):
                    "shape (n_proc, steps) scaled by sqrt(dt)")
 
 
+def _coarsened(inc, factor):
+    """Sums of factor consecutive increments along the last axis of inc."""
+    return inc.reshape(inc.shape[:-1] + (inc.shape[-1] // factor,
+                                         factor)).sum(axis=-1)
+
+
 def coarsen(grid, factor):
     """Sum consecutive increments: same Brownian path on a coarser grid."""
     if not isinstance(factor, (int, np.integer)) or factor < 1:
@@ -156,12 +170,10 @@ def coarsen(grid, factor):
                           f"{factor}")
     if factor == 1:
         return grid
-    coarse = grid.increments.reshape(
-        grid.n_proc, grid.steps // factor, int(factor)).sum(axis=2)
     return WienerGrid(
         t0=grid.t0, t1=grid.t1, steps=grid.steps // int(factor),
         n_proc=grid.n_proc, seed=grid.seed, path_index=grid.path_index,
-        increments=coarse,
+        increments=_coarsened(grid.increments, int(factor)),
         derivation=grid.derivation + f" | coarsened x{int(factor)}")
 
 
@@ -239,8 +251,8 @@ def _em_batch(step, state, inc, t0, dt, guard, record=None, strict=True):
     spare = (np.empty_like(state), np.empty_like(state))
     if record is not None:
         record[0] = state
-    # overflow and NaN in the arithmetic are what the guard reports
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflow, NaN and division by zero are what the guard reports
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(inc.shape[2]):
             out = spare[k % 2] if record is None else record[k + 1]
             step(state, inc[:, :, k], out)
@@ -284,7 +296,7 @@ def _em_one_path(sys, x, v, inc, t0, dt, guard, record, strict):
     row = x + v
     rows = [row]
     blown = False
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k, dw in enumerate(inc.T.tolist()):
             f = F(x)
             x, v = ([a + b * dt for a, b in zip(x, v)],
@@ -341,7 +353,7 @@ def euler_maruyama(sys, x0, grid, guard=BLOWUP_GUARD):
     steps on Python floats and rounds like the batched ensemble loop.
     """
     record = np.empty((grid.steps + 1, 1, 2 * sys.n))
-    _ou_em(sys, x0, grid.t0, grid.t1, _one_path(sys, grid), guard, record)
+    _ou_em(sys, x0, grid.t0, grid.t1, _one_path(sys.n, grid), guard, record)
     return Path(times=grid.times, states=record[:, 0],
                 labels=_ou_labels(sys.n),
                 meta=_grid_meta(grid, "euler-maruyama"))
@@ -415,10 +427,11 @@ def ito_integral(a, grid, proc=0):
 
 # --- exact solvers ---
 
-def _one_path(sys, grid):
-    if grid.n_proc != sys.n:
+def _one_path(n, grid):
+    """The grid's increments as a batch of one, (1, n, steps)."""
+    if grid.n_proc != n:
         raise DimensionMismatch(
-            f"grid drives {grid.n_proc} processes, system has n = {sys.n}")
+            f"grid drives {grid.n_proc} processes, system has n = {n}")
     return grid.increments[None]
 
 
@@ -454,7 +467,7 @@ def exact_solve_constant(sys, x0, grid):
     which reduce both equations to pure quadrature.
     """
     t = grid.times
-    states, _ = _exact_constant_paths(sys, x0, t, _one_path(sys, grid))
+    states, _ = _exact_constant_paths(sys, x0, t, _one_path(sys.n, grid))
     return Path(times=t, states=states[0], labels=_ou_labels(sys.n),
                 meta=_grid_meta(grid, "exact-rectified"))
 
@@ -483,13 +496,7 @@ def _exact_linear_paths(sys, x0, t, inc):
     beta = sys.beta[0]
     mu = sys.mu[0]
 
-    lams, M = np.linalg.eig(L)
-    lams = lams.astype(complex)
-    M = M.astype(complex)
-    svals = np.linalg.svd(M, compute_uv=False)
-    if svals[-1] < 1e-10 * svals[0]:
-        raise NotDiagonalizable(
-            "force matrix is defective: eigenvector matrix is singular")
+    lams, M = _eigenmodes(L)
     Minv = np.linalg.inv(M)
 
     s0 = x + shift
@@ -538,7 +545,7 @@ def exact_solve_linear(sys, x0, grid, imag_tol=IMAG_TOL):
     part of the reassembled state is checked against imag_tol.
     """
     t = grid.times
-    states, leak = _exact_linear_paths(sys, x0, t, _one_path(sys, grid))
+    states, leak = _exact_linear_paths(sys, x0, t, _one_path(sys.n, grid))
     worst_imag = float(leak[0])
     if not worst_imag <= imag_tol:
         raise NonFiniteState(
@@ -574,29 +581,45 @@ class ConvergenceReport:
                 "refine": self.refine}
 
 
-class OUConvergenceProblem:
+class _ConvergenceProblem:
+    """Base of the convergence adapters (protocol: convergence_study). The
+    single-grid pair runs a subclass's batched maps on a batch of one and
+    raises where the study would skip the path."""
+
+    exact_skip = NonFiniteState  # raised by exact_terminal on a skip
+
+    def exact_terminal(self, x0, grid):
+        """Exact terminal state (d,) on one grid."""
+        term, skip = self.exact_terminals(x0, grid.t0, grid.t1,
+                                          _one_path(self.n_proc, grid))
+        if skip[0]:
+            raise self.exact_skip(f"{self.name}: exact solution skipped")
+        return term[0]
+
+    def em_terminal(self, x0, grid):
+        """Euler-Maruyama terminal state (d,) on one grid."""
+        term, blown = self.em_terminals(x0, grid.t0, grid.t1,
+                                        _one_path(self.n_proc, grid))
+        if blown[0]:
+            raise NonFiniteState(f"{self.name}: Euler-Maruyama blew up")
+        return term[0]
+
+
+class OUConvergenceProblem(_ConvergenceProblem):
     """Adapter pairing the OU exact solver with Euler-Maruyama."""
 
     def __init__(self, sys):
         self.sys = sys
         self.n_proc = sys.n
         if isinstance(sys.force, ConstantForce):
-            self._exact = exact_solve_constant
             self._exact_paths = _exact_constant_paths
             self.name = "ou-constant"
         elif isinstance(sys.force, LinearForce):
-            self._exact = exact_solve_linear
             self._exact_paths = _exact_linear_paths
             self.name = "ou-linear"
         else:
             raise WrongForceClass(
                 "no exact solver for this force class; nothing to compare")
-
-    def exact_terminal(self, x0, grid):
-        return self._exact(self.sys, x0, grid).terminal()
-
-    def em_terminal(self, x0, grid):
-        return euler_maruyama(self.sys, x0, grid).terminal()
 
     def exact_terminals(self, x0, t0, t1, inc):
         t = np.linspace(t0, t1, inc.shape[2] + 1)
@@ -607,16 +630,11 @@ class OUConvergenceProblem:
         return _ou_em(self.sys, x0, t0, t1, inc, strict=False)
 
 
-class _ScalarProblem:
+class _ScalarProblem(_ConvergenceProblem):
     """Euler-Maruyama side of a scalar fixture dy = drift(y) dt +
     sigma(y) dw whose drift and sigma act elementwise."""
 
     n_proc = 1
-
-    def em_terminal(self, x0, grid):
-        return euler_maruyama_general(
-            self.drift, lambda y: self.sigma(y).reshape(1, 1), x0,
-            grid).terminal()
 
     def em_terminals(self, x0, t0, t1, inc):
         dt = (t1 - t0) / inc.shape[2]
@@ -642,15 +660,9 @@ class GBMConvergenceProblem(_ScalarProblem):
     def sigma(self, x):
         return self.b * x
 
-    def exact_terminal(self, x0, grid):
-        path, _ = solve_reference_problem(
-            "gbm", {"a": self.a, "b": self.b, "x0": x0[0]}, grid)
-        return path.terminal()
-
     def exact_terminals(self, x0, t0, t1, inc):
         w = _cumulative(inc)[:, :, -1]
-        x = float(x0[0]) * np.exp(
-            (self.a - 0.5 * self.b ** 2) * (t1 - t0) + self.b * w)
+        x = float(x0[0]) * np.exp(_gbm_exponent(self.a, self.b, t1 - t0, w))
         return x, np.zeros(inc.shape[0], dtype=bool)
 
 
@@ -659,6 +671,7 @@ class KozlovConvergenceProblem(_ScalarProblem):
     x = exp(y)."""
 
     name = "kozlov-exp"
+    exact_skip = DomainExit
 
     def drift(self, y):
         return np.exp(-y) - 0.5 * np.exp(-2.0 * y)
@@ -666,16 +679,11 @@ class KozlovConvergenceProblem(_ScalarProblem):
     def sigma(self, y):
         return np.exp(-y)
 
-    def exact_terminal(self, x0, grid):
-        path, _ = solve_reference_problem("kozlovexp", {"y0": x0[0]}, grid)
-        return path.terminal()
-
     def exact_terminals(self, x0, t0, t1, inc):
         t = np.linspace(t0, t1, inc.shape[2] + 1)
-        acc = np.exp(float(x0[0])) + (t - t0) + _cumulative(inc)
-        exited = ~(np.min(acc[:, 0], axis=1) > 1e-9)
+        x, below = _kozlov_transform(float(x0[0]), t - t0, _cumulative(inc))
         with np.errstate(invalid="ignore"):
-            return np.log(acc[:, :, -1]), exited
+            return np.log(x[:, :, -1]), below[:, 0].any(axis=1)
 
 
 def convergence_study(problem, x0, t0, t1, ladder_steps, n_paths=200,
@@ -689,9 +697,14 @@ def convergence_study(problem, x0, t0, t1, ladder_steps, n_paths=200,
 
     Paths go in blocks of at most BLOCK_VALUES fine increments; the next
     block is drawn while the current one runs, so peak memory is two
-    blocks (one with OUSYM_THREADS=1). problem has n_proc, name and
-    exact_terminals / em_terminals(x0, t0, t1, inc): increments
-    (paths, n_proc, steps) to terminals and a mask to skip.
+    blocks (one with OUSYM_THREADS=1).
+
+    problem is an adapter: it has n_proc, name and exact_terminals /
+    em_terminals(x0, t0, t1, inc), which map increments
+    (paths, n_proc, steps) on [t0, t1] to terminal states (paths, d) and a
+    (paths,) mask of paths to skip. The adapters here also have
+    exact_terminal / em_terminal(x0, grid): the same maps on one grid as a
+    batch of one, raising DomainExit or NonFiniteState on a skipped path.
     """
     ladder = [int(s) for s in ladder_steps]
     if not ladder or any(s < 1 for s in ladder):
@@ -715,9 +728,8 @@ def convergence_study(problem, x0, t0, t1, ladder_steps, n_paths=200,
             rows = slice(i0, i0 + len(fine))
             ref, skip[rows] = problem.exact_terminals(x0, t0, t1, fine)
             for r, s in enumerate(ladder):
-                coarse = fine.reshape(len(fine), m, s,
-                                      finest // s).sum(axis=3)
-                em, blown = problem.em_terminals(x0, t0, t1, coarse)
+                em, blown = problem.em_terminals(
+                    x0, t0, t1, _coarsened(fine, finest // s))
                 skip[rows] |= blown
                 # skipped paths may hold inf or NaN; their errors are unused
                 with np.errstate(invalid="ignore"):
@@ -738,6 +750,20 @@ def convergence_study(problem, x0, t0, t1, ladder_steps, n_paths=200,
 
 # --- reference fixtures ---
 
+def _gbm_exponent(a, b, s, w):
+    """(a - b^2/2) s + b w, elementwise: the GBM state is x0 times its exp
+    at elapsed time s and Wiener value w."""
+    return (a - 0.5 * b ** 2) * s + b * w
+
+
+def _kozlov_transform(y0, s, w):
+    """x = exp(y0) + s + w, elementwise: the Kozlov state is log x at
+    elapsed time s and Wiener value w. Also the mask where x is not above
+    the floor 1e-9 (NaN included), i.e. where the solution exits."""
+    x = np.exp(y0) + s + w
+    return x, ~(x > 1e-9)
+
+
 def solve_reference_problem(problem_id, params, grid):
     """Closed-form path plus a self-check certificate for the fixtures.
 
@@ -750,41 +776,47 @@ def solve_reference_problem(problem_id, params, grid):
     DomainExit if the transformed state touches 1e-9. The certificate
     re-applies the transform and reports the worst defect plus the domain
     margin.
+
+    The closed forms are the ones the convergence adapters use, here on
+    every time of one grid. OusymError if a parameter is not finite.
     """
     pid = str(problem_id).strip().lower()
+    if pid == "gbm":
+        p = {"a": params["a"], "b": params["b"], "x0": params.get("x0", 1.0)}
+    elif pid == "kozlovexp":
+        p = {"y0": params.get("y0", 2.0)}
+    else:
+        raise OusymError(f"unknown reference problem: {problem_id!r} "
+                         f"(known: gbm, kozlovexp)")
+    p = {key: float(value) for key, value in p.items()}
+    if not np.all(np.isfinite(list(p.values()))):
+        raise OusymError(f"reference parameters must be finite, got {p}")
     t = grid.times
     w = grid.cumulative()[0]
     if pid == "gbm":
-        a = float(params["a"])
-        b = float(params["b"])
-        x0 = float(params.get("x0", 1.0))
-        drift_term = (a - 0.5 * b ** 2) * (t - grid.t0)
-        xs = x0 * np.exp(drift_term + b * w)
-        theta = xs * np.exp(-drift_term - b * w)
+        exponent = _gbm_exponent(p["a"], p["b"], t - grid.t0, w)
+        xs = p["x0"] * np.exp(exponent)
+        theta = xs * np.exp(-exponent)
         cert = {"problem": "gbm",
                 "invariant": "x*exp(-(a - b^2/2)*(t - t0) - b*w)",
-                "max_invariant_deviation": float(np.max(np.abs(theta - x0)))}
+                "max_invariant_deviation": float(
+                    np.max(np.abs(theta - p["x0"])))}
         path = Path(times=t, states=xs.reshape(-1, 1), labels=("x1",),
                     meta=_grid_meta(grid, "exact-gbm"))
         return path, cert
-    if pid == "kozlovexp":
-        y0 = float(params.get("y0", 2.0))
-        acc = np.exp(y0) + (t - grid.t0) + w
-        if np.min(acc) <= 1e-9:
-            k = int(np.argmax(acc <= 1e-9))
-            raise DomainExit(
-                f"transformed state reached the floor at t = {t[k]}")
-        ys = np.log(acc)
-        defect = np.exp(ys) - acc
-        cert = {"problem": "kozlovexp",
-                "transform": "x = exp(y), dx = dt + dw",
-                "max_transform_defect": float(np.max(np.abs(defect))),
-                "domain_margin": float(np.min(acc))}
-        path = Path(times=t, states=ys.reshape(-1, 1), labels=("y1",),
-                    meta=_grid_meta(grid, "exact-kozlov"))
-        return path, cert
-    raise OusymError(f"unknown reference problem: {problem_id!r} "
-                     f"(known: gbm, kozlovexp)")
+    acc, below = _kozlov_transform(p["y0"], t - grid.t0, w)
+    if below.any():
+        raise DomainExit(f"transformed state reached the floor at "
+                         f"t = {t[np.argmax(below)]}")
+    ys = np.log(acc)
+    defect = np.exp(ys) - acc
+    cert = {"problem": "kozlovexp",
+            "transform": "x = exp(y), dx = dt + dw",
+            "max_transform_defect": float(np.max(np.abs(defect))),
+            "domain_margin": float(np.min(acc))}
+    path = Path(times=t, states=ys.reshape(-1, 1), labels=("y1",),
+                meta=_grid_meta(grid, "exact-kozlov"))
+    return path, cert
 
 
 # --- CSV output ---

@@ -461,7 +461,7 @@ def residual_report(X, sys, p):
     fres, sres = _residual_blocks(X, sys, p)
     fres = np.array([float(e) for e in fres])
     sres = np.array([[float(e) for e in row] for row in sres])
-    max_abs = max(float(np.max(np.abs(fres))), float(np.max(np.abs(sres))))
+    max_abs = _max_abs((fres, sres))
     return ResidualReport(point=p, f_residual=fres, sigma_residual=sres,
                           max_abs=max_abs)
 

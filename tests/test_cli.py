@@ -240,6 +240,21 @@ def test_reference_kozlov_certificate(tmp_path, capsys):
     assert "t,y1" in dest.read_text()
 
 
+@pytest.mark.parametrize("args", [
+    ["--problem", "kozlovexp", "--y0", "nan"],
+    ["--problem", "gbm", "--x0", "nan"],
+    ["--problem", "gbm", "--a", "inf"],
+    ["--problem", "gbm", "--b", "nan"],
+])
+def test_reference_rejects_non_finite_parameters(tmp_path, capsys, args):
+    dest = tmp_path / "ref.csv"
+    code, out, err = run(capsys, "reference", *args, "--steps", "20",
+                         "--out", str(dest))
+    assert code == 1 and out == ""
+    assert err.startswith("error: reference parameters must be finite")
+    assert not dest.exists()
+
+
 def test_missing_system_file_exits_one(capsys):
     code, _, err = run(capsys, "classify", "--system", "/nope/missing.json")
     assert code == 1

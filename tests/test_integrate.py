@@ -2,6 +2,7 @@
 
 import io
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -277,9 +278,25 @@ def test_convergence_gbm_order_half_smoke():
 
 def test_reference_gbm_certificate():
     g = sample_wiener(1, 0.0, 1.0, 512, seed=14)
-    path, cert = solve_reference_problem("gbm", {"a": 1.0, "b": 0.5}, g)
+    path, cert = solve_reference_problem(
+        "gbm", {"a": 1.0, "b": 0.5, "x0": 1.5}, g)
     assert cert["max_invariant_deviation"] <= 1e-12
     assert path.states.shape == (513, 1)
+    expected = 1.5 * np.exp(0.875 * path.times + 0.5 * g.cumulative()[0])
+    assert np.allclose(path.states[:, 0], expected, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("problem,params", [
+    ("gbm", {"a": np.nan, "b": 0.5}),
+    ("gbm", {"a": 1.0, "b": np.inf}),
+    ("gbm", {"a": 1.0, "b": 0.5, "x0": np.nan}),
+    ("kozlovexp", {"y0": np.nan}),
+    ("kozlovexp", {"y0": -np.inf}),
+])
+def test_reference_rejects_non_finite_parameters(problem, params):
+    g = sample_wiener(1, 0.0, 1.0, 8, seed=1)
+    with pytest.raises(OusymError, match="must be finite"):
+        solve_reference_problem(problem, params, g)
 
 
 def test_reference_kozlov_formula_and_noise_free():
@@ -545,12 +562,17 @@ def test_scalar_kernel_guard_matches_the_batch_loop(forces, kind):
 
 
 def test_scalar_kernel_passes_division_by_zero_to_the_guard():
-    # numpy scalars turn 1/0 into inf; Python floats would raise
+    # numpy scalars turn 1/0 into inf; Python floats would raise. The guard
+    # reports it, so neither one path nor an ensemble prints a warning
     sys1 = build_ou_system(1, [1.0], [1.0], parse_force_expression("1/x1", 1))
     g = sample_wiener(1, 0.0, 1.0, 10, seed=1)
-    with np.errstate(divide="ignore"), pytest.raises(
-            NonFiniteState, match="at step 1 "):
-        euler_maruyama(sys1, [0.0, 0.0], g)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFiniteState, match="at step 1 "):
+            euler_maruyama(sys1, [0.0, 0.0], g)
+        with pytest.raises(NonFiniteState, match="at step 1 "):
+            euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, 10, 3)
+    assert [str(w.message) for w in caught] == []
 
 
 class CappedGBM(GBMConvergenceProblem):
@@ -560,17 +582,46 @@ class CappedGBM(GBMConvergenceProblem):
         return np.where(x > 1.6, np.nan, self.a * x)
 
 
+def oracle_exact(problem, x0, grid):
+    """Exact terminal state on one grid, written apart from the library's
+    batched closed forms; DomainExit or NonFiniteState where a study skips
+    the path."""
+    t, w = grid.times, grid.cumulative()[0]
+    if isinstance(problem, KozlovConvergenceProblem):
+        x = np.exp(x0[0]) + (t - t[0]) + w
+        if not np.all(x > 1e-9):  # the whole fine path, NaN included
+            raise DomainExit("the transformed state touched the floor")
+        return np.log(x[-1:])
+    if isinstance(problem, GBMConvergenceProblem):
+        a, b = problem.a, problem.b
+        return x0[0] * np.exp((a - 0.5 * b ** 2) * (t[-1] - t[0])
+                              + b * w[-1:])
+    if isinstance(problem.sys.force, ConstantForce):
+        return exact_solve_constant(problem.sys, x0, grid).terminal()
+    return exact_solve_linear(problem.sys, x0, grid).terminal()
+
+
+def oracle_em(problem, x0, grid):
+    """Euler-Maruyama terminal state on one grid through the public
+    single-path schemes; NonFiniteState on a blow-up."""
+    if isinstance(problem, OUConvergenceProblem):
+        return euler_maruyama(problem.sys, x0, grid).terminal()
+    return euler_maruyama_general(
+        problem.drift, lambda y: problem.sigma(y).reshape(1, 1), x0,
+        grid).terminal()
+
+
 def per_path_study(problem, x0, t1, ladder, n_paths, seed, refine):
-    """Plain loop over path indices with the single-grid adapters."""
+    """Plain loop over path indices with the oracle terminals."""
     finest = ladder[-1] * refine
     rows = []
     for idx in range(n_paths):
         fine = sample_wiener(problem.n_proc, 0.0, t1, finest, seed=seed,
                              path_index=idx)
         try:
-            ref = problem.exact_terminal(x0, fine)
+            ref = oracle_exact(problem, x0, fine)
             rows.append([float(np.max(np.abs(
-                problem.em_terminal(x0, coarsen(fine, finest // s)) - ref)))
+                oracle_em(problem, x0, coarsen(fine, finest // s)) - ref)))
                 for s in ladder])
         except (DomainExit, NonFiniteState):
             continue
@@ -578,7 +629,7 @@ def per_path_study(problem, x0, t1, ladder, n_paths, seed, refine):
     return errors, len(rows), n_paths - len(rows)
 
 
-@pytest.mark.parametrize("problem,x0,t1,ladder,refine", [
+STUDY_CASES = pytest.mark.parametrize("problem,x0,t1,ladder,refine", [
     (KozlovConvergenceProblem(), [-1.0], 4.0, [16, 32], 8),
     # two paths here touch the floor on the fine grid while EM survives
     (KozlovConvergenceProblem(), [0.0], 4.0, [2, 4], 64),
@@ -589,6 +640,9 @@ def per_path_study(problem, x0, t1, ladder, n_paths, seed, refine):
     (GBMConvergenceProblem(1.0, 0.5), [1.0], 1.0, [16, 64], 4),
     (CappedGBM(1.0, 0.5), [1.0], 1.0, [16, 64], 4),
 ], ids=["kozlov", "kozlov-exits", "linear-iso-n2", "gbm", "gbm-nan-drift"])
+
+
+@STUDY_CASES
 def test_batched_study_equals_per_path_loop(monkeypatch, problem, x0, t1,
                                             ladder, refine):
     finest = ladder[-1] * refine
@@ -607,6 +661,27 @@ def test_batched_study_equals_per_path_loop(monkeypatch, problem, x0, t1,
         assert 0 < skipped < n_paths
 
 
+@STUDY_CASES
+def test_single_grid_pair_equals_the_oracle(problem, x0, t1, ladder, refine):
+    # exact_terminal / em_terminal: the same numbers, or the same exception
+    # class where a study would skip the path
+    finest = ladder[-1] * refine
+    for idx in range(29):
+        fine = sample_wiener(problem.n_proc, 0.0, t1, finest, seed=5,
+                             path_index=idx)
+        pairs = [(problem.exact_terminal, oracle_exact, fine)] + [
+            (problem.em_terminal, oracle_em, coarsen(fine, finest // s))
+            for s in ladder]
+        for method, oracle, grid in pairs:
+            try:
+                expected = oracle(problem, x0, grid)
+            except (DomainExit, NonFiniteState) as exc:
+                with pytest.raises(type(exc)):
+                    method(x0, grid)
+            else:
+                assert np.array_equal(method(x0, grid), expected)
+
+
 def test_study_skips_by_whole_path_leakage(monkeypatch):
     # complex modes leave roundoff-sized imaginary parts that differ by
     # path; a tolerance between them must skip exactly the paths whose
@@ -619,9 +694,18 @@ def test_study_skips_by_whole_path_leakage(monkeypatch):
     ).meta["max_imag_leakage"] for i in range(n_paths)]
     tol = float(np.median(leaks))
     monkeypatch.setattr(integrate, "IMAG_TOL", tol)
-    rep = convergence_study(OUConvergenceProblem(sys2), x0, 0.0, 1.0,
+    problem = OUConvergenceProblem(sys2)
+    rep = convergence_study(problem, x0, 0.0, 1.0,
                             ladder, n_paths=n_paths, seed=2, refine=refine)
     assert 0 < rep.skipped_paths == sum(leak > tol for leak in leaks)
+    for i, leak in enumerate(leaks):
+        grid = sample_wiener(2, 0.0, 1.0, ladder[-1] * refine, seed=2,
+                             path_index=i)
+        if leak > tol:
+            with pytest.raises(NonFiniteState):
+                problem.exact_terminal(x0, grid)
+        else:
+            problem.exact_terminal(x0, grid)
 
 
 def test_ensemble_thread_count_invariance(monkeypatch):

@@ -72,6 +72,36 @@ def test_euler_maruyama_loops_are_pinned():
         ("integrate.py", "_ou_em")}
 
 
+def test_eigenmodes_come_from_one_helper():
+    # eig, the complex cast and the defective-matrix check live together
+    assert _calling_functions({"eig"}) == {("classify.py", "_eigenmodes")}
+    assert _calling_functions({"_eigenmodes"}) == {
+        ("classify.py", "_emit_linear_modes"),
+        ("integrate.py", "_exact_linear_paths")}
+
+
+def test_fixture_closed_forms_are_written_once():
+    # the certificate path and the study's batched terminals share them
+    assert _calling_functions({"_gbm_exponent"}) == {
+        ("integrate.py", "solve_reference_problem"),
+        ("integrate.py", "GBMConvergenceProblem")}
+    assert _calling_functions({"_kozlov_transform"}) == {
+        ("integrate.py", "solve_reference_problem"),
+        ("integrate.py", "KozlovConvergenceProblem")}
+
+
+def test_single_grid_adapter_pair_is_written_once():
+    # every adapter's exact_terminal / em_terminal is its batched method on
+    # a batch of one, defined on the shared base class
+    text = (SRC / "integrate.py").read_text()
+    assert re.findall(r"def (exact|em)_terminal\(", text) == ["exact", "em"]
+
+
+def test_coarsening_is_written_once():
+    assert _calling_functions({"_coarsened"}) == {
+        ("integrate.py", "coarsen"), ("integrate.py", "convergence_study")}
+
+
 def _run_python(code, *args):
     """Run code in a fresh interpreter that imports this ousym."""
     path = os.pathsep.join(filter(None, [str(SRC.parent),

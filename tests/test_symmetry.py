@@ -344,6 +344,17 @@ def test_residual_report_fields():
     assert len(rep.sigma_residual[0]) == 2
 
 
+def test_residual_report_keeps_a_nan_sigma_block(monkeypatch):
+    # Python max(0.0, nan) is 0.0: a NaN sigma block after a finite f
+    # block must still make max_abs NaN
+    sys1 = build_ou_system(1, [3.0], [1.0], LinearForce([[4.0]]))
+    X = SymmetryGenerator.exp_decay(1, 4.0, 1)
+    p = point(x=[0.5], v=[0.1], t=0.2, w=[0.3])
+    monkeypatch.setattr(symmetry, "_residual_blocks", lambda *_a: (
+        [0.0, 1e-3], [[np.nan, 0.0], [0.0, 0.0]]))
+    assert np.isnan(residual_report(X, sys1, p).max_abs)
+
+
 @pytest.mark.parametrize("entries", [
     [[1.0], [np.nan]],
     [[np.nan], [1.0]],
