@@ -8,12 +8,15 @@ z-block.
 
 The primary engine is hyper-dual numbers (exact to rounding), all seeded by
 duals.seed in vector mode, so each field is evaluated once per derivative
-need rather than once per coordinate: e1 = I gives the gradient over every
-extended coordinate (_gradients), and e1 = e2 = D, with rows
-D_k = d/dW_k + sum_j sigma_jk d/dS_j, gives the dw-block terms and the Ito
-Laplacian (_ito_jet). derivative() seeds only the coordinates it is asked
-for. Central finite differences (engine="fd") stay as the independent
-cross-check.
+need rather than once per coordinate. _ito_jet is the one evaluation behind
+every determining equation and invariance condition: e1 holds a unit row per
+state coordinate and one for t, then the rows
+D_k = d/dW_k + sum_j sigma_jk d/dS_j; e2 is zero on the unit rows and D on
+the rest. It gives the values, the state and time partials, the dw-block
+terms and the Ito Laplacian. _gradients seeds e1 = I for full Jacobians
+(bracket jets, the drift and sigma). derivative() seeds only the coordinates
+it is asked for. Central finite differences (engine="fd") stay as the
+independent cross-check.
 
 Every Lie bracket goes through two steps: _field_jet takes one field's
 values and Jacobian once (one seeded evaluation with engine="dual"; the
@@ -168,16 +171,25 @@ def _jet(fvec, p, e1, e2=None):
             None if e2 is None else [duals.d12(c, shape) for c in out])
 
 
-def _gradients(fvec, p):
-    """Values and gradients of every component of fvec at p, one pass.
+def _full_shape(per_point, per_seed):
+    """Probe shape that every per-point array and every per-seed array (seed
+    axis first) of a jet broadcast to."""
+    return np.broadcast_shapes(*map(np.shape, per_point),
+                               *(np.shape(d)[1:] for d in per_seed))
 
-    grads[a][b] is d(component a)/d(coordinate b), coordinates in
-    extended_coords(p) order.
+
+def _gradients(fvec, p):
+    """Values and Jacobian of every component of fvec at p, one pass.
+
+    Returns (vals, jac) at full shape: vals[a] is component a and jac[a, b]
+    is d(component a)/d(coordinate b), coordinates in extended_coords(p)
+    order, then the probe axes.
     """
     n = len(extended_coords(p))
     lead = (n,) + (1,) * len(_probe_shape(p))
     vals, grads, _ = _jet(fvec, p, np.eye(n).reshape(lead + (n,)))
-    return vals, grads
+    shape = _full_shape(vals, grads)
+    return _stacked(vals, shape), _stacked(grads, (n,) + shape)
 
 
 def _check_finite(out, what):
@@ -248,35 +260,48 @@ def _stacked(entries, shape):
 
 
 def _ito_jet(fvec, proc, p):
-    """Values, dw-block terms and Ito Laplacians of every component of fvec;
-    a Laplacian that is not finite raises NonFiniteResult.
+    """The Ito jet of every component of fvec at p, from one evaluation:
+    (vals, d_state, d_t, dw_terms, lap) at full shape, the component axis
+    first. d_state[a, j] is the partial along state coordinate j,
+    dw_terms[a, k] the dw-block term D_k . grad along Wiener coordinate k,
+    and lap[a] the Ito Laplacian; a Laplacian that is not finite raises
+    NonFiniteResult.
 
-    One evaluation seeded with e1 = e2 = D, where row k of D is the direction
-    d/dW_k + sum_j sigma_jk d/dS_j (S over the full state, W over the full
-    active + ghost Wiener coordinates). Then
+    e1 holds a unit row per state coordinate and one for t, then the rows
+    D_k = d/dW_k + sum_j sigma_jk d/dS_j (S over the full state, W over the
+    full active + ghost Wiener coordinates); e2 is zero on the unit rows and
+    D on the rest. Then
         Delta f = sum_k d2f/dW_k dW_k + 2 sum_{j,k} sigma_jk d2f/dS_j dW_k
                   + sum_{j,l} (sigma sigma^T)_jl d2f/dS_j dS_l
-                = sum_k (D_k . grad)^2 f,
-    and the first derivatives D_k . grad f are the dw-block terms.
+                = sum_k (D_k . grad)^2 f
+    is the sum of the second derivatives over the D rows.
     """
     coords = extended_coords(p)
     S = [coords.index(c) for c in proc.state_coords]
     W = [coords.index(c) for c in proc.wiener_coords]
     sig = _sigma_values(proc, p)
-    D = np.zeros((len(W),) + _probe_shape(p) + (len(coords),))
+    k0 = len(S) + 1
+    e1 = np.zeros((k0 + len(W),) + _probe_shape(p) + (len(coords),))
+    for r, c in enumerate(S + [coords.index(("t", 0))]):
+        e1[r, ..., c] = 1.0
     for k, w in enumerate(W):
-        D[k, ..., w] = 1.0
+        e1[k0 + k, ..., w] = 1.0
         for j, s in enumerate(S):
-            D[k, ..., s] = sig[j][k]
-    vals, dw_terms, second = _jet(fvec, p, D, D)
-    lap = [_check_finite(d.sum(axis=0), "ito_laplacian") for d in second]
-    return vals, dw_terms, lap
+            e1[k0 + k, ..., s] = sig[j][k]
+    e2 = e1.copy()
+    e2[:k0] = 0.0
+    vals, d1, d12 = _jet(fvec, p, e1, e2)
+    lap = [_check_finite(d[k0:].sum(axis=0), "ito_laplacian") for d in d12]
+    shape = _full_shape(vals + lap, d1)
+    d1 = _stacked(d1, (len(e1),) + shape)
+    return (_stacked(vals, shape), d1[:, :k0 - 1], d1[:, k0 - 1], d1[:, k0:],
+            _stacked(lap, shape))
 
 
 def ito_laplacian_components(fvec, proc, p):
     """Ito Laplacian applied to each component of a vector-valued callable,
-    from one evaluation along the diffusion directions (see _ito_jet)."""
-    return _ito_jet(fvec, proc, p)[2]
+    from one evaluation (see _ito_jet)."""
+    return _ito_jet(fvec, proc, p)[4]
 
 
 def ito_laplacian(f, sys, p):
@@ -303,7 +328,7 @@ def _field_jet(F, p, engine="dual"):
     n = len(coords)
     shape = _probe_shape(p)
     if engine == "dual":
-        vals, grads = _gradients(F, p)
+        vals, jac = _gradients(F, p)
     elif engine == "fd":
         vals = [value(c) for c in F(p)]
         rows = [[] for _ in vals]
@@ -318,13 +343,14 @@ def _field_jet(F, p, engine="dual"):
                     diffs = [np.nan] * len(vals)
                 for row, d in zip(rows, diffs):
                     row.append(d)
-        grads = [_stacked(row, shape) for row in rows]
+        vals = _stacked(vals, shape)
+        jac = _stacked([_stacked(row, shape) for row in rows], (n,) + shape)
     else:
         raise ValueError(f"unknown engine {engine!r}")
     if len(vals) != n:
         raise DimensionMismatch(
             f"vector field has {len(vals)} components for {n} coordinates")
-    return _stacked(vals, shape), _stacked(grads, (n,) + shape)
+    return vals, jac
 
 
 def _contract(X, Y):

@@ -26,11 +26,11 @@ import numpy as np
 from . import duals
 from .calculus import (_at, _contract, _field_jet, extended_coords,
                        sample_probes, stack_probes)
-from .errors import CertificationFailed, NotDiagonalizable, WrongForceClass
+from .errors import CertificationFailed, NotDiagonalizable
 from .model import ConstantForce, LinearForce, classify_force
 from .symmetry import (ExpDecay, InvariantCandidate, SymmetryGenerator,
-                       Translation, _family_json, _max_abs, _max_blocks,
-                       _residual_blocks, affine_invariant_nullspace,
+                       Translation, _component, _family_json, _max_abs,
+                       _max_blocks, _residual_blocks, affine_invariant_nullspace,
                        invariant_residual, solve_wsym_linear_constraint)
 
 CERT_TOL_RESIDUAL = 1e-6
@@ -305,31 +305,23 @@ def expdecay_residual_scan(sys, kappas, i=1, probes=None, chunk=2000):
     over the probes. A NoRealSimple verdict is evidenced by the minimum of
     this scan staying well above zero.
 
-    Rates are swept in blocks broadcast against the probe batch, so the
-    20001-point default acceptance grid stays cheap.
+    Rates are swept in blocks of chunk // n broadcast against the probe
+    batch, so the 20001-point default acceptance grid stays cheap and a
+    block's residual arrays (2n components, each one value per rate and
+    probe) stay about the same size at every n.
     """
+    n = sys.n
+    idx = _component(i, n) - 1
     if probes is None:
         probes = sample_probes(sys, count=32, seed=0)
     st = stack_probes(probes)
     # a leading length-1 axis, ahead of the probe axis, for the rate block
     stacked = _at(st, [st.coord(c)[None] for c in extended_coords(st)])
-    n_probes = len(probes)
     kappas = np.asarray(kappas, dtype=float).ravel()
-    n = sys.n
-    idx = i - 1
-    if not 1 <= i <= n:
-        raise WrongForceClass(f"component index {i} outside 1..{n}")
     out = np.empty(kappas.shape[0])
-
-    def reduce_entry(entry, m):
-        arr = np.abs(np.asarray(entry, dtype=float))
-        if arr.ndim == 0:
-            return np.full(m, float(arr))
-        arr = np.broadcast_to(arr, (m, n_probes))
-        return arr.max(axis=1)
-
-    for j0 in range(0, kappas.shape[0], chunk):
-        ks = kappas[j0:j0 + chunk].reshape(-1, 1)
+    step = max(1, chunk // n)
+    for j0 in range(0, kappas.shape[0], step):
+        ks = kappas[j0:j0 + step].reshape(-1, 1)
         m = ks.shape[0]
 
         def phi(p, ks=ks):
@@ -340,10 +332,10 @@ def expdecay_residual_scan(sys, kappas, i=1, probes=None, chunk=2000):
             return comps
 
         gen = SymmetryGenerator(phi, 2 * n, 2 * n)
+        # rates on the second-to-last axis, probes on the last
         fres, sres = _residual_blocks(gen, sys, stacked)
-        entries = fres + [e for row in sres for e in row]
-        out[j0:j0 + m] = np.maximum.reduce(
-            [reduce_entry(e, m) for e in entries])
+        out[j0:j0 + m] = np.maximum(np.abs(fres).max(axis=(0, -1)),
+                                    np.abs(sres).max(axis=(0, 1, -1)))
     return out
 
 

@@ -778,7 +778,8 @@ def solve_reference_problem(problem_id, params, grid):
     margin.
 
     The closed forms are the ones the convergence adapters use, here on
-    every time of one grid. OusymError if a parameter is not finite.
+    every time of one grid. OusymError if a parameter, the path or the
+    certificate is not finite.
     """
     pid = str(problem_id).strip().lower()
     if pid == "gbm":
@@ -793,29 +794,35 @@ def solve_reference_problem(problem_id, params, grid):
         raise OusymError(f"reference parameters must be finite, got {p}")
     t = grid.times
     w = grid.cumulative()[0]
-    if pid == "gbm":
-        exponent = _gbm_exponent(p["a"], p["b"], t - grid.t0, w)
-        xs = p["x0"] * np.exp(exponent)
-        theta = xs * np.exp(-exponent)
-        cert = {"problem": "gbm",
-                "invariant": "x*exp(-(a - b^2/2)*(t - t0) - b*w)",
-                "max_invariant_deviation": float(
-                    np.max(np.abs(theta - p["x0"])))}
-        path = Path(times=t, states=xs.reshape(-1, 1), labels=("x1",),
-                    meta=_grid_meta(grid, "exact-gbm"))
-        return path, cert
-    acc, below = _kozlov_transform(p["y0"], t - grid.t0, w)
-    if below.any():
-        raise DomainExit(f"transformed state reached the floor at "
-                         f"t = {t[np.argmax(below)]}")
-    ys = np.log(acc)
-    defect = np.exp(ys) - acc
-    cert = {"problem": "kozlovexp",
-            "transform": "x = exp(y), dx = dt + dw",
-            "max_transform_defect": float(np.max(np.abs(defect))),
-            "domain_margin": float(np.min(acc))}
-    path = Path(times=t, states=ys.reshape(-1, 1), labels=("y1",),
-                meta=_grid_meta(grid, "exact-kozlov"))
+    # an overflow is reported by the finite check below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if pid == "gbm":
+            exponent = _gbm_exponent(p["a"], p["b"], t - grid.t0, w)
+            xs = p["x0"] * np.exp(exponent)
+            theta = xs * np.exp(-exponent)
+            cert = {"problem": "gbm",
+                    "invariant": "x*exp(-(a - b^2/2)*(t - t0) - b*w)",
+                    "max_invariant_deviation": float(
+                        np.max(np.abs(theta - p["x0"])))}
+            path = Path(times=t, states=xs.reshape(-1, 1), labels=("x1",),
+                        meta=_grid_meta(grid, "exact-gbm"))
+        else:
+            acc, below = _kozlov_transform(p["y0"], t - grid.t0, w)
+            if below.any():
+                raise DomainExit(f"transformed state reached the floor at "
+                                 f"t = {t[np.argmax(below)]}")
+            ys = np.log(acc)
+            defect = np.exp(ys) - acc
+            cert = {"problem": "kozlovexp",
+                    "transform": "x = exp(y), dx = dt + dw",
+                    "max_transform_defect": float(np.max(np.abs(defect))),
+                    "domain_margin": float(np.min(acc))}
+            path = Path(times=t, states=ys.reshape(-1, 1), labels=("y1",),
+                        meta=_grid_meta(grid, "exact-kozlov"))
+    numbers = [v for v in cert.values() if isinstance(v, float)]
+    if not (np.all(np.isfinite(path.states)) and np.all(np.isfinite(numbers))):
+        raise OusymError(f"reference closed form is not finite for {p}: "
+                         f"the path or its certificate overflows")
     return path, cert
 
 

@@ -24,8 +24,7 @@ import numpy as np
 
 from . import duals
 from .calculus import (ExtendedPoint, _gradients, _ito_jet, _sigma_values,
-                       extended_coords, ito_laplacian_components,
-                       sample_probes, stack_probes)
+                       extended_coords, sample_probes, stack_probes)
 from .duals import value
 from .errors import DimensionMismatch, NonFiniteResult, NotAnInvariant
 from .model import ConstantForce
@@ -111,6 +110,15 @@ def _complex_profile(C, kappa, part):
     return profile
 
 
+def _component(i, n):
+    """i itself, as an int, if it is an integer in 1..n; DimensionMismatch
+    otherwise."""
+    if (isinstance(i, bool) or not isinstance(i, (int, np.integer))
+            or not 1 <= i <= n):
+        raise DimensionMismatch(f"component i={i} outside 1..{n}")
+    return int(i)
+
+
 class SymmetryGenerator:
     """Coefficient bundle phi over the state plus the constant W-matrix R."""
 
@@ -158,9 +166,8 @@ class SymmetryGenerator:
     @staticmethod
     def exp_decay(i, kappa, n, R=None):
         """exp(-kappa t) (d/dx_i - kappa d/dv_i) on an n-dim OU system."""
+        i = _component(i, n)
         idx = i - 1
-        if not 0 <= idx < n:
-            raise DimensionMismatch(f"component i={i} outside 1..{n}")
 
         def phi(p):
             g = duals.exp(-kappa * p.t)
@@ -176,9 +183,8 @@ class SymmetryGenerator:
     @staticmethod
     def translation(i, n, R=None):
         """d/dx_i on an n-dim OU system."""
+        i = _component(i, n)
         idx = i - 1
-        if not 0 <= idx < n:
-            raise DimensionMismatch(f"component i={i} outside 1..{n}")
 
         def phi(p):
             out = [0.0] * (2 * n)
@@ -319,6 +325,7 @@ class InvariantCandidate:
             from .errors import WrongForceClass
             raise WrongForceClass("chi invariants require a constant force")
         n = sys.n
+        i = _component(i, n)
         idx = i - 1
         mu_i, beta_i, c_i = sys.mu[idx], sys.beta[idx], sys.force.c[idx]
         affine = AffineRecord(
@@ -382,47 +389,31 @@ class ResidualReport:
     max_abs: float
 
 
-def _positions(proc, p):
-    """Indices of the state coordinates and of t in extended_coords(p)."""
-    coords = extended_coords(p)
-    return [coords.index(c) for c in proc.state_coords], coords.index(("t", 0))
-
-
 def _residual_blocks(X, sys, p):
-    """Both determining blocks of X at p: the dt block (one entry per state
-    coord) and the dw block (state rows, Wiener columns), sharing one
-    gradient pass and one diffusion-direction jet of phi."""
-    S, t = _positions(sys, p)
-    phi, dphi = _gradients(X.phi, p)
+    """Both determining blocks of X at p: the dt block (one row per state
+    coord) and the dw block (state rows, Wiener columns), from one Ito jet
+    of phi plus the drift (and sigma) Jacobian."""
+    phi, dphi, dphi_t, dw, lap = _ito_jet(X.phi, sys, p)
+    coords = extended_coords(p)
+    S = [coords.index(c) for c in sys.state_coords]
     if len(phi) != len(S):
         raise DimensionMismatch(
             f"generator has {len(phi)} components for state dim {len(S)}")
-    _, dw_terms, lap = _ito_jet(X.phi, sys, p)
     fvals, ddrift = _gradients(sys.drift, p)
-    fres = []
-    for i in range(len(S)):
-        acc = dphi[i][t] + 0.5 * lap[i]
-        for j, Sj in enumerate(S):
-            acc = acc + fvals[j] * dphi[i][Sj] - phi[j] * ddrift[i][Sj]
-        fres.append(acc)
-    nW = len(sys.wiener_coords)
-    sig = _sigma_values(sys, p)
-    dsig = None
+    fres = dphi_t + 0.5 * lap
+    for j, Sj in enumerate(S):
+        fres = fres + fvals[j] * dphi[:, j] - phi[j] * ddrift[:, Sj]
+    sres = dw
     if not sys.sigma_is_constant:
         _, dsig = _gradients(
             lambda q: [e for row in sys.sigma(q) for e in row], p)
-    R = X.R
-    sres = [[None] * nW for _ in range(len(S))]
-    for k in range(nW):
-        for i in range(len(S)):
-            acc = dw_terms[i][k]
-            if dsig is not None:
-                for j, Sj in enumerate(S):
-                    acc = acc - phi[j] * dsig[i * nW + k][Sj]
-            for m in range(nW):
-                if R[m, k] != 0.0:
-                    acc = acc - sig[i][m] * R[m, k]
-            sres[i][k] = acc
+        dsig = dsig.reshape(dw.shape[:2] + dsig.shape[1:])
+        for j, Sj in enumerate(S):
+            sres = sres - phi[j] * dsig[:, :, Sj]
+    sig = _sigma_values(sys, p)
+    for m, k in zip(*np.nonzero(X.R)):
+        for i, row in enumerate(sig):
+            sres[i, k] = sres[i, k] - row[m] * X.R[m, k]
     return fres, sres
 
 
@@ -436,34 +427,30 @@ def sigma_residual(X, sys, p):
     return _residual_blocks(X, sys, p)[1]
 
 
+def _invariant_conditions(fvec, sys, p):
+    """The invariance conditions of every component of fvec at p, from one
+    Ito jet: the active dw coefficients, then the dt one; condition axis
+    first, then the components."""
+    _, dth, dth_t, dw, lap = _ito_jet(fvec, sys, p)
+    fvals = [value(c) for c in sys.drift(p)]
+    acc = dth_t + 0.5 * lap
+    for j, f in enumerate(fvals):
+        acc = acc + dth[:, j] * f
+    W = list(sys.wiener_coords)
+    active = [W.index(c) for c in sys.active_wiener_coords]
+    return np.concatenate([np.swapaxes(dw[:, active], 0, 1), acc[None]])
+
+
 def invariant_residual(theta, sys, p):
     """n+1 invariance conditions: active dw coefficients, then the dt one."""
-    th = theta.evaluate if isinstance(theta, InvariantCandidate) else theta
-    S, t = _positions(sys, p)
-    W = list(sys.wiener_coords)
-
-    def th_vec(q):
-        return [th(q)]
-
-    _, (dth,) = _gradients(th_vec, p)
-    _, (dth_dw,), (lap,) = _ito_jet(th_vec, sys, p)
-    out = [dth_dw[W.index(c)] for c in sys.active_wiener_coords]
-    fvals = [value(c) for c in sys.drift(p)]
-    acc = dth[t] + 0.5 * lap
-    for j, Sj in enumerate(S):
-        acc = acc + dth[Sj] * fvals[j]
-    out.append(acc)
-    return out
+    return _invariant_conditions(lambda q: [theta(q)], sys, p)[:, 0]
 
 
 def residual_report(X, sys, p):
     """Both determining blocks at one plain-float point."""
-    fres, sres = _residual_blocks(X, sys, p)
-    fres = np.array([float(e) for e in fres])
-    sres = np.array([[float(e) for e in row] for row in sres])
-    max_abs = _max_abs((fres, sres))
+    fres, sres = map(np.asarray, _residual_blocks(X, sys, p))
     return ResidualReport(point=p, f_residual=fres, sigma_residual=sres,
-                          max_abs=max_abs)
+                          max_abs=_max_abs((fres, sres)))
 
 
 def _max_abs(entries):
@@ -476,7 +463,7 @@ def _max_abs(entries):
 def _max_blocks(X, sys, p):
     """Max |f-residual| and |sigma-residual| over the stacked probes p."""
     fres, sres = _residual_blocks(X, sys, p)
-    return _max_abs(fres), _max_abs(e for row in sres for e in row)
+    return _max_abs([fres]), _max_abs([sres])
 
 
 def max_residuals(X, sys, probes):
@@ -537,19 +524,6 @@ def solve_wsym_linear_constraint(L, B):
 
 # --- affine invariant solver ---
 
-def _elementary_records(n):
-    records = []
-    for block in ("a_x", "a_v", "a_w"):
-        for i in range(n):
-            kwargs = {"a_x": (0.0,) * n, "a_v": (0.0,) * n,
-                      "a_w": (0.0,) * n, "a_t": 0.0, "a_0": 0.0}
-            kwargs[block] = tuple(1.0 if j == i else 0.0 for j in range(n))
-            records.append(AffineRecord(**kwargs))
-    records.append(AffineRecord(a_x=(0.0,) * n, a_v=(0.0,) * n,
-                                a_w=(0.0,) * n, a_t=1.0, a_0=0.0))
-    return records
-
-
 def affine_invariant_nullspace(sys, probes=None, rcond=1e-9):
     """Solve the invariance conditions over affine Theta (constant excluded).
 
@@ -560,19 +534,11 @@ def affine_invariant_nullspace(sys, probes=None, rcond=1e-9):
     n = sys.n
     if probes is None:
         probes = sample_probes(sys, count=max(32, 3 * n + 4), seed=11)
-    p = stack_probes(probes)
-    count = len(probes)
-    records = _elementary_records(n)
-    columns = []
-    for rec in records:
-        res = invariant_residual(InvariantCandidate(affine=rec), sys, p)
-        rows = []
-        for entry in res:
-            arr = np.broadcast_to(np.asarray(entry, dtype=float), (count,))
-            rows.append(np.array(arr, dtype=float))
-        columns.append(np.concatenate(rows))
-    A = np.column_stack(columns)
-    ns = _null_space(A, rcond=rcond)
+    # column c holds the conditions on coordinate function c, probes inner
+    rows = _invariant_conditions(lambda q: [*q.x, *q.v, *q.w, q.t], sys,
+                                 stack_probes(probes))
+    ns = _null_space(np.swapaxes(rows, 1, 2).reshape(-1, 3 * n + 1),
+                     rcond=rcond)
     basis = []
     for k in range(ns.shape[1]):
         vec = ns[:, k]

@@ -2,17 +2,22 @@
 
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from ousym import (ConstantForce, LinearForce, NotDiagonalizable,
-                   UnclassifiableForce, build_ou_system, classify_invariants,
-                   classify_symmetries, expdecay_residual_scan, lie_bracket,
-                   max_residuals, mode_rates, parse_force_expression, point,
-                   sample_probes, structure_constants)
-from ousym import duals
-from ousym.classify import _quick_bracket_table, default_scaling_functions
+from ousym import (CertificationFailed, ConstantForce, LinearForce,
+                   NotDiagonalizable, UnclassifiableForce,
+                   affine_invariant_nullspace, build_ou_system,
+                   classify_invariants, classify_symmetries,
+                   expdecay_residual_scan, lie_bracket,
+                   max_invariant_residual, max_residuals, mode_rates,
+                   parse_force_expression, point, sample_probes,
+                   structure_constants)
+from ousym import classify, duals
+from ousym.classify import (CERT_TOL_RESIDUAL, _quick_bracket_table,
+                            default_scaling_functions)
 from ousym.symmetry import SymmetryGenerator
 
 
@@ -246,6 +251,90 @@ def test_brackets_take_one_jet_per_field():
     assert rows == structure_constants(alg)
     nf = len(default_scaling_functions())
     assert counts == [{"plain": 1, "seeded": nf}] * 4
+
+
+def test_certificates_take_one_evaluation_per_object(monkeypatch):
+    # the determining equations read one jet of phi, the invariance
+    # conditions one jet of Theta; the affine solve takes one jet of all
+    # the coordinate functions at once
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    L = Q @ np.diag([0.6, 1.1, 1.9, 2.7]) @ Q.T
+    sys4 = build_ou_system(4, [1.3] * 4, [0.8] * 4, LinearForce(L))
+    probes = sample_probes(sys4, seed=2)
+    emitted = classify_symmetries(sys4).generators
+    gens, counts = _counted(emitted)
+    for g in gens:
+        max_residuals(g, sys4, probes)
+    assert counts == [{"plain": 0, "seeded": 1}] * 8
+    gens, counts = _counted(emitted)
+    classify._certify(gens, sys4, probes)
+    assert counts == [{"plain": 0, "seeded": 1}] * 8
+
+    sys2 = build_ou_system(2, [1.0, 2.0], [1.5, 0.7],
+                           ConstantForce([0.3, -0.4]))
+    for g in classify_invariants(sys2).generators:
+        calls = []
+
+        def theta(p, g=g):
+            calls.append(isinstance(p.t, duals.HyperDual))
+            return g(p)
+
+        max_invariant_residual(theta, sys2, sample_probes(sys2, count=5))
+        assert calls == [True]
+
+    seeds = []
+    real_seed = duals.seed
+    monkeypatch.setattr(duals, "seed",
+                        lambda *a: seeds.append(1) or real_seed(*a))
+    for sys_ in (lin1d(4.0), sys4):
+        seeds.clear()
+        affine_invariant_nullspace(sys_)
+        assert len(seeds) == 1
+
+
+def test_emitted_modes_certify_and_moved_rates_fail():
+    # criterion 2 as a property: on regular isotropic linear systems away
+    # from critical damping every emitted generator certifies, and the same
+    # generator with its rate moved by 1e-3 relative does not
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=20, deadline=None)
+    @hypothesis.given(data=st.data(), n=st.integers(1, 4))
+    def check(data, n):
+        beta = data.draw(st.floats(0.5, 2.5))
+        mu = data.draw(st.floats(0.3, 2.0))
+        # |lambda| >= 0.3, |beta^2 + 4 lambda| >= 1, eigenvalues 0.1 apart
+        lams = []
+        for _ in range(n):
+            lams.append(data.draw(st.floats(-3.0, 3.0).filter(
+                lambda lam: abs(lam) >= 0.3 and abs(beta ** 2 + 4 * lam) >= 1
+                and all(abs(lam - m) >= 0.1 for m in lams))))
+        Q, _ = np.linalg.qr(np.reshape(
+            data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n,
+                               max_size=n * n)), (n, n)))
+        L = Q @ np.diag(lams) @ Q.T
+        sys_ = build_ou_system(n, [beta] * n, [mu] * n, LinearForce(L))
+        probes = sample_probes(sys_, count=32, seed=0)
+        alg = classify_symmetries(sys_, probes=probes)
+        assert len(alg.generators) == 2 * n
+        for g in alg.generators:
+            mf, ms = max_residuals(g, sys_, probes)
+            assert mf <= CERT_TOL_RESIDUAL and ms <= CERT_TOL_RESIDUAL
+
+        def moved_rates(b, lam):
+            return tuple((1.0 + 1e-3) * k for k in mode_rates(b, lam))
+
+        with mock.patch.object(classify, "mode_rates", moved_rates):
+            moved, _ = classify._emit_linear_modes(sys_, L)
+        assert [g.family.part for g in moved] == [
+            g.family.part for g in alg.generators]
+        for g in moved:
+            with pytest.raises(CertificationFailed):
+                classify._certify([g], sys_, probes)
+
+    check()
 
 
 def test_structure_constants_flag_a_mismatched_system():

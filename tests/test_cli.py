@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -252,6 +253,21 @@ def test_reference_rejects_non_finite_parameters(tmp_path, capsys, args):
                          "--out", str(dest))
     assert code == 1 and out == ""
     assert err.startswith("error: reference parameters must be finite")
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--problem", "gbm", "--a", "900", "--steps", "10"],
+    ["--problem", "kozlovexp", "--y0", "800"],
+])
+def test_reference_rejects_an_overflowing_closed_form(tmp_path, capsys, args):
+    dest = tmp_path / "ref.csv"
+    with warnings.catch_warnings():
+        # a numpy warning would surface as an internal error
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "reference", *args, "--out", str(dest))
+    assert code == 1 and out == ""
+    assert err.startswith("error: reference closed form is not finite")
     assert not dest.exists()
 
 

@@ -299,6 +299,22 @@ def test_reference_rejects_non_finite_parameters(problem, params):
         solve_reference_problem(problem, params, g)
 
 
+@pytest.mark.parametrize("problem,params,steps", [
+    ("gbm", {"a": 900.0, "b": 0.5}, 10),      # exp overflows, inf * 0
+    ("gbm", {"a": -900.0, "b": 0.5}, 10),     # exp underflows, 0 * inf
+    ("gbm", {"a": 5.0, "b": 0.5, "x0": 1e308}, 64),
+    ("kozlovexp", {"y0": 800.0}, 64),
+])
+def test_reference_rejects_an_overflowing_closed_form(problem, params, steps):
+    # finite parameters, non-finite path or certificate: an error, and no
+    # numpy warning on the way
+    g = sample_wiener(1, 0.0, 1.0, steps, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OusymError, match="closed form is not finite"):
+            solve_reference_problem(problem, params, g)
+
+
 def test_reference_kozlov_formula_and_noise_free():
     g = sample_wiener(1, 0.0, 1.0, 256, seed=15)
     path, cert = solve_reference_problem("kozlovexp", {"y0": 2.0}, g)

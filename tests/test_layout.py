@@ -48,6 +48,27 @@ def _calling_functions(names):
     return found
 
 
+def test_residuals_read_one_ito_jet_per_object():
+    # determining equations, invariance conditions and Laplacians come from
+    # one Ito jet of the object; full Jacobians are for bracket jets and for
+    # the drift and sigma, never for a generator's phi or a Theta
+    assert _calling_functions({"_ito_jet"}) == {
+        ("symmetry.py", "_residual_blocks"),
+        ("symmetry.py", "_invariant_conditions"),
+        ("calculus.py", "ito_laplacian_components")}
+    assert _calling_functions({"_gradients"}) == {
+        ("calculus.py", "_field_jet"), ("symmetry.py", "_residual_blocks")}
+    tree = ast.parse((SRC / "symmetry.py").read_text())
+    fields = [ast.unparse(node.args[0]) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "_gradients"]
+    assert fields
+    for field in fields:
+        assert field == "sys.drift" or re.fullmatch(
+            r"lambda q: \[e for row in sys\.sigma\(q\) for e in row\]",
+            field), field
+
+
 def test_threads_start_only_in_the_noise_block_iterator():
     # one worker draws the next block of noise; nothing else runs threads
     assert _calling_functions({"Thread", "ThreadPoolExecutor",

@@ -6,12 +6,14 @@ import pytest
 from ousym import (ConstantForce, DimensionMismatch, InvariantCandidate,
                    LinearForce, NonFiniteResult, NotAnInvariant,
                    SymmetryGenerator, affine_invariant_nullspace,
-                   build_ou_system, f_residual, gbm_process,
+                   build_ou_system, expdecay_residual_scan, f_residual,
+                   gbm_process,
                    invariant_residual, max_invariant_residual, max_residuals,
                    parse_force_expression, point, residual_report,
                    sample_probes, scale_by_invariant, sigma_residual,
-                   solve_wsym_linear_constraint)
+                   solve_wsym_linear_constraint, stack_probes)
 from ousym import duals, symmetry
+from ousym.calculus import derivative
 
 
 def test_sigma_residual_unit_entry_oracle():
@@ -27,6 +29,111 @@ def test_sigma_residual_unit_entry_oracle():
     rows = sigma_residual(X, sys1, p)
     assert float(np.asarray(rows[0][0])) == pytest.approx(1.0, abs=1e-13)
     assert float(np.asarray(rows[1][0])) == pytest.approx(0.0, abs=1e-13)
+
+
+def test_rotation_with_its_wiener_rotation_certifies():
+    # isotropic OU with L = lam I: rotating x and v together by a skew S is
+    # a W-symmetry when R rotates the active Wiener processes by the same S
+    S = np.array([[0.0, 1.0, -2.0], [-1.0, 0.0, 0.5], [2.0, -0.5, 0.0]])
+    sys3 = build_ou_system(3, [1.2] * 3, [0.7] * 3,
+                           LinearForce(-0.8 * np.eye(3)))
+    R = np.zeros((6, 6))
+    R[:3, :3] = S
+
+    def phi(p):
+        return [sum(S[i, j] * q[j] for j in range(3))
+                for q in (p.x, p.v) for i in range(3)]
+
+    probes = sample_probes(sys3, count=20, seed=4)
+    mf, ms = max_residuals(SymmetryGenerator(phi, 6, 6, R=R), sys3, probes)
+    assert mf <= 1e-12 and ms <= 1e-12
+    # the dw block is sigma S - sigma R: R -> -R leaves 2 mu S on the v rows
+    rows = sigma_residual(SymmetryGenerator(phi, 6, 6, R=-R), sys3,
+                          stack_probes(probes))
+    expected = np.zeros((6, 6))
+    expected[3:, :3] = 2 * 0.7 * S
+    assert np.allclose(rows, expected[..., None], rtol=0.0, atol=1e-12)
+
+
+def test_state_dependent_sigma_enters_the_dw_block():
+    # GBM dx = a x dt + b x dw: the scaling x d/dx is a symmetry, and for
+    # phi = x^2 the dw block is sigma phi' - phi sigma' = b x^2
+    gbm = gbm_process(0.7, 0.4)
+    probes = sample_probes(gbm, count=20, seed=8, box=(0.2, 2.0))
+    scaling = SymmetryGenerator(lambda p: [p.x[0]], 1, 1)
+    mf, ms = max_residuals(scaling, gbm, probes)
+    assert mf <= 1e-12 and ms <= 1e-12
+    stacked = stack_probes(probes)
+    square = SymmetryGenerator(lambda p: [p.x[0] * p.x[0]], 1, 1)
+    assert np.allclose(sigma_residual(square, gbm, stacked)[0][0],
+                       0.4 * stacked.x[0] ** 2, rtol=1e-13, atol=0.0)
+
+
+def _entrywise_blocks(X, sys, p):
+    """Reference for both determining blocks: loops over the entries, one
+    derivative() call per partial, the Laplacian from its second-order
+    terms."""
+    S, W = sys.state_coords, sys.wiener_coords
+    sig = [[np.asarray(e) for e in row] for row in sys.sigma(p)]
+    phi, f = X.phi(p), sys.drift(p)
+
+    def d(g, a, b=None):
+        return derivative(g, p, a, coord2=b)
+
+    fres, sres = [], []
+    for i in range(len(S)):
+        def phi_i(q, i=i):
+            return X.phi(q)[i]
+
+        def f_i(q, i=i):
+            return sys.drift(q)[i]
+
+        lap = sum(d(phi_i, w, w) for w in W)
+        for k, w in enumerate(W):
+            for j, a in enumerate(S):
+                lap = lap + 2.0 * sig[j][k] * d(phi_i, a, w)
+                for m, b in enumerate(S):
+                    lap = lap + sig[j][k] * sig[m][k] * d(phi_i, a, b)
+        fres.append(d(phi_i, ("t", 0)) + 0.5 * lap + sum(
+            f[j] * d(phi_i, a) - phi[j] * d(f_i, a) for j, a in enumerate(S)))
+        row = []
+        for k, w in enumerate(W):
+            def sig_ik(q, i=i, k=k):
+                return sys.sigma(q)[i][k]
+
+            row.append(d(phi_i, w) + sum(
+                sig[j][k] * d(phi_i, a) - phi[j] * d(sig_ik, a)
+                for j, a in enumerate(S)) - sum(
+                sig[i][m] * X.R[m, k] for m in range(len(W))))
+        sres.append(row)
+    return fres, sres
+
+
+def test_residual_blocks_match_an_entrywise_reference():
+    # the array form against the equations written entry by entry: a
+    # nonlinear anisotropic OU with a generator in every block and a
+    # nonzero R, and GBM, whose sigma depends on the state
+    sys2 = build_ou_system(2, [0.9, 1.7], [0.6, 1.4], parse_force_expression(
+        "sin(x1) * x2; x1^3 - 0.5*x2", 2))
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((4, 4))
+    R = np.diag(rng.standard_normal(4)) + (A - A.T)
+
+    def phi(p):
+        return [p.x[0] * p.w[0] + duals.sin(p.v[1] * p.t), p.w[1] * p.x[1],
+                p.w[1] * p.w[0] * p.x[1], duals.exp(-p.t) * p.z[0] * p.v[0]]
+
+    a, b = 0.7, 0.4
+    cases = [(SymmetryGenerator(phi, 4, 4, R=R), sys2, (-2.0, 2.0)),
+             (SymmetryGenerator(lambda p: [p.x[0] * p.w[0] + p.t], 1, 1,
+                                R=[[0.4]]), gbm_process(a, b), (0.2, 2.0))]
+    for X, proc, box in cases:
+        p = stack_probes(sample_probes(proc, count=12, seed=5, box=box))
+        p = p.with_coord(("z", 0), 0.3 * p.x[0]) if p.z else p
+        fres, sres = symmetry._residual_blocks(X, proc, p)
+        ref_f, ref_s = _entrywise_blocks(X, proc, p)
+        assert np.allclose(fres, np.array(ref_f), rtol=1e-12, atol=1e-12)
+        assert np.allclose(sres, np.array(ref_s), rtol=1e-12, atol=1e-12)
 
 
 def test_exp_decay_zero_residual_on_matching_linear_force():
@@ -150,6 +257,37 @@ def test_R_validation():
         SymmetryGenerator(lambda p: [0.0, 0.0], 2, 2, R=R_bad)
     R_ok = np.array([[0.5, 1.0], [-1.0, 0.3]])
     SymmetryGenerator(lambda p: [0.0, 0.0], 2, 2, R=R_ok)
+
+
+@pytest.mark.parametrize("i", [1.5, 0, 3, -1, True, "1"])
+def test_component_index_is_an_integer_in_range(i):
+    # one check for the factories, chi and the scan, before any work: the
+    # scan never reads its (empty) probe list
+    sys2 = build_ou_system(2, [1.0, 2.0], [1.0, 1.5],
+                           ConstantForce([0.1, 0.2]))
+    with pytest.raises(DimensionMismatch, match="outside 1..2"):
+        SymmetryGenerator.exp_decay(i, 1.0, 2)
+    with pytest.raises(DimensionMismatch, match="outside 1..2"):
+        SymmetryGenerator.translation(i, 2)
+    with pytest.raises(DimensionMismatch, match="outside 1..2"):
+        InvariantCandidate.chi(sys2, i)
+    with pytest.raises(DimensionMismatch, match="outside 1..2"):
+        expdecay_residual_scan(sys2, [1.0], i=i, probes=[])
+
+
+def test_component_index_accepts_numpy_integers():
+    sys2 = build_ou_system(2, [1.0, 2.0], [1.0, 1.5],
+                           ConstantForce([0.1, 0.2]))
+    i = np.int64(2)
+    X = SymmetryGenerator.exp_decay(i, 2.0, 2)
+    Y = SymmetryGenerator.translation(i, 2)
+    assert (X.label, Y.label) == ("exp(-2t)*(d/dx2 - 2*d/dv2)", "d/dx2")
+    assert type(X.family.i) is int and type(Y.family.i) is int
+    assert InvariantCandidate.chi(sys2, i).label == "chi2"
+    probes = sample_probes(sys2, count=8, seed=1)
+    assert np.array_equal(
+        expdecay_residual_scan(sys2, [1.0, 2.0], i=i, probes=probes),
+        expdecay_residual_scan(sys2, [1.0, 2.0], i=2, probes=probes))
 
 
 def test_wsym_constraint_oracles():
