@@ -103,25 +103,23 @@ def extended_coords(p):
             + [("z", i) for i in range(len(p.z))])
 
 
-def sample_probes(proc, count=32, seed=0, box=(-2.0, 2.0),
-                  t_range=(0.0, 2.0), x_box=None):
+def sample_probes(proc, count=32, seed=0, box=(-2.0, 2.0)):
     """Seeded uniform probe points for residual certification.
 
-    x, v, w are uniform in `box` (x optionally in `x_box`), t uniform in
-    `t_range`, ghosts z fixed at zero. Deterministic in (seed, count).
+    x, v, w are uniform in `box`, t uniform in [0, 2], ghosts z fixed at
+    zero. Deterministic in (seed, count).
     """
     nx = sum(1 for c in proc.state_coords if c[0] == "x")
     nv = sum(1 for c in proc.state_coords if c[0] == "v")
     nw = sum(1 for c in proc.wiener_coords if c[0] == "w")
     nz = sum(1 for c in proc.wiener_coords if c[0] == "z")
-    xlo, xhi = x_box if x_box is not None else box
     lo, hi = box
     rng = np.random.default_rng(seed)
     probes = []
     for _ in range(count):
-        x = tuple(rng.uniform(xlo, xhi, nx))
+        x = tuple(rng.uniform(lo, hi, nx))
         v = tuple(rng.uniform(lo, hi, nv))
-        t = float(rng.uniform(*t_range))
+        t = float(rng.uniform(0.0, 2.0))
         w = tuple(rng.uniform(lo, hi, nw))
         probes.append(ExtendedPoint(x=x, v=v, t=t, w=w,
                                     z=tuple(0.0 for _ in range(nz))))

@@ -29,8 +29,9 @@ from .calculus import (_at, _contract, _field_jet, extended_coords,
 from .errors import CertificationFailed, NotDiagonalizable
 from .model import ConstantForce, LinearForce, classify_force
 from .symmetry import (ExpDecay, InvariantCandidate, SymmetryGenerator,
-                       Translation, _component, _family_json, _max_abs,
-                       _max_blocks, _residual_blocks, affine_invariant_nullspace,
+                       Translation, _component, _expdecay_phi, _family_json,
+                       _max_abs, _max_blocks, _residual_blocks,
+                       affine_invariant_nullspace,
                        invariant_residual, solve_wsym_linear_constraint)
 
 CERT_TOL_RESIDUAL = 1e-6
@@ -97,8 +98,9 @@ def _cplx(z):
     return [z.real, z.imag]
 
 
-def classify_invariants(sys, probes=None, tol=CERT_TOL_INVARIANT):
-    """Invariant ring generators, or certified emptiness."""
+def classify_invariants(sys, probes=None):
+    """Invariant ring generators, or certified emptiness: each chi must
+    meet its invariance conditions within CERT_TOL_INVARIANT."""
     if probes is None:
         probes = sample_probes(sys, count=32, seed=0)
     fc = classify_force(sys.force, probes=[p.x for p in probes])
@@ -108,10 +110,10 @@ def classify_invariants(sys, probes=None, tol=CERT_TOL_INVARIANT):
         p = stack_probes(probes)
         for g in gens:
             worst = _max_abs(invariant_residual(g, sys, p))
-            if not worst <= tol:
+            if not worst <= CERT_TOL_INVARIANT:
                 raise CertificationFailed(
                     f"{g.label} failed invariance certification: "
-                    f"{worst:.3e} > {tol:.1e}")
+                    f"{worst:.3e} > {CERT_TOL_INVARIANT:.1e}")
         return InvariantSet(basis_kind="ChiBasis", generators=tuple(gens),
                             annotation="constant force: chi basis",
                             affine_nullspace_dim=dim)
@@ -199,8 +201,9 @@ def _emit_linear_modes(sys, L):
     return gens, eigen_data
 
 
-def _certify(gens, sys, probes, tol=CERT_TOL_RESIDUAL):
+def _certify(gens, sys, probes):
     p = stack_probes(probes)
+    tol = CERT_TOL_RESIDUAL
     for g in gens:
         mf, ms = _max_blocks(g, sys, p)
         if not (mf <= tol and ms <= tol):
@@ -219,15 +222,18 @@ def _pairwise_brackets(gens, sys, probes):
             for a in range(len(gens)) for b in range(a + 1, len(gens))]
 
 
-def _quick_bracket_table(gens, sys, probes, limit=4):
-    """Pairwise max |[A, B]| over a few probes, for the emitted basis."""
+def _quick_bracket_table(gens, sys, probes):
+    """Pairwise max |[A, B]| over the first 4 probes, for the emitted
+    basis."""
     return tuple((("left", left), ("right", right), ("max_abs_bracket", worst))
                  for left, right, worst
-                 in _pairwise_brackets(gens, sys, probes[:limit]))
+                 in _pairwise_brackets(gens, sys, probes[:4]))
 
 
-def classify_symmetries(sys, probes=None, tol=CERT_TOL_RESIDUAL):
-    """Emit the simple-symmetry algebra for the closed-form cases."""
+def classify_symmetries(sys, probes=None):
+    """Emit the simple-symmetry algebra for the closed-form cases; each
+    emitted generator must meet the determining equations within
+    CERT_TOL_RESIDUAL."""
     if probes is None:
         probes = sample_probes(sys, count=32, seed=0)
     fc = classify_force(sys.force, probes=[p.x for p in probes])
@@ -239,7 +245,7 @@ def classify_symmetries(sys, probes=None, tol=CERT_TOL_RESIDUAL):
             gens.append(SymmetryGenerator.exp_decay(i, sys.beta[i - 1], n))
         for i in range(1, n + 1):
             gens.append(SymmetryGenerator.translation(i, n))
-        _certify(gens, sys, probes, tol)
+        _certify(gens, sys, probes)
         return SymmetryAlgebra(
             case_tag="ConstantModule", system=sys, generators=tuple(gens),
             module_rank=2 * n,
@@ -250,27 +256,20 @@ def classify_symmetries(sys, probes=None, tol=CERT_TOL_RESIDUAL):
 
     if fc.tag in ("LinearRegular", "LinearDegenerate"):
         L = fc.L
-        B = np.diag(sys.beta)
-        if fc.tag == "LinearDegenerate":
-            basis = solve_wsym_linear_constraint(L, B)
+        if fc.tag == "LinearDegenerate" or (n > 1 and not sys.isotropic):
+            why = ("degenerate linear force: closed-form theory needs a "
+                   "regular matrix; attached W-constraint null-space basis "
+                   "is uncertified" if fc.tag == "LinearDegenerate" else
+                   "anisotropic linear force: only the necessary W-matrix "
+                   "constraint is solved; candidates are not certified "
+                   "symmetries")
+            basis = solve_wsym_linear_constraint(L, np.diag(sys.beta))
             return SymmetryAlgebra(
                 case_tag="TheoryIncomplete", system=sys,
-                wsym_candidates=tuple(basis),
-                annotation="degenerate linear force: closed-form theory "
-                           "needs a regular matrix; attached W-constraint "
-                           "null-space basis is uncertified",
-                force_tag=fc.tag)
-        if n > 1 and not sys.isotropic:
-            basis = solve_wsym_linear_constraint(L, B)
-            return SymmetryAlgebra(
-                case_tag="TheoryIncomplete", system=sys,
-                wsym_candidates=tuple(basis),
-                annotation="anisotropic linear force: only the necessary "
-                           "W-matrix constraint is solved; candidates are "
-                           "not certified symmetries",
+                wsym_candidates=tuple(basis), annotation=why,
                 force_tag=fc.tag)
         gens, eigen_data = _emit_linear_modes(sys, L)
-        _certify(gens, sys, probes, tol)
+        _certify(gens, sys, probes)
         return SymmetryAlgebra(
             case_tag="LinearPair1D" if n == 1 else "LinearAbelian2n",
             system=sys, generators=tuple(gens), module_rank=0,
@@ -299,13 +298,13 @@ def classify_symmetries(sys, probes=None, tol=CERT_TOL_RESIDUAL):
         force_tag=fc.tag)
 
 
-def expdecay_residual_scan(sys, kappas, i=1, probes=None, chunk=2000):
+def expdecay_residual_scan(sys, kappas, i=1, probes=None):
     """Brute-force no-symmetry search: for each rate in kappas, the max
     determining-equation residual of exp(-kappa t)(d/dx_i - kappa d/dv_i)
     over the probes. A NoRealSimple verdict is evidenced by the minimum of
     this scan staying well above zero.
 
-    Rates are swept in blocks of chunk // n broadcast against the probe
+    Rates are swept in blocks of 2000 // n broadcast against the probe
     batch, so the 20001-point default acceptance grid stays cheap and a
     block's residual arrays (2n components, each one value per rate and
     probe) stay about the same size at every n.
@@ -319,19 +318,11 @@ def expdecay_residual_scan(sys, kappas, i=1, probes=None, chunk=2000):
     stacked = _at(st, [st.coord(c)[None] for c in extended_coords(st)])
     kappas = np.asarray(kappas, dtype=float).ravel()
     out = np.empty(kappas.shape[0])
-    step = max(1, chunk // n)
+    step = max(1, 2000 // n)
     for j0 in range(0, kappas.shape[0], step):
         ks = kappas[j0:j0 + step].reshape(-1, 1)
         m = ks.shape[0]
-
-        def phi(p, ks=ks):
-            e = duals.exp(-ks * p.t)
-            comps = [0.0] * (2 * n)
-            comps[idx] = e
-            comps[n + idx] = -ks * e
-            return comps
-
-        gen = SymmetryGenerator(phi, 2 * n, 2 * n)
+        gen = SymmetryGenerator(_expdecay_phi(idx, ks, n), 2 * n, 2 * n)
         # rates on the second-to-last axis, probes on the last
         fres, sres = _residual_blocks(gen, sys, stacked)
         out[j0:j0 + m] = np.maximum(np.abs(fres).max(axis=(0, -1)),
@@ -362,22 +353,12 @@ def _scaling_partial(fn, chis, j):
                     np.shape(chis[0]))
 
 
-def _scaled_field(sys, base, fn):
-    """Extended field of f(chi) * base, without invariance re-validation."""
-    base_field = base.as_extended_field(sys)
-
-    def field(p):
-        a = fn(_chi_vector(sys, p))
-        return [a * c for c in base_field(p)]
-
-    return field
-
-
-def structure_constants(alg, sample_fs=None, probes=None):
+def structure_constants(alg, probes=None):
     """Verify the commutator table of the emitted algebra numerically.
 
     Returns a list of rows {left, right, predicted, max_discrepancy}. For
-    the constant-force module the predictions are
+    the constant-force module, with f and g each of
+    default_scaling_functions(), the predictions are
         [X_f^i, X_g^j] = 0
         [X_f^i, Y_g^j] = (beta_j/mu_j) f_j g X^i
         [Y_f^i, Y_g^j] = (beta_j/mu_j) f_j g Y^i - (beta_i/mu_i) f g_i Y^j
@@ -401,8 +382,7 @@ def structure_constants(alg, sample_fs=None, probes=None):
     if alg.case_tag != "ConstantModule":
         return rows
 
-    if sample_fs is None:
-        sample_fs = default_scaling_functions()
+    sample_fs = default_scaling_functions()
     n = sys.n
     X = [g for g in alg.generators if isinstance(g.family, ExpDecay)]
     Y = [g for g in alg.generators if isinstance(g.family, Translation)]
@@ -414,8 +394,9 @@ def structure_constants(alg, sample_fs=None, probes=None):
 
     def jets(G):
         """jets(G)[k][i]: the jet of fns[k] * G[i], taken once."""
-        return [[_field_jet(_scaled_field(sys, g, f), p) for g in G]
-                for f in fns]
+        return [[_field_jet(g.scaled(lambda q, f=f: f(_chi_vector(sys, q)),
+                                     label).as_extended_field(sys), p)
+                 for g in G] for label, f in sample_fs]
 
     jX, jY = jets(X), jets(Y)
     vX = [g.as_extended_field(sys)(p) for g in X]

@@ -207,26 +207,17 @@ def build_parser():
     return parser
 
 
-def _cmd_classify(args):
-    sys_ = _load_system(args.system)
-    probes = sample_probes(sys_, count=args.probes, seed=args.seed)
-    alg = _classify.classify_symmetries(sys_, probes=probes)
-    payload = alg.to_json()
-    payload["probes"] = args.probes
-    payload["seed"] = args.seed
-    _emit_json(payload)
-    return 0
-
-
-def _cmd_invariants(args):
-    sys_ = _load_system(args.system)
-    probes = sample_probes(sys_, count=args.probes, seed=args.seed)
-    inv = _classify.classify_invariants(sys_, probes=probes)
-    payload = inv.to_json()
-    payload["probes"] = args.probes
-    payload["seed"] = args.seed
-    _emit_json(payload)
-    return 0
+def _cmd_classified(classifier):
+    """A command printing classifier(system, probes) as JSON."""
+    def run(args):
+        sys_ = _load_system(args.system)
+        probes = sample_probes(sys_, count=args.probes, seed=args.seed)
+        payload = classifier(sys_, probes=probes).to_json()
+        payload["probes"] = args.probes
+        payload["seed"] = args.seed
+        _emit_json(payload)
+        return 0
+    return run
 
 
 def _cmd_verify(args):
@@ -250,29 +241,26 @@ def _write_or_stdout(writer, out):
         writer(sys.stdout)
 
 
-def _cmd_simulate(args):
-    sys_ = _load_system(args.system)
-    x0 = _parse_x0(args.x0, sys_.n)
-    grid = integrate.sample_wiener(sys_.n, args.t0, args.t1, args.steps,
-                                   seed=args.seed,
-                                   path_index=args.path_index)
-    path = integrate.euler_maruyama(sys_, x0, grid)
-    _write_or_stdout(lambda d: integrate.write_path_csv(path, d), args.out)
-    return 0
+def _solve_exact(sys_, x0, grid):
+    solve = (integrate.exact_solve_constant
+             if isinstance(sys_.force, model.ConstantForce)
+             else integrate.exact_solve_linear)
+    return solve(sys_, x0, grid)
 
 
-def _cmd_solve(args):
-    sys_ = _load_system(args.system)
-    x0 = _parse_x0(args.x0, sys_.n)
-    grid = integrate.sample_wiener(sys_.n, args.t0, args.t1, args.steps,
-                                   seed=args.seed,
-                                   path_index=args.path_index)
-    if isinstance(sys_.force, model.ConstantForce):
-        path = integrate.exact_solve_constant(sys_, x0, grid)
-    else:
-        path = integrate.exact_solve_linear(sys_, x0, grid)
-    _write_or_stdout(lambda d: integrate.write_path_csv(path, d), args.out)
-    return 0
+def _cmd_path(solver):
+    """A command writing solver(system, x0, grid) as CSV."""
+    def run(args):
+        sys_ = _load_system(args.system)
+        x0 = _parse_x0(args.x0, sys_.n)
+        grid = integrate.sample_wiener(sys_.n, args.t0, args.t1, args.steps,
+                                       seed=args.seed,
+                                       path_index=args.path_index)
+        path = solver(sys_, x0, grid)
+        _write_or_stdout(lambda d: integrate.write_path_csv(path, d),
+                         args.out)
+        return 0
+    return run
 
 
 def _cmd_converge(args):
@@ -309,11 +297,11 @@ def _cmd_reference(args):
 
 
 _COMMANDS = {
-    "classify": _cmd_classify,
-    "invariants": _cmd_invariants,
+    "classify": _cmd_classified(_classify.classify_symmetries),
+    "invariants": _cmd_classified(_classify.classify_invariants),
     "verify": _cmd_verify,
-    "simulate": _cmd_simulate,
-    "solve": _cmd_solve,
+    "simulate": _cmd_path(integrate.euler_maruyama),
+    "solve": _cmd_path(_solve_exact),
     "converge": _cmd_converge,
     "reference": _cmd_reference,
 }

@@ -345,25 +345,27 @@ def _grid_meta(grid, scheme):
             "scheme": scheme, "derivation": grid.derivation}
 
 
-def euler_maruyama(sys, x0, grid, guard=BLOWUP_GUARD):
+def euler_maruyama(sys, x0, grid):
     """Explicit first-order scheme on one path:
         x_{k+1} = x_k + v_k dt
         v_{k+1} = v_k + (F(x_k) - beta v_k) dt + mu dw_k
-    NonFiniteState when a state leaves [-guard, guard] or is NaN. The path
-    steps on Python floats and rounds like the batched ensemble loop.
+    NonFiniteState when a state leaves [-BLOWUP_GUARD, BLOWUP_GUARD] or is
+    NaN. The path steps on Python floats and rounds like the batched
+    ensemble loop.
     """
     record = np.empty((grid.steps + 1, 1, 2 * sys.n))
-    _ou_em(sys, x0, grid.t0, grid.t1, _one_path(sys.n, grid), guard, record)
+    _ou_em(sys, x0, grid.t0, grid.t1, _one_path(sys.n, grid), record=record)
     return Path(times=grid.times, states=record[:, 0],
                 labels=_ou_labels(sys.n),
                 meta=_grid_meta(grid, "euler-maruyama"))
 
 
-def euler_maruyama_general(drift, sigma, x0, grid, labels=None,
-                           guard=BLOWUP_GUARD):
+def euler_maruyama_general(drift, sigma, x0, grid):
     """Euler-Maruyama for a plain Ito system given as callables.
 
-    drift(x) -> (d,), sigma(x) -> (d, n_proc), x0 length d.
+    drift(x) -> (d,), sigma(x) -> (d, n_proc), x0 length d; the columns
+    are labelled x1..xd, and a state outside [-BLOWUP_GUARD, BLOWUP_GUARD]
+    or NaN raises NonFiniteState.
     """
     x = np.asarray(x0, dtype=float).ravel()
     d = x.shape[0]
@@ -375,16 +377,15 @@ def euler_maruyama_general(drift, sigma, x0, grid, labels=None,
         out[0] = s[0] + f * dt + g @ dw[0]
 
     record = np.empty((grid.steps + 1, 1, d))
-    _em_batch(step, x[None], grid.increments[None], grid.t0, dt, guard,
-              record)
-    if labels is None:
-        labels = tuple(f"x{i + 1}" for i in range(d))
-    return Path(times=grid.times, states=record[:, 0], labels=tuple(labels),
+    _em_batch(step, x[None], grid.increments[None], grid.t0, dt,
+              BLOWUP_GUARD, record)
+    return Path(times=grid.times, states=record[:, 0],
+                labels=tuple(f"x{i + 1}" for i in range(d)),
                 meta=_grid_meta(grid, "euler-maruyama"))
 
 
 def euler_maruyama_ensemble(sys, x0, t0, t1, steps, n_paths, seed=0,
-                            chunk=2048, guard=BLOWUP_GUARD):
+                            chunk=2048):
     """Terminal states of n_paths Euler-Maruyama paths, (n_paths, 2n).
 
     Row i is driven by the increments keyed (seed, i), so it equals
@@ -401,7 +402,7 @@ def euler_maruyama_ensemble(sys, x0, t0, t1, steps, n_paths, seed=0,
     with closing(_increment_blocks(sys.n, t0, t1, steps, seed, n_paths,
                                    chunk)) as blocks:
         for i0, inc in blocks:
-            out[i0:i0 + len(inc)], _ = _ou_em(sys, x0, t0, t1, inc, guard)
+            out[i0:i0 + len(inc)], _ = _ou_em(sys, x0, t0, t1, inc)
     return out
 
 
@@ -534,7 +535,7 @@ def _exact_linear_paths(sys, x0, t, inc):
     return states, leak
 
 
-def exact_solve_linear(sys, x0, grid, imag_tol=IMAG_TOL):
+def exact_solve_linear(sys, x0, grid):
     """Exact solution for a regular linear force (n = 1 or isotropic).
 
     In eigenmode coordinates q = M^-1 x each mode splits into two processes
@@ -542,14 +543,14 @@ def exact_solve_linear(sys, x0, grid, imag_tol=IMAG_TOL):
     whose drift vanishes identically, leaving the quadratures
         dy_pm = mu exp(kappa_pm t) / (kappa_mp - kappa_pm) dW~.
     Complex eigenvalues are carried in complex arithmetic and the imaginary
-    part of the reassembled state is checked against imag_tol.
+    part of the reassembled state is checked against IMAG_TOL.
     """
     t = grid.times
     states, leak = _exact_linear_paths(sys, x0, t, _one_path(sys.n, grid))
     worst_imag = float(leak[0])
-    if not worst_imag <= imag_tol:
+    if not worst_imag <= IMAG_TOL:
         raise NonFiniteState(
-            f"imaginary leakage {worst_imag:.3e} exceeds {imag_tol:.1e}")
+            f"imaginary leakage {worst_imag:.3e} exceeds {IMAG_TOL:.1e}")
     meta = _grid_meta(grid, "exact-eigenmodes")
     meta["max_imag_leakage"] = worst_imag
     return Path(times=t, states=states[0], labels=_ou_labels(sys.n),

@@ -22,10 +22,14 @@ from .errors import (DimensionMismatch, EmptyProbeSet, NonFiniteEvaluation,
 from .expressions import parse_components
 
 
-def default_x_probes(n, count=32, seed=0, low=-2.0, high=2.0):
-    """Deterministic probe points in [low, high]^n for force classification."""
-    rng = np.random.default_rng(seed)
-    return [tuple(row) for row in rng.uniform(low, high, size=(count, n))]
+# relative threshold of every zero and singularity decision in classify_force
+_TOL = 1e-8
+
+
+def default_x_probes(n):
+    """32 probe points in [-2, 2]^n, seed 0, for force classification."""
+    rng = np.random.default_rng(0)
+    return [tuple(row) for row in rng.uniform(-2.0, 2.0, size=(32, n))]
 
 
 class ForceField:
@@ -40,23 +44,15 @@ class ForceField:
     def evaluate(self, x):
         raise NotImplementedError
 
-    def jacobian(self, x):
-        """dF^i/dx^j at x, exact via hyper-duals, from one evaluation.
+    def _derivatives(self, x):
+        """Values, Jacobian and Hessians of F at x, from one evaluation.
 
         x is a point of floats or of stacked probe columns (arrays of one
-        shape); the result has shape (n, n) followed by the probe axes.
-        """
-        n = self.n
-        probe = np.broadcast_shapes(*map(np.shape, x))
-        eye = np.eye(n).reshape((n,) + (1,) * len(probe) + (n,))
-        F = self.evaluate(duals.seed(x, eye))
-        return np.array([duals.d1(Fi, (n,) + probe) for Fi in F])
-
-    def hessians(self, x):
-        """List of the n symmetric matrices (H_i)_{jk} = d2 F^i / dx^j dx^k.
-
-        x is as for jacobian; each matrix has shape (n, n) followed by the
-        probe axes.
+        shape). e1 = I runs along the first seed axis and e2 = I along the
+        second, so f1 carries dF^i/dx^j (f1 never reads e2) and f12 carries
+        d2F^i/dx^j dx^k. Returns the value part of each component, the
+        Jacobian of shape (n, n) and the list of the n Hessians, each of
+        shape (n, n), all followed by the probe axes.
         """
         n = self.n
         probe = np.broadcast_shapes(*map(np.shape, x))
@@ -64,10 +60,28 @@ class ForceField:
         eye = np.eye(n)
         F = self.evaluate(duals.seed(x, eye.reshape((n, 1) + pad + (n,)),
                                      eye.reshape((1, n) + pad + (n,))))
+        jac = np.array([duals.d1(Fi, (n, 1) + probe)[:, 0] for Fi in F])
         # (j, k) and (k, j) can round differently; mirror the upper triangle
         upper = np.triu(np.ones((n, n), dtype=bool)).reshape((n, n) + pad)
-        return [np.where(upper, h, np.swapaxes(h, 0, 1))
-                for h in (duals.d12(Fi, (n, n) + probe) for Fi in F)]
+        return [duals.value(Fi) for Fi in F], jac, [
+            np.where(upper, h, np.swapaxes(h, 0, 1))
+            for h in (duals.d12(Fi, (n, n) + probe) for Fi in F)]
+
+    def jacobian(self, x):
+        """dF^i/dx^j at x, exact via hyper-duals (see _derivatives).
+
+        x is a point of floats or of stacked probe columns (arrays of one
+        shape); the result has shape (n, n) followed by the probe axes.
+        """
+        return self._derivatives(x)[1]
+
+    def hessians(self, x):
+        """List of the n symmetric matrices (H_i)_{jk} = d2 F^i / dx^j dx^k.
+
+        x is as for jacobian; each matrix has shape (n, n) followed by the
+        probe axes.
+        """
+        return self._derivatives(x)[2]
 
 
 class ConstantForce(ForceField):
@@ -143,16 +157,17 @@ class ForceClass:
     detail: str = ""
 
 
-def _smallest_relative_sv(M, tol):
+def _smallest_relative_sv(M):
     s = np.linalg.svd(M, compute_uv=False)
     top = s[0] if s.size else 0.0
     if top == 0.0:
         return 0.0, True
-    return s[-1] / top, (s[-1] / top) < tol
+    return s[-1] / top, (s[-1] / top) < _TOL
 
 
-def classify_force(force, probes=None, tol=1e-8):
-    """Classify a force field at probe points.
+def classify_force(force, probes=None):
+    """Classify a force field at probe points, from one seeded evaluation
+    of the force over all of them.
 
     Decision tree: zero Jacobian at every probe -> Constant; zero Hessians
     with nonsingular (resp. singular) Jacobian -> LinearRegular (resp.
@@ -165,8 +180,6 @@ def classify_force(force, probes=None, tol=1e-8):
     probes = [tuple(float(c) for c in p) for p in probes]
     if len(probes) == 0:
         raise EmptyProbeSet("classify_force needs at least one probe")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     for p in probes:
         if len(p) != force.n:
             raise DimensionMismatch(
@@ -176,11 +189,11 @@ def classify_force(force, probes=None, tol=1e-8):
 
     # every probe at once, as stacked columns; probes first below
     count = len(probes)
-    cols = [np.array(c) for c in zip(*probes)]
-    values = np.array([np.broadcast_to(duals.value(c), (count,))
-                       for c in force.evaluate(cols)]).T
-    jacobians = np.moveaxis(force.jacobian(cols), -1, 0)
-    hessian_sets = np.moveaxis(np.array(force.hessians(cols)), -1, 0)
+    values, jac, hess = force._derivatives(
+        [np.array(c) for c in zip(*probes)])
+    values = np.array([np.broadcast_to(v, (count,)) for v in values]).T
+    jacobians = np.moveaxis(jac, -1, 0)
+    hessian_sets = np.moveaxis(np.array(hess), -1, 0)
     for p, F, J, H in zip(probes, values, jacobians, hessian_sets):
         if not np.all(np.isfinite(F)):
             raise NonFiniteEvaluation(f"force non-finite at probe {p}")
@@ -189,7 +202,7 @@ def classify_force(force, probes=None, tol=1e-8):
 
     scale = max(1.0, max(float(np.max(np.abs(F))) for F in values),
                 max(float(np.max(np.abs(J))) for J in jacobians))
-    atol = tol * scale
+    atol = _TOL * scale
 
     jac_zero = [bool(np.max(np.abs(J)) <= atol) for J in jacobians]
     hess_zero = [bool(max(np.max(np.abs(h)) for h in H) <= atol)
@@ -208,8 +221,9 @@ def classify_force(force, probes=None, tol=1e-8):
         if spread > atol:
             raise UnclassifiableForce(
                 "zero Hessians but probe-dependent Jacobian")
-        rel, singular = _smallest_relative_sv(L, tol)
-        rank = int(np.linalg.matrix_rank(L, tol=tol * max(1.0, float(np.max(np.abs(L))))))
+        rel, singular = _smallest_relative_sv(L)
+        rank = int(np.linalg.matrix_rank(
+            L, tol=_TOL * max(1.0, float(np.max(np.abs(L))))))
         tag = "LinearDegenerate" if singular else "LinearRegular"
         return ForceClass(tag=tag, L=L.copy(), rank=rank, probes=tuple(probes),
                           detail=f"smallest relative singular value {rel:.3e}")
@@ -221,7 +235,7 @@ def classify_force(force, probes=None, tol=1e-8):
     for H in hessian_sets:
         ok = True
         for Hi in H:
-            _, singular = _smallest_relative_sv(Hi, tol)
+            _, singular = _smallest_relative_sv(Hi)
             if singular:
                 ok = False
                 break

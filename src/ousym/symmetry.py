@@ -119,6 +119,20 @@ def _component(i, n):
     return int(i)
 
 
+def _expdecay_phi(idx, kappa, n):
+    """phi of exp(-kappa t)(d/dx - kappa d/dv) on component idx (0-based) of
+    an n-dim OU system; kappa is a rate or an array of rates that
+    broadcasts against t."""
+    def phi(p):
+        g = duals.exp(-kappa * p.t)
+        out = [0.0] * (2 * n)
+        out[idx] = g
+        out[n + idx] = -kappa * g
+        return out
+
+    return phi
+
+
 class SymmetryGenerator:
     """Coefficient bundle phi over the state plus the constant W-matrix R."""
 
@@ -164,24 +178,16 @@ class SymmetryGenerator:
     # -- closed-form families on the OU system (state dim 2n) --
 
     @staticmethod
-    def exp_decay(i, kappa, n, R=None):
+    def exp_decay(i, kappa, n):
         """exp(-kappa t) (d/dx_i - kappa d/dv_i) on an n-dim OU system."""
         i = _component(i, n)
-        idx = i - 1
-
-        def phi(p):
-            g = duals.exp(-kappa * p.t)
-            out = [0.0] * (2 * n)
-            out[idx] = g
-            out[n + idx] = -kappa * g
-            return out
-
         return SymmetryGenerator(
-            phi, 2 * n, 2 * n, R=R, family=ExpDecay(i=i, kappa=kappa),
+            _expdecay_phi(i - 1, kappa, n), 2 * n, 2 * n,
+            family=ExpDecay(i=i, kappa=kappa),
             label=_render_expdecay(i, kappa))
 
     @staticmethod
-    def translation(i, n, R=None):
+    def translation(i, n):
         """d/dx_i on an n-dim OU system."""
         i = _component(i, n)
         idx = i - 1
@@ -191,9 +197,8 @@ class SymmetryGenerator:
             out[idx] = 1.0
             return out
 
-        return SymmetryGenerator(
-            phi, 2 * n, 2 * n, R=R, family=Translation(i=i),
-            label=f"d/dx{i}")
+        return SymmetryGenerator(phi, 2 * n, 2 * n, family=Translation(i=i),
+                                 label=f"d/dx{i}")
 
     @staticmethod
     def linear_mode(column, kappa, n, part="re"):
@@ -212,7 +217,9 @@ class SymmetryGenerator:
             label=_render_linear_mode(column, kappa, part, n))
 
     def scaled(self, alpha_fn, scaling_label):
-        """alpha-scaled copy (used by scale_by_invariant after validation)."""
+        """alpha-scaled copy, alpha a callable on points; alpha is not
+        checked here (scale_by_invariant validates it first, and
+        structure_constants scales by functions of the chi invariants)."""
         base_phi = self.phi
 
         def phi(p):
@@ -248,6 +255,15 @@ def _render_expdecay(i, kappa):
     return f"{head}*(d/dx{i} {sign} {_fmt(abs(kappa))}*d/dv{i})"
 
 
+def _join_signed(terms):
+    """Signed terms joined by " + ", or by " - " before a term that starts
+    with a minus; "0" for no terms."""
+    out = terms[0] if terms else "0"
+    for term in terms[1:]:
+        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+    return out
+
+
 def _coef_str(c, complex_mode):
     c = complex(c)
     if complex_mode:
@@ -271,15 +287,7 @@ def _render_linear_mode(column, kappa, part, n):
         c = -kappa * complex(column[k])
         if c != 0:
             terms.append(f"{_coef_str(c, complex_mode)}d/dv{k + 1}")
-    if not terms:
-        core = "0"
-    else:
-        core = terms[0]
-        for term in terms[1:]:
-            if term.startswith("-"):
-                core += " - " + term[1:]
-            else:
-                core += " + " + term
+    core = _join_signed(terms)
     if complex_mode:
         tag = "Re" if part == "re" else "Im"
         return (f"{tag}[exp(-({_fmt(kappa.real)}{kappa.imag:+.10g}i)t)"
@@ -366,17 +374,13 @@ def render_affine(affine):
         parts.append((affine.a_t, "t"))
     if affine.a_0 != 0.0 or not parts:
         parts.append((affine.a_0, ""))
-    out = ""
-    for k, (c, name) in enumerate(parts):
-        sign = "-" if c < 0 else "+"
+    terms = []
+    for c, name in parts:
         mag = abs(c)
         term = name if (mag == 1.0 and name) else (
             f"{_fmt(mag)}*{name}" if name else _fmt(mag))
-        if k == 0:
-            out = f"-{term}" if c < 0 else term
-        else:
-            out += f" {sign} {term}"
-    return out
+        terms.append(f"-{term}" if c < 0 else term)
+    return _join_signed(terms)
 
 
 # --- residual evaluation ---
@@ -475,15 +479,16 @@ def max_invariant_residual(theta, sys, probes):
     return _max_abs(invariant_residual(theta, sys, stack_probes(probes)))
 
 
-def scale_by_invariant(X, alpha, sys, probes=None, tol=1e-8):
-    """Multiply a generator by an invariant; validates alpha first."""
+def scale_by_invariant(X, alpha, sys, probes=None):
+    """Multiply a generator by an invariant; validates alpha first: its
+    invariance conditions must stay within 1e-8 at the probes."""
     if probes is None:
         probes = sample_probes(sys, count=50, seed=7)
     worst = max_invariant_residual(alpha, sys, probes)
-    if not worst <= tol:
+    if not worst <= 1e-8:
         raise NotAnInvariant(
             f"{getattr(alpha, 'label', 'alpha')} fails the invariance "
-            f"conditions: max residual {worst:.3e} > {tol:.1e}")
+            f"conditions: max residual {worst:.3e} > 1.0e-08")
     alpha_fn = alpha.evaluate if isinstance(alpha, InvariantCandidate) else alpha
     return X.scaled(alpha_fn, getattr(alpha, "label", "alpha"))
 
@@ -513,6 +518,8 @@ def solve_wsym_linear_constraint(L, B):
     B = np.asarray(B, dtype=float)
     if L.shape != B.shape or L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise DimensionMismatch("L and B must be square of equal size")
+    if not (np.all(np.isfinite(L)) and np.all(np.isfinite(B))):
+        raise NonFiniteResult("L and B must be finite")
     if np.max(np.abs(B - np.diag(np.diag(B)))) > 0.0:
         raise DimensionMismatch("B must be diagonal")
     n = L.shape[0]
@@ -524,21 +531,25 @@ def solve_wsym_linear_constraint(L, B):
 
 # --- affine invariant solver ---
 
-def affine_invariant_nullspace(sys, probes=None, rcond=1e-9):
+def affine_invariant_nullspace(sys, probes=None):
     """Solve the invariance conditions over affine Theta (constant excluded).
 
     Coefficients are ordered (a_x, a_v, a_w, a_t); a_0 never enters any
-    condition, so constants are quotiented out. Returns (dimension, list of
-    AffineRecord basis elements).
+    condition, so constants are quotiented out. Singular values at most
+    1e-9 times the largest count as zero. Returns (dimension, list of
+    AffineRecord basis elements); conditions that are not finite raise
+    NonFiniteResult.
     """
     n = sys.n
     if probes is None:
         probes = sample_probes(sys, count=max(32, 3 * n + 4), seed=11)
-    # column c holds the conditions on coordinate function c, probes inner
-    rows = _invariant_conditions(lambda q: [*q.x, *q.v, *q.w, q.t], sys,
-                                 stack_probes(probes))
+    # column c holds the conditions on coordinate function c, probes inner;
+    # _null_space rejects what overflows, so numpy need not warn about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _invariant_conditions(lambda q: [*q.x, *q.v, *q.w, q.t], sys,
+                                     stack_probes(probes))
     ns = _null_space(np.swapaxes(rows, 1, 2).reshape(-1, 3 * n + 1),
-                     rcond=rcond)
+                     rcond=1e-9)
     basis = []
     for k in range(ns.shape[1]):
         vec = ns[:, k]

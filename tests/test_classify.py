@@ -395,3 +395,83 @@ def test_nan_residual_fails_certification(monkeypatch):
     with pytest.raises(CertificationFailed):
         classify_invariants(
             build_ou_system(1, [1.0], [2.0], ConstantForce([0.5])))
+
+
+def _draw_iso_linear(data, st, n):
+    """A regular isotropic linear n-dim system away from critical damping,
+    drawn from hypothesis data, and its force matrix."""
+    beta = data.draw(st.floats(0.5, 2.5))
+    mu = data.draw(st.floats(0.3, 2.0))
+    # |lambda| >= 0.3, |beta^2 + 4 lambda| >= 1, eigenvalues 0.1 apart
+    lams = []
+    for _ in range(n):
+        lams.append(data.draw(st.floats(-3.0, 3.0).filter(
+            lambda lam: abs(lam) >= 0.3 and abs(beta ** 2 + 4 * lam) >= 1
+            and all(abs(lam - m) >= 0.1 for m in lams))))
+    Q, _ = np.linalg.qr(np.reshape(
+        data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n,
+                           max_size=n * n)), (n, n)))
+    L = Q @ np.diag(lams) @ Q.T
+    return build_ou_system(n, [beta] * n, [mu] * n, LinearForce(L)), L
+
+
+def test_relabelling_coordinates_keeps_the_algebra():
+    # metamorphic: L -> P L P^T on a regular isotropic linear system keeps
+    # the case, the module rank and the multiset of rates
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def rates(alg):
+        # a conjugate pair of rates is emitted through either member
+        return sorted((k.real, abs(k.imag)) for k in (
+            complex(g.family.kappa) for g in alg.generators))
+
+    @hypothesis.settings(max_examples=10, deadline=None)
+    @hypothesis.given(data=st.data(), n=st.integers(2, 4))
+    def check(data, n):
+        sys_, L = _draw_iso_linear(data, st, n)
+        P = np.eye(n)[data.draw(st.permutations(range(n)))]
+        moved = build_ou_system(n, sys_.beta, sys_.mu,
+                                LinearForce(P @ L @ P.T))
+        a, b = classify_symmetries(sys_), classify_symmetries(moved)
+        assert (b.case_tag, b.module_rank) == (a.case_tag, a.module_rank)
+        assert len(b.generators) == len(a.generators) == 2 * n
+        np.testing.assert_allclose(rates(b), rates(a), rtol=1e-9,
+                                   atol=1e-12)
+
+    check()
+
+
+def test_verdict_does_not_depend_on_probe_order():
+    # the probe list read backwards gives the same case, generators and
+    # module rank; the commutator table reads only the first 4 probes, so
+    # it may differ
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=12, deadline=None)
+    @hypothesis.given(data=st.data(), n=st.integers(1, 3),
+                      kind=st.sampled_from(["constant", "linear", "cubic"]),
+                      seed=st.integers(0, 2 ** 16))
+    def check(data, n, kind, seed):
+        if kind == "linear":
+            sys_, _ = _draw_iso_linear(data, st, n)
+        else:
+            coef = data.draw(st.lists(st.floats(0.5, 2.0), min_size=n,
+                                      max_size=n))
+            force = ConstantForce(coef) if kind == "constant" else (
+                parse_force_expression("; ".join(
+                    f"{c!r}*x{i + 1}^3" for i, c in enumerate(coef)), n))
+            sys_ = build_ou_system(
+                n, data.draw(st.lists(st.floats(0.5, 2.5), min_size=n,
+                                      max_size=n)),
+                data.draw(st.lists(st.floats(0.3, 2.0), min_size=n,
+                                   max_size=n)), force)
+        probes = sample_probes(sys_, count=32, seed=seed)
+        a = classify_symmetries(sys_, probes=probes)
+        b = classify_symmetries(sys_, probes=probes[::-1])
+        assert (b.case_tag, b.module_rank) == (a.case_tag, a.module_rank)
+        assert [g.label for g in b.generators] == [
+            g.label for g in a.generators]
+
+    check()

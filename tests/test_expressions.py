@@ -7,7 +7,8 @@ import pytest
 
 from ousym.errors import (ArityMismatch, EvaluationDomainError,
                           ExpressionSyntaxError, UnknownIdentifier)
-from ousym.expressions import (parse_components, parse_expression,
+from ousym.expressions import (BinOp, Func, Neg, NormX, Num, Var,
+                               parse_components, parse_expression,
                                parse_force_expression)
 
 
@@ -82,6 +83,30 @@ def test_round_trip_is_identity():
         assert again == tree, f"{text!r} -> {rendered!r}"
         xs = [0.7, 1.3]
         assert again.evaluate(xs) == pytest.approx(tree.evaluate(xs))
+
+
+def test_render_then_parse_is_the_identity_on_drawn_trees():
+    # the module promises parse(render(tree)) == tree for every tree; a
+    # literal is nonnegative, a negative one being Neg(Num) once parsed
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    leaves = st.one_of(
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(
+            Num),
+        st.integers(0, 2).map(Var), st.just(NormX()))
+    trees = st.recursive(leaves, lambda kids: st.one_of(
+        kids.map(Neg),
+        st.builds(Func, st.sampled_from(
+            ["sin", "cos", "exp", "log", "sqrt", "abs"]), kids),
+        st.builds(BinOp, st.sampled_from(list("+-*/^")), kids, kids)),
+        max_leaves=10)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(trees)
+    def check(tree):
+        assert parse_expression(tree.render(), 3) == tree
+
+    check()
 
 
 def test_syntax_error_offset_example():

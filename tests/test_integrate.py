@@ -724,6 +724,26 @@ def test_study_skips_by_whole_path_leakage(monkeypatch):
             problem.exact_terminal(x0, grid)
 
 
+def test_exact_solve_linear_reads_imag_tol_when_called(monkeypatch):
+    # the single-path solver and the study adapter judge the leakage of one
+    # grid against the same IMAG_TOL, read at call time
+    sys2 = build_ou_system(2, [1.0, 1.0], [0.6, 0.6],
+                           LinearForce([[-3.0, 1.0], [-1.0, -3.0]]))
+    x0 = [0.4, -0.2, 0.3, 0.1]
+    grid = sample_wiener(2, 0.0, 1.0, 64, seed=2)
+    leak = exact_solve_linear(sys2, x0, grid).meta["max_imag_leakage"]
+    assert 0.0 < leak <= integrate.IMAG_TOL
+    problem = OUConvergenceProblem(sys2)
+    monkeypatch.setattr(integrate, "IMAG_TOL", leak / 2)
+    with pytest.raises(NonFiniteState):
+        exact_solve_linear(sys2, x0, grid)
+    with pytest.raises(NonFiniteState):
+        problem.exact_terminal(x0, grid)
+    monkeypatch.setattr(integrate, "IMAG_TOL", leak)
+    assert np.array_equal(exact_solve_linear(sys2, x0, grid).terminal(),
+                          problem.exact_terminal(x0, grid))
+
+
 def test_ensemble_thread_count_invariance(monkeypatch):
     sys1 = build_ou_system(1, [1.0], [1.0], ConstantForce([0.3]))
     results = []

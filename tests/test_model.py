@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ousym import (ConstantForce, DimensionMismatch, ExpressionForce,
-                   LinearForce, NonPositiveFriction, OUSystem,
+                   HyperDual, LinearForce, NonPositiveFriction, OUSystem,
                    UnclassifiableForce, ZeroNoise, build_ou_system,
                    classify_force, default_x_probes, parse_force_expression,
                    system_from_json, system_to_json)
@@ -127,6 +127,19 @@ def test_classification_order_independent():
     a = classify_force(f, probes=probes)
     b = classify_force(f, probes=list(reversed(probes)))
     assert a.tag == b.tag
+
+
+def test_classify_force_evaluates_the_force_once():
+    # values, Jacobians and Hessians at every probe come from one seeded
+    # evaluation of the force
+    for text, n in (("x1^3 - 2*x1", 1),
+                    ("x1*x2 + x3; sin(x2) + x3^2; x1^2*x3 - x2", 3)):
+        force = parse_force_expression(text, n)
+        calls = []
+        force.evaluate = lambda x, calls=calls, plain=force.evaluate: (
+            calls.append(isinstance(x[0], HyperDual)) or plain(x))
+        classify_force(force)
+        assert calls == [True]
 
 
 def test_hessians_symmetric():

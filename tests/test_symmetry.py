@@ -1,5 +1,7 @@
 """Determining-equation residuals, invariants, and the W-matrix constraint."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -353,6 +355,21 @@ def test_affine_nullspace_rejects_overflowing_force():
                            parse_force_expression("exp(400*x1)", 1))
     with pytest.raises(NonFiniteResult):
         affine_invariant_nullspace(sys1)
+
+
+def test_non_finite_rejections_do_not_warn():
+    # the finite checks refuse these inputs before numpy warns about them
+    sys1 = build_ou_system(1, [1.0], [1.0],
+                           parse_force_expression("exp(400*x1)", 1))
+    L = np.eye(2)
+    L[1, 0] = np.inf
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFiniteResult):
+            affine_invariant_nullspace(sys1)
+        with pytest.raises(NonFiniteResult):
+            solve_wsym_linear_constraint(L, np.eye(2))
+    assert [str(w.message) for w in caught] == []
 
 
 def test_null_space_rejects_inf():
