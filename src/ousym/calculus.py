@@ -7,7 +7,7 @@ entry of extended_coords(p), in the order x-block, v-block, t, w-block,
 z-block.
 
 The primary engine is hyper-dual numbers (exact to rounding), all seeded by
-duals.seed in vector mode, so each field is evaluated once per derivative
+duals.jet in vector mode, so each field is evaluated once per derivative
 need rather than once per coordinate. _ito_jet is the one evaluation behind
 every determining equation and invariance condition: e1 holds a unit row per
 state coordinate and one for t, then the rows
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 from . import duals
 from .duals import value
-from .errors import (DimensionMismatch, EvaluationDomainError,
-                     NonFiniteResult, WrongForceClass)
+from .errors import (DimensionMismatch, EmptyProbeSet,
+                     EvaluationDomainError, NonFiniteResult, WrongForceClass)
 from .model import ConstantForce
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -127,7 +127,10 @@ def sample_probes(proc, count=32, seed=0, box=(-2.0, 2.0)):
 
 
 def stack_probes(probes):
-    """Bundle a probe list into one ExtendedPoint with array coordinates."""
+    """Bundle a probe list into one ExtendedPoint with array coordinates;
+    an empty list raises EmptyProbeSet."""
+    if len(probes) == 0:
+        raise EmptyProbeSet("stacking needs at least one probe")
     first = probes[0]
     def col(block, i):
         return np.array([float(p.coord((block, i))) for p in probes])
@@ -155,25 +158,10 @@ def _probe_shape(p):
 
 
 def _jet(fvec, p, e1, e2=None):
-    """Evaluate fvec once at p seeded along e1 (and e2), see duals.seed.
-
-    Returns per component the value, the first derivatives along every e1
-    direction and, given e2, the second derivatives along every (e1, e2)
-    pair; derivative arrays have the seed's leading axes, then p's probe
-    axes.
-    """
-    vals = [p.coord(c) for c in extended_coords(p)]
-    shape = np.broadcast_shapes(e1.shape[:-1], *{np.shape(v) for v in vals})
-    out = fvec(_at(p, duals.seed(vals, e1, e2)))
-    return ([value(c) for c in out], [duals.d1(c, shape) for c in out],
-            None if e2 is None else [duals.d12(c, shape) for c in out])
-
-
-def _full_shape(per_point, per_seed):
-    """Probe shape that every per-point array and every per-seed array (seed
-    axis first) of a jet broadcast to."""
-    return np.broadcast_shapes(*map(np.shape, per_point),
-                               *(np.shape(d)[1:] for d in per_seed))
+    """duals.jet of fvec over all of p's coordinates, in extended_coords
+    order."""
+    return duals.jet(lambda s: fvec(_at(p, s)),
+                     [p.coord(c) for c in extended_coords(p)], e1, e2)
 
 
 def _gradients(fvec, p):
@@ -185,9 +173,7 @@ def _gradients(fvec, p):
     """
     n = len(extended_coords(p))
     lead = (n,) + (1,) * len(_probe_shape(p))
-    vals, grads, _ = _jet(fvec, p, np.eye(n).reshape(lead + (n,)))
-    shape = _full_shape(vals, grads)
-    return _stacked(vals, shape), _stacked(grads, (n,) + shape)
+    return _jet(fvec, p, np.eye(n).reshape(lead + (n,)))[:2]
 
 
 def _check_finite(out, what):
@@ -215,15 +201,17 @@ def derivative(f, p, coord, order=1, coord2=None, engine="dual"):
     if engine == "dual":
         # seed only the coordinates asked for; the rest stay plain
         pair = [coord] if coord2 in (None, coord) else [coord, coord2]
+
+        def at(seeds):
+            q = p
+            for c, s in zip(pair, seeds):
+                q = q.with_coord(c, s)
+            return [f(q)]
+
         eye = np.eye(len(pair))
-        seeds = duals.seed([p.coord(c) for c in pair], eye[0],
-                           None if order == 1 else eye[-1])
-        q = p
-        for c, s in zip(pair, seeds):
-            q = q.with_coord(c, s)
-        r = f(q)
-        read = duals.d1 if order == 1 else duals.d12
-        return _check_finite(read(r, np.shape(value(r))), "derivative")
+        _, d1, d12 = duals.jet(at, [p.coord(c) for c in pair], eye[0],
+                               None if order == 1 else eye[-1])
+        return _check_finite((d1 if order == 1 else d12)[0], "derivative")
     if engine != "fd":
         raise ValueError(f"unknown engine {engine!r}")
     c1 = coord
@@ -249,12 +237,6 @@ def derivative(f, p, coord, order=1, coord2=None, engine="dual"):
 
 def _sigma_values(proc, p):
     return [[value(e) for e in row] for row in proc.sigma(p)]
-
-
-def _stacked(entries, shape):
-    """One array of the entries, each broadcast to shape, the entry axis
-    first."""
-    return np.stack([np.broadcast_to(e, shape) for e in entries])
 
 
 def _ito_jet(fvec, proc, p):
@@ -289,11 +271,8 @@ def _ito_jet(fvec, proc, p):
     e2 = e1.copy()
     e2[:k0] = 0.0
     vals, d1, d12 = _jet(fvec, p, e1, e2)
-    lap = [_check_finite(d[k0:].sum(axis=0), "ito_laplacian") for d in d12]
-    shape = _full_shape(vals + lap, d1)
-    d1 = _stacked(d1, (len(e1),) + shape)
-    return (_stacked(vals, shape), d1[:, :k0 - 1], d1[:, k0 - 1], d1[:, k0:],
-            _stacked(lap, shape))
+    lap = _check_finite(d12[:, k0:].sum(axis=1), "ito_laplacian")
+    return vals, d1[:, :k0 - 1], d1[:, k0 - 1], d1[:, k0:], lap
 
 
 def ito_laplacian_components(fvec, proc, p):
@@ -341,8 +320,9 @@ def _field_jet(F, p, engine="dual"):
                     diffs = [np.nan] * len(vals)
                 for row, d in zip(rows, diffs):
                     row.append(d)
-        vals = _stacked(vals, shape)
-        jac = _stacked([_stacked(row, shape) for row in rows], (n,) + shape)
+        vals = duals._stacked(vals, shape)
+        jac = duals._stacked([duals._stacked(row, shape) for row in rows],
+                             (n,) + shape)
     else:
         raise ValueError(f"unknown engine {engine!r}")
     if len(vals) != n:

@@ -349,8 +349,7 @@ def _chi_vector(sys, p):
 
 def _scaling_partial(fn, chis, j):
     """d fn / d chi_j at plain chi values, seeded on chi_j."""
-    return duals.d1(fn(duals.seed(chis, np.eye(len(chis))[j])),
-                    np.shape(chis[0]))
+    return duals.jet(lambda s: [fn(s)], chis, np.eye(len(chis))[j])[1][0]
 
 
 def structure_constants(alg, probes=None):

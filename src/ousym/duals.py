@@ -5,10 +5,10 @@ f(p) + f1*e1 + f2*e2 + f12*e1*e2 with e1^2 = e2^2 = 0. Seeding e1 along one
 direction and e2 along another (or the same one) yields exact first, second,
 and mixed directional derivatives, with no truncation error.
 
-Components may be floats or numpy arrays; arithmetic broadcasts. seed() uses
+Components may be floats or numpy arrays; arithmetic broadcasts. jet() uses
 that to carry a whole stack of directions at once (vector, or "chunk", mode):
 one evaluation returns a full gradient, Hessian or set of directional second
-derivatives at every probe.
+derivatives at every probe. jet() is the only place that seeds coordinates.
 """
 
 import numpy as np
@@ -132,38 +132,51 @@ def value(x):
     return _value(x)
 
 
-def seed(values, e1, e2=None):
-    """Seed coordinate a as HyperDual(values[a], e1[..., a], e2[..., a], 0).
+def jet(fn, values, e1, e2=None):
+    """Evaluate fn once on the coordinates values, seeded along e1 (and e2).
 
-    The last axis of e1 (and e2) runs over the coordinates; the leading axes
-    are seed directions and broadcast against the probe axes of values, so
-    they come first with one axis per probe axis (of length 1 for a shared
-    direction). One evaluation on the seeded coordinates then carries the
-    derivative along every e1 direction in f1 and the second derivative
-    along every (e1, e2) pair in f12; read them with d1 and d12.
+    Coordinate a is seeded as HyperDual(values[a], e1[..., a], e2[..., a],
+    0). The last axis of e1 (and e2) runs over the coordinates. Its other
+    axes broadcast against the probe axes of values, aligned on the right:
+    the axes in front of the probe axes are seed axes, one direction per
+    entry, and a probe-aligned axis of length 1 shares a direction between
+    probes. fn takes the list of seeded coordinates and returns a sequence
+    of components, each a HyperDual or a plain value.
+
+    Returns (vals, d1, d12), each with the component axis first. vals has
+    the probe shape: that of values, widened by any shape the components
+    add. d1 and d12 have the seed axes, then the probe shape; d1 holds the
+    derivative of each component along every e1 direction and d12, given
+    e2, the second derivative along every (e1, e2) pair (else None). A
+    plain component has zero derivatives.
     """
     e1 = np.asarray(e1, dtype=float)
     e2 = None if e2 is None else np.asarray(e2, dtype=float)
-    return [HyperDual(v, e1[..., a], 0.0 if e2 is None else e2[..., a], 0.0)
-            for a, v in enumerate(values)]
+    out = fn([HyperDual(v, e1[..., a], 0.0 if e2 is None else e2[..., a], 0.0)
+              for a, v in enumerate(values)])
+    probe = np.broadcast_shapes(*map(np.shape, values))
+    base = np.broadcast_shapes(e1.shape[:-1], probe,
+                               () if e2 is None else e2.shape[:-1])
+    k = len(base) - len(probe)
+    vals = [_value(c) for c in out]
+    d1 = [getattr(c, "f1", 0.0) for c in out]
+    d12 = None if e2 is None else [getattr(c, "f12", 0.0) for c in out]
+    shape = np.broadcast_shapes(
+        base[k:], *map(np.shape, vals),
+        *(np.broadcast_shapes(np.shape(d), base)[k:]
+          for d in d1 + (d12 or [])))
+    full = base[:k] + shape
+    return (_stacked(vals, shape), _stacked(d1, full),
+            None if d12 is None else _stacked(d12, full))
 
 
-def _broadcast(part, shape):
-    if np.shape(part) == shape:
-        return part
-    return np.broadcast_to(part, np.broadcast_shapes(np.shape(part), shape))
-
-
-def d1(r, shape):
-    """f1 of a seeded result broadcast to shape (0 for a plain value)."""
-    return (_broadcast(r.f1, shape) if isinstance(r, HyperDual)
-            else np.zeros(shape))
-
-
-def d12(r, shape):
-    """f12 of a seeded result broadcast to shape (0 for a plain value)."""
-    return (_broadcast(r.f12, shape) if isinstance(r, HyperDual)
-            else np.zeros(shape))
+def _stacked(entries, shape):
+    """One array of the entries, each broadcast to shape, the entry axis
+    first."""
+    out = np.empty((len(entries),) + shape, np.result_type(*entries))
+    for i, e in enumerate(entries):
+        out[i] = e
+    return out
 
 
 def _chain(x, v, d1, d2):

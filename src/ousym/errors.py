@@ -31,7 +31,8 @@ class EmptyProbeSet(OusymError):
 
 
 class NonFiniteEvaluation(OusymError):
-    """A force field evaluated to NaN or infinity at a probe."""
+    """A force field evaluated to NaN or infinity at a probe, or a system
+    parameter is NaN or infinite."""
 
 
 class NonFiniteResult(OusymError):

@@ -5,11 +5,11 @@ The dynamics integrated and analysed everywhere in this package are
     dx^i = v^i dt
     dv^i = (F^i(x) - beta_i v^i) dt + mu_i dw^i
 
-with beta_i > 0 and mu_i != 0. The state has dimension 2n; the driving Wiener
-space is formally 2n-dimensional, with n active processes w and n ghost
-processes z that never enter the equations. The diffusion matrix is therefore
-block-degenerate: zero rows for the x components, diagonal mu on the v rows,
-zero columns for the ghosts.
+with finite beta_i > 0 and mu_i != 0. The state has dimension 2n; the
+driving Wiener space is formally 2n-dimensional, with n active processes w
+and n ghost processes z that never enter the equations. The diffusion matrix
+is therefore block-degenerate: zero rows for the x components, diagonal mu
+on the v rows, zero columns for the ghosts.
 """
 
 from dataclasses import dataclass
@@ -50,22 +50,19 @@ class ForceField:
         x is a point of floats or of stacked probe columns (arrays of one
         shape). e1 = I runs along the first seed axis and e2 = I along the
         second, so f1 carries dF^i/dx^j (f1 never reads e2) and f12 carries
-        d2F^i/dx^j dx^k. Returns the value part of each component, the
-        Jacobian of shape (n, n) and the list of the n Hessians, each of
-        shape (n, n), all followed by the probe axes.
+        d2F^i/dx^j dx^k. Returns the values of shape (n,), the Jacobian of
+        shape (n, n) and the Hessians of shape (n, n, n), component first,
+        all followed by the probe axes.
         """
         n = self.n
-        probe = np.broadcast_shapes(*map(np.shape, x))
-        pad = (1,) * len(probe)
+        pad = (1,) * len(np.broadcast_shapes(*map(np.shape, x)))
         eye = np.eye(n)
-        F = self.evaluate(duals.seed(x, eye.reshape((n, 1) + pad + (n,)),
-                                     eye.reshape((1, n) + pad + (n,))))
-        jac = np.array([duals.d1(Fi, (n, 1) + probe)[:, 0] for Fi in F])
+        vals, d1, d12 = duals.jet(self.evaluate, x,
+                                  eye.reshape((n, 1) + pad + (n,)),
+                                  eye.reshape((1, n) + pad + (n,)))
         # (j, k) and (k, j) can round differently; mirror the upper triangle
         upper = np.triu(np.ones((n, n), dtype=bool)).reshape((n, n) + pad)
-        return [duals.value(Fi) for Fi in F], jac, [
-            np.where(upper, h, np.swapaxes(h, 0, 1))
-            for h in (duals.d12(Fi, (n, n) + probe) for Fi in F)]
+        return vals, d1[:, :, 0], np.where(upper, d12, np.swapaxes(d12, 1, 2))
 
     def jacobian(self, x):
         """dF^i/dx^j at x, exact via hyper-duals (see _derivatives).
@@ -81,7 +78,7 @@ class ForceField:
         x is as for jacobian; each matrix has shape (n, n) followed by the
         probe axes.
         """
-        return self._derivatives(x)[2]
+        return list(self._derivatives(x)[2])
 
 
 class ConstantForce(ForceField):
@@ -158,11 +155,12 @@ class ForceClass:
 
 
 def _smallest_relative_sv(M):
+    """Smallest over largest singular value of each matrix of the stack M
+    (0 for a zero matrix), and whether it is below _TOL (singular)."""
     s = np.linalg.svd(M, compute_uv=False)
-    top = s[0] if s.size else 0.0
-    if top == 0.0:
-        return 0.0, True
-    return s[-1] / top, (s[-1] / top) < _TOL
+    top = s[..., 0]
+    rel = s[..., -1] / np.where(top == 0.0, 1.0, top)
+    return rel, rel < _TOL
 
 
 def classify_force(force, probes=None):
@@ -187,38 +185,34 @@ def classify_force(force, probes=None):
         if not all(np.isfinite(c) for c in p):
             raise NonFiniteEvaluation(f"non-finite probe {p}")
 
-    # every probe at once, as stacked columns; probes first below
-    count = len(probes)
-    values, jac, hess = force._derivatives(
-        [np.array(c) for c in zip(*probes)])
-    values = np.array([np.broadcast_to(v, (count,)) for v in values]).T
-    jacobians = np.moveaxis(jac, -1, 0)
-    hessian_sets = np.moveaxis(np.array(hess), -1, 0)
-    for p, F, J, H in zip(probes, values, jacobians, hessian_sets):
-        if not np.all(np.isfinite(F)):
-            raise NonFiniteEvaluation(f"force non-finite at probe {p}")
-        if not (np.all(np.isfinite(J)) and np.all(np.isfinite(H))):
-            raise NonFiniteEvaluation(f"force derivatives non-finite at {p}")
+    # every probe at once, as stacked columns; the probe axis first below
+    values, jac, hess = (np.moveaxis(a, -1, 0) for a in force._derivatives(
+        [np.array(c) for c in zip(*probes)]))
+    bad_value = ~np.isfinite(values).all(axis=1)
+    bad = bad_value | ~(np.isfinite(jac).all(axis=(1, 2))
+                        & np.isfinite(hess).all(axis=(1, 2, 3)))
+    if bad.any():
+        k = int(np.argmax(bad))
+        if bad_value[k]:
+            raise NonFiniteEvaluation(f"force non-finite at probe {probes[k]}")
+        raise NonFiniteEvaluation(
+            f"force derivatives non-finite at {probes[k]}")
 
-    scale = max(1.0, max(float(np.max(np.abs(F))) for F in values),
-                max(float(np.max(np.abs(J))) for J in jacobians))
-    atol = _TOL * scale
+    atol = _TOL * max(1.0, float(np.abs(values).max()),
+                      float(np.abs(jac).max()))
+    jac_zero = np.abs(jac).max(axis=(1, 2)) <= atol
+    hess_zero = np.abs(hess).max(axis=(1, 2, 3)) <= atol
 
-    jac_zero = [bool(np.max(np.abs(J)) <= atol) for J in jacobians]
-    hess_zero = [bool(max(np.max(np.abs(h)) for h in H) <= atol)
-                 for H in hessian_sets]
-
-    if all(jac_zero):
+    if jac_zero.all():
         return ForceClass(tag="Constant", probes=tuple(probes),
                           detail="zero Jacobian at all probes")
-    if any(jac_zero):
+    if jac_zero.any():
         raise UnclassifiableForce(
             "Jacobian vanishes at some probes but not others")
 
-    if all(hess_zero):
-        L = jacobians[0]
-        spread = max(float(np.max(np.abs(J - L))) for J in jacobians)
-        if spread > atol:
+    if hess_zero.all():
+        L = jac[0]
+        if float(np.abs(jac - L).max()) > atol:
             raise UnclassifiableForce(
                 "zero Hessians but probe-dependent Jacobian")
         rel, singular = _smallest_relative_sv(L)
@@ -227,29 +221,21 @@ def classify_force(force, probes=None):
         tag = "LinearDegenerate" if singular else "LinearRegular"
         return ForceClass(tag=tag, L=L.copy(), rank=rank, probes=tuple(probes),
                           detail=f"smallest relative singular value {rel:.3e}")
-    if any(hess_zero):
+    if hess_zero.any():
         raise UnclassifiableForce(
             "Hessians vanish at some probes but not others")
 
-    regular = []
-    for H in hessian_sets:
-        ok = True
-        for Hi in H:
-            _, singular = _smallest_relative_sv(Hi)
-            if singular:
-                ok = False
-                break
-        regular.append(ok)
-    if all(regular):
+    regular = ~_smallest_relative_sv(hess)[1].any(axis=1)
+    if regular.all():
         tag = "NonlinearSecondOrderRegular"
-    elif not any(regular):
+    elif not regular.any():
         tag = "NonlinearSecondOrderDegenerate"
     else:
         raise UnclassifiableForce(
             "Hessian regularity differs between probes: "
-            f"{sum(regular)}/{len(regular)} probes regular")
+            f"{int(regular.sum())}/{len(regular)} probes regular")
     return ForceClass(tag=tag, probes=tuple(probes),
-                      hessian_regular=tuple(regular),
+                      hessian_regular=tuple(regular.tolist()),
                       detail="all component Hessians tested at every probe")
 
 
@@ -274,6 +260,9 @@ class OUSystem:
         if force.n != n:
             raise DimensionMismatch(
                 f"force dimension {force.n} does not match n={n}")
+        if not all(np.isfinite(beta + mu)):
+            raise NonFiniteEvaluation(
+                f"beta and mu must be finite, got {beta} and {mu}")
         if any(b <= 0.0 for b in beta):
             raise NonPositiveFriction(f"beta must be positive, got {beta}")
         if any(m == 0.0 for m in mu):

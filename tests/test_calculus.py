@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from ousym import (ConstantForce, build_ou_system, derivative,
-                   extended_coords, gbm_process, ito_laplacian,
-                   kozlov_exp_process, lie_bracket, parse_force_expression,
-                   point, sample_probes, stack_probes)
+from ousym import (ConstantForce, EmptyProbeSet, LinearForce,
+                   SymmetryGenerator, build_ou_system, derivative,
+                   expdecay_residual_scan, extended_coords, gbm_process,
+                   ito_laplacian, kozlov_exp_process, lie_bracket,
+                   max_residuals, parse_force_expression, point,
+                   sample_probes, stack_probes)
 from ousym import duals
 from ousym.calculus import _gradients, ito_laplacian_components
 from ousym.errors import DimensionMismatch
@@ -251,6 +253,16 @@ def test_lie_bracket_antisymmetry_and_jacobi():
     j2 = as_floats(lie_bracket(Y, bracket_field(Z, X), p0, engine="fd"))
     j3 = as_floats(lie_bracket(Z, bracket_field(X, Y), p0, engine="fd"))
     assert np.max(np.abs(j1 + j2 + j3)) < 1e-5
+
+
+def test_empty_probe_list_raises_empty_probe_set():
+    sys1 = build_ou_system(1, [3.0], [1.0], LinearForce([[4.0]]))
+    with pytest.raises(EmptyProbeSet):
+        stack_probes([])
+    with pytest.raises(EmptyProbeSet):
+        max_residuals(SymmetryGenerator.translation(1, 1), sys1, [])
+    with pytest.raises(EmptyProbeSet):
+        expdecay_residual_scan(sys1, [1.0], probes=[])
 
 
 def test_infinite_partial_stays_in_its_own_coordinate():

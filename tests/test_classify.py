@@ -283,14 +283,14 @@ def test_certificates_take_one_evaluation_per_object(monkeypatch):
         max_invariant_residual(theta, sys2, sample_probes(sys2, count=5))
         assert calls == [True]
 
-    seeds = []
-    real_seed = duals.seed
-    monkeypatch.setattr(duals, "seed",
-                        lambda *a: seeds.append(1) or real_seed(*a))
+    jets = []
+    real_jet = duals.jet
+    monkeypatch.setattr(duals, "jet",
+                        lambda *a: jets.append(1) or real_jet(*a))
     for sys_ in (lin1d(4.0), sys4):
-        seeds.clear()
+        jets.clear()
         affine_invariant_nullspace(sys_)
-        assert len(seeds) == 1
+        assert len(jets) == 1
 
 
 def test_emitted_modes_certify_and_moved_rates_fail():

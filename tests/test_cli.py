@@ -99,6 +99,14 @@ def test_verify_max_residual_keeps_nan(linear_system, capsys, monkeypatch):
     assert math.isnan(json.loads(out)["max_residual"])
 
 
+def test_verify_without_probes_is_a_validation_error(linear_system, capsys):
+    code, out, err = run(capsys, "verify", "--system", linear_system,
+                         "--generator", "expdecay:i=1,kappa=4",
+                         "--probes", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_verify_json_spec_matches_shorthand(linear_system, capsys):
     spec = json.dumps({"family": "expdecay", "i": 1, "kappa": 4.0})
     code_a, out_a, _ = run(capsys, "verify", "--system", linear_system,

@@ -100,6 +100,82 @@ def test_array_valued_parts_broadcast():
     assert np.allclose(e.f1, -np.exp([-0.0, -1.0, -2.0]))
 
 
+def _jet_fixture(s):
+    x, y = s
+    return [x * y, x ** 3, 2.0]
+
+
+def _hand_jet(x, y):
+    """Values, gradients and Hessians of _jet_fixture, component first."""
+    zero = np.zeros_like(x * y)
+    vals = np.array([x * y, x ** 3, 2.0 + zero])
+    grads = np.array([[y, x], [3.0 * x * x, zero], [zero, zero]])
+    hess = np.array([[[zero, 1.0 + zero], [1.0 + zero, zero]],
+                     [[6.0 * x, zero], [zero, zero]],
+                     [[zero, zero], [zero, zero]]])
+    return vals, grads, hess
+
+
+def test_jet_at_a_scalar_point():
+    # one seed axis in front of the (empty) probe shape; e2 = e1 gives the
+    # second derivative along each coordinate
+    vals, d1, d12 = duals.jet(_jet_fixture, [1.5, -0.5], np.eye(2),
+                              np.eye(2))
+    hv, hg, hh = _hand_jet(1.5, -0.5)
+    assert vals.shape == (3,) and d1.shape == d12.shape == (3, 2)
+    np.testing.assert_allclose(vals, hv, rtol=1e-15)
+    np.testing.assert_allclose(d1, hg, rtol=1e-15)
+    np.testing.assert_allclose(d12, np.diagonal(hh, axis1=1, axis2=2),
+                               rtol=1e-15)
+    # the plain component gets zero derivatives at full shape
+    assert np.array_equal(d1[2], np.zeros(2))
+    assert duals.jet(_jet_fixture, [1.5, -0.5], np.eye(2))[2] is None
+
+
+def test_jet_at_stacked_probes():
+    # the seed axis leads a length-1 axis that shares it between probes
+    x, y = np.array([0.3, -1.2, 2.0, 0.7]), np.array([1.1, 0.4, -0.6, 0.0])
+    vals, d1, _ = duals.jet(_jet_fixture, [x, y],
+                            np.eye(2).reshape(2, 1, 2))
+    hv, hg, _ = _hand_jet(x, y)
+    assert vals.shape == (3, 4) and d1.shape == (3, 2, 4)
+    np.testing.assert_allclose(vals, hv, rtol=1e-15)
+    np.testing.assert_allclose(d1, hg, rtol=1e-15)
+    assert np.array_equal(d1[2], np.zeros((2, 4)))
+
+
+def test_jet_with_two_seed_axes():
+    # e1 = I on the first seed axis and e2 = I on the second, as for force
+    # Hessians: d1 does not read e2, d12 holds every Hessian entry
+    x, y = np.array([0.3, -1.2, 2.0]), np.array([1.1, 0.4, -0.6])
+    eye = np.eye(2)
+    vals, d1, d12 = duals.jet(_jet_fixture, [x, y],
+                              eye.reshape(2, 1, 1, 2),
+                              eye.reshape(1, 2, 1, 2))
+    hv, hg, hh = _hand_jet(x, y)
+    assert vals.shape == (3, 3)
+    assert d1.shape == d12.shape == (3, 2, 2, 3)
+    np.testing.assert_allclose(vals, hv, rtol=1e-15)
+    for k in range(2):
+        np.testing.assert_allclose(d1[:, :, k], hg, rtol=1e-15)
+    np.testing.assert_allclose(d12, hh, rtol=1e-15)
+    assert np.array_equal(d12[2], np.zeros((2, 2, 3)))
+
+
+def test_jet_widens_to_the_shape_the_components_add():
+    # a component that broadcasts against an array of its own (a block of
+    # rates on the length-1 axis ahead of the probes) widens every output
+    rates = np.array([[0.5], [1.0], [2.0]])
+    x, y = np.array([[0.3, -1.2]]), np.array([[1.1, 0.4]])
+    vals, d1, _ = duals.jet(lambda s: [s[0] * rates, s[1]], [x, y],
+                            np.eye(2).reshape(2, 1, 1, 2))
+    assert vals.shape == (2, 3, 2) and d1.shape == (2, 2, 3, 2)
+    assert np.array_equal(vals[0], x * rates)
+    assert np.array_equal(d1[0, 0], np.broadcast_to(rates, (3, 2)))
+    assert np.array_equal(d1[1, 1], np.ones((3, 2)))
+    assert np.array_equal(d1[0, 1], np.zeros((3, 2)))
+
+
 def test_facade_passes_plain_floats_through():
     assert duals.exp(0.0) == 1.0
     assert duals.sin(0.0) == 0.0

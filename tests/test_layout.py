@@ -22,7 +22,7 @@ def _callers(pattern, allowed):
 
 
 def test_hyperduals_are_built_only_in_duals():
-    # every seeded coordinate comes from duals.seed
+    # every seeded coordinate comes from duals.jet
     assert _callers(r"\bHyperDual\(", "duals.py") == []
 
 
@@ -67,6 +67,14 @@ def test_residuals_read_one_ito_jet_per_object():
         assert field == "sys.drift" or re.fullmatch(
             r"lambda q: \[e for row in sys\.sigma\(q\) for e in row\]",
             field), field
+
+
+def test_coordinates_are_seeded_only_through_jet():
+    # the calculus jets, derivative(), the force's derivatives and the
+    # structure check's scaling partials; nothing else seeds coordinates
+    assert _calling_functions({"jet"}) == {
+        ("calculus.py", "_jet"), ("calculus.py", "derivative"),
+        ("model.py", "ForceField"), ("classify.py", "_scaling_partial")}
 
 
 def test_threads_start_only_in_the_noise_block_iterator():

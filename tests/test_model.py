@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from ousym import (ConstantForce, DimensionMismatch, ExpressionForce,
-                   HyperDual, LinearForce, NonPositiveFriction, OUSystem,
-                   UnclassifiableForce, ZeroNoise, build_ou_system,
+                   HyperDual, LinearForce, NonFiniteEvaluation,
+                   NonPositiveFriction, OUSystem, UnclassifiableForce,
+                   ZeroNoise, build_ou_system,
                    classify_force, default_x_probes, parse_force_expression,
                    system_from_json, system_to_json)
 
@@ -21,6 +22,18 @@ def test_build_validations():
         build_ou_system(1, [-2.0], [1.0], ConstantForce([0.0]))
     with pytest.raises(ZeroNoise):
         build_ou_system(1, [1.0], [0.0], ConstantForce([0.0]))
+
+
+@pytest.mark.parametrize("beta, mu", [
+    ([np.nan], [1.0]), ([np.inf], [1.0]), ([-np.inf], [1.0]),
+    ([1.0], [np.nan]), ([1.0], [np.inf]), ([1.0], [-np.inf])],
+    ids=["beta-nan", "beta-inf", "beta-minus-inf", "mu-nan", "mu-inf",
+         "mu-minus-inf"])
+def test_build_rejects_non_finite_friction_and_noise(beta, mu):
+    # NaN fails both `b <= 0` and `m == 0`, so it needs its own check, and
+    # -inf friction is non-finite before it is non-positive
+    with pytest.raises(NonFiniteEvaluation, match="must be finite"):
+        build_ou_system(1, beta, mu, ConstantForce([0.0]))
 
 
 def test_isotropy_flag():
@@ -119,6 +132,28 @@ def test_classify_probe_disagreement():
     f = parse_force_expression("x1^3", 1)
     with pytest.raises(UnclassifiableForce):
         classify_force(f, probes=[(0.0,), (1.0,)])
+
+
+def test_classify_force_names_the_probe_with_a_non_finite_value():
+    f = parse_force_expression("1/x1", 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteEvaluation) as exc:
+            classify_force(f, probes=[(0.5,), (0.0,), (-0.5,)])
+    assert str(exc.value) == "force non-finite at probe (0.0,)"
+
+
+def test_classify_force_reports_the_first_probe_that_fails():
+    # at x1 = 0 the value -1 is finite but the derivatives of sqrt are not;
+    # at x1 = 1 the value itself is infinite. Whichever probe comes first
+    # names the error, as a loop over the probes in order would.
+    f = parse_force_expression("sqrt(x1) + 1/(x1 - 1)", 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteEvaluation) as early:
+            classify_force(f, probes=[(0.5,), (0.0,), (1.0,)])
+        with pytest.raises(NonFiniteEvaluation) as late:
+            classify_force(f, probes=[(0.5,), (1.0,), (0.0,)])
+    assert str(early.value) == "force derivatives non-finite at (0.0,)"
+    assert str(late.value) == "force non-finite at probe (1.0,)"
 
 
 def test_classification_order_independent():
