@@ -57,15 +57,10 @@ class ExtendedPoint:
         return getattr(self, block)[i]
 
     def with_coord(self, c, val):
-        block, i = c
-        if block == "t":
-            return ExtendedPoint(self.x, self.v, val, self.w, self.z)
-        items = list(getattr(self, block))
-        items[i] = val
-        kwargs = {"x": self.x, "v": self.v, "t": self.t, "w": self.w,
-                  "z": self.z}
-        kwargs[block] = tuple(items)
-        return ExtendedPoint(**kwargs)
+        coords = extended_coords(self)
+        vals = [self.coord(d) for d in coords]
+        vals[coords.index(c)] = val
+        return _at(self, vals)
 
     # characteristic combinations of the OU system
 
@@ -131,15 +126,8 @@ def stack_probes(probes):
     an empty list raises EmptyProbeSet."""
     if len(probes) == 0:
         raise EmptyProbeSet("stacking needs at least one probe")
-    first = probes[0]
-    def col(block, i):
-        return np.array([float(p.coord((block, i))) for p in probes])
-    return ExtendedPoint(
-        x=tuple(col("x", i) for i in range(len(first.x))),
-        v=tuple(col("v", i) for i in range(len(first.v))),
-        t=np.array([float(p.t) for p in probes]),
-        w=tuple(col("w", i) for i in range(len(first.w))),
-        z=tuple(col("z", i) for i in range(len(first.z))))
+    return _at(probes[0], [np.array([float(p.coord(c)) for p in probes])
+                           for c in extended_coords(probes[0])])
 
 
 def _at(p, vals):

@@ -27,7 +27,7 @@ from . import duals
 from .calculus import (_at, _contract, _field_jet, extended_coords,
                        sample_probes, stack_probes)
 from .errors import CertificationFailed, NotDiagonalizable
-from .model import ConstantForce, LinearForce, classify_force
+from .model import classify_force
 from .symmetry import (ExpDecay, InvariantCandidate, SymmetryGenerator,
                        Translation, _component, _expdecay_phi, _family_json,
                        _max_abs, _max_blocks, _residual_blocks,

@@ -59,8 +59,7 @@ def _chi_expression(text, n):
     tree = parse_expression(rewritten, n)
 
     def alpha(p, sys):
-        chis = [p.chi(sys, i) for i in range(n)]
-        return tree.evaluate(chis)
+        return tree.evaluate(_classify._chi_vector(sys, p))
 
     return alpha, text
 
@@ -322,7 +321,3 @@ def main(argv=None):
         print(f"internal error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -191,24 +191,20 @@ class Path:
 
 
 def _split_state(n, x0):
-    """Accept (x_vec, v_vec) or a flat length-2n sequence."""
-    if (isinstance(x0, (tuple, list)) and len(x0) == 2
-            and not np.isscalar(x0[0])
-            and len(np.atleast_1d(x0[0])) == n):
-        x = np.asarray(x0[0], dtype=float)
-        v = np.asarray(x0[1], dtype=float)
-    else:
+    """x and v from x0: 2n numbers, x then v, in any nesting that flattens
+    to 2n floats (a flat sequence, a (2, n) array, an (x, v) pair)."""
+    try:
         flat = np.asarray(x0, dtype=float).ravel()
-        if flat.shape[0] != 2 * n:
-            raise DimensionMismatch(
-                f"initial state needs 2n = {2 * n} entries, got "
-                f"{flat.shape[0]}")
-        x, v = flat[:n].copy(), flat[n:].copy()
-    if x.shape != (n,) or v.shape != (n,):
-        raise DimensionMismatch("initial state has wrong block lengths")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+    except ValueError as exc:
+        raise DimensionMismatch(
+            f"initial state does not flatten to 2n = {2 * n} numbers: "
+            f"{exc}") from None
+    if flat.shape[0] != 2 * n:
+        raise DimensionMismatch(
+            f"initial state needs 2n = {2 * n} entries, got {flat.shape[0]}")
+    if not np.all(np.isfinite(flat)):
         raise NonFiniteState("initial state is not finite")
-    return x, v
+    return flat[:n], flat[n:]
 
 
 def _ou_labels(n):
@@ -349,9 +345,9 @@ def euler_maruyama(sys, x0, grid):
     """Explicit first-order scheme on one path:
         x_{k+1} = x_k + v_k dt
         v_{k+1} = v_k + (F(x_k) - beta v_k) dt + mu dw_k
-    NonFiniteState when a state leaves [-BLOWUP_GUARD, BLOWUP_GUARD] or is
-    NaN. The path steps on Python floats and rounds like the batched
-    ensemble loop.
+    x0 holds 2n numbers, x then v. NonFiniteState when a state leaves
+    [-BLOWUP_GUARD, BLOWUP_GUARD] or is NaN. The path steps on Python
+    floats and rounds like the batched ensemble loop.
     """
     record = np.empty((grid.steps + 1, 1, 2 * sys.n))
     _ou_em(sys, x0, grid.t0, grid.t1, _one_path(sys.n, grid), record=record)
@@ -465,7 +461,8 @@ def exact_solve_constant(sys, x0, grid):
         y_i = x_i + v_i / beta_i          (straight line plus scaled noise)
         z_i = -(exp(beta_i t) / beta_i) v_i
 
-    which reduce both equations to pure quadrature.
+    which reduce both equations to pure quadrature. x0 holds 2n numbers,
+    x then v.
     """
     t = grid.times
     states, _ = _exact_constant_paths(sys, x0, t, _one_path(sys.n, grid))
@@ -543,7 +540,8 @@ def exact_solve_linear(sys, x0, grid):
     whose drift vanishes identically, leaving the quadratures
         dy_pm = mu exp(kappa_pm t) / (kappa_mp - kappa_pm) dW~.
     Complex eigenvalues are carried in complex arithmetic and the imaginary
-    part of the reassembled state is checked against IMAG_TOL.
+    part of the reassembled state is checked against IMAG_TOL. x0 holds 2n
+    numbers, x then v.
     """
     t = grid.times
     states, leak = _exact_linear_paths(sys, x0, t, _one_path(sys.n, grid))
@@ -571,15 +569,6 @@ class ConvergenceReport:
     skipped_paths: int
     seed: int
     refine: int
-
-    def to_json(self):
-        return {"problem": self.problem,
-                "ladder_steps": list(self.ladder_steps),
-                "dts": list(self.dts), "errors": list(self.errors),
-                "fitted_order": self.fitted_order, "n_paths": self.n_paths,
-                "used_paths": self.used_paths,
-                "skipped_paths": self.skipped_paths, "seed": self.seed,
-                "refine": self.refine}
 
 
 class _ConvergenceProblem:
@@ -712,8 +701,10 @@ def convergence_study(problem, x0, t0, t1, ladder_steps, n_paths=200,
         raise InvalidGrid("ladder_steps must be positive integers")
     if sorted(set(ladder)) != ladder:
         raise InvalidGrid("ladder_steps must be strictly increasing")
-    if not isinstance(refine, int) or refine < 1:
+    if not isinstance(refine, (int, np.integer)) or refine < 1:
         raise InvalidGrid("refine must be a positive integer")
+    if not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
+        raise InvalidGrid("n_paths must be >= 1")
     finest = ladder[-1] * refine
     for s in ladder:
         if finest % s != 0:
@@ -745,8 +736,8 @@ def convergence_study(problem, x0, t0, t1, ladder_steps, n_paths=200,
     return ConvergenceReport(
         problem=problem.name, ladder_steps=tuple(ladder), dts=tuple(dts),
         errors=tuple(float(e) for e in means), fitted_order=float(slope),
-        n_paths=n_paths, used_paths=used,
-        skipped_paths=int(n_paths - used), seed=seed, refine=refine)
+        n_paths=int(n_paths), used_paths=used,
+        skipped_paths=int(n_paths - used), seed=seed, refine=int(refine))
 
 
 # --- reference fixtures ---

@@ -19,7 +19,7 @@ import numpy as np
 from . import duals
 from .errors import (DimensionMismatch, EmptyProbeSet, NonFiniteEvaluation,
                      NonPositiveFriction, UnclassifiableForce, ZeroNoise)
-from .expressions import parse_components
+from .expressions import parse_force_expression
 
 
 # relative threshold of every zero and singularity decision in classify_force
@@ -82,10 +82,13 @@ class ForceField:
 
 
 class ConstantForce(ForceField):
-    """F(x) = c. Jacobian is exactly zero."""
+    """F(x) = c with finite entries. Jacobian is exactly zero."""
 
     def __init__(self, c):
         self.c = tuple(float(ci) for ci in c)
+        if not all(np.isfinite(self.c)):
+            raise NonFiniteEvaluation(
+                f"constant force must be finite, got {list(self.c)}")
         self.n = len(self.c)
 
     def evaluate(self, x):
@@ -96,7 +99,8 @@ class ConstantForce(ForceField):
 
 
 class LinearForce(ForceField):
-    """F(x) = L x + K. The Jacobian returned is L itself, exactly."""
+    """F(x) = L x + K with finite entries. The Jacobian returned is L
+    itself, exactly."""
 
     def __init__(self, L, K=None):
         self.L = np.array(L, dtype=float)
@@ -106,6 +110,10 @@ class LinearForce(ForceField):
         self.K = np.zeros(self.n) if K is None else np.array(K, dtype=float)
         if self.K.shape != (self.n,):
             raise DimensionMismatch("K length must match L")
+        if not (np.isfinite(self.L).all() and np.isfinite(self.K).all()):
+            raise NonFiniteEvaluation(
+                f"linear force must be finite, got L = {self.L.tolist()} "
+                f"and K = {self.K.tolist()}")
 
     def evaluate(self, x):
         out = []
@@ -373,8 +381,8 @@ def system_from_json(data):
         force = LinearForce(fdata["L"], fdata.get("K"))
     elif ftype == "expr":
         comps = fdata["components"]
-        text = comps if isinstance(comps, str) else "; ".join(comps)
-        force = ExpressionForce(n, parse_components(text, n), source=text)
+        force = parse_force_expression(
+            comps if isinstance(comps, str) else "; ".join(comps), n)
     else:
         raise DimensionMismatch(f"unknown force type {ftype!r}")
     return build_ou_system(n, beta, mu, force)

@@ -363,3 +363,44 @@ def test_chi_values():
     p = point(x=[1.0], v=[2.0], t=3.0, w=[4.0])
     # chi = w - v/mu - (beta/mu) x + (c/mu) t
     assert p.chi(sys1, 0) == pytest.approx(4.0 - 1.0 - 0.5 + 0.75)
+
+
+@pytest.mark.parametrize("text", ["x1^0 + x1^1", "2^x1", "abs(x1)*x1"])
+def test_dual_derivative_of_powers_and_abs_matches_fd(text):
+    # the constant powers 0 and 1, a variable exponent and abs each have
+    # their own hyper-dual rule
+    tree = parse_force_expression(text, 1).trees[0]
+
+    def f(q):
+        return tree.evaluate(list(q.x))
+
+    for x in (-0.8, 0.6, 1.3):
+        p = point(x=[x], v=[0.0])
+        d_dual = derivative(f, p, ("x", 0))
+        d_fd = derivative(f, p, ("x", 0), engine="fd")
+        assert d_fd == pytest.approx(d_dual, rel=1e-6, abs=1e-8)
+
+
+def test_first_power_has_a_finite_jacobian_at_zero():
+    # p * x^(p - 1) would read 0^0 and 0 * 0^-1 at x = 0
+    f = parse_force_expression("x1^1", 1)
+    assert np.array_equal(f.jacobian([0.0]), [[1.0]])
+    assert np.array_equal(f.hessians([0.0])[0], [[0.0]])
+
+
+def test_lie_bracket_engines_agree_with_a_wiener_matrix():
+    # both fields act on the Wiener coordinates through R, and Y depends on
+    # them, so R w enters the bracket through X's values and Jacobian
+    sys1 = _sys(c=(0.3,))
+    X = SymmetryGenerator(SymmetryGenerator.exp_decay(1, 0.8, 1).phi, 2, 2,
+                          R=[[0.4, 0.7], [-0.7, -0.1]])
+    Y = SymmetryGenerator(lambda q: [q.w[0] * q.x[0], q.z[0] * q.t], 2, 2,
+                          R=[[0.5, 0.0], [0.0, -0.2]])
+    fx, fy = X.as_extended_field(sys1), Y.as_extended_field(sys1)
+    probes = sample_probes(sys1, count=4, seed=2)
+    probes = [q.with_coord(("z", 0), 0.6 - q.x[0]) for q in probes]
+    for p in (probes[0], stack_probes(probes)):
+        dual = np.array(lie_bracket(fx, fy, p))
+        fd = np.array(lie_bracket(fx, fy, p, engine="fd"))
+        assert np.max(np.abs(dual[-2:])) > 1e-2
+        assert np.allclose(fd, dual, rtol=1e-6, atol=1e-8)

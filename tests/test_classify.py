@@ -134,6 +134,17 @@ def test_degenerate_linear_theory_incomplete():
     assert alg.case_tag == "TheoryIncomplete"
 
 
+def test_degenerate_nonlinear_theory_incomplete():
+    # isotropic n = 2, both component Hessians singular at every probe
+    sys2 = build_ou_system(2, [1.0, 1.0], [1.0, 1.0],
+                           parse_force_expression("x1^2; x1^2", 2))
+    alg = classify_symmetries(sys2)
+    assert alg.force_tag == "NonlinearSecondOrderDegenerate"
+    assert alg.case_tag == "TheoryIncomplete"
+    assert alg.generators == () and alg.module_rank == 0
+    assert structure_constants(alg) == []
+
+
 def test_constant_module():
     sys3 = build_ou_system(3, [1.0, 2.0, 0.5], [1.0, 3.0, 2.0],
                            ConstantForce([0.5, -1.0, 2.0]))

@@ -118,6 +118,23 @@ def test_verify_json_spec_matches_shorthand(linear_system, capsys):
         json.loads(out_b)["max_residual"]
 
 
+@pytest.mark.parametrize("spec, shorthand", [
+    ({"family": "translation", "i": 1}, "translation:i=1"),
+    ({"family": "modulescaled", "f": "sin(chi1)",
+      "base": {"family": "expdecay", "i": 1, "kappa": 1.0}},
+     "modulescaled:base=expdecay,i=1,kappa=1.0,f=sin(chi1)")],
+    ids=["translation", "modulescaled"])
+def test_verify_json_spec_prints_what_its_shorthand_prints(
+        constant_system, capsys, spec, shorthand):
+    code_a, out_a, err_a = run(capsys, "verify", "--system", constant_system,
+                               "--generator", json.dumps(spec))
+    code_b, out_b, err_b = run(capsys, "verify", "--system", constant_system,
+                               "--generator", shorthand)
+    assert code_a == code_b == 0 and err_a == err_b == ""
+    assert out_a == out_b
+    assert json.loads(out_a)["max_residual"] <= 1e-6
+
+
 def test_verify_scaled_generator(constant_system, capsys):
     code, out, _ = run(
         capsys, "verify", "--system", constant_system, "--generator",
@@ -166,6 +183,17 @@ def test_solve_picks_exact_scheme(constant_system, linear_system, tmp_path,
         assert f"# scheme={scheme}" in dest.read_text()
 
 
+def test_solve_rejects_a_non_finite_force(tmp_path, capsys):
+    for force in ({"type": "constant", "c": [float("nan")]},
+                  {"type": "linear", "L": [[float("inf")]]}):
+        system = write_system(tmp_path, "bad.json", {
+            "n": 1, "beta": [1.0], "mu": [1.0], "force": force})
+        code, out, err = run(capsys, "solve", "--system", system,
+                             "--steps", "5")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "must be finite" in err
+
+
 def test_solve_cubic_force_is_an_error(cubic_system, capsys):
     code, _, err = run(capsys, "solve", "--system", cubic_system,
                        "--steps", "20")
@@ -183,6 +211,25 @@ def test_converge_csv_shape(constant_system, capsys):
     assert data[0] == "dt,strong_error"
     assert len(data) == 4
     assert lines[-1].startswith("# fitted_order=")
+
+
+@pytest.mark.parametrize("paths", ["0", "-3"])
+def test_converge_rejects_a_path_count_below_one(constant_system, capsys,
+                                                 paths):
+    code, out, err = run(capsys, "converge", "--system", constant_system,
+                         "--paths", paths)
+    assert code == 1 and out == ""
+    assert err == "error: n_paths must be >= 1\n"
+
+
+def test_converge_out_file_matches_stdout(constant_system, tmp_path, capsys):
+    args = ["converge", "--system", constant_system, "--paths", "6",
+            "--ladder", "2", "--base-steps", "4", "--refine", "4"]
+    dest = tmp_path / "report.csv"
+    code_a, out_a, _ = run(capsys, *args)
+    code_b, out_b, _ = run(capsys, *args, "--out", str(dest))
+    assert code_a == code_b == 0 and out_b == ""
+    assert dest.read_text() == out_a
 
 
 GOLDEN_CONVERGE = [

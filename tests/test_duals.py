@@ -65,6 +65,11 @@ def test_power_rules():
     assert d1(g, 1.0) == pytest.approx(2.0 * math.log(2.0), rel=1e-13)
 
 
+def test_repr_shows_all_four_parts():
+    assert repr(HyperDual(1.0, 2.0, 0.0, 0.5)) == \
+        "HyperDual(1.0, 2.0, 0.0, 0.5)"
+
+
 def test_fractional_power_of_negative_base_raises():
     with pytest.raises(EvaluationDomainError):
         HyperDual(-1.5, 1.0) ** 0.5

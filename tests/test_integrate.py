@@ -269,6 +269,38 @@ def test_convergence_smoke_constant():
                for i in range(len(rep.errors) - 1))
 
 
+@pytest.mark.parametrize("n_paths", [0, -3, 2.5, "4"])
+def test_convergence_rejects_a_bad_path_count(n_paths):
+    problem = GBMConvergenceProblem(1.0, 0.5)
+    with pytest.raises(InvalidGrid, match="n_paths must be >= 1"):
+        convergence_study(problem, [1.0], 0.0, 1.0, [4, 8], n_paths=n_paths,
+                          refine=2)
+
+
+def test_convergence_takes_numpy_integer_counts():
+    problem = GBMConvergenceProblem(1.0, 0.5)
+    plain = convergence_study(problem, [1.0], 0.0, 1.0, [4, 8], n_paths=5,
+                              refine=4)
+    numpy_ints = convergence_study(problem, [1.0], 0.0, 1.0, [4, 8],
+                                   n_paths=np.int64(5), refine=np.int64(4))
+    assert numpy_ints == plain
+    assert type(numpy_ints.refine) is int and type(numpy_ints.n_paths) is int
+
+
+def test_initial_state_is_2n_numbers_in_any_nesting():
+    sys2 = build_ou_system(2, [1.0, 2.0], [0.5, 1.5],
+                           LinearForce([[-1.0, 0.3], [0.2, -2.0]]))
+    g = sample_wiener(2, 0.0, 1.0, 40, seed=4)
+    x, v = [0.3, -0.2], [0.1, 0.4]
+    paths = [euler_maruyama(sys2, x0, g).states
+             for x0 in (x + v, np.array([x, v]), (x, v))]
+    assert all(np.array_equal(paths[0], other) for other in paths[1:])
+    with pytest.raises(DimensionMismatch):
+        euler_maruyama(sys2, ([0.1], [0.2, 0.3, 0.4]), g)
+    with pytest.raises(DimensionMismatch):
+        euler_maruyama(sys2, (x, v[:1]), g)
+
+
 def test_convergence_gbm_order_half_smoke():
     rep = convergence_study(GBMConvergenceProblem(1.0, 0.5), [1.0],
                             0.0, 1.0, [16, 64, 256], n_paths=60, seed=1,
@@ -535,15 +567,14 @@ def test_nan_states_are_caught():
 
 
 # one force per class that drives x past the guard 1e3 from (1, 0) with
-# beta 0.1, and one that makes the force NaN there
+# beta 0.1, and one that makes the force NaN there (constant and linear
+# forces reject NaN entries, so only an expression can)
 BLOWUP_FORCES = {
     "constant": ConstantForce([50.0]),
     "linear": LinearForce([[50.0]]),
     "expression": parse_force_expression("50*x1 + 0.1*x1^3", 1),
 }
 NAN_FORCES = {
-    "constant": ConstantForce([np.nan]),
-    "linear": LinearForce([[np.nan]]),
     "expression": parse_force_expression("(x1 - 1)/(x1 - 1)", 1),
 }
 
@@ -564,14 +595,15 @@ def one_and_two_paths(force, strict, t1=20.0, steps=200):
     return outcomes
 
 
-@pytest.mark.parametrize("forces", [BLOWUP_FORCES, NAN_FORCES])
-@pytest.mark.parametrize("kind", ["constant", "linear", "expression"])
-def test_scalar_kernel_guard_matches_the_batch_loop(forces, kind):
-    one, two = one_and_two_paths(forces[kind], strict=True)
+@pytest.mark.parametrize("force", [
+    pytest.param(force, id=f"{kind}-forces{j}")
+    for j, forces in enumerate([BLOWUP_FORCES, NAN_FORCES])
+    for kind, force in forces.items()])
+def test_scalar_kernel_guard_matches_the_batch_loop(force):
+    one, two = one_and_two_paths(force, strict=True)
     assert isinstance(one, NonFiniteState)
     assert str(one) == str(two)
-    (term1, blown1), (term2, blown2) = one_and_two_paths(forces[kind],
-                                                        strict=False)
+    (term1, blown1), (term2, blown2) = one_and_two_paths(force, strict=False)
     assert blown1.tolist() == [True] and blown2.tolist() == [True, True]
     assert not np.all(np.abs(term1) <= 1e3)
     assert np.array_equal(term1[0], term2[0], equal_nan=True)

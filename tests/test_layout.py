@@ -77,6 +77,14 @@ def test_coordinates_are_seeded_only_through_jet():
         ("model.py", "ForceField"), ("classify.py", "_scaling_partial")}
 
 
+def test_extended_points_are_built_in_three_places():
+    # the tuple-normalising constructor, the probe sampler, and _at, which
+    # every other point (stacked probes, a replaced coordinate) goes through
+    assert _calling_functions({"ExtendedPoint"}) == {
+        ("calculus.py", "point"), ("calculus.py", "sample_probes"),
+        ("calculus.py", "_at")}
+
+
 def test_threads_start_only_in_the_noise_block_iterator():
     # one worker draws the next block of noise; nothing else runs threads
     assert _calling_functions({"Thread", "ThreadPoolExecutor",

@@ -36,6 +36,34 @@ def test_build_rejects_non_finite_friction_and_noise(beta, mu):
         build_ou_system(1, beta, mu, ConstantForce([0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "minus-inf"])
+def test_constant_and_linear_forces_reject_non_finite_entries(bad):
+    # NaN slips past any check built from ordering comparisons
+    with pytest.raises(NonFiniteEvaluation, match="must be finite"):
+        ConstantForce([0.5, bad])
+    with pytest.raises(NonFiniteEvaluation, match="must be finite"):
+        LinearForce([[1.0, 0.0], [bad, 2.0]])
+    with pytest.raises(NonFiniteEvaluation, match="must be finite"):
+        LinearForce([[1.0, 0.0], [0.0, 2.0]], [0.0, bad])
+    with pytest.raises(NonFiniteEvaluation, match="must be finite"):
+        system_from_json({"n": 1, "beta": [1.0], "mu": [1.0],
+                          "force": {"type": "constant", "c": [bad]}})
+
+
+def test_reprs_show_the_parameters():
+    sys1 = build_ou_system(1, [1.5], [0.5], ConstantForce([0.2]))
+    assert repr(sys1) == ("OUSystem(n=1, beta=[1.5], mu=[0.5], "
+                          "force=ConstantForce(c=[0.2]), isotropic=True)")
+    assert repr(LinearForce([[1.0]], [0.5])) == \
+        "LinearForce(L=[[1.0]], K=[0.5])"
+    parsed = parse_force_expression("x1^2; sin(x2)", 2)
+    assert repr(parsed) == "ExpressionForce(n=2, 'x1^2; sin(x2)')"
+    # without its source text a force renders its trees
+    assert repr(ExpressionForce(2, parsed.trees)) == \
+        "ExpressionForce(n=2, 'x1^2.0; sin(x2)')"
+
+
 def test_isotropy_flag():
     iso = build_ou_system(2, [1.0, 1.0], [2.0, 2.0],
                           ConstantForce([0.0, 0.0]))
@@ -206,6 +234,12 @@ def test_json_round_trip():
     data2 = system_to_json(sys2)
     assert system_from_json(data2).force.evaluate([2.0])[0] == \
         pytest.approx(8.0)
+
+    sys3 = build_ou_system(2, [1.5, 0.5], [2.0, 1.0],
+                           ConstantForce([0.25, -3.0]))
+    data3 = system_to_json(sys3)
+    assert data3["force"] == {"type": "constant", "c": [0.25, -3.0]}
+    assert system_to_json(system_from_json(data3)) == data3
 
 
 def test_custom_process_fixtures():

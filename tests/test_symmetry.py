@@ -240,6 +240,35 @@ def test_scale_by_invariant():
 
     with pytest.raises(NotAnInvariant):
         scale_by_invariant(X, lambda p: p.v[0], sys1)
+    assert scaled.family.to_json() == {
+        "kind": "ModuleScaled", "scaling": "chi1",
+        "base": {"kind": "ExpDecay", "i": 1, "kappa": 1.0}}
+
+
+def test_imaginary_part_of_a_real_rate_mode():
+    # a real rate with an imaginary column: the Im part is the real mode
+    sys1 = build_ou_system(1, [3.0], [1.0], LinearForce([[4.0]]))
+    X = SymmetryGenerator.linear_mode([2j], 4.0, 1, part="im")
+    assert X.phi(point(x=[0.0], v=[0.0], t=0.5)) == pytest.approx(
+        [2.0 * np.exp(-2.0), -8.0 * np.exp(-2.0)], rel=1e-15)
+    probes = sample_probes(sys1, count=10, seed=3)
+    assert max(max_residuals(X, sys1, probes)) <= 1e-10
+
+
+def test_rendering_of_unit_and_constant_terms():
+    # a coefficient of exactly -1 prints as a bare minus sign
+    assert SymmetryGenerator.linear_mode([1.0], 1.0, 1).label == \
+        "exp(-t)*(d/dx1 - d/dv1)"
+    assert repr(SymmetryGenerator.translation(1, 1)) == \
+        "SymmetryGenerator(d/dx1)"
+    # a constant term, and a record with no terms at all
+    assert symmetry.render_affine(symmetry.AffineRecord(
+        a_x=(1.0,), a_v=(0.0,), a_w=(0.0,), a_t=0.0, a_0=2.5)) == "x1 + 2.5"
+    assert symmetry.render_affine(symmetry.AffineRecord(
+        a_x=(0.0,), a_v=(0.0,), a_w=(0.0,), a_t=0.0)) == "0"
+    # a candidate given as a callable renders as its label
+    assert InvariantCandidate(theta=lambda p: p.x[0],
+                              label="x1").render() == "x1"
 
 
 def test_scaling_with_nonzero_R_is_rejected():
