@@ -24,14 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import duals
-from .calculus import (_at, _contract, _field_jet, extended_coords,
-                       sample_probes, stack_probes)
+from .calculus import _contract, _field_jet, sample_probes, stack_probes
 from .errors import CertificationFailed, NotDiagonalizable
 from .model import classify_force
 from .symmetry import (ExpDecay, InvariantCandidate, SymmetryGenerator,
-                       Translation, _component, _expdecay_phi, _family_json,
-                       _max_abs, _max_blocks, _residual_blocks,
-                       affine_invariant_nullspace,
+                       Translation, _component, _family_json, _max_abs,
+                       _max_blocks, affine_invariant_nullspace,
                        invariant_residual, solve_wsym_linear_constraint)
 
 CERT_TOL_RESIDUAL = 1e-6
@@ -304,29 +302,42 @@ def expdecay_residual_scan(sys, kappas, i=1, probes=None):
     over the probes. A NoRealSimple verdict is evidenced by the minimum of
     this scan staying well above zero.
 
-    Rates are swept in blocks of 2000 // n broadcast against the probe
-    batch, so the 20001-point default acceptance grid stays cheap and a
-    block's residual arrays (2n components, each one value per rate and
-    probe) stay about the same size at every n.
+    The residuals come from their closed form. phi depends on t only, so
+    the dw block and the Ito Laplacian vanish and the x rows of the dt
+    block cancel; the v rows are
+        r_a(kappa, p) = exp(-kappa t_p) ((kappa^2 - beta_i kappa) delta_ai
+                                         - dF_a/dx_i(x_p)),
+    so the force Jacobian is taken once at the probes. The rate where the
+    scan is smallest is re-evaluated through the determining equations
+    (max_residuals of SymmetryGenerator.exp_decay); the two must agree
+    within 1e-12 times the largest term size over the probes,
+    exp(-kappa t_p) (kappa^2 + |beta_i kappa| + max_a |dF_a/dx_i|), or
+    CertificationFailed is raised. A rate whose exp(-kappa t) overflows
+    scores inf.
     """
-    n = sys.n
-    idx = _component(i, n) - 1
+    idx = _component(i, sys.n) - 1
     if probes is None:
         probes = sample_probes(sys, count=32, seed=0)
     st = stack_probes(probes)
-    # a leading length-1 axis, ahead of the probe axis, for the rate block
-    stacked = _at(st, [st.coord(c)[None] for c in extended_coords(st)])
-    kappas = np.asarray(kappas, dtype=float).ravel()
-    out = np.empty(kappas.shape[0])
-    step = max(1, 2000 // n)
-    for j0 in range(0, kappas.shape[0], step):
-        ks = kappas[j0:j0 + step].reshape(-1, 1)
-        m = ks.shape[0]
-        gen = SymmetryGenerator(_expdecay_phi(idx, ks, n), 2 * n, 2 * n)
-        # rates on the second-to-last axis, probes on the last
-        fres, sres = _residual_blocks(gen, sys, stacked)
-        out[j0:j0 + m] = np.maximum(np.abs(fres).max(axis=(0, -1)),
-                                    np.abs(sres).max(axis=(0, 1, -1)))
+    k = np.asarray(kappas, dtype=float).reshape(-1, 1)
+    beta = sys.beta[idx]
+    dF = sys.force.jacobian(st.x)[:, idx]  # (n, probes)
+    # r_a for a != i does not depend on the rate; exp(-kappa t) > 0 factors
+    # out of the max over a; a rate where it overflows scores inf
+    off = np.delete(np.abs(dF), idx, axis=0).max(axis=0, initial=0.0)
+    with np.errstate(over="ignore"):
+        out = (np.exp(-k * st.t) * np.maximum(
+            np.abs(k * k - beta * k - dF[idx]), off)).max(axis=1)
+    if out.size:
+        kap, low = float(k[np.argmin(out), 0]), out.min()
+        scale = np.max(np.exp(-kap * st.t) * (
+            kap * kap + abs(beta * kap) + np.abs(dF).max(axis=0)))
+        worst = max(_max_blocks(SymmetryGenerator.exp_decay(
+            idx + 1, kap, sys.n), sys, st))
+        if abs(worst - low) > 1e-12 * scale:
+            raise CertificationFailed(
+                f"exp-decay scan at kappa={kap}: closed form {low:.3e}, "
+                f"determining equations {worst:.3e}")
     return out
 
 

@@ -15,6 +15,7 @@ with repr, so identical seeds give byte-identical output.
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -153,13 +154,11 @@ def build_parser():
                                  "of the OU process in a force field")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", help="symmetry algebra as JSON")
-    p.add_argument("--system", required=True)
-    _probe_args(p)
-
-    p = sub.add_parser("invariants", help="invariant set as JSON")
-    p.add_argument("--system", required=True)
-    _probe_args(p)
+    for name, text in (("classify", "symmetry algebra as JSON"),
+                       ("invariants", "invariant set as JSON")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--system", required=True)
+        _probe_args(p)
 
     p = sub.add_parser("verify", help="residuals of one generator")
     p.add_argument("--system", required=True)
@@ -167,17 +166,14 @@ def build_parser():
                    help='JSON or shorthand, e.g. "expdecay:i=1,kappa=2"')
     _probe_args(p)
 
-    p = sub.add_parser("simulate", help="Euler-Maruyama path as CSV")
-    p.add_argument("--system", required=True)
-    p.add_argument("--x0", help="2n comma-separated values (default zeros)")
-    _grid_args(p)
-    p.add_argument("--out", help="CSV file (default stdout)")
-
-    p = sub.add_parser("solve", help="exact path as CSV")
-    p.add_argument("--system", required=True)
-    p.add_argument("--x0", help="2n comma-separated values (default zeros)")
-    _grid_args(p)
-    p.add_argument("--out", help="CSV file (default stdout)")
+    for name, text in (("simulate", "Euler-Maruyama path as CSV"),
+                       ("solve", "exact path as CSV")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--system", required=True)
+        p.add_argument("--x0",
+                       help="2n comma-separated values (default zeros)")
+        _grid_args(p)
+        p.add_argument("--out", help="CSV file (default stdout)")
 
     p = sub.add_parser("converge", help="strong-convergence report as CSV")
     p.add_argument("--system", required=True)
@@ -233,13 +229,6 @@ def _cmd_verify(args):
     return 0
 
 
-def _write_or_stdout(writer, out):
-    if out:
-        writer(out)
-    else:
-        writer(sys.stdout)
-
-
 def _solve_exact(sys_, x0, grid):
     solve = (integrate.exact_solve_constant
              if isinstance(sys_.force, model.ConstantForce)
@@ -256,8 +245,7 @@ def _cmd_path(solver):
                                        seed=args.seed,
                                        path_index=args.path_index)
         path = solver(sys_, x0, grid)
-        _write_or_stdout(lambda d: integrate.write_path_csv(path, d),
-                         args.out)
+        integrate.write_path_csv(path, args.out or sys.stdout)
         return 0
     return run
 
@@ -272,8 +260,7 @@ def _cmd_converge(args):
     report = integrate.convergence_study(
         problem, x0, args.t0, args.t1, ladder, n_paths=args.paths,
         seed=args.seed, refine=args.refine)
-    _write_or_stdout(lambda d: integrate.write_convergence_csv(report, d),
-                     args.out)
+    integrate.write_convergence_csv(report, args.out or sys.stdout)
     return 0
 
 
@@ -306,10 +293,13 @@ _COMMANDS = {
 }
 
 
+# built on the first main() call, not at import; parse_args leaves it as is
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except OusymError as exc:
         print(f"error: {exc}", file=sys.stderr)

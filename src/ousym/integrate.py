@@ -190,6 +190,11 @@ class Path:
         return self.states[-1]
 
 
+def _is_count(k):
+    """True for an int or numpy integer >= 1; True is a bool, not a count."""
+    return isinstance(k, (int, np.integer)) and k is not True and k >= 1
+
+
 def _split_state(n, x0):
     """x and v from x0: 2n numbers, x then v, in any nesting that flattens
     to 2n floats (a flat sequence, a (2, n) array, an (x, v) pair)."""
@@ -390,9 +395,9 @@ def euler_maruyama_ensemble(sys, x0, t0, t1, steps, n_paths, seed=0,
     and while one chunk steps the next is drawn, so peak memory is two
     chunks of increments (one with OUSYM_THREADS=1).
     """
-    if n_paths < 1:
+    if not _is_count(n_paths):
         raise InvalidGrid("n_paths must be >= 1")
-    if not isinstance(chunk, (int, np.integer)) or chunk < 1:
+    if not _is_count(chunk):
         raise InvalidGrid(f"chunk must be a positive integer, got {chunk!r}")
     out = np.empty((n_paths, 2 * sys.n))
     with closing(_increment_blocks(sys.n, t0, t1, steps, seed, n_paths,
@@ -432,6 +437,24 @@ def _one_path(n, grid):
     return grid.increments[None]
 
 
+def _guarded(exact_paths, sys, x0, t, inc, strict=True):
+    """exact_paths(sys, x0, t, inc) under the blow-up guard of
+    Euler-Maruyama. Returns the states and each path's leakage, set to inf
+    for a path that fails max |state| <= BLOWUP_GUARD (NaN fails it), so a
+    study skips that path as it skips a leaky one; strict raises
+    NonFiniteState instead. numpy does not warn, and a Python-float
+    overflow raises NonFiniteState as well."""
+    try:
+        with np.errstate(all="ignore"):
+            states, leak = exact_paths(sys, x0, t, inc)
+    except OverflowError:
+        raise NonFiniteState("exact solution overflows a float") from None
+    ok = np.abs(states).max(axis=(1, 2)) <= BLOWUP_GUARD
+    if strict and not ok.all():
+        raise NonFiniteState("exact path is NaN or beyond BLOWUP_GUARD")
+    return states, np.where(ok, leak, np.inf)
+
+
 def _exact_constant_paths(sys, x0, t, inc):
     """Constant-force states (paths, steps + 1, 2n) on the times t, from
     increments (paths, n, steps). Real arithmetic: the leakage is zero."""
@@ -462,11 +485,12 @@ def exact_solve_constant(sys, x0, grid):
         z_i = -(exp(beta_i t) / beta_i) v_i
 
     which reduce both equations to pure quadrature. x0 holds 2n numbers,
-    x then v.
+    x then v. NonFiniteState when a state leaves [-BLOWUP_GUARD,
+    BLOWUP_GUARD] or is NaN, as in euler_maruyama.
     """
-    t = grid.times
-    states, _ = _exact_constant_paths(sys, x0, t, _one_path(sys.n, grid))
-    return Path(times=t, states=states[0], labels=_ou_labels(sys.n),
+    states, _ = _guarded(_exact_constant_paths, sys, x0, grid.times,
+                         _one_path(sys.n, grid))
+    return Path(times=grid.times, states=states[0], labels=_ou_labels(sys.n),
                 meta=_grid_meta(grid, "exact-rectified"))
 
 
@@ -541,17 +565,18 @@ def exact_solve_linear(sys, x0, grid):
         dy_pm = mu exp(kappa_pm t) / (kappa_mp - kappa_pm) dW~.
     Complex eigenvalues are carried in complex arithmetic and the imaginary
     part of the reassembled state is checked against IMAG_TOL. x0 holds 2n
-    numbers, x then v.
+    numbers, x then v. NonFiniteState when a state leaves [-BLOWUP_GUARD,
+    BLOWUP_GUARD] or is NaN, as in euler_maruyama.
     """
-    t = grid.times
-    states, leak = _exact_linear_paths(sys, x0, t, _one_path(sys.n, grid))
+    states, leak = _guarded(_exact_linear_paths, sys, x0, grid.times,
+                            _one_path(sys.n, grid))
     worst_imag = float(leak[0])
     if not worst_imag <= IMAG_TOL:
         raise NonFiniteState(
             f"imaginary leakage {worst_imag:.3e} exceeds {IMAG_TOL:.1e}")
     meta = _grid_meta(grid, "exact-eigenmodes")
     meta["max_imag_leakage"] = worst_imag
-    return Path(times=t, states=states[0], labels=_ou_labels(sys.n),
+    return Path(times=grid.times, states=states[0], labels=_ou_labels(sys.n),
                 meta=meta)
 
 
@@ -613,7 +638,8 @@ class OUConvergenceProblem(_ConvergenceProblem):
 
     def exact_terminals(self, x0, t0, t1, inc):
         t = np.linspace(t0, t1, inc.shape[2] + 1)
-        states, leak = self._exact_paths(self.sys, x0, t, inc)
+        states, leak = _guarded(self._exact_paths, self.sys, x0, t, inc,
+                                strict=False)
         return states[:, -1], ~(leak <= IMAG_TOL)
 
     def em_terminals(self, x0, t0, t1, inc):
@@ -701,9 +727,9 @@ def convergence_study(problem, x0, t0, t1, ladder_steps, n_paths=200,
         raise InvalidGrid("ladder_steps must be positive integers")
     if sorted(set(ladder)) != ladder:
         raise InvalidGrid("ladder_steps must be strictly increasing")
-    if not isinstance(refine, (int, np.integer)) or refine < 1:
+    if not _is_count(refine):
         raise InvalidGrid("refine must be a positive integer")
-    if not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
+    if not _is_count(n_paths):
         raise InvalidGrid("n_paths must be >= 1")
     finest = ladder[-1] * refine
     for s in ladder:
@@ -848,11 +874,8 @@ def write_path_csv(path, dest, extra_meta=None):
 def write_convergence_csv(report, dest):
     fh, owned = _open_dest(dest)
     try:
-        fh.write(f"# problem={report.problem}\n")
-        fh.write(f"# seed={report.seed}\n")
-        fh.write(f"# n_paths={report.n_paths}\n")
-        fh.write(f"# used_paths={report.used_paths}\n")
-        fh.write(f"# refine={report.refine}\n")
+        for key in ("problem", "seed", "n_paths", "used_paths", "refine"):
+            fh.write(f"# {key}={getattr(report, key)}\n")
         fh.write("dt,strong_error\n")
         for dt, err in zip(report.dts, report.errors):
             fh.write(f"{repr(float(dt))},{repr(float(err))}\n")

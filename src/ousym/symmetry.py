@@ -119,20 +119,6 @@ def _component(i, n):
     return int(i)
 
 
-def _expdecay_phi(idx, kappa, n):
-    """phi of exp(-kappa t)(d/dx - kappa d/dv) on component idx (0-based) of
-    an n-dim OU system; kappa is a rate or an array of rates that
-    broadcasts against t."""
-    def phi(p):
-        g = duals.exp(-kappa * p.t)
-        out = [0.0] * (2 * n)
-        out[idx] = g
-        out[n + idx] = -kappa * g
-        return out
-
-    return phi
-
-
 class SymmetryGenerator:
     """Coefficient bundle phi over the state plus the constant W-matrix R."""
 
@@ -181,9 +167,17 @@ class SymmetryGenerator:
     def exp_decay(i, kappa, n):
         """exp(-kappa t) (d/dx_i - kappa d/dv_i) on an n-dim OU system."""
         i = _component(i, n)
+        idx = i - 1
+
+        def phi(p):
+            g = duals.exp(-kappa * p.t)
+            out = [0.0] * (2 * n)
+            out[idx] = g
+            out[n + idx] = -kappa * g
+            return out
+
         return SymmetryGenerator(
-            _expdecay_phi(i - 1, kappa, n), 2 * n, 2 * n,
-            family=ExpDecay(i=i, kappa=kappa),
+            phi, 2 * n, 2 * n, family=ExpDecay(i=i, kappa=kappa),
             label=_render_expdecay(i, kappa))
 
     @staticmethod
@@ -323,8 +317,7 @@ class InvariantCandidate:
     def evaluate(self, p):
         return self.theta(p)
 
-    def __call__(self, p):
-        return self.theta(p)
+    __call__ = evaluate
 
     @staticmethod
     def chi(sys, i):
@@ -489,8 +482,7 @@ def scale_by_invariant(X, alpha, sys, probes=None):
         raise NotAnInvariant(
             f"{getattr(alpha, 'label', 'alpha')} fails the invariance "
             f"conditions: max residual {worst:.3e} > 1.0e-08")
-    alpha_fn = alpha.evaluate if isinstance(alpha, InvariantCandidate) else alpha
-    return X.scaled(alpha_fn, getattr(alpha, "label", "alpha"))
+    return X.scaled(alpha, getattr(alpha, "label", "alpha"))
 
 
 # --- linear W-symmetry constraint ---

@@ -1,0 +1,57 @@
+"""tools/bench.py on canned benchmark output; no benchmark is run."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench.py"
+SPEC = [{"name": "wall_s", "unit": "s", "better": "lower"},
+        {"name": "rate", "unit": "1/s", "better": "higher"}]
+
+
+@pytest.fixture(scope="module")
+def bench():
+    spec = importlib.util.spec_from_file_location("bench", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def summary(wall, rate, failed=0):
+    return {"correct": failed == 0, "attempted": 10, "failed": failed,
+            "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                        "rate": {"value": rate, "unit": "1/s"}}}
+
+
+def test_last_json_reads_the_summary_line(bench):
+    line = json.dumps(summary(0.25, 4.0))
+    stdout = ("passes=3 ops/pass=32 outputs_sha256=ab\n"
+              "environment: nproc=2\n" + line + "\n\n")
+    assert bench.last_json(stdout) == summary(0.25, 4.0)
+    with pytest.raises(ValueError):
+        bench.last_json("\n")
+
+
+def test_report_quartiles_wins_and_failures(bench):
+    pairs = [(summary(w, 1.0), summary(w - 0.1, r))
+             for w, r in [(1.0, 2.0), (2.0, 1.0), (3.0, 0.5), (4.0, 1.0),
+                          (5.0, 3.0)]]
+    pairs[1] = (pairs[1][0], summary(2.5, 1.0, failed=2))
+    out = bench.report(pairs, SPEC, {"workload": "w"})
+    assert out["workload"] == "w" and out["pairs"] == 5
+    base = out["base"]["metrics"]["wall_s"]
+    assert (base["q1"], base["median"], base["q3"]) == (2.0, 3.0, 4.0)
+    assert out["change"]["metrics"]["rate"]["median"] == 1.0
+    # lower wall_s wins; higher rate wins; equal values are ties
+    assert out["pair_wins"]["wall_s"] == {"base": 1, "change": 4, "ties": 0}
+    assert out["pair_wins"]["rate"] == {"base": 1, "change": 2, "ties": 2}
+    assert (out["base"]["failed"], out["change"]["failed"]) == (0, 2)
+    assert out["change"]["attempted"] == 50 and not out["change"]["correct"]
+
+
+def test_one_pair_has_degenerate_quartiles(bench):
+    out = bench.report([(summary(1.0, 1.0), summary(0.5, 1.0))], SPEC, {})
+    q = out["change"]["metrics"]["wall_s"]
+    assert q["q1"] == q["median"] == q["q3"] == 0.5

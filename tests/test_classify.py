@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -377,6 +378,108 @@ def test_residual_scan_floor_for_cubic():
     kappas = np.arange(-10.0, 10.0001, 0.01)  # coarse smoke version
     vals = expdecay_residual_scan(sys1, kappas, i=1)
     assert vals.min() >= 1e-2
+
+
+SCAN_SYSTEMS = pytest.mark.parametrize("sys_", [
+    build_ou_system(2, [0.7, 1.9], [1.0, 1.5], ConstantForce([0.3, -0.4])),
+    lin1d(4.0),
+    build_ou_system(2, [1.2, 1.2], [0.8, 0.8],
+                    LinearForce([[-2.0, 1.5], [-0.5, 1.0]], [0.3, 0.0])),
+    build_ou_system(1, [1.0], [1.0], parse_force_expression("x1^3", 1)),
+    build_ou_system(2, [1.0, 2.5], [1.0, 0.5], parse_force_expression(
+        "x1*x2 + sin(x2) - 4*x2; 6*x1 + x1^3 - 2*x2^2", 2)),
+], ids=["constant-n2", "linear-n1", "linear-n2", "cubic-n1", "coupled-n2"])
+
+
+@SCAN_SYSTEMS
+def test_scan_closed_form_matches_the_determining_equations(sys_):
+    # oracle: each rate's scan value against max_residuals of the generator
+    # itself, within 1e-12 times the largest term size of the closed form
+    probes = sample_probes(sys_, count=16, seed=4)
+    xs = [np.array([p.x[j] for p in probes]) for j in range(sys_.n)]
+    ts = np.array([p.t for p in probes])
+    jac = sys_.force.jacobian(xs)
+    kappas = np.concatenate([np.linspace(-6.0, 6.0, 61), [4.0, -1.0]])
+    for i in range(1, sys_.n + 1):
+        beta = sys_.beta[i - 1]
+        vals = expdecay_residual_scan(sys_, kappas, i=i, probes=probes)
+        assert vals.shape == kappas.shape
+        for k, val in zip(kappas, vals):
+            expected = max(max_residuals(
+                SymmetryGenerator.exp_decay(i, float(k), sys_.n), sys_,
+                probes))
+            size = np.max(np.exp(-k * ts) * (
+                k * k + abs(beta * k) + np.abs(jac[:, i - 1]).max(axis=0)))
+            assert abs(val - expected) <= 1e-12 * size, (i, k)
+
+
+def test_scan_minimum_is_rechecked_on_the_determining_equations(
+        monkeypatch):
+    sys1 = lin1d(4.0)
+    kappas = np.linspace(3.0, 5.0, 201)
+    expdecay_residual_scan(sys1, kappas)
+    # the generic path disagreeing at the minimum is a failed certificate
+    monkeypatch.setattr(classify, "_max_blocks", lambda *a: (1e-3, 0.0))
+    with pytest.raises(CertificationFailed, match="kappa=4.0"):
+        expdecay_residual_scan(sys1, kappas)
+
+
+def test_scan_of_an_empty_rate_list_is_empty():
+    sys1 = lin1d(4.0)
+    assert expdecay_residual_scan(sys1, []).shape == (0,)
+    assert expdecay_residual_scan(sys1, [[3.0, 4.0]]).shape == (2,)
+
+
+def test_scan_of_a_steep_force_is_finite_without_warnings():
+    sys1 = build_ou_system(1, [1.0], [1.0],
+                           parse_force_expression("exp(400*x1)", 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = expdecay_residual_scan(sys1, np.linspace(-10.0, 10.0, 201))
+        # exp(-kappa t) overflows at kappa = -400, t near 2
+        steep = expdecay_residual_scan(sys1, [-400.0, 1.0])
+    assert np.all(np.isfinite(vals)) and vals.min() >= 1e-2
+    assert steep[0] == np.inf and np.isfinite(steep[1])
+
+
+def test_no_real_simple_symmetry_for_regular_cubic_forces():
+    # the negative result as a property: a regular cubic force (a radial
+    # cubic plus the cube of each coordinate, one sign) on an isotropic
+    # system has no
+    # real simple symmetry, and no exp-decay rate in [-10, 10] comes close;
+    # a regular linear 1D force does have its two rates, and the scan finds
+    # them
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    kappas = np.linspace(-10.0, 10.0, 2001)
+
+    @hypothesis.settings(max_examples=15, deadline=None)
+    @hypothesis.given(n=st.integers(1, 3), beta=st.floats(0.5, 2.5),
+                      mu=st.floats(0.3, 2.0), a=st.floats(-2.0, 2.0),
+                      s=st.floats(0.5, 2.0), c=st.floats(0.5, 2.0),
+                      sign=st.sampled_from([-1.0, 1.0]))
+    def cubic(n, beta, mu, a, s, c, sign):
+        r2 = " + ".join(f"x{j + 1}^2" for j in range(n))
+        force = parse_force_expression("; ".join(
+            f"{sign!r}*({s!r}*x{i + 1}*({a!r} + {r2}) + {c!r}*x{i + 1}^3)"
+            for i in range(n)), n)
+        sys_ = build_ou_system(n, [beta] * n, [mu] * n, force)
+        alg = classify_symmetries(sys_)
+        assert (alg.case_tag, alg.generators) == ("NoRealSimple", ())
+        for i in range(1, n + 1):
+            assert expdecay_residual_scan(sys_, kappas, i=i).min() >= 1e-2
+
+    @hypothesis.settings(max_examples=15, deadline=None)
+    @hypothesis.given(beta=st.floats(0.5, 2.5), data=st.data())
+    def linear(beta, data):
+        lam = data.draw(st.floats(-3.0, 3.0).filter(
+            lambda lam: abs(lam) >= 0.3 and beta ** 2 + 4 * lam >= 1.0))
+        sys1 = lin1d(lam, beta=beta)
+        rates = [k.real for k in mode_rates(beta, lam)]
+        assert expdecay_residual_scan(sys1, rates).max() <= 1e-8
+
+    cubic()
+    linear()
 
 
 def test_algebra_json_serializable():

@@ -194,6 +194,31 @@ def test_solve_rejects_a_non_finite_force(tmp_path, capsys):
         assert err.startswith("error: ") and "must be finite" in err
 
 
+@pytest.mark.parametrize("force,beta", [
+    # 1e300 squared overflows a Python float
+    ({"type": "constant", "c": [1e300]}, 1e300),
+    # exp(beta t) overflows to inf in numpy
+    ({"type": "constant", "c": [1.0]}, 1e150),
+    # rates of +-1e150 make the eigenmode path NaN
+    ({"type": "linear", "L": [[1e300]]}, 1.0),
+    # a finite path that passes the blow-up guard near t = 0.01
+    ({"type": "constant", "c": [1e14]}, 1.0),
+], ids=["python-overflow", "numpy-overflow", "nan", "beyond-guard"])
+@pytest.mark.parametrize("argv", [["solve", "--steps", "5"],
+                                  ["converge", "--paths", "4", "--ladder",
+                                   "1"]], ids=["solve", "converge"])
+def test_exact_solution_out_of_range_exits_one(tmp_path, capsys, force,
+                                               beta, argv):
+    system = write_system(tmp_path, "huge.json", {
+        "n": 1, "beta": [beta], "mu": [1.0], "force": force})
+    with warnings.catch_warnings():
+        # a numpy warning would surface as an internal error
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv, "--system", system)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Warning" not in err
+
+
 def test_solve_cubic_force_is_an_error(cubic_system, capsys):
     code, _, err = run(capsys, "solve", "--system", cubic_system,
                        "--steps", "20")

@@ -269,7 +269,8 @@ def test_convergence_smoke_constant():
                for i in range(len(rep.errors) - 1))
 
 
-@pytest.mark.parametrize("n_paths", [0, -3, 2.5, "4"])
+# True is a bool, not a count, for the ensemble and the study alike
+@pytest.mark.parametrize("n_paths", [0, -3, 2.5, "4", True])
 def test_convergence_rejects_a_bad_path_count(n_paths):
     problem = GBMConvergenceProblem(1.0, 0.5)
     with pytest.raises(InvalidGrid, match="n_paths must be >= 1"):
@@ -509,7 +510,21 @@ def test_draw_error_reaches_the_caller_unchanged(monkeypatch):
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("chunk", [0, -1, 2.5, "4"])
+@pytest.mark.parametrize("n_paths", [0, -3, 2.5, "3", True])
+def test_ensemble_rejects_a_bad_path_count(n_paths):
+    sys1 = build_ou_system(1, [1.0], [1.0], ConstantForce([0.3]))
+    with pytest.raises(InvalidGrid, match="n_paths must be >= 1"):
+        euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, 10, n_paths)
+
+
+def test_ensemble_takes_a_numpy_integer_path_count():
+    sys1 = build_ou_system(1, [1.0], [1.0], ConstantForce([0.3]))
+    assert np.array_equal(
+        euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, 10, np.int64(3)),
+        euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, 10, 3))
+
+
+@pytest.mark.parametrize("chunk", [0, -1, 2.5, "4", True])
 def test_ensemble_rejects_bad_chunk(chunk):
     sys1 = build_ou_system(1, [1.0], [1.0], ConstantForce([0.3]))
     with pytest.raises(InvalidGrid, match="chunk"):
@@ -754,6 +769,28 @@ def test_study_skips_by_whole_path_leakage(monkeypatch):
                 problem.exact_terminal(x0, grid)
         else:
             problem.exact_terminal(x0, grid)
+
+
+@pytest.mark.parametrize("sys_", [
+    build_ou_system(1, [1.0], [1.0], ConstantForce([1e14])),
+    build_ou_system(1, [1e150], [1.0], ConstantForce([1.0])),
+    build_ou_system(1, [1.0], [1.0], LinearForce([[1e300]])),
+], ids=["beyond-guard", "inf", "nan"])
+def test_exact_solvers_keep_the_blow_up_guard(sys_):
+    # a single solve raises where a study skips the path, without warnings
+    grid = sample_wiener(1, 0.0, 1.0, 16, seed=1)
+    solve = (exact_solve_constant if isinstance(sys_.force, ConstantForce)
+             else exact_solve_linear)
+    problem = OUConvergenceProblem(sys_)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState):
+            solve(sys_, [0.0, 0.0], grid)
+        with pytest.raises(NonFiniteState):
+            problem.exact_terminal([0.0, 0.0], grid)
+        _, skip = problem.exact_terminals([0.0, 0.0], 0.0, 1.0,
+                                          grid.increments[None])
+    assert skip.tolist() == [True]
 
 
 def test_exact_solve_linear_reads_imag_tol_when_called(monkeypatch):
