@@ -313,7 +313,7 @@ def expdecay_residual_scan(sys, kappas, i=1, probes=None):
     within 1e-12 times the largest term size over the probes,
     exp(-kappa t_p) (kappa^2 + |beta_i kappa| + max_a |dF_a/dx_i|), or
     CertificationFailed is raised. A rate whose exp(-kappa t) overflows
-    scores inf.
+    scores inf; when every rate does, there is no rate to re-check.
     """
     idx = _component(i, sys.n) - 1
     if probes is None:
@@ -328,7 +328,7 @@ def expdecay_residual_scan(sys, kappas, i=1, probes=None):
     with np.errstate(over="ignore"):
         out = (np.exp(-k * st.t) * np.maximum(
             np.abs(k * k - beta * k - dF[idx]), off)).max(axis=1)
-    if out.size:
+    if out.size and np.isfinite(out.min()):
         kap, low = float(k[np.argmin(out), 0]), out.min()
         scale = np.max(np.exp(-kap * st.t) * (
             kap * kap + abs(beta * kap) + np.abs(dF).max(axis=0)))

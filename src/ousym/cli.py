@@ -154,11 +154,13 @@ def build_parser():
                                  "of the OU process in a force field")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, text in (("classify", "symmetry algebra as JSON"),
-                       ("invariants", "invariant set as JSON")):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--system", required=True)
-        _probe_args(p)
+    p = sub.add_parser("classify", help="symmetry algebra as JSON")
+    p.add_argument("--system", required=True)
+    _probe_args(p)
+
+    p = sub.add_parser("invariants", help="invariant set as JSON")
+    p.add_argument("--system", required=True)
+    _probe_args(p)
 
     p = sub.add_parser("verify", help="residuals of one generator")
     p.add_argument("--system", required=True)
@@ -166,14 +168,17 @@ def build_parser():
                    help='JSON or shorthand, e.g. "expdecay:i=1,kappa=2"')
     _probe_args(p)
 
-    for name, text in (("simulate", "Euler-Maruyama path as CSV"),
-                       ("solve", "exact path as CSV")):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--system", required=True)
-        p.add_argument("--x0",
-                       help="2n comma-separated values (default zeros)")
-        _grid_args(p)
-        p.add_argument("--out", help="CSV file (default stdout)")
+    p = sub.add_parser("simulate", help="Euler-Maruyama path as CSV")
+    p.add_argument("--system", required=True)
+    p.add_argument("--x0", help="2n comma-separated values (default zeros)")
+    _grid_args(p)
+    p.add_argument("--out", help="CSV file (default stdout)")
+
+    p = sub.add_parser("solve", help="exact path as CSV")
+    p.add_argument("--system", required=True)
+    p.add_argument("--x0", help="2n comma-separated values (default zeros)")
+    _grid_args(p)
+    p.add_argument("--out", help="CSV file (default stdout)")
 
     p = sub.add_parser("converge", help="strong-convergence report as CSV")
     p.add_argument("--system", required=True)

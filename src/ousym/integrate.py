@@ -25,7 +25,7 @@ and serve both the adapters and solve_reference_problem.
 """
 
 import os
-from contextlib import closing
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -847,9 +847,11 @@ def solve_reference_problem(problem_id, params, grid):
 # --- CSV output ---
 
 def _open_dest(dest):
+    """dest itself, left open, if it can be written to; else the file at
+    that path, opened for writing. Either way a context manager."""
     if hasattr(dest, "write"):
-        return dest, False
-    return open(dest, "w", newline=""), True
+        return nullcontext(dest)
+    return open(dest, "w", newline="")
 
 
 def write_path_csv(path, dest, extra_meta=None):
@@ -857,8 +859,7 @@ def write_path_csv(path, dest, extra_meta=None):
     meta = dict(path.meta)
     if extra_meta:
         meta.update(extra_meta)
-    fh, owned = _open_dest(dest)
-    try:
+    with _open_dest(dest) as fh:
         for key in sorted(meta):
             fh.write(f"# {key}={meta[key]}\n")
         fh.write("t," + ",".join(path.labels) + "\n")
@@ -866,23 +867,19 @@ def write_path_csv(path, dest, extra_meta=None):
         table = np.column_stack((path.times, path.states)).astype(
             float, copy=False).tolist()
         fh.write("".join(",".join(map(repr, row)) + "\n" for row in table))
-    finally:
-        if owned:
-            fh.close()
 
 
 def write_convergence_csv(report, dest):
-    fh, owned = _open_dest(dest)
-    try:
-        for key in ("problem", "seed", "n_paths", "used_paths", "refine"):
-            fh.write(f"# {key}={getattr(report, key)}\n")
+    with _open_dest(dest) as fh:
+        fh.write(f"# problem={report.problem}\n")
+        fh.write(f"# seed={report.seed}\n")
+        fh.write(f"# n_paths={report.n_paths}\n")
+        fh.write(f"# used_paths={report.used_paths}\n")
+        fh.write(f"# refine={report.refine}\n")
         fh.write("dt,strong_error\n")
         for dt, err in zip(report.dts, report.errors):
             fh.write(f"{repr(float(dt))},{repr(float(err))}\n")
         fh.write(f"# fitted_order={repr(float(report.fitted_order))}\n")
-    finally:
-        if owned:
-            fh.close()
 
 
 def read_path_csv(src):

@@ -317,7 +317,8 @@ class InvariantCandidate:
     def evaluate(self, p):
         return self.theta(p)
 
-    __call__ = evaluate
+    def __call__(self, p):
+        return self.theta(p)
 
     @staticmethod
     def chi(sys, i):

@@ -438,8 +438,11 @@ def test_scan_of_a_steep_force_is_finite_without_warnings():
         vals = expdecay_residual_scan(sys1, np.linspace(-10.0, 10.0, 201))
         # exp(-kappa t) overflows at kappa = -400, t near 2
         steep = expdecay_residual_scan(sys1, [-400.0, 1.0])
+        # with every rate overflowing there is nothing to re-check
+        only = expdecay_residual_scan(sys1, [-400.0])
     assert np.all(np.isfinite(vals)) and vals.min() >= 1e-2
     assert steep[0] == np.inf and np.isfinite(steep[1])
+    assert only.tolist() == [np.inf]
 
 
 def test_no_real_simple_symmetry_for_regular_cubic_forces():
