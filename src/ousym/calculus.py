@@ -62,22 +62,15 @@ class ExtendedPoint:
         vals[coords.index(c)] = val
         return _at(self, vals)
 
-    # characteristic combinations of the OU system
-
-    def zeta(self, sys, i):
-        """zeta_i = w_i - v_i / mu_i."""
-        return self.w[i] - self.v[i] / sys.mu[i]
-
-    def u_char(self, sys, i):
-        """u_i = zeta_i - (beta_i / mu_i) x_i."""
-        return self.zeta(sys, i) - (sys.beta[i] / sys.mu[i]) * self.x[i]
-
     def chi(self, sys, i):
-        """chi_i = u_i + rho_i t with rho_i = c_i / mu_i (constant force)."""
+        """The characteristic combination of the OU system with a constant
+        force, chi_i = w_i - v_i / mu_i - (beta_i / mu_i) x_i + rho_i t
+        with rho_i = c_i / mu_i, summed left to right."""
         if not isinstance(sys.force, ConstantForce):
             raise WrongForceClass("chi is defined for constant-force systems")
         rho_i = sys.force.c[i] / sys.mu[i]
-        return self.u_char(sys, i) + rho_i * self.t
+        return (self.w[i] - self.v[i] / sys.mu[i]
+                - (sys.beta[i] / sys.mu[i]) * self.x[i] + rho_i * self.t)
 
 
 def point(x=(), v=(), t=0.0, w=None, z=None):
@@ -223,10 +216,6 @@ def derivative(f, p, coord, order=1, coord2=None, engine="dual"):
     return _check_finite(out, "derivative")
 
 
-def _sigma_values(proc, p):
-    return [[value(e) for e in row] for row in proc.sigma(p)]
-
-
 def _ito_jet(fvec, proc, p):
     """The Ito jet of every component of fvec at p, from one evaluation:
     (vals, d_state, d_t, dw_terms, lap) at full shape, the component axis
@@ -247,7 +236,7 @@ def _ito_jet(fvec, proc, p):
     coords = extended_coords(p)
     S = [coords.index(c) for c in proc.state_coords]
     W = [coords.index(c) for c in proc.wiener_coords]
-    sig = _sigma_values(proc, p)
+    sig = proc.sigma(p)
     k0 = len(S) + 1
     e1 = np.zeros((k0 + len(W),) + _probe_shape(p) + (len(coords),))
     for r, c in enumerate(S + [coords.index(("t", 0))]):

@@ -108,7 +108,8 @@ class HyperDual:
         s = np.sign(self.f)
         return _chain(self, np.abs(self.f), s, 0.0)
 
-    # Comparisons act on the value part (used for domain checks).
+    # Comparisons act on the value part, so that a user callable that
+    # branches on a coordinate (if x < 0: ...) works on seeded points.
 
     def __lt__(self, other):
         return self.f < _value(other)

@@ -6,7 +6,9 @@ path is reproducible in isolation and a batch of paths gives the same
 numbers as the paths one at a time. Stepping runs in the calling thread:
 ensembles and convergence studies step whole batches of paths through one
 Euler-Maruyama loop, and a single path steps on Python floats through the
-same operations, so it equals its row of any batch bit for bit. Ensembles
+same operations, so it equals its row of any batch bit for bit. Each force
+class holds the two forms of F these loops read: _rows on a (paths, n)
+batch and _floats on one position of Python floats. Ensembles
 and convergence studies take their noise from _increment_blocks, where one
 worker thread draws the next block of paths while the caller steps the
 current one (OUSYM_THREADS=1 turns the worker off); the numbers never
@@ -39,6 +41,8 @@ BLOWUP_GUARD = 1e12
 IMAG_TOL = 1e-10
 # fine increments drawn at once by convergence_study; bounds its memory
 BLOCK_VALUES = 1 << 19
+# increments drawn at once by euler_maruyama_ensemble; bounds its memory
+ENSEMBLE_VALUES = 2048 * 6000
 
 
 def thread_count():
@@ -217,25 +221,6 @@ def _ou_labels(n):
         f"v{i + 1}" for i in range(n))
 
 
-def _force_fn(force, n, paths):
-    """Force on a (paths, n) batch of positions."""
-    if isinstance(force, ConstantForce):
-        c = np.asarray(force.c, dtype=float)
-        return lambda x: c
-    if isinstance(force, LinearForce):
-        L = np.asarray(force.L, dtype=float)
-        K = np.asarray(force.K, dtype=float)
-        # a stacked matmul rounds like L @ x on each path; x @ L.T does not
-        return lambda x: (L @ x[..., None])[..., 0] + K
-    buf = np.empty((paths, n))
-
-    def evaluate(x):
-        for j, col in enumerate(force.evaluate([x[:, j] for j in range(n)])):
-            buf[:, j] = col
-        return buf
-    return evaluate
-
-
 def _blew_up(k, t0, dt):
     return NonFiniteState(f"path blew up at step {k + 1} "
                           f"(t = {t0 + (k + 1) * dt})")
@@ -273,25 +258,7 @@ def _em_one_path(sys, x, v, inc, t0, dt, guard, record, strict):
     equals that path's row of any batch bit for bit, guard included.
     inc is (n, steps); returns the (1, 2n) terminal state and blown mask.
     """
-    force = sys.force
-    if isinstance(force, ConstantForce):
-        c = list(force.c)
-
-        def F(x):
-            return c
-    elif isinstance(force, LinearForce):
-        L, K = force.L, force.K
-
-        # the matrix-vector product rounds like the stacked matmul of
-        # _force_fn; a Python sum over the row does not
-        def F(x):
-            return (L.dot(x) + K).tolist()
-    else:
-        # numpy scalars give the guard inf or NaN where Python floats raise
-        def F(x):
-            return [float(f) for f in force.evaluate(
-                [np.float64(s) for s in x])]
-
+    F = sys.force._floats
     x, v = x.tolist(), v.tolist()
     beta, mu = sys.beta, sys.mu
     row = x + v
@@ -329,7 +296,7 @@ def _ou_em(sys, x0, t0, t1, inc, guard=BLOWUP_GUARD, record=None,
                             strict)
     beta = np.asarray(sys.beta, dtype=float)
     mu = np.asarray(sys.mu, dtype=float)
-    F = _force_fn(sys.force, n, inc.shape[0])
+    F = sys.force._rows
 
     def step(s, dw, out):
         x, v = s[:, :n], s[:, n:]
@@ -385,20 +352,21 @@ def euler_maruyama_general(drift, sigma, x0, grid):
                 meta=_grid_meta(grid, "euler-maruyama"))
 
 
-def euler_maruyama_ensemble(sys, x0, t0, t1, steps, n_paths, seed=0,
-                            chunk=2048):
+def euler_maruyama_ensemble(sys, x0, t0, t1, steps, n_paths, seed=0):
     """Terminal states of n_paths Euler-Maruyama paths, (n_paths, 2n).
 
     Row i is driven by the increments keyed (seed, i), so it equals
-    euler_maruyama on sample_wiener(..., path_index=i). Up to chunk paths
-    are stepped together; their increments take chunk * n * steps floats,
-    and while one chunk steps the next is drawn, so peak memory is two
-    chunks of increments (one with OUSYM_THREADS=1).
+    euler_maruyama on sample_wiener(..., path_index=i). Paths are stepped
+    in chunks of ENSEMBLE_VALUES // (n * steps) paths (at least one), so a
+    chunk's increments take at most ENSEMBLE_VALUES floats when n * steps
+    does not exceed it; while one chunk steps the next is drawn, so peak
+    memory is two chunks of increments (one with OUSYM_THREADS=1).
     """
     if not _is_count(n_paths):
         raise InvalidGrid("n_paths must be >= 1")
-    if not _is_count(chunk):
-        raise InvalidGrid(f"chunk must be a positive integer, got {chunk!r}")
+    if not _is_count(steps):
+        raise InvalidGrid(f"steps must be a positive integer, got {steps!r}")
+    chunk = max(1, ENSEMBLE_VALUES // (sys.n * steps))
     out = np.empty((n_paths, 2 * sys.n))
     with closing(_increment_blocks(sys.n, t0, t1, steps, seed, n_paths,
                                    chunk)) as blocks:
@@ -443,13 +411,17 @@ def _guarded(exact_paths, sys, x0, t, inc, strict=True):
     for a path that fails max |state| <= BLOWUP_GUARD (NaN fails it), so a
     study skips that path as it skips a leaky one; strict raises
     NonFiniteState instead. numpy does not warn, and a Python-float
-    overflow raises NonFiniteState as well."""
+    overflow, or a division by a square that underflows to zero, raises
+    NonFiniteState as well."""
     try:
         with np.errstate(all="ignore"):
             states, leak = exact_paths(sys, x0, t, inc)
-    except OverflowError:
-        raise NonFiniteState("exact solution overflows a float") from None
-    ok = np.abs(states).max(axis=(1, 2)) <= BLOWUP_GUARD
+    except (OverflowError, ZeroDivisionError):
+        # 1e300 ** 2 overflows; c / b ** 2 divides by zero when b ** 2 = 0.0
+        raise NonFiniteState("exact solution leaves the float range") from None
+    # NaN fails both comparisons
+    ok = ((states.max(axis=(1, 2)) <= BLOWUP_GUARD)
+          & (states.min(axis=(1, 2)) >= -BLOWUP_GUARD))
     if strict and not ok.all():
         raise NonFiniteState("exact path is NaN or beyond BLOWUP_GUARD")
     return states, np.where(ok, leak, np.inf)

@@ -44,7 +44,20 @@ class ForceField:
     def evaluate(self, x):
         raise NotImplementedError
 
-    def _derivatives(self, x):
+    def _rows(self, x):
+        """F on a (paths, n) batch of positions: a (paths, n) array, or
+        one (n,) row that every path shares."""
+        out = np.empty(x.shape)
+        for j, col in enumerate(self.evaluate(list(x.T))):
+            out[:, j] = col
+        return out
+
+    def _floats(self, xs):
+        """F at one position given as a list of Python floats, as floats."""
+        # numpy scalars give the guard inf or NaN where Python floats raise
+        return [float(f) for f in self.evaluate([np.float64(s) for s in xs])]
+
+    def _derivatives(self, x, second=True):
         """Values, Jacobian and Hessians of F at x, from one evaluation.
 
         x is a point of floats or of stacked probe columns (arrays of one
@@ -52,25 +65,29 @@ class ForceField:
         second, so f1 carries dF^i/dx^j (f1 never reads e2) and f12 carries
         d2F^i/dx^j dx^k. Returns the values of shape (n,), the Jacobian of
         shape (n, n) and the Hessians of shape (n, n, n), component first,
-        all followed by the probe axes.
+        all followed by the probe axes. second=False seeds e1 alone and
+        returns None for the Hessians; the Jacobian has the same bits.
         """
         n = self.n
         pad = (1,) * len(np.broadcast_shapes(*map(np.shape, x)))
         eye = np.eye(n)
-        vals, d1, d12 = duals.jet(self.evaluate, x,
-                                  eye.reshape((n, 1) + pad + (n,)),
-                                  eye.reshape((1, n) + pad + (n,)))
+        vals, d1, d12 = duals.jet(
+            self.evaluate, x, eye.reshape((n, 1) + pad + (n,)),
+            eye.reshape((1, n) + pad + (n,)) if second else None)
+        if not second:
+            return vals, d1[:, :, 0], None
         # (j, k) and (k, j) can round differently; mirror the upper triangle
         upper = np.triu(np.ones((n, n), dtype=bool)).reshape((n, n) + pad)
         return vals, d1[:, :, 0], np.where(upper, d12, np.swapaxes(d12, 1, 2))
 
     def jacobian(self, x):
-        """dF^i/dx^j at x, exact via hyper-duals (see _derivatives).
+        """dF^i/dx^j at x, exact via hyper-duals, seeded to first order
+        only (see _derivatives).
 
         x is a point of floats or of stacked probe columns (arrays of one
         shape); the result has shape (n, n) followed by the probe axes.
         """
-        return self._derivatives(x)[1]
+        return self._derivatives(x, second=False)[1]
 
     def hessians(self, x):
         """List of the n symmetric matrices (H_i)_{jk} = d2 F^i / dx^j dx^k.
@@ -90,9 +107,16 @@ class ConstantForce(ForceField):
             raise NonFiniteEvaluation(
                 f"constant force must be finite, got {list(self.c)}")
         self.n = len(self.c)
+        self._row = np.array(self.c)
 
     def evaluate(self, x):
         return list(self.c)
+
+    def _rows(self, x):
+        return self._row
+
+    def _floats(self, xs):
+        return self.c
 
     def __repr__(self):
         return f"ConstantForce(c={list(self.c)})"
@@ -124,6 +148,14 @@ class LinearForce(ForceField):
                     acc = acc + self.L[i, j] * x[j]
             out.append(acc)
         return out
+
+    def _rows(self, x):
+        # a stacked matmul rounds like L @ x on each path; x @ L.T does not
+        return (self.L @ x[..., None])[..., 0] + self.K
+
+    def _floats(self, xs):
+        # the matrix-vector product rounds like _rows; a row sum does not
+        return (self.L.dot(xs) + self.K).tolist()
 
     def __repr__(self):
         return f"LinearForce(L={self.L.tolist()}, K={self.K.tolist()})"

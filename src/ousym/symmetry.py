@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import duals
-from .calculus import (ExtendedPoint, _gradients, _ito_jet, _sigma_values,
-                       extended_coords, sample_probes, stack_probes)
+from .calculus import (ExtendedPoint, _gradients, _ito_jet, extended_coords,
+                       sample_probes, stack_probes)
 from .duals import value
 from .errors import DimensionMismatch, NonFiniteResult, NotAnInvariant
 from .model import ConstantForce
@@ -408,7 +408,7 @@ def _residual_blocks(X, sys, p):
         dsig = dsig.reshape(dw.shape[:2] + dsig.shape[1:])
         for j, Sj in enumerate(S):
             sres = sres - phi[j] * dsig[:, :, Sj]
-    sig = _sigma_values(sys, p)
+    sig = sys.sigma(p)
     for m, k in zip(*np.nonzero(X.R)):
         for i, row in enumerate(sig):
             sres[i, k] = sres[i, k] - row[m] * X.R[m, k]

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -55,3 +56,24 @@ def test_one_pair_has_degenerate_quartiles(bench):
     out = bench.report([(summary(1.0, 1.0), summary(0.5, 1.0))], SPEC, {})
     q = out["change"]["metrics"]["wall_s"]
     assert q["q1"] == q["median"] == q["q3"] == 0.5
+
+
+def test_commit_ignores_the_bench_files_it_writes(bench, tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), *args], check=True,
+                       capture_output=True)
+
+    git("init", "-q")
+    (tmp_path / "BENCH_certify.json").write_text("{}\n")
+    (tmp_path / "code.py").write_text("x = 1\n")
+    git("add", ".")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q",
+        "-m", "init")
+    head = bench._commit(str(tmp_path))
+    assert len(head) == 40 and not head.endswith("-dirty")
+    # a BENCH file recorded by an earlier workload leaves the tree clean
+    (tmp_path / "BENCH_certify.json").write_text('{"pairs": 10}\n')
+    assert bench._commit(str(tmp_path)) == head
+    # any other edited file marks it dirty
+    (tmp_path / "code.py").write_text("x = 2\n")
+    assert bench._commit(str(tmp_path)) == head + "-dirty"

@@ -1,7 +1,10 @@
 """End-to-end checks of the command-line entry point via main()."""
 
+import contextlib
+import io
 import json
 import math
+import re
 import warnings
 
 import pytest
@@ -217,6 +220,119 @@ def test_exact_solution_out_of_range_exits_one(tmp_path, capsys, force,
         code, out, err = run(capsys, *argv, "--system", system)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "Warning" not in err
+
+
+UNDERFLOW = {"n": 1, "beta": [1e-300], "mu": [1.0],
+             "force": {"type": "constant", "c": [2.5]}}
+
+
+@pytest.mark.parametrize("payload,argv", [
+    # c / beta^2 with beta^2 = 0.0 in Python floats
+    (UNDERFLOW, ["solve", "--steps", "5"]),
+    (UNDERFLOW, ["converge", "--paths", "4", "--ladder", "1"]),
+    # beta / mu = inf in chi, inf * 0 in the Ito jet
+    ({"n": 1, "beta": [1e300], "mu": [1e-300],
+      "force": {"type": "constant", "c": [1.0]}}, ["invariants"]),
+    # exp(-kappa t) overflows in the certificate of an eigenmode
+    ({"n": 1, "beta": [1e-300], "mu": [1.0],
+      "force": {"type": "linear", "L": [[1e300]], "K": [0.0]}},
+     ["classify"]),
+], ids=["solve-underflow", "converge-underflow", "invariants-inf-chi",
+        "classify-overflowing-mode"])
+def test_out_of_range_parameters_exit_one_without_warnings(
+        tmp_path, capsys, payload, argv):
+    system = write_system(tmp_path, "edge.json", payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv, "--system", system)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Warning" not in err
+
+
+# values a system file may hold: non-finite, zero, negative, extreme
+EDGE_VALUES = [float("nan"), float("inf"), float("-inf"), 0.0, -1.0, 0.5,
+               1.0, 2.0, 1e300, -1e300, 1e-300, -1e-300]
+EDGE_EXPRESSIONS = ["x1^3 + x1", "1/x1", "exp(400*x1)", "sqrt(x1)",
+                    "log(x1)", "-x1^3", "0"]
+# small step and path counts; every command a system file can drive
+EDGE_COMMANDS = [
+    ["classify", "--probes", "4"],
+    ["invariants", "--probes", "4"],
+    ["verify", "--probes", "4", "--generator", "expdecay:i=1,kappa=2"],
+    ["verify", "--probes", "4", "--generator", "translation:i=1"],
+    ["simulate", "--steps", "5"],
+    ["solve", "--steps", "5"],
+    ["converge", "--paths", "3", "--ladder", "2", "--base-steps", "2",
+     "--refine", "2"],
+]
+_NON_FINITE_TOKEN = re.compile(r"(?<![A-Za-z])(nan|inf|infinity)(?![A-Za-z])",
+                               re.IGNORECASE)
+
+
+def test_every_system_file_gives_finite_output_or_exits_one(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def number(valid):
+        # three draws in four from values the field accepts, extremes
+        # included, so that systems often build; the rest from all of them
+        return st.one_of(*[st.sampled_from(valid)] * 3,
+                         st.sampled_from(EDGE_VALUES))
+
+    @st.composite
+    def vector(draw, n, valid):
+        # one vector in eight has a mismatched length
+        size = n if draw(st.integers(0, 7)) else draw(st.integers(0, 3))
+        return draw(st.lists(number(valid), min_size=size, max_size=size))
+
+    entries = [0.0, 1.0, -1.0, 1e300, -1e300, 1e-300]
+
+    @st.composite
+    def system_file(draw):
+        n = draw(st.integers(1, 2))
+        kind = draw(st.sampled_from(["constant", "linear", "expr"]))
+        if kind == "constant":
+            force = {"type": "constant", "c": draw(vector(n, entries))}
+        elif kind == "linear":
+            force = {"type": "linear",
+                     "L": [draw(vector(n, entries)) for _ in range(n)],
+                     "K": draw(vector(n, entries))}
+        else:
+            force = {"type": "expr", "components": [
+                draw(st.sampled_from(EDGE_EXPRESSIONS)).replace(
+                    "x1", f"x{i + 1}") for i in range(n)]}
+        return {"n": n, "beta": draw(vector(n, [0.5, 2.0, 1e300, 1e-300])),
+                "mu": draw(vector(n, [1.0, -1.0, 1e300, 1e-300])),
+                "force": force}
+
+    system = tmp_path / "edge.json"
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(payload=system_file())
+    def check(payload):
+        # json writes NaN and Infinity tokens, which json.load reads back
+        system.write_text(json.dumps(payload))
+        for argv in EDGE_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main([*argv, "--system", str(system)])
+            assert code in (0, 1), (argv, err.getvalue())
+            # a ResourceWarning may come from collecting another test's file
+            shown = [str(w.message) for w in caught
+                     if not issubclass(w.category, ResourceWarning)]
+            assert not shown, (argv, shown)
+            assert "Warning" not in err.getvalue(), argv
+            if code == 0:
+                text = out.getvalue()
+                if argv[0] == "verify":
+                    # a NaN residual is printed as NaN on purpose
+                    text = text.replace("NaN", "")
+                assert not _NON_FINITE_TOKEN.search(text), (argv, text)
+
+    check()
 
 
 def test_solve_cubic_force_is_an_error(cubic_system, capsys):

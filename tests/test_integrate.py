@@ -387,10 +387,11 @@ def test_ensemble_matches_single_paths(monkeypatch):
     # 11 paths in chunks of 4: three blocks, the last one partial, so with
     # two threads two blocks are drawn ahead
     sys1 = build_ou_system(1, [1.0], [1.0], ConstantForce([0.0]))
+    monkeypatch.setattr(integrate, "ENSEMBLE_VALUES", 4 * 50)
     for threads in ("1", "2"):
         monkeypatch.setenv("OUSYM_THREADS", threads)
         term = euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, 50, 11,
-                                       seed=19, chunk=4)
+                                       seed=19)
         for idx in range(11):
             g = sample_wiener(1, 0.0, 1.0, 50, seed=19, path_index=idx)
             single = euler_maruyama(sys1, [0.0, 0.0], g)
@@ -426,8 +427,10 @@ def test_ensemble_property_rows_are_single_paths():
         x0 = [1.3] * (2 * n)
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("OUSYM_THREADS", threads)
+            # chunks of `chunk` paths of n * 12 increments
+            mp.setattr(integrate, "ENSEMBLE_VALUES", chunk * n * 12)
             term = euler_maruyama_ensemble(sys_, x0, 0.0, 1.0, 12, n_paths,
-                                           seed=seed, chunk=chunk)
+                                           seed=seed)
         assert term.shape == (n_paths, 2 * n)
         for idx in range(n_paths):
             g = sample_wiener(n, 0.0, 1.0, 12, seed=seed, path_index=idx)
@@ -459,8 +462,9 @@ def test_prefetch_draws_ahead_on_one_worker(monkeypatch, threads, workers):
     monkeypatch.setenv("OUSYM_THREADS", threads)
     seen = traced_draws(monkeypatch)
     sys1 = build_ou_system(1, [1.0], [1.0], ConstantForce([0.3]))
+    monkeypatch.setattr(integrate, "ENSEMBLE_VALUES", 3 * 20)
     before = threading.active_count()
-    euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, 20, 10, chunk=3)
+    euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, 20, 10)
     assert threading.active_count() == before
     assert [i0 for _, i0 in seen] == [0, 3, 6, 9]
     # the first block is drawn in the calling thread, the rest ahead
@@ -478,9 +482,10 @@ def test_blowup_in_second_block_stops_the_worker(monkeypatch):
 
     seen = traced_draws(monkeypatch, blow_up)
     sys1 = build_ou_system(1, [1.0], [1.0], ConstantForce([0.3]))
+    monkeypatch.setattr(integrate, "ENSEMBLE_VALUES", 4 * 20)
     before = threading.active_count()
     with pytest.raises(NonFiniteState):
-        euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, 20, 16, chunk=4)
+        euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, 20, 16)
     assert threading.active_count() == before
     # block 2 was being drawn ahead while block 1 blew up
     assert [i0 for _, i0 in seen] == [0, 4, 8]
@@ -496,9 +501,10 @@ def test_draw_error_reaches_the_caller_unchanged(monkeypatch):
 
     traced_draws(monkeypatch, fail)
     sys1 = build_ou_system(1, [1.0], [1.0], ConstantForce([0.3]))
+    monkeypatch.setattr(integrate, "ENSEMBLE_VALUES", 4 * 20)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as info:
-        euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, 20, 16, chunk=4)
+        euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, 20, 16)
     assert info.value is err
     assert threading.active_count() == before
     # blocks of 4 paths of 32 fine steps in the study too
@@ -524,23 +530,36 @@ def test_ensemble_takes_a_numpy_integer_path_count():
         euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, 10, 3))
 
 
-@pytest.mark.parametrize("chunk", [0, -1, 2.5, "4", True])
-def test_ensemble_rejects_bad_chunk(chunk):
+def test_ensemble_chunk_follows_its_inputs(monkeypatch):
+    # ENSEMBLE_VALUES // (n * steps) paths per block, at least one
+    sys2 = build_ou_system(2, [1.0, 1.0], [1.0, 1.0],
+                           ConstantForce([0.3, 0.0]))
+    seen = traced_draws(monkeypatch)
+    monkeypatch.setattr(integrate, "ENSEMBLE_VALUES", 100)
+    euler_maruyama_ensemble(sys2, [0.0] * 4, 0.0, 1.0, 10, 12)
+    assert [i0 for _, i0 in seen] == [0, 5, 10]
+    seen.clear()
+    euler_maruyama_ensemble(sys2, [0.0] * 4, 0.0, 1.0, 80, 3)
+    assert [i0 for _, i0 in seen] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("steps", [0, -1, 2.5, True])
+def test_ensemble_rejects_a_bad_step_count(steps):
     sys1 = build_ou_system(1, [1.0], [1.0], ConstantForce([0.3]))
-    with pytest.raises(InvalidGrid, match="chunk"):
-        euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, 10, 5,
-                                chunk=chunk)
+    with pytest.raises(InvalidGrid, match="steps"):
+        euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, steps, 5)
 
 
 @pytest.mark.parametrize("beta,mu", [([1.0], [2.5]),
                                      ([1.0, 1.5], [0.7, 1.9])])
-def test_ensemble_applies_mu(beta, mu):
+def test_ensemble_applies_mu(beta, mu, monkeypatch):
     n, t1, steps, n_paths, seed = len(mu), 6.0, 600, 4000, 23
     sys_ = build_ou_system(n, beta, mu, ConstantForce([0.0] * n))
     x0 = [0.0] * (2 * n)
+    monkeypatch.setattr(integrate, "ENSEMBLE_VALUES", 2048 * n * steps)
     term = euler_maruyama_ensemble(sys_, x0, 0.0, t1, steps, n_paths,
                                    seed=seed)
-    # first and last rows of each chunk of the default 2048
+    # first and last rows of each chunk of 2048 paths
     for idx in (0, 1, 2047, 2048, n_paths - 1):
         g = sample_wiener(n, 0.0, t1, steps, seed=seed, path_index=idx)
         single = euler_maruyama(sys_, x0, g).terminal()
@@ -775,7 +794,8 @@ def test_study_skips_by_whole_path_leakage(monkeypatch):
     build_ou_system(1, [1.0], [1.0], ConstantForce([1e14])),
     build_ou_system(1, [1e150], [1.0], ConstantForce([1.0])),
     build_ou_system(1, [1.0], [1.0], LinearForce([[1e300]])),
-], ids=["beyond-guard", "inf", "nan"])
+    build_ou_system(1, [1.0], [1.0], ConstantForce([-1e14])),
+], ids=["beyond-guard", "inf", "nan", "below-guard"])
 def test_exact_solvers_keep_the_blow_up_guard(sys_):
     # a single solve raises where a study skips the path, without warnings
     grid = sample_wiener(1, 0.0, 1.0, 16, seed=1)
@@ -791,6 +811,22 @@ def test_exact_solvers_keep_the_blow_up_guard(sys_):
         _, skip = problem.exact_terminals([0.0, 0.0], 0.0, 1.0,
                                           grid.increments[None])
     assert skip.tolist() == [True]
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 2e12, -2e12])
+def test_exact_guard_fails_each_out_of_range_state(bad):
+    # one bad entry in path 1 of 2, at the last step of its last component
+    states = np.zeros((2, 5, 2))
+    states[1, -1, -1] = bad
+
+    def exact_paths(sys, x0, t, inc):
+        return states, np.zeros(2)
+
+    _, leak = integrate._guarded(exact_paths, None, None, None, None,
+                                 strict=False)
+    assert leak.tolist() == [0.0, np.inf]
+    with pytest.raises(NonFiniteState):
+        integrate._guarded(exact_paths, None, None, None, None)
 
 
 def test_exact_solve_linear_reads_imag_tol_when_called(monkeypatch):
@@ -816,10 +852,11 @@ def test_exact_solve_linear_reads_imag_tol_when_called(monkeypatch):
 def test_ensemble_thread_count_invariance(monkeypatch):
     sys1 = build_ou_system(1, [1.0], [1.0], ConstantForce([0.3]))
     results = []
+    monkeypatch.setattr(integrate, "ENSEMBLE_VALUES", 8 * 80)
     for k in ("1", "3"):
         monkeypatch.setenv("OUSYM_THREADS", k)
         results.append(euler_maruyama_ensemble(
-            sys1, [0.0, 0.0], 0.0, 1.0, 80, 37, seed=20, chunk=8))
+            sys1, [0.0, 0.0], 0.0, 1.0, 80, 37, seed=20))
     assert np.array_equal(results[0], results[1])
 
 

@@ -109,6 +109,30 @@ def test_euler_maruyama_loops_are_pinned():
         ("integrate.py", "_ou_em")}
 
 
+def test_force_forms_live_on_the_force_classes():
+    # the EM loops read F from the force; integrate.py tests the force
+    # class only where it picks a closed form
+    found = set()
+    for top in ast.parse((SRC / "integrate.py").read_text()).body:
+        scopes = [(top.name, top)] if isinstance(top, ast.FunctionDef) else [
+            (f"{top.name}.{f.name}", f) for f in getattr(top, "body", [])
+            if isinstance(f, ast.FunctionDef)]
+        for name, scope in scopes:
+            for node in ast.walk(scope):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "isinstance"
+                        and ast.unparse(node.args[1]).endswith("Force")):
+                    found.add(name)
+    assert found == {"_exact_constant_paths", "_exact_linear_paths",
+                     "OUConvergenceProblem.__init__"}
+    readers = {attr: {top.name for top in ast.parse(
+        (SRC / "integrate.py").read_text()).body for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == attr}
+        for attr in ("_rows", "_floats")}
+    assert readers == {"_rows": {"_ou_em"}, "_floats": {"_em_one_path"}}
+    assert "_force_fn" not in (SRC / "integrate.py").read_text()
+
+
 def test_eigenmodes_come_from_one_helper():
     # eig, the complex cast and the defective-matrix check live together
     assert _calling_functions({"eig"}) == {("classify.py", "_eigenmodes")}

@@ -147,6 +147,33 @@ def test_classify_isotropic_family_second_order_regular():
     assert fc.tag == "NonlinearSecondOrderRegular"
 
 
+@pytest.mark.parametrize("source,n", [
+    ("x1*(1 + x1^2 + x2^2 + x3^2); x2*(1 + x1^2 + x2^2 + x3^2); "
+     "x3*(1 + x1^2 + x2^2 + x3^2)", 3),
+    ("-0.9*x1^3 + 1.1*sin(x2); exp(x1)*x2 - sqrt(abs(x2) + 1)", 2),
+    ("x1^2 / (1 + x1^2)", 1)], ids=["radial-n3", "mixed-n2", "ratio-n1"])
+def test_jacobian_seeds_first_order_only(source, n, monkeypatch):
+    from ousym import duals
+    f = parse_force_expression(source, n)
+    cols = [c for c in np.random.default_rng(5).uniform(-2.0, 2.0, (n, 7))]
+    point = [float(c[0]) for c in cols]
+    second = []
+    jet = duals.jet
+
+    def recording(fn, values, e1, e2=None):
+        second.append(e2 is not None)
+        return jet(fn, values, e1, e2)
+
+    monkeypatch.setattr(duals, "jet", recording)
+    for x in (point, cols):
+        # the same bits as the Jacobian of the full pass, signed zeros too
+        J, full = f.jacobian(x), f._derivatives(x)[1]
+        assert J.shape == full.shape == (n, n) + np.shape(x[0])
+        assert J.tobytes() == full.tobytes()
+    # jacobian seeds e1 alone; the full pass seeds e2 as well
+    assert second == [False, True, False, True]
+
+
 def test_classify_nonlinear_degenerate_hessian():
     # the second component is linear, so its Hessian is singular everywhere
     # and the force cannot be second-order regular

@@ -83,15 +83,22 @@ def report(pairs, spec, meta):
                    for k, side in enumerate(SIDES)})
 
 
+def _git(path, *args):
+    return subprocess.run(["git", "-C", path, *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
 def _commit(path):
-    """HEAD of the checkout at path, with -dirty if its files differ."""
+    """HEAD of the checkout at path, with -dirty if a tracked file other
+    than a BENCH_*.json differs from it: this script writes those, so a
+    second workload recorded in one tree still reads as clean."""
     try:
-        return subprocess.run(
-            ["git", "-C", path, "describe", "--always", "--dirty",
-             "--abbrev=40"], check=True, capture_output=True,
-            text=True).stdout.strip()
+        head = _git(path, "rev-parse", "HEAD")
+        dirty = _git(path, "status", "--porcelain", "--untracked-files=no",
+                     "--", ".", ":(exclude)BENCH_*.json")
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
+    return head + ("-dirty" if dirty else "")
 
 
 def _run(checkout, workload, seed, seconds):
