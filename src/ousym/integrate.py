@@ -41,8 +41,8 @@ BLOWUP_GUARD = 1e12
 IMAG_TOL = 1e-10
 # fine increments drawn at once by convergence_study; bounds its memory
 BLOCK_VALUES = 1 << 19
-# increments drawn at once by euler_maruyama_ensemble; bounds its memory
-ENSEMBLE_VALUES = 2048 * 6000
+# paths stepped at once by euler_maruyama_ensemble
+ENSEMBLE_PATHS = 2048
 
 
 def thread_count():
@@ -356,20 +356,17 @@ def euler_maruyama_ensemble(sys, x0, t0, t1, steps, n_paths, seed=0):
     """Terminal states of n_paths Euler-Maruyama paths, (n_paths, 2n).
 
     Row i is driven by the increments keyed (seed, i), so it equals
-    euler_maruyama on sample_wiener(..., path_index=i). Paths are stepped
-    in chunks of ENSEMBLE_VALUES // (n * steps) paths (at least one), so a
-    chunk's increments take at most ENSEMBLE_VALUES floats when n * steps
-    does not exceed it; while one chunk steps the next is drawn, so peak
-    memory is two chunks of increments (one with OUSYM_THREADS=1).
+    euler_maruyama on sample_wiener(..., path_index=i). Up to
+    ENSEMBLE_PATHS paths are stepped together; their increments take
+    ENSEMBLE_PATHS * n * steps floats, and while one chunk steps the next
+    is drawn, so peak memory is two chunks of increments (one with
+    OUSYM_THREADS=1).
     """
     if not _is_count(n_paths):
         raise InvalidGrid("n_paths must be >= 1")
-    if not _is_count(steps):
-        raise InvalidGrid(f"steps must be a positive integer, got {steps!r}")
-    chunk = max(1, ENSEMBLE_VALUES // (sys.n * steps))
     out = np.empty((n_paths, 2 * sys.n))
     with closing(_increment_blocks(sys.n, t0, t1, steps, seed, n_paths,
-                                   chunk)) as blocks:
+                                   ENSEMBLE_PATHS)) as blocks:
         for i0, inc in blocks:
             out[i0:i0 + len(inc)], _ = _ou_em(sys, x0, t0, t1, inc)
     return out

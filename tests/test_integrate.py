@@ -387,7 +387,7 @@ def test_ensemble_matches_single_paths(monkeypatch):
     # 11 paths in chunks of 4: three blocks, the last one partial, so with
     # two threads two blocks are drawn ahead
     sys1 = build_ou_system(1, [1.0], [1.0], ConstantForce([0.0]))
-    monkeypatch.setattr(integrate, "ENSEMBLE_VALUES", 4 * 50)
+    monkeypatch.setattr(integrate, "ENSEMBLE_PATHS", 4)
     for threads in ("1", "2"):
         monkeypatch.setenv("OUSYM_THREADS", threads)
         term = euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, 50, 11,
@@ -427,8 +427,7 @@ def test_ensemble_property_rows_are_single_paths():
         x0 = [1.3] * (2 * n)
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("OUSYM_THREADS", threads)
-            # chunks of `chunk` paths of n * 12 increments
-            mp.setattr(integrate, "ENSEMBLE_VALUES", chunk * n * 12)
+            mp.setattr(integrate, "ENSEMBLE_PATHS", chunk)
             term = euler_maruyama_ensemble(sys_, x0, 0.0, 1.0, 12, n_paths,
                                            seed=seed)
         assert term.shape == (n_paths, 2 * n)
@@ -462,7 +461,7 @@ def test_prefetch_draws_ahead_on_one_worker(monkeypatch, threads, workers):
     monkeypatch.setenv("OUSYM_THREADS", threads)
     seen = traced_draws(monkeypatch)
     sys1 = build_ou_system(1, [1.0], [1.0], ConstantForce([0.3]))
-    monkeypatch.setattr(integrate, "ENSEMBLE_VALUES", 3 * 20)
+    monkeypatch.setattr(integrate, "ENSEMBLE_PATHS", 3)
     before = threading.active_count()
     euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, 20, 10)
     assert threading.active_count() == before
@@ -482,7 +481,7 @@ def test_blowup_in_second_block_stops_the_worker(monkeypatch):
 
     seen = traced_draws(monkeypatch, blow_up)
     sys1 = build_ou_system(1, [1.0], [1.0], ConstantForce([0.3]))
-    monkeypatch.setattr(integrate, "ENSEMBLE_VALUES", 4 * 20)
+    monkeypatch.setattr(integrate, "ENSEMBLE_PATHS", 4)
     before = threading.active_count()
     with pytest.raises(NonFiniteState):
         euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, 20, 16)
@@ -501,7 +500,7 @@ def test_draw_error_reaches_the_caller_unchanged(monkeypatch):
 
     traced_draws(monkeypatch, fail)
     sys1 = build_ou_system(1, [1.0], [1.0], ConstantForce([0.3]))
-    monkeypatch.setattr(integrate, "ENSEMBLE_VALUES", 4 * 20)
+    monkeypatch.setattr(integrate, "ENSEMBLE_PATHS", 4)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as info:
         euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, 20, 16)
@@ -530,36 +529,27 @@ def test_ensemble_takes_a_numpy_integer_path_count():
         euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, 10, 3))
 
 
-def test_ensemble_chunk_follows_its_inputs(monkeypatch):
-    # ENSEMBLE_VALUES // (n * steps) paths per block, at least one
-    sys2 = build_ou_system(2, [1.0, 1.0], [1.0, 1.0],
-                           ConstantForce([0.3, 0.0]))
+def test_ensemble_blocks_do_not_depend_on_the_shape(monkeypatch):
+    # ENSEMBLE_PATHS paths per block whatever n and steps are
     seen = traced_draws(monkeypatch)
-    monkeypatch.setattr(integrate, "ENSEMBLE_VALUES", 100)
-    euler_maruyama_ensemble(sys2, [0.0] * 4, 0.0, 1.0, 10, 12)
-    assert [i0 for _, i0 in seen] == [0, 5, 10]
-    seen.clear()
-    euler_maruyama_ensemble(sys2, [0.0] * 4, 0.0, 1.0, 80, 3)
-    assert [i0 for _, i0 in seen] == [0, 1, 2]
-
-
-@pytest.mark.parametrize("steps", [0, -1, 2.5, True])
-def test_ensemble_rejects_a_bad_step_count(steps):
-    sys1 = build_ou_system(1, [1.0], [1.0], ConstantForce([0.3]))
-    with pytest.raises(InvalidGrid, match="steps"):
-        euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, steps, 5)
+    monkeypatch.setattr(integrate, "ENSEMBLE_PATHS", 5)
+    for n, steps in ((1, 10), (2, 10), (2, 80)):
+        sys_ = build_ou_system(n, [1.0] * n, [1.0] * n,
+                               ConstantForce([0.3] * n))
+        seen.clear()
+        euler_maruyama_ensemble(sys_, [0.0] * (2 * n), 0.0, 1.0, steps, 12)
+        assert [i0 for _, i0 in seen] == [0, 5, 10]
 
 
 @pytest.mark.parametrize("beta,mu", [([1.0], [2.5]),
                                      ([1.0, 1.5], [0.7, 1.9])])
-def test_ensemble_applies_mu(beta, mu, monkeypatch):
+def test_ensemble_applies_mu(beta, mu):
     n, t1, steps, n_paths, seed = len(mu), 6.0, 600, 4000, 23
     sys_ = build_ou_system(n, beta, mu, ConstantForce([0.0] * n))
     x0 = [0.0] * (2 * n)
-    monkeypatch.setattr(integrate, "ENSEMBLE_VALUES", 2048 * n * steps)
     term = euler_maruyama_ensemble(sys_, x0, 0.0, t1, steps, n_paths,
                                    seed=seed)
-    # first and last rows of each chunk of 2048 paths
+    # first and last rows of each chunk of ENSEMBLE_PATHS = 2048
     for idx in (0, 1, 2047, 2048, n_paths - 1):
         g = sample_wiener(n, 0.0, t1, steps, seed=seed, path_index=idx)
         single = euler_maruyama(sys_, x0, g).terminal()
@@ -852,7 +842,7 @@ def test_exact_solve_linear_reads_imag_tol_when_called(monkeypatch):
 def test_ensemble_thread_count_invariance(monkeypatch):
     sys1 = build_ou_system(1, [1.0], [1.0], ConstantForce([0.3]))
     results = []
-    monkeypatch.setattr(integrate, "ENSEMBLE_VALUES", 8 * 80)
+    monkeypatch.setattr(integrate, "ENSEMBLE_PATHS", 8)
     for k in ("1", "3"):
         monkeypatch.setenv("OUSYM_THREADS", k)
         results.append(euler_maruyama_ensemble(
