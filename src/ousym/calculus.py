@@ -21,9 +21,15 @@ independent cross-check.
 Every Lie bracket goes through two steps: _field_jet takes one field's
 values and Jacobian once (one seeded evaluation with engine="dual"; the
 field at p and at p +- h along each coordinate with engine="fd"), and
-_contract forms [X, Y] from two jets. lie_bracket is the two steps for one
-pair; the bracket table and structure_constants take each field's jet once
-and contract it with every partner.
+_contract forms [X, Y] from stacked jets, one leading pair axis, with a
+live-coordinate mask per pair. lie_bracket is the two steps for one pair;
+the bracket table and structure_constants take each field's jet once,
+stack the jets and contract all of their pairs in one call.
+
+Probes come from one uniform draw per probe set (sample_probes), and
+stack_probes builds their (coordinates, probes) array in one go. The
+drift's Jacobian, which every determining equation reads, is taken once
+per stacked probe set by symmetry._drift_jet.
 """
 
 import numpy as np
@@ -102,16 +108,15 @@ def sample_probes(proc, count=32, seed=0, box=(-2.0, 2.0)):
     nw = sum(1 for c in proc.wiener_coords if c[0] == "w")
     nz = sum(1 for c in proc.wiener_coords if c[0] == "z")
     lo, hi = box
-    rng = np.random.default_rng(seed)
-    probes = []
-    for _ in range(count):
-        x = tuple(rng.uniform(lo, hi, nx))
-        v = tuple(rng.uniform(lo, hi, nv))
-        t = float(rng.uniform(0.0, 2.0))
-        w = tuple(rng.uniform(lo, hi, nw))
-        probes.append(ExtendedPoint(x=x, v=v, t=t, w=w,
-                                    z=tuple(0.0 for _ in range(nz))))
-    return probes
+    # one draw for all probes, a row per probe with columns x, v, t, w,
+    # scaled as Generator.uniform scales (lo + (hi - lo) * u): the numbers
+    # of one uniform call per block and probe, bit for bit
+    u = np.random.default_rng(seed).random((max(count, 0), nx + nv + 1 + nw))
+    xvw = lo + (hi - lo) * u
+    z = tuple(0.0 for _ in range(nz))
+    return [ExtendedPoint(x=tuple(row[:nx]), v=tuple(row[nx:nx + nv]),
+                          t=float(2.0 * ut), w=tuple(row[nx + nv + 1:]), z=z)
+            for row, ut in zip(xvw, u[:, nx + nv])]
 
 
 def stack_probes(probes):
@@ -119,8 +124,8 @@ def stack_probes(probes):
     an empty list raises EmptyProbeSet."""
     if len(probes) == 0:
         raise EmptyProbeSet("stacking needs at least one probe")
-    return _at(probes[0], [np.array([float(p.coord(c)) for p in probes])
-                           for c in extended_coords(probes[0])])
+    return _at(probes[0], list(np.array(
+        [(*p.x, *p.v, p.t, *p.w, *p.z) for p in probes], dtype=float).T))
 
 
 def _at(p, vals):
@@ -309,20 +314,29 @@ def _field_jet(F, p, engine="dual"):
 
 
 def _contract(X, Y):
-    """[X, Y] = sum_b X_b dY[:, b] - Y_b dX[:, b] from two _field_jet
-    results; one row per coordinate.
+    """[X, Y] = sum_b X_b dY[:, b] - Y_b dX[:, b] for stacked pairs of
+    _field_jet results: the values and Jacobians of X and Y carry one
+    leading pair axis, and so does the result, one row per coordinate after
+    it. Per pair, the coordinates are summed in order.
 
-    Coordinates where both fields vanish at every probe are skipped, so a
-    non-finite partial along such a coordinate cannot turn the bracket into
-    NaN; any other non-finite entry raises NonFiniteResult.
+    Coordinates where both fields of a pair vanish at every probe are
+    skipped for that pair, so a non-finite partial along such a coordinate
+    cannot turn its bracket into NaN; any other non-finite entry raises
+    NonFiniteResult.
     """
     (Xv, dX), (Yv, dY) = X, Y
-    n = len(Xv)
-    live = ((Xv != 0.0).reshape(n, -1).any(axis=1)
-            | (Yv != 0.0).reshape(n, -1).any(axis=1))
+    probe_axes = tuple(range(2, Xv.ndim))
+    live = (Xv != 0.0).any(axis=probe_axes) | (Yv != 0.0).any(axis=probe_axes)
     out = np.zeros(Xv.shape)
-    for b in np.flatnonzero(live):
-        out = out + Xv[b] * dY[:, b] - Yv[b] * dX[:, b]
+    pairs = (len(live),) + (1,) * (Xv.ndim - 1)
+    # out + X_b dY[:, b] - Y_b dX[:, b], left to right, on the pairs where b
+    # is live; a dead coordinate's 0 * inf may be NaN and is not added
+    with np.errstate(invalid="ignore"):
+        for b in np.flatnonzero(live.any(axis=0)):
+            where = live[:, b].reshape(pairs)
+            np.add(out, Xv[:, b, None] * dY[:, :, b], out=out, where=where)
+            np.subtract(out, Yv[:, b, None] * dX[:, :, b], out=out,
+                        where=where)
     return _check_finite(out, "lie_bracket")
 
 
@@ -337,4 +351,6 @@ def lie_bracket(X, Y, p, engine="dual"):
     coordinate (2N + 1 evaluations for N coordinates) and takes central
     differences. A field without N components raises DimensionMismatch.
     """
-    return list(_contract(_field_jet(X, p, engine), _field_jet(Y, p, engine)))
+    # one pair: a pair axis of length 1
+    jets = [[a[None] for a in _field_jet(F, p, engine)] for F in (X, Y)]
+    return list(_contract(*jets)[0])

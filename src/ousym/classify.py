@@ -28,8 +28,8 @@ from .calculus import _contract, _field_jet, sample_probes, stack_probes
 from .errors import CertificationFailed, NotDiagonalizable
 from .model import classify_force
 from .symmetry import (ExpDecay, InvariantCandidate, SymmetryGenerator,
-                       Translation, _component, _family_json, _max_abs,
-                       _max_blocks, affine_invariant_nullspace,
+                       Translation, _component, _drift_jet, _family_json,
+                       _max_abs, _max_blocks, affine_invariant_nullspace,
                        invariant_residual, solve_wsym_linear_constraint)
 
 CERT_TOL_RESIDUAL = 1e-6
@@ -204,24 +204,33 @@ def _emit_linear_modes(sys, L):
 def _certify(gens, sys, probes):
     p = stack_probes(probes)
     tol = CERT_TOL_RESIDUAL
-    for g in gens:
-        # what overflows fails the finite Laplacian or the gate below
-        with np.errstate(over="ignore", invalid="ignore"):
-            mf, ms = _max_blocks(g, sys, p)
-        if not (mf <= tol and ms <= tol):
-            raise CertificationFailed(
-                f"generator {g.label} failed the determining equations: "
-                f"f-residual {mf:.3e}, sigma-residual {ms:.3e} > {tol:.1e}")
+    # what overflows fails the finite Laplacian or the gate below
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = _drift_jet(sys, p)
+        for g in gens:
+            mf, ms = _max_blocks(g, sys, p, drift)
+            if not (mf <= tol and ms <= tol):
+                raise CertificationFailed(
+                    f"generator {g.label} failed the determining equations: "
+                    f"f-residual {mf:.3e}, sigma-residual {ms:.3e} > "
+                    f"{tol:.1e}")
 
 
 def _pairwise_brackets(gens, sys, probes):
     """(left, right, max |[left, right]|) over the stacked probes, for every
-    pair of generators; each generator's jet is taken once."""
+    pair of generators; each generator's jet is taken once, and all pairs
+    are contracted at once."""
     p = stack_probes(probes)
     jets = [_field_jet(g.as_extended_field(sys), p) for g in gens]
-    return [(gens[a].label, gens[b].label,
-             float(np.max(np.abs(_contract(jets[a], jets[b])))))
-            for a in range(len(gens)) for b in range(a + 1, len(gens))]
+    left, right = np.triu_indices(len(jets), 1)
+    if len(left) == 0:
+        return []
+    vals, jac = map(np.stack, zip(*jets))
+    worst = np.abs(_contract((vals[left], jac[left]),
+                             (vals[right], jac[right])))
+    worst = worst.max(axis=tuple(range(1, worst.ndim)))
+    return [(gens[a].label, gens[b].label, float(w))
+            for a, b, w in zip(left, right, worst)]
 
 
 def _quick_bracket_table(gens, sys, probes):
@@ -403,48 +412,65 @@ def structure_constants(alg, probes=None):
     p = stack_probes(probes)
     chis = _chi_vector(sys, p)
     fns = [f for _, f in sample_fs]
-    fv = [f(chis) for f in fns]
-    dv = [[_scaling_partial(f, chis, j) for j in range(n)] for f in fns]
+    shape = np.shape(p.t)
+
+    def stacked(entries):
+        return np.stack([duals._stacked(e, shape) for e in entries])
+
+    # each f and its chi-partials at the probes, fv[k] and dv[k, j]; the
+    # base fields' values vX[i] and vY[i], one row per coordinate
+    fv = duals._stacked([f(chis) for f in fns], shape)
+    dv = stacked([[_scaling_partial(f, chis, j) for j in range(n)]
+                  for f in fns])
+    vX, vY = (stacked([g.as_extended_field(sys)(p) for g in G])
+              for G in (X, Y))
 
     def jets(G):
-        """jets(G)[k][i]: the jet of fns[k] * G[i], taken once."""
-        return [[_field_jet(g.scaled(lambda q, f=f: f(_chi_vector(sys, q)),
-                                     label).as_extended_field(sys), p)
-                 for g in G] for label, f in sample_fs]
+        """The jets of fns[k] * G[i], each taken once, stacked k-major."""
+        return [np.stack(a) for a in zip(*[
+            _field_jet(g.scaled(lambda q, f=f: f(_chi_vector(sys, q)),
+                                label).as_extended_field(sys), p)
+            for label, f in sample_fs for g in G])]
 
-    jX, jY = jets(X), jets(Y)
-    vX = [g.as_extended_field(sys)(p) for g in X]
-    vY = [g.as_extended_field(sys)(p) for g in Y]
+    # the X jets, then the Y jets; bracket k is [left[k], right[k]], three
+    # (X X, X Y, Y Y) per (a, b, i, j), in the order of the rows below
+    vals, jac = (np.concatenate(parts) for parts in zip(jets(X), jets(Y)))
+    ka, kb, ki, kj = (ix.ravel()
+                      for ix in np.indices((len(fns), len(fns), n, n)))
+    xl, xr, off = ka * n + ki, kb * n + kj, len(fns) * n
+    left = np.stack([xl, xl, xl + off], axis=1).ravel()
+    right = np.stack([xr, xr + off, xr + off], axis=1).ravel()
+    brackets = _contract((vals[left], jac[left]), (vals[right], jac[right]))
 
-    def discrepancy(A, B, predicted):
-        return _max_abs([u - w for u, w in zip(_contract(A, B), predicted)])
+    # the predictions at [a, b, i, j]: cj = (beta_j/mu_j) f_j g and
+    # ci = -(beta_i/mu_i) f g_i; 0, cj X^i and cj Y^i + ci Y^j
+    coef = np.array([bt / mu for bt, mu in zip(sys.beta, sys.mu)])[:, None]
+    cj = ((coef * dv)[:, None] * fv[None, :, None])[:, :, None, :, None]
+    ci = ((-coef * fv[:, None])[:, None] * dv[None])[:, :, :, None, None]
+    cx = cj * vX[:, None]
+    predicted = np.stack([np.zeros_like(cx), cx, cj * vY[:, None] + ci * vY],
+                         axis=4)
+    worst = np.abs(brackets.reshape(predicted.shape) - predicted).max(
+        axis=(5, 6))
 
     for a, (fl, _) in enumerate(sample_fs):
         for b, (gl, _) in enumerate(sample_fs):
             for i in range(n):
                 for j in range(n):
-                    # (beta_j/mu_j) f_j g and -(beta_i/mu_i) f g_i
-                    cj = (sys.beta[j] / sys.mu[j]) * dv[a][j] * fv[b]
-                    ci = -(sys.beta[i] / sys.mu[i]) * fv[a] * dv[b][i]
+                    xx, xy, yy = map(float, worst[a, b, i, j])
                     rows.append({
                         "left": f"{fl}*X{i + 1}", "right": f"{gl}*X{j + 1}",
-                        "predicted": "0",
-                        "max_discrepancy": discrepancy(
-                            jX[a][i], jX[b][j], [0.0] * len(vX[i]))})
+                        "predicted": "0", "max_discrepancy": xx})
                     rows.append({
                         "left": f"{fl}*X{i + 1}", "right": f"{gl}*Y{j + 1}",
                         "predicted": f"(beta{j + 1}/mu{j + 1})*"
                                      f"d{j + 1}[{fl}]*{gl}*X{i + 1}",
-                        "max_discrepancy": discrepancy(
-                            jX[a][i], jY[b][j], [cj * c for c in vX[i]])})
+                        "max_discrepancy": xy})
                     rows.append({
                         "left": f"{fl}*Y{i + 1}", "right": f"{gl}*Y{j + 1}",
                         "predicted": f"(beta{j + 1}/mu{j + 1})*"
                                      f"d{j + 1}[{fl}]*{gl}*Y{i + 1} - "
                                      f"(beta{i + 1}/mu{i + 1})*{fl}*"
                                      f"d{i + 1}[{gl}]*Y{j + 1}",
-                        "max_discrepancy": discrepancy(
-                            jY[a][i], jY[b][j],
-                            [cj * u + ci * w
-                             for u, w in zip(vY[i], vY[j])])})
+                        "max_discrepancy": yy})
     return rows

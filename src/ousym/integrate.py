@@ -95,10 +95,15 @@ def _cumulative(inc):
     return out
 
 
+def _is_count(k):
+    """True for an int or numpy integer >= 1; True is a bool, not a count."""
+    return isinstance(k, (int, np.integer)) and k is not True and k >= 1
+
+
 def _philox_increments(n_proc, t0, t1, steps, seed, indices):
     """N(0, dt) increments (len(indices), n_proc, steps); row j is the path
     keyed (seed, indices[j]), drawn row-major as (n_proc, steps)."""
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
+    if not _is_count(steps):
         raise InvalidGrid(f"steps must be a positive integer, got {steps!r}")
     if not (np.isfinite(t0) and np.isfinite(t1)) or not t1 > t0:
         raise InvalidGrid(f"need finite t1 > t0, got [{t0}, {t1}]")
@@ -166,7 +171,7 @@ def _coarsened(inc, factor):
 
 def coarsen(grid, factor):
     """Sum consecutive increments: same Brownian path on a coarser grid."""
-    if not isinstance(factor, (int, np.integer)) or factor < 1:
+    if not _is_count(factor):
         raise InvalidGrid(f"coarsening factor must be a positive integer, "
                           f"got {factor!r}")
     if grid.steps % factor != 0:
@@ -192,11 +197,6 @@ class Path:
 
     def terminal(self):
         return self.states[-1]
-
-
-def _is_count(k):
-    """True for an int or numpy integer >= 1; True is a bool, not a count."""
-    return isinstance(k, (int, np.integer)) and k is not True and k >= 1
 
 
 def _split_state(n, x0):
@@ -834,8 +834,10 @@ def write_path_csv(path, dest, extra_meta=None):
         fh.write("t," + ",".join(path.labels) + "\n")
         # repr of a Python float is repr(float(v)) of the numpy value
         table = np.column_stack((path.times, path.states)).astype(
-            float, copy=False).tolist()
-        fh.write("".join(",".join(map(repr, row)) + "\n" for row in table))
+            float, copy=False)
+        rows, cols = table.shape
+        fh.write((",".join(["%r"] * cols) + "\n") * rows
+                 % tuple(table.ravel().tolist()))
 
 
 def write_convergence_csv(report, dest):

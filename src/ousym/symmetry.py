@@ -387,24 +387,35 @@ class ResidualReport:
     max_abs: float
 
 
-def _residual_blocks(X, sys, p):
+def _drift_jet(sys, p):
+    """What the determining equations read of the system at p: the drift's
+    values and Jacobian, and the Jacobian of a state-dependent sigma (None
+    for a constant one). It does not depend on the generator, so every
+    generator checked at p can share one."""
+    fvals, ddrift = _gradients(sys.drift, p)
+    dsig = None
+    if not sys.sigma_is_constant:
+        _, dsig = _gradients(
+            lambda q: [e for row in sys.sigma(q) for e in row], p)
+    return fvals, ddrift, dsig
+
+
+def _residual_blocks(X, sys, p, drift=None):
     """Both determining blocks of X at p: the dt block (one row per state
     coord) and the dw block (state rows, Wiener columns), from one Ito jet
-    of phi plus the drift (and sigma) Jacobian."""
+    of phi plus the system's _drift_jet at p (taken here when not given)."""
     phi, dphi, dphi_t, dw, lap = _ito_jet(X.phi, sys, p)
     coords = extended_coords(p)
     S = [coords.index(c) for c in sys.state_coords]
     if len(phi) != len(S):
         raise DimensionMismatch(
             f"generator has {len(phi)} components for state dim {len(S)}")
-    fvals, ddrift = _gradients(sys.drift, p)
+    fvals, ddrift, dsig = drift or _drift_jet(sys, p)
     fres = dphi_t + 0.5 * lap
     for j, Sj in enumerate(S):
         fres = fres + fvals[j] * dphi[:, j] - phi[j] * ddrift[:, Sj]
     sres = dw
-    if not sys.sigma_is_constant:
-        _, dsig = _gradients(
-            lambda q: [e for row in sys.sigma(q) for e in row], p)
+    if dsig is not None:
         dsig = dsig.reshape(dw.shape[:2] + dsig.shape[1:])
         for j, Sj in enumerate(S):
             sres = sres - phi[j] * dsig[:, :, Sj]
@@ -458,9 +469,9 @@ def _max_abs(entries):
         [np.ravel(e) for e in entries]))))
 
 
-def _max_blocks(X, sys, p):
+def _max_blocks(X, sys, p, drift=None):
     """Max |f-residual| and |sigma-residual| over the stacked probes p."""
-    fres, sres = _residual_blocks(X, sys, p)
+    fres, sres = _residual_blocks(X, sys, p, drift)
     return _max_abs([fres]), _max_abs([sres])
 
 
@@ -494,7 +505,9 @@ def _null_space(A, rcond=None):
     by default. A non-finite A raises NonFiniteResult."""
     if not np.all(np.isfinite(A)):
         raise NonFiniteResult("null-space matrix is not finite")
-    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    # U is never read; vh is square either way, and only a wide A needs
+    # the full one for its null rows
+    _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     if rcond is None:
         rcond = np.finfo(s.dtype).eps * max(A.shape)
     rank = np.sum(s > np.amax(s, initial=0.0) * rcond, dtype=int)

@@ -35,6 +35,26 @@ def test_last_json_reads_the_summary_line(bench):
         bench.last_json("\n")
 
 
+def test_outputs_digest_reads_the_passes_line(bench):
+    stdout = ("passes=27 ops/pass=32 outputs_sha256=7c8a\n"
+              "certify  classify_s  0.01 s\n"
+              "attempted=864 failed=0 failed_share=0.0000 share\n"
+              + json.dumps(summary(0.25, 4.0)) + "\n")
+    assert bench.outputs_digest(stdout) == "7c8a"
+    # a traced run prints no passes line
+    assert bench.outputs_digest("attempted=3 failed=0\n{}\n") is None
+
+
+def test_report_marks_the_seeds_whose_outputs_match(bench):
+    def run(digest):
+        return dict(summary(1.0, 1.0), outputs_sha256=digest)
+
+    pairs = [(run("ab"), run("ab")), (run("ab"), run("cd")),
+             (run(None), run(None))]
+    out = bench.report(pairs, SPEC, {})
+    assert out["outputs_match"] == [True, False, False]
+
+
 def test_report_quartiles_wins_and_failures(bench):
     pairs = [(summary(w, 1.0), summary(w - 0.1, r))
              for w, r in [(1.0, 2.0), (2.0, 1.0), (3.0, 0.5), (4.0, 1.0),

@@ -358,6 +358,57 @@ def test_sample_probes_shape_and_range():
         assert all(c == 0.0 for c in p.z)
 
 
+def _per_probe_sample(proc, count, seed, box=(-2.0, 2.0)):
+    """Probes from one Generator.uniform call per block and probe: the
+    oracle of sample_probes' single draw."""
+    nx = sum(1 for c in proc.state_coords if c[0] == "x")
+    nv = sum(1 for c in proc.state_coords if c[0] == "v")
+    nw = sum(1 for c in proc.wiener_coords if c[0] == "w")
+    nz = sum(1 for c in proc.wiener_coords if c[0] == "z")
+    lo, hi = box
+    rng = np.random.default_rng(seed)
+    probes = []
+    for _ in range(count):
+        x = tuple(rng.uniform(lo, hi, nx))
+        v = tuple(rng.uniform(lo, hi, nv))
+        t = float(rng.uniform(0.0, 2.0))
+        w = tuple(rng.uniform(lo, hi, nw))
+        probes.append(point(x=x, v=v, t=t, w=w, z=[0.0] * nz))
+    return probes
+
+
+def _bits(p):
+    return [(type(c), np.float64(c).tobytes())
+            for c in (*p.x, *p.v, p.t, *p.w, *p.z)]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11, 12345])
+def test_sample_probes_match_per_probe_draws(seed):
+    procs = [build_ou_system(n, [1.0] * n, [1.0] * n, ConstantForce([0.0] * n))
+             for n in (1, 2, 5)] + [gbm_process(0.3, 0.5)]
+    for proc in procs:
+        for count, box in [(1, (-2.0, 2.0)), (7, (-2.0, 2.0)),
+                           (32, (-0.5, 3.0))]:
+            probes = sample_probes(proc, count=count, seed=seed, box=box)
+            oracle = _per_probe_sample(proc, count, seed, box)
+            assert [_bits(p) for p in probes] == [_bits(p) for p in oracle]
+            assert type(probes[0].t) is float
+            assert all(type(c) is np.float64
+                       for c in probes[0].x + probes[0].v + probes[0].w)
+    assert sample_probes(procs[0], count=0) == []
+    assert sample_probes(procs[0], count=-3) == []
+
+
+def test_stacked_probes_hold_each_coordinate_in_order():
+    probes = sample_probes(build_ou_system(2, [1.0] * 2, [1.0] * 2,
+                                           ConstantForce([0.0] * 2)),
+                           count=6, seed=1)
+    p = stack_probes(probes)
+    for c in extended_coords(p):
+        assert p.coord(c).tobytes() == np.array(
+            [float(q.coord(c)) for q in probes]).tobytes()
+
+
 def test_chi_values():
     sys1 = build_ou_system(1, [1.0], [2.0], ConstantForce([0.5]))
     p = point(x=[1.0], v=[2.0], t=3.0, w=[4.0])

@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 from ousym import (CertificationFailed, ConstantForce, LinearForce,
-                   NotDiagonalizable, UnclassifiableForce,
+                   NonFiniteResult, NotDiagonalizable, UnclassifiableForce,
                    affine_invariant_nullspace, build_ou_system,
                    classify_invariants, classify_symmetries,
-                   expdecay_residual_scan, lie_bracket,
+                   expdecay_residual_scan, extended_coords, lie_bracket,
                    max_invariant_residual, max_residuals, mode_rates,
                    parse_force_expression, point, sample_probes,
-                   structure_constants)
+                   stack_probes, structure_constants)
 from ousym import classify, duals
+from ousym.calculus import _contract, _field_jet
 from ousym.classify import (CERT_TOL_RESIDUAL, _quick_bracket_table,
                             default_scaling_functions)
 from ousym.symmetry import SymmetryGenerator
@@ -263,6 +264,154 @@ def test_brackets_take_one_jet_per_field():
     assert rows == structure_constants(alg)
     nf = len(default_scaling_functions())
     assert counts == [{"plain": 1, "seeded": nf}] * 4
+
+
+def _iso_linear(n):
+    """Isotropic linear system with distinct eigenvalues of L; for n >= 2
+    the lowest, -1.5 < -beta^2/4, gives a complex pair of modes."""
+    rng = np.random.default_rng(40 + n)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lams = [0.6] if n == 1 else np.linspace(-1.5, 2.7, n)
+    return build_ou_system(n, [1.3] * n, [0.8] * n,
+                           LinearForce(Q @ np.diag(lams) @ Q.T))
+
+
+def _constant(n):
+    rng = np.random.default_rng(50 + n)
+    return build_ou_system(n, rng.uniform(0.5, 2.5, n), rng.uniform(0.5, 2.0, n),
+                           ConstantForce(rng.uniform(-1.0, 1.0, n)))
+
+
+def _contract_one(X, Y):
+    """One pair's bracket, summed coordinate by coordinate over the
+    coordinates where X or Y is nonzero: the oracle of the stacked
+    contraction."""
+    (Xv, dX), (Yv, dY) = X, Y
+    out = np.zeros(Xv.shape)
+    for b in range(len(Xv)):
+        if np.any(Xv[b] != 0.0) or np.any(Yv[b] != 0.0):
+            out = out + Xv[b] * dY[:, b] - Yv[b] * dX[:, b]
+    return out
+
+
+@pytest.mark.parametrize("make, n", [(_iso_linear, n) for n in range(1, 9)]
+                         + [(_constant, n) for n in range(1, 5)])
+def test_bracket_table_matches_per_pair_brackets(make, n):
+    # every pair contracted at once equals lie_bracket and a plain sum,
+    # pair by pair, bit for bit. The modes commute exactly; the two extra
+    # fields move along and depend on every x and v, so their brackets sum
+    # many nonzero terms. The first has an infinite z1-partial, with z1
+    # dead in every pair (no field moves along a ghost), so its brackets
+    # stay finite
+    sys_ = make(n)
+    gens = list(classify_symmetries(sys_).generators)
+
+    def extra(shift, pole):
+        def phi(p):
+            out = []
+            for a in range(2 * n):
+                acc = p.x[0] * duals.sqrt(p.z[0]) if pole else 0.0
+                for x, v in zip(p.x, p.v):
+                    acc = acc + duals.sin(x + shift * a) * v
+                out.append(acc)
+            return out
+        return SymmetryGenerator(phi, 2 * n, 2 * n, label=f"extra{shift}")
+
+    gens += [extra(0.1, True), extra(-0.7, False)]
+    probes = sample_probes(sys_, seed=n)[:4]
+    p = stack_probes(probes)
+    fields = [g.as_extended_field(sys_) for g in gens]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = classify._pairwise_brackets(gens, sys_, probes)
+        expected = [(gens[a].label, gens[b].label, float(np.max(np.abs(
+            lie_bracket(fields[a], fields[b], p)))))
+            for a in range(len(gens)) for b in range(a + 1, len(gens))]
+        jets = [_field_jet(F, p) for F in fields]
+        oracle = [float(np.max(np.abs(_contract_one(jets[a], jets[b]))))
+                  for a in range(len(gens)) for b in range(a + 1, len(gens))]
+    assert len(table) == (2 * n + 2) * (2 * n + 1) // 2
+    assert table == expected
+    assert [worst for _, _, worst in table] == oracle
+
+
+def test_contract_masks_dead_coordinates_per_pair():
+    # pair (A, B) has an infinite partial along z1, where both of its
+    # fields vanish; pair (C, D) moves along z1, so z1 is live in the stack
+    # but dead in (A, B), whose bracket must stay finite
+    p = stack_probes(sample_probes(build_ou_system(
+        1, [1.0], [1.0], ConstantForce([0.0])), count=4, seed=6))
+    coords = extended_coords(p)
+    ix, iv, iz = (coords.index(c) for c in (("x", 0), ("v", 0), ("z", 0)))
+
+    def field(entries):
+        def F(q):
+            out = [0.0] * len(coords)
+            for i, make in entries.items():
+                out[i] = make(q)
+            return out
+        return F
+
+    A = field({ix: lambda q: q.x[0] * duals.sqrt(q.z[0]) + q.v[0]})
+    B = field({iv: lambda q: q.x[0] * q.t})
+    C = field({ix: lambda q: q.v[0], iz: lambda q: q.w[0]})
+    D = field({iv: lambda q: q.z[0] + q.x[0] * q.x[0]})
+    pairs = [(A, B), (C, D)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jets = [[_field_jet(F, p) for F in pair] for pair in pairs]
+        singles = [lie_bracket(X, Y, p) for X, Y in pairs]
+    assert np.isinf(jets[0][0][1][ix, iz]).all()
+    stacked = _contract(*[[np.stack(a) for a in zip(*side)]
+                          for side in zip(*jets)])
+    for k, (jx, jy) in enumerate(jets):
+        assert stacked[k].tobytes() == _contract_one(jx, jy).tobytes()
+        assert stacked[k].tobytes() == np.array(singles[k]).tobytes()
+    # a live non-finite entry still raises: C moves along z1 and A's
+    # z1-partial is infinite
+    with pytest.raises(NonFiniteResult):
+        _contract(*[[a[None] for a in jets[k][0]] for k in (0, 1)])
+
+
+def test_structure_rows_match_per_pair_brackets():
+    # constant n = 2, 3: every predicted relation holds, and each X X row
+    # (predicted 0) is the max |lie_bracket| of its two scaled fields, bit
+    # for bit
+    fns = dict(default_scaling_functions())
+    for n in (2, 3):
+        sys_ = _constant(n)
+        alg = classify_symmetries(sys_)
+        probes = sample_probes(sys_, count=5, seed=3)
+        rows = structure_constants(alg, probes)
+        assert len(rows) == 3 * len(fns) ** 2 * n * n
+        assert max(r["max_discrepancy"] for r in rows) <= 1e-8
+        p = stack_probes(probes)
+
+        def scaled(label):
+            f, i = label.split("*X")
+            return alg.generators[int(i) - 1].scaled(
+                lambda q: fns[f]([q.chi(sys_, k) for k in range(n)]),
+                f).as_extended_field(sys_)
+
+        xx = [r for r in rows if "*Y" not in r["left"] + r["right"]]
+        assert len(xx) == len(fns) ** 2 * n * n
+        for r in xx:
+            assert r["max_discrepancy"] == np.max(np.abs(lie_bracket(
+                scaled(r["left"]), scaled(r["right"]), p)))
+
+
+def test_classify_takes_one_drift_jet_per_probe_set():
+    # the 8 generators of an isotropic n = 4 system share one seeded
+    # evaluation of the drift
+    sys4 = _iso_linear(4)
+    drift, seeded = sys4.drift, []
+
+    def counted(p):
+        seeded.append(isinstance(p.x[0], duals.HyperDual))
+        return drift(p)
+
+    sys4.drift = counted
+    alg = classify_symmetries(sys4)
+    assert alg.case_tag == "LinearAbelian2n" and len(alg.generators) == 8
+    assert seeded.count(True) == 1
 
 
 def test_certificates_take_one_evaluation_per_object(monkeypatch):

@@ -64,6 +64,31 @@ def test_coarsen_sums_increments():
         coarsen(g, 5)
 
 
+# True is a bool, not a count, for step counts and coarsening factors too
+@pytest.mark.parametrize("steps", [True, 0, 2.0, "4"])
+def test_wiener_rejects_a_bad_step_count(steps):
+    with pytest.raises(InvalidGrid, match="steps must be a positive integer"):
+        sample_wiener(1, 0.0, 1.0, steps)
+    sys1 = build_ou_system(1, [1.0], [1.0], ConstantForce([0.3]))
+    with pytest.raises(InvalidGrid, match="steps must be a positive integer"):
+        euler_maruyama_ensemble(sys1, [0.0, 0.0], 0.0, 1.0, steps, 3)
+
+
+@pytest.mark.parametrize("factor", [True, 0, 2.0, "2"])
+def test_coarsen_rejects_a_bad_factor(factor):
+    g = sample_wiener(1, 0.0, 1.0, 4, seed=1)
+    with pytest.raises(InvalidGrid, match="coarsening factor must be"):
+        coarsen(g, factor)
+
+
+def test_step_counts_take_numpy_integers():
+    g = sample_wiener(1, 0.0, 1.0, np.int64(4), seed=1)
+    assert np.array_equal(
+        g.increments, sample_wiener(1, 0.0, 1.0, 4, seed=1).increments)
+    assert np.array_equal(coarsen(g, np.int64(2)).increments,
+                          coarsen(g, 2).increments)
+
+
 def test_em_matches_ode_for_tiny_noise():
     # c constant, beta friction: v(t) = c/b + (v0 - c/b) e^{-bt}
     b, c = 1.5, 0.7

@@ -51,13 +51,14 @@ def _calling_functions(names):
 def test_residuals_read_one_ito_jet_per_object():
     # determining equations, invariance conditions and Laplacians come from
     # one Ito jet of the object; full Jacobians are for bracket jets and for
-    # the drift and sigma, never for a generator's phi or a Theta
+    # the drift and sigma (taken once per probe set by _drift_jet), never
+    # for a generator's phi or a Theta
     assert _calling_functions({"_ito_jet"}) == {
         ("symmetry.py", "_residual_blocks"),
         ("symmetry.py", "_invariant_conditions"),
         ("calculus.py", "ito_laplacian_components")}
     assert _calling_functions({"_gradients"}) == {
-        ("calculus.py", "_field_jet"), ("symmetry.py", "_residual_blocks")}
+        ("calculus.py", "_field_jet"), ("symmetry.py", "_drift_jet")}
     tree = ast.parse((SRC / "symmetry.py").read_text())
     fields = [ast.unparse(node.args[0]) for node in ast.walk(tree)
               if isinstance(node, ast.Call)

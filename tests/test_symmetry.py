@@ -483,6 +483,31 @@ def test_null_space_matches_scipy(null_space_inputs):
                               scipy_linalg.null_space(A, rcond=rcond))
 
 
+def _full_svd_null_space(A, rcond=None):
+    """The null space from numpy's full SVD, U and all: the oracle of the
+    one that skips U."""
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    if rcond is None:
+        rcond = np.finfo(s.dtype).eps * max(A.shape)
+    rank = np.sum(s > np.amax(s, initial=0.0) * rcond, dtype=int)
+    return vh[rank:].T
+
+
+def test_null_space_matches_the_full_svd(null_space_inputs):
+    # the tall affine systems and the square n^2 W-constraint matrices, then
+    # wide ones (the only shape that needs the full vh)
+    rng = np.random.default_rng(8)
+    wide = [(rng.normal(size=(m, k)) @ rng.normal(size=(k, n)), None)
+            for m, n, k in [(3, 7, 2), (1, 4, 1), (5, 9, 5)]]
+    shapes = set()
+    for A, rcond in null_space_inputs + wide:
+        shapes.add("tall" if A.shape[0] > A.shape[1] else
+                   "square" if A.shape[0] == A.shape[1] else "wide")
+        assert np.array_equal(symmetry._null_space(A, rcond),
+                              _full_svd_null_space(A, rcond))
+    assert shapes == {"tall", "square", "wide"}
+
+
 def test_affine_nullspace_dimension_property():
     # constant forces have the n chi invariants; a linear force with a
     # regular matrix has no affine invariant

@@ -10,8 +10,10 @@ the benchmark's JSON summary: correct, attempted, failed and the gated
 metrics. The script writes BENCH_<label>.json at the root of this tree,
 holding the commits, nproc, Python and numpy; each side's median, first
 and third quartile of every gated metric; the pairs each side won per
-metric (ties count for neither); and each side's failed and attempted
-totals. BENCHMARK.json gives the gated metrics, whether lower or higher is
+metric (ties count for neither); each side's failed and attempted
+totals; and, per pair, whether the two sides' outputs_sha256 (the digest
+of every op's output, from the run's `passes=... outputs_sha256=...` line)
+matched. BENCHMARK.json gives the gated metrics, whether lower or higher is
 better, and the run length.
 """
 
@@ -38,6 +40,24 @@ def last_json(stdout):
     if not lines:
         raise ValueError("benchmark printed nothing")
     return json.loads(lines[-1])
+
+
+def outputs_digest(stdout):
+    """The outputs_sha256 field of a run's `passes=...` line; None if the
+    run printed no such line."""
+    for line in stdout.splitlines():
+        if line.startswith("passes="):
+            for field in line.split():
+                key, _, val = field.partition("=")
+                if key == "outputs_sha256":
+                    return val
+    return None
+
+
+def same_outputs(base, change):
+    """True when both runs recorded one and the same outputs digest."""
+    digest = base.get("outputs_sha256")
+    return digest is not None and digest == change.get("outputs_sha256")
 
 
 def quartiles(values):
@@ -79,6 +99,7 @@ def pair_wins(pairs, spec):
 def report(pairs, spec, meta):
     """The BENCH file's content from (base, change) run summaries."""
     return dict(meta, pairs=len(pairs), pair_wins=pair_wins(pairs, spec),
+                outputs_match=[same_outputs(b, c) for b, c in pairs],
                 **{side: summarize([p[k] for p in pairs], spec)
                    for k, side in enumerate(SIDES)})
 
@@ -106,7 +127,8 @@ def _run(checkout, workload, seed, seconds):
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
         cwd=checkout, check=True, capture_output=True, text=True)
-    return last_json(proc.stdout)
+    return dict(last_json(proc.stdout),
+                outputs_sha256=outputs_digest(proc.stdout))
 
 
 def main(argv=None):
@@ -140,7 +162,9 @@ def main(argv=None):
         print(f"pair {k + 1}/{args.pairs} seed {seed}: " + "; ".join(
             f"{m['name']} {runs['base']['metrics'][m['name']]['value']:.4g}"
             f" -> {runs['change']['metrics'][m['name']]['value']:.4g}"
-            for m in bench["end_to_end"]), flush=True)
+            for m in bench["end_to_end"]) + "; outputs "
+            + ("match" if same_outputs(runs["base"], runs["change"])
+               else "DIFFER"), flush=True)
     meta = {"workload": args.workload, "seconds": seconds,
             "seeds": [FIRST_SEED + k for k in range(args.pairs)],
             "first_side": "alternates, base first in pair 1",
@@ -157,6 +181,8 @@ def main(argv=None):
         med = [out[side]["metrics"][name]["median"] for side in SIDES]
         print(f"{name}: median {med[0]:.4g} -> {med[1]:.4g}, change won "
               f"{count['change']}/{len(pairs)}")
+    print(f"outputs matched on {sum(out['outputs_match'])}/{len(pairs)} "
+          f"seeds")
     print(f"wrote {dest}")
     return 0
 
