@@ -278,7 +278,8 @@ def _iso_linear(n):
 
 def _constant(n):
     rng = np.random.default_rng(50 + n)
-    return build_ou_system(n, rng.uniform(0.5, 2.5, n), rng.uniform(0.5, 2.0, n),
+    return build_ou_system(n, rng.uniform(0.5, 2.5, n),
+                           rng.uniform(0.5, 2.0, n),
                            ConstantForce(rng.uniform(-1.0, 1.0, n)))
 
 
