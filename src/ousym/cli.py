@@ -309,7 +309,9 @@ def main(argv=None):
     except OusymError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError,
+            MemoryError) as exc:
+        # numpy's MemoryError names the size of the refused allocation
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - internal failures

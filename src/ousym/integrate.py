@@ -463,10 +463,27 @@ def exact_solve_constant(sys, x0, grid):
                 meta=_grid_meta(grid, "exact-rectified"))
 
 
+def _mode_quadrature(y0, a, dw):
+    """One mode branch (paths, steps + 1): y0, then y0 plus the running
+    sums of a * dw along the steps of dw (paths, steps)."""
+    y = np.empty((dw.shape[0], dw.shape[1] + 1), dtype=np.result_type(a, dw))
+    y[:, 0] = y0
+    np.cumsum(a * dw, axis=1, out=y[:, 1:])
+    y[:, 1:] += y0
+    return y
+
+
 def _exact_linear_paths(sys, x0, t, inc):
     """Eigenmode states (paths, steps + 1, 2n) on the times t, from
     increments (paths, n, steps), and each path's largest imaginary part
-    over its whole path (paths,)."""
+    over its whole path (paths,).
+
+    When the eigenvector matrix M, its inverse and the initial modes are
+    real (every symmetric L, every L with a real spectrum), the modes run
+    in float64 and the leakage is exactly 0.0: a real mode takes the real
+    parts of its complex coefficients, and a conjugate pair is formed from
+    its + branch alone, its - branch being the bitwise conjugate. Otherwise
+    the modes run in complex arithmetic and the leakage is measured."""
     if not isinstance(sys.force, LinearForce):
         raise WrongForceClass("exact_solve_linear needs a linear force")
     n = sys.n
@@ -493,32 +510,47 @@ def _exact_linear_paths(sys, x0, t, inc):
     s0 = x + shift
     q0 = Minv @ s0.astype(complex)
     p0 = Minv @ v.astype(complex)
-    dW = Minv @ inc.astype(complex)  # per-mode noise, (paths, n, steps)
+    real = not (M.imag.any() or Minv.imag.any() or q0.imag.any()
+                or p0.imag.any())
+    if real:
+        M, Minv = M.real, Minv.real
+    else:
+        inc = inc.astype(complex)
+    dW = Minv @ inc  # per-mode noise, (paths, n, steps)
 
-    q = np.empty((inc.shape[0], n, t.shape[0]), dtype=complex)
+    q = np.empty((inc.shape[0], n, t.shape[0]), dtype=M.dtype)
     p = np.empty_like(q)
     for i in range(n):
         kp, km = mode_rates(beta, lams[i])
+        # complex exp even for a real mode: real exp rounds differently
         yp0 = np.exp(kp * t[0]) * (km * q0[i] + p0[i]) / (km - kp)
         ym0 = np.exp(km * t[0]) * (kp * q0[i] + p0[i]) / (kp - km)
         ap = mu * np.exp(kp * t[:-1]) / (km - kp)
         am = mu * np.exp(km * t[:-1]) / (kp - km)
-        yp = np.empty((inc.shape[0], t.shape[0]), dtype=complex)
-        ym = np.empty_like(yp)
-        yp[:, 0] = yp0
-        ym[:, 0] = ym0
-        np.cumsum(ap * dW[:, i], axis=1, out=yp[:, 1:])
-        yp[:, 1:] += yp0
-        np.cumsum(am * dW[:, i], axis=1, out=ym[:, 1:])
-        ym[:, 1:] += ym0
         ep = np.exp(-kp * t)
         em = np.exp(-km * t)
+        if real and kp.imag != 0.0:
+            # conjugate pair: q = a + conj(a), p = -b - conj(b)
+            yp = _mode_quadrature(yp0, ap, dW[:, i])
+            a = (ep * yp).real
+            b = ((kp * ep) * yp).real
+            q[:, i] = a + a
+            p[:, i] = -b - b
+            continue
+        if real:
+            kp, km, yp0, ym0 = kp.real, km.real, yp0.real, ym0.real
+            ap, am, ep, em = ap.real, am.real, ep.real, em.real
+        yp = _mode_quadrature(yp0, ap, dW[:, i])
+        ym = _mode_quadrature(ym0, am, dW[:, i])
         q[:, i] = ep * yp + em * ym
         p[:, i] = -kp * ep * yp - km * em * ym
     s_path = M @ q  # (paths, n, steps + 1)
     v_path = M @ p
-    leak = np.maximum(np.max(np.abs(s_path.imag), axis=(1, 2)),
-                      np.max(np.abs(v_path.imag), axis=(1, 2)))
+    if real:
+        leak = np.zeros(inc.shape[0])
+    else:
+        leak = np.maximum(np.max(np.abs(s_path.imag), axis=(1, 2)),
+                          np.max(np.abs(v_path.imag), axis=(1, 2)))
     states = np.empty((inc.shape[0], t.shape[0], 2 * n))
     states[:, :, :n] = s_path.real.transpose(0, 2, 1) - shift
     states[:, :, n:] = v_path.real.transpose(0, 2, 1)
@@ -532,9 +564,12 @@ def exact_solve_linear(sys, x0, grid):
         y_pm = exp(kappa_pm t) (kappa_mp q + p) / (kappa_mp - kappa_pm)
     whose drift vanishes identically, leaving the quadratures
         dy_pm = mu exp(kappa_pm t) / (kappa_mp - kappa_pm) dW~.
-    Complex eigenvalues are carried in complex arithmetic and the imaginary
-    part of the reassembled state is checked against IMAG_TOL. x0 holds 2n
-    numbers, x then v. NonFiniteState when a state leaves [-BLOWUP_GUARD,
+    With real eigenvectors (every symmetric L, every L with a real
+    spectrum) the modes run in float64, a conjugate pair of rates is taken
+    once, and meta["max_imag_leakage"] is exactly 0.0. Complex eigenvectors
+    are carried in complex arithmetic and the imaginary part of the
+    reassembled state is checked against IMAG_TOL. x0 holds 2n numbers,
+    x then v. NonFiniteState when a state leaves [-BLOWUP_GUARD,
     BLOWUP_GUARD] or is NaN, as in euler_maruyama.
     """
     states, leak = _guarded(_exact_linear_paths, sys, x0, grid.times,

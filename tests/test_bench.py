@@ -97,3 +97,40 @@ def test_commit_ignores_the_bench_files_it_writes(bench, tmp_path):
     # any other edited file marks it dirty
     (tmp_path / "code.py").write_text("x = 2\n")
     assert bench._commit(str(tmp_path)) == head + "-dirty"
+
+
+def canned_runs(monkeypatch, bench, tmp_path, runs):
+    """Point main at tmp_path and make each run return the next canned
+    summary, in the order main asks for them."""
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": SPEC}))
+    monkeypatch.setattr(bench, "ROOT", str(tmp_path))
+    monkeypatch.setattr(bench, "_commit", lambda path: "abc")
+    queue = iter(runs)
+    monkeypatch.setattr(bench, "_run", lambda *_a: dict(next(queue)))
+
+
+@pytest.mark.parametrize("second,code", [
+    ({"digest": "ab"}, 0),
+    ({"digest": "cd"}, 1),
+    ({"digest": None}, 1),
+    ({"digest": "ab", "failed": 1}, 1),
+], ids=["clean", "outputs-differ", "no-digest", "failed-op"])
+def test_pairs_exits_one_on_a_digest_mismatch_or_a_failed_op(
+        monkeypatch, capsys, bench, tmp_path, second, code):
+    def run(digest, failed=0):
+        return dict(summary(1.0, 1.0, failed=failed), outputs_sha256=digest)
+
+    # pair 1 runs base then change; pair 2 runs change then base
+    runs = [run("ab"), run("ab"), run(**second), run("ab")]
+    canned_runs(monkeypatch, bench, tmp_path, runs)
+    assert bench.main(["pairs", "--base", str(tmp_path), "--workload", "w",
+                       "--pairs", "2"]) == code
+    # the BENCH file is written either way
+    out = json.loads((tmp_path / "BENCH_w.json").read_text())
+    assert out["pairs"] == 2
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("FAIL seed 101: ")
+    else:
+        assert err == ""

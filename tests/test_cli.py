@@ -480,6 +480,19 @@ def test_bad_json_system_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_refused_allocation_exits_one(linear_system, capsys, monkeypatch):
+    # a count too large for memory is an input error, not an internal one
+    def refuse(*_a, **_k):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array with "
+                          "shape (10000000000000, 1, 1) and data type float64")
+
+    monkeypatch.setattr(cli.integrate, "convergence_study", refuse)
+    code, out, err = run(capsys, "converge", "--system", linear_system,
+                         "--paths", "10000000000000", "--ladder", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: MemoryError: Unable to allocate 72.8 TiB")
+
+
 def test_bad_expression_reports_offset(tmp_path, capsys):
     path = write_system(tmp_path, "broken.json", {
         "n": 1, "beta": [1.0], "mu": [1.0],

@@ -18,6 +18,7 @@ from ousym import (ConstantForce, DimensionMismatch, DomainExit,
                    parse_force_expression, read_path_csv, sample_wiener,
                    solve_reference_problem, write_convergence_csv,
                    write_path_csv)
+from ousym.classify import _eigenmodes, mode_rates
 
 
 def manual_grid(increments, t0=0.0, t1=1.0):
@@ -262,6 +263,121 @@ def test_exact_linear_2d_isotropic():
     ex = exact_solve_linear(sys2, [0.5, -0.3, 0.1, 0.2], g)
     em = euler_maruyama(sys2, [0.5, -0.3, 0.1, 0.2], g)
     assert np.max(np.abs(ex.terminal() - em.terminal())) <= 0.01
+
+
+def parent_exact_linear_paths(sys, x0, t, inc):
+    """The exact linear solver with every mode in complex arithmetic, as it
+    was before real eigenvectors ran in float64: the oracle for
+    integrate._exact_linear_paths."""
+    n = sys.n
+    x, v = integrate._split_state(n, x0)
+    L = np.asarray(sys.force.L, dtype=float)
+    K = np.asarray(sys.force.K, dtype=float)
+    shift = np.linalg.solve(L, K) if np.any(K != 0.0) else np.zeros(n)
+    beta = sys.beta[0]
+    mu = sys.mu[0]
+    lams, M = _eigenmodes(L)
+    Minv = np.linalg.inv(M)
+    q0 = Minv @ (x + shift).astype(complex)
+    p0 = Minv @ v.astype(complex)
+    dW = Minv @ inc.astype(complex)
+    q = np.empty((inc.shape[0], n, t.shape[0]), dtype=complex)
+    p = np.empty_like(q)
+    for i in range(n):
+        kp, km = mode_rates(beta, lams[i])
+        yp0 = np.exp(kp * t[0]) * (km * q0[i] + p0[i]) / (km - kp)
+        ym0 = np.exp(km * t[0]) * (kp * q0[i] + p0[i]) / (kp - km)
+        ap = mu * np.exp(kp * t[:-1]) / (km - kp)
+        am = mu * np.exp(km * t[:-1]) / (kp - km)
+        yp = np.empty((inc.shape[0], t.shape[0]), dtype=complex)
+        ym = np.empty_like(yp)
+        yp[:, 0] = yp0
+        ym[:, 0] = ym0
+        np.cumsum(ap * dW[:, i], axis=1, out=yp[:, 1:])
+        yp[:, 1:] += yp0
+        np.cumsum(am * dW[:, i], axis=1, out=ym[:, 1:])
+        ym[:, 1:] += ym0
+        ep = np.exp(-kp * t)
+        em = np.exp(-km * t)
+        q[:, i] = ep * yp + em * ym
+        p[:, i] = -kp * ep * yp - km * em * ym
+    s_path = M @ q
+    v_path = M @ p
+    leak = np.maximum(np.max(np.abs(s_path.imag), axis=(1, 2)),
+                      np.max(np.abs(v_path.imag), axis=(1, 2)))
+    states = np.empty((inc.shape[0], t.shape[0], 2 * n))
+    states[:, :, :n] = s_path.real.transpose(0, 2, 1) - shift
+    states[:, :, n:] = v_path.real.transpose(0, 2, 1)
+    return states, leak
+
+
+def rotated(lams, angle=0.6):
+    """Symmetric 2x2 matrix with eigenvalues lams."""
+    c, s = np.cos(angle), np.sin(angle)
+    Q = np.array([[c, -s], [s, c]])
+    return Q @ np.diag(lams) @ Q.T
+
+
+# beta = 1.5: lambda = -0.2 gives a real mode, lambda = -2.0 a conjugate pair
+MIXED_ISO2 = build_ou_system(2, [1.5, 1.5], [0.8, 0.8],
+                             LinearForce(rotated([-0.2, -2.0]), [0.4, -0.3]))
+# complex lambda = -3 +- i: complex eigenvectors, leakage above 0
+COMPLEX_ISO2 = build_ou_system(2, [1.0, 1.0], [0.6, 0.6],
+                               LinearForce([[-3.0, 1.0], [-1.0, -3.0]]))
+
+
+@pytest.mark.parametrize("sys_,x0,scale", [
+    (build_ou_system(1, [1.0], [0.7], LinearForce([[-3.0]])),
+     [0.5, -0.2], None),
+    (build_ou_system(1, [2.5], [1.3], LinearForce([[-1.0]], [0.3])),
+     [0.5, -0.2], None),
+    (MIXED_ISO2, [0.1, 0.2, -0.3, 0.4], None),
+    (COMPLEX_ISO2, [0.4, -0.2, 0.3, 0.1], None),
+    # path 0 leaves [-BLOWUP_GUARD, BLOWUP_GUARD] without overflowing
+    (MIXED_ISO2, [0.1, 0.2, -0.3, 0.4], 1e14),
+], ids=["pair-n1", "real-n1", "mixed-iso2", "complex-iso2", "blow-up"])
+def test_exact_linear_paths_equal_the_complex_oracle(sys_, x0, scale):
+    # bit for bit, states and leakage, the real and complex branches alike
+    steps = 256
+    t = np.linspace(0.0, 1.5, steps + 1)
+    inc = np.random.default_rng(3).standard_normal((6, sys_.n, steps)) \
+        * np.sqrt(1.5 / steps)
+    if scale is not None:
+        inc[0] *= scale
+    got = integrate._guarded(integrate._exact_linear_paths, sys_, x0, t, inc,
+                             strict=False)
+    want = integrate._guarded(parent_exact_linear_paths, sys_, x0, t, inc,
+                              strict=False)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    leak = got[1]
+    if sys_ is COMPLEX_ISO2:
+        assert np.all(leak > 0.0)
+    elif scale is not None:
+        assert leak.tolist() == [np.inf] + [0.0] * 5
+    else:
+        assert np.all(leak == 0.0)
+
+
+@pytest.mark.parametrize("sys_,x0", [
+    (MIXED_ISO2, [0.1, 0.2, -0.3, 0.4]),
+    (COMPLEX_ISO2, [0.4, -0.2, 0.3, 0.1]),
+], ids=["mixed-iso2", "complex-iso2"])
+def test_study_with_the_complex_oracle_gives_the_same_report(
+        monkeypatch, sys_, x0):
+    # the complex system's tolerance sits inside its leakage range, so the
+    # study skips some paths by leakage
+    if sys_ is COMPLEX_ISO2:
+        monkeypatch.setattr(integrate, "IMAG_TOL", 4e-17)
+    args = (x0, 0.0, 1.0, [8, 16, 32])
+    kw = {"n_paths": 24, "seed": 4, "refine": 8}
+    rep = convergence_study(OUConvergenceProblem(sys_), *args, **kw)
+    monkeypatch.setattr(integrate, "_exact_linear_paths",
+                        parent_exact_linear_paths)
+    want = convergence_study(OUConvergenceProblem(sys_), *args, **kw)
+    assert rep == want
+    if sys_ is COMPLEX_ISO2:
+        assert 0 < rep.skipped_paths < rep.n_paths
 
 
 def test_ito_integral_oracle():

@@ -15,6 +15,10 @@ totals; and, per pair, whether the two sides' outputs_sha256 (the digest
 of every op's output, from the run's `passes=... outputs_sha256=...` line)
 matched. BENCHMARK.json gives the gated metrics, whether lower or higher is
 better, and the run length.
+
+The exit status is 1, after the file is written, when on some seed the two
+sides' outputs digests differ (or a run printed none) or either side
+failed an op; each such seed is printed to stderr.
 """
 
 import argparse
@@ -104,6 +108,22 @@ def report(pairs, spec, meta):
                    for k, side in enumerate(SIDES)})
 
 
+def faults(pairs):
+    """One line per seed whose outputs digests differ between the sides or
+    where either side failed an op; empty when the pairs are clean."""
+    out = []
+    for base, change in pairs:
+        if not same_outputs(base, change):
+            out.append(f"seed {base['seed']}: outputs_sha256 "
+                       f"{base.get('outputs_sha256')} (base) != "
+                       f"{change.get('outputs_sha256')} (change)")
+        for side, run in zip(SIDES, (base, change)):
+            if run["failed"] > 0:
+                out.append(f"seed {base['seed']}: {side} failed "
+                           f"{run['failed']} of {run['attempted']} ops")
+    return out
+
+
 def _git(path, *args):
     return subprocess.run(["git", "-C", path, *args], check=True,
                           capture_output=True, text=True).stdout.strip()
@@ -184,7 +204,10 @@ def main(argv=None):
     print(f"outputs matched on {sum(out['outputs_match'])}/{len(pairs)} "
           f"seeds")
     print(f"wrote {dest}")
-    return 0
+    bad = faults(pairs)
+    for line in bad:
+        print(f"FAIL {line}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
