@@ -4,7 +4,8 @@ Coordinates are addressed by (block, index) pairs, e.g. ("x", 0), ("v", 2),
 ("w", 1), ("z", 0), or ("t", 0). Scalar fields are plain callables on
 ExtendedPoint; vector fields on the extended space return one component per
 entry of extended_coords(p), in the order x-block, v-block, t, w-block,
-z-block.
+z-block. That flat order is written once: _flat lists a point's coordinates
+in it and _at builds a point back from such a list.
 
 The primary engine is hyper-dual numbers (exact to rounding), all seeded by
 duals.jet in vector mode, so each field is evaluated once per derivative
@@ -15,8 +16,9 @@ D_k = d/dW_k + sum_j sigma_jk d/dS_j; e2 is zero on the unit rows and D on
 the rest. It gives the values, the state and time partials, the dw-block
 terms and the Ito Laplacian. _gradients seeds e1 = I for full Jacobians
 (bracket jets, the drift and sigma). derivative() seeds only the coordinates
-it is asked for. Central finite differences (engine="fd") stay as the
-independent cross-check.
+it is asked for, and hands the jet p's probe shape as one more, unread
+value, so that a plain seeded coordinate stays a float. Central finite
+differences (engine="fd") stay as the independent cross-check.
 
 Every Lie bracket goes through two steps: _field_jet takes one field's
 values and Jacobian once (one seeded evaluation with engine="dual"; the
@@ -63,9 +65,8 @@ class ExtendedPoint:
         return getattr(self, block)[i]
 
     def with_coord(self, c, val):
-        coords = extended_coords(self)
-        vals = [self.coord(d) for d in coords]
-        vals[coords.index(c)] = val
+        vals = _flat(self)
+        vals[extended_coords(self).index(c)] = val
         return _at(self, vals)
 
     def chi(self, sys, i):
@@ -124,8 +125,13 @@ def stack_probes(probes):
     an empty list raises EmptyProbeSet."""
     if len(probes) == 0:
         raise EmptyProbeSet("stacking needs at least one probe")
-    return _at(probes[0], list(np.array(
-        [(*p.x, *p.v, p.t, *p.w, *p.z) for p in probes], dtype=float).T))
+    return _at(probes[0], list(np.array([_flat(p) for p in probes],
+                                        dtype=float).T))
+
+
+def _flat(p):
+    """p's coordinates as a list in extended_coords order; _at inverts it."""
+    return [*p.x, *p.v, p.t, *p.w, *p.z]
 
 
 def _at(p, vals):
@@ -139,15 +145,13 @@ def _at(p, vals):
 
 def _probe_shape(p):
     """Broadcast shape of p's coordinates: () for a plain point."""
-    return np.broadcast_shapes(*{np.shape(p.coord(c))
-                                 for c in extended_coords(p)})
+    return np.broadcast_shapes(*set(map(np.shape, _flat(p))))
 
 
 def _jet(fvec, p, e1, e2=None):
     """duals.jet of fvec over all of p's coordinates, in extended_coords
     order."""
-    return duals.jet(lambda s: fvec(_at(p, s)),
-                     [p.coord(c) for c in extended_coords(p)], e1, e2)
+    return duals.jet(lambda s: fvec(_at(p, s)), _flat(p), e1, e2)
 
 
 def _gradients(fvec, p):
@@ -185,7 +189,9 @@ def derivative(f, p, coord, order=1, coord2=None, engine="dual"):
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     if engine == "dual":
-        # seed only the coordinates asked for; the rest stay plain
+        # seed only the coordinates asked for; the rest stay plain. A seeded
+        # float stays a float (as an array, ** would go through np.power);
+        # one more value, never read, carries p's probe shape into the jet
         pair = [coord] if coord2 in (None, coord) else [coord, coord2]
 
         def at(seeds):
@@ -194,9 +200,11 @@ def derivative(f, p, coord, order=1, coord2=None, engine="dual"):
                 q = q.with_coord(c, s)
             return [f(q)]
 
-        eye = np.eye(len(pair))
-        _, d1, d12 = duals.jet(at, [p.coord(c) for c in pair], eye[0],
-                               None if order == 1 else eye[-1])
+        eye = np.eye(len(pair) + 1)
+        _, d1, d12 = duals.jet(
+            at, [p.coord(c) for c in pair]
+            + [np.broadcast_to(0.0, _probe_shape(p))],
+            eye[0], None if order == 1 else eye[len(pair) - 1])
         return _check_finite((d1 if order == 1 else d12)[0], "derivative")
     if engine != "fd":
         raise ValueError(f"unknown engine {engine!r}")

@@ -140,11 +140,6 @@ def mode_rates(beta, lam):
     return (beta + sq) / 2.0, (beta - sq) / 2.0
 
 
-def _is_real_vec(vec, tol=1e-12):
-    return float(np.max(np.abs(np.imag(vec)))) <= tol * max(
-        1.0, float(np.max(np.abs(vec))))
-
-
 def _eigenmodes(L):
     """Eigenvalues and eigenvector matrix M of L, both complex; raises
     NotDiagonalizable when M is numerically singular (L is defective)."""
@@ -159,43 +154,31 @@ def _eigenmodes(L):
 
 def _emit_linear_modes(sys, L):
     """2n certified generators from the eigenmodes of L, pairing complex
-    conjugate modes into real/imaginary parts."""
+    conjugate modes into real/imaginary parts.
+
+    eig lists each conjugate pair of eigenvalues together, the one with
+    positive imaginary part first, with conjugate columns; the second is
+    skipped. A real eigenvalue gives kappa+ then kappa- when its rates are
+    real, else the real and imaginary parts of kappa+; a complex one gives
+    the real and imaginary parts of kappa+, then of kappa-.
+    """
     n = sys.n
-    beta = sys.beta[0]
     lams, M = _eigenmodes(L)
-    modes = []
-    for i in range(n):
-        kp, km = mode_rates(beta, lams[i])
-        col = M[:, i]
-        modes.append({"kappa": kp, "col": col, "eig": i, "sign": "+"})
-        modes.append({"kappa": km, "col": col, "eig": i, "sign": "-"})
+    rates = [mode_rates(sys.beta[0], lam) for lam in lams]
     gens = []
-    used = [False] * len(modes)
-    for a, mode in enumerate(modes):
-        if used[a]:
+    for lam, col, (kp, km) in zip(lams, M.T, rates):
+        if lam.imag < 0:
             continue
-        used[a] = True
-        kap, col = mode["kappa"], mode["col"]
-        if abs(kap.imag) <= 1e-12 * max(1.0, abs(kap)) and _is_real_vec(col):
-            gens.append(SymmetryGenerator.linear_mode(col, kap.real, n, "re"))
+        if lam.imag == 0 and kp.imag == 0:
+            gens += [SymmetryGenerator.linear_mode(col, k.real, n, "re")
+                     for k in (kp, km)]
             continue
-        partner = None
-        for b in range(a + 1, len(modes)):
-            if used[b]:
-                continue
-            if (np.isclose(modes[b]["kappa"], np.conj(kap), atol=1e-10)
-                    and np.allclose(modes[b]["col"], np.conj(col), atol=1e-10)):
-                partner = b
-                break
-        if partner is None:
-            raise NotDiagonalizable(
-                "complex eigenmode without a conjugate partner")
-        used[partner] = True
-        gens.append(SymmetryGenerator.linear_mode(col, kap, n, "re"))
-        gens.append(SymmetryGenerator.linear_mode(col, kap, n, "im"))
+        for k in (kp,) if lam.imag == 0 else (kp, km):
+            gens += [SymmetryGenerator.linear_mode(col, k, n, part)
+                     for part in ("re", "im")]
     eigen_data = {
         "eigenvalues": [complex(z) for z in lams],
-        "kappa_pairs": [tuple(mode_rates(beta, lams[i])) for i in range(n)],
+        "kappa_pairs": rates,
         "M": [[complex(z) for z in row] for row in M],
     }
     return gens, eigen_data

@@ -91,6 +91,9 @@ def _generator_from_fields(kind, fields, sys):
     if kind == "translation":
         return SymmetryGenerator.translation(int(fields["i"]), n)
     if kind == "modulescaled":
+        if fields["base"].strip().lower() not in ("expdecay", "translation"):
+            raise _UsageError(f"modulescaled base must be expdecay or "
+                              f"translation, got {fields['base']!r}")
         base = _generator_from_fields(fields["base"], fields, sys)
         if "f" not in fields:
             raise _UsageError("modulescaled needs an f=<expression> field")
@@ -111,7 +114,10 @@ def parse_generator_spec(spec, sys):
         if fam is None:
             raise _UsageError('generator JSON needs a "family" key')
         if str(fam).lower() == "modulescaled":
-            base_data = dict(data.get("base", {}))
+            base_data = data.get("base", {})
+            if not isinstance(base_data, dict):
+                raise _UsageError("modulescaled JSON needs base to be an "
+                                  "object")
             base_fam = base_data.pop("family", None)
             if base_fam is None:
                 raise _UsageError('modulescaled JSON needs base.family')

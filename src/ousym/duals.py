@@ -8,7 +8,13 @@ and mixed directional derivatives, with no truncation error.
 Components may be floats or numpy arrays; arithmetic broadcasts. jet() uses
 that to carry a whole stack of directions at once (vector, or "chunk", mode):
 one evaluation returns a full gradient, Hessian or set of directional second
-derivatives at every probe. jet() is the only place that seeds coordinates.
+derivatives at every probe. jet() is the only place that seeds coordinates,
+and it fixes the output shape from the seeds and the values before the
+function runs: a component broadcasts to that shape and cannot widen it.
+
+The math facade (exp, log, sqrt, power, ...) takes floats, arrays or
+HyperDuals alike, and holds each domain rule once, e.g. that a fractional
+power of a negative base raises EvaluationDomainError.
 """
 
 import numpy as np
@@ -92,9 +98,7 @@ class HyperDual:
             return HyperDual(self.f, self.f1, self.f2, self.f12)
         if p == 2:
             return self * self
-        if not float(p).is_integer() and np.any(self.f < 0):
-            raise EvaluationDomainError(
-                "fractional power of a negative base")
+        _check_power(self.f, p)
         v = self.f ** p
         d1 = p * self.f ** (p - 1)
         d2 = p * (p - 1) * self.f ** (p - 2)
@@ -144,31 +148,25 @@ def jet(fn, values, e1, e2=None):
     probes. fn takes the list of seeded coordinates and returns a sequence
     of components, each a HyperDual or a plain value.
 
-    Returns (vals, d1, d12), each with the component axis first. vals has
-    the probe shape: that of values, widened by any shape the components
-    add. d1 and d12 have the seed axes, then the probe shape; d1 holds the
-    derivative of each component along every e1 direction and d12, given
-    e2, the second derivative along every (e1, e2) pair (else None). A
-    plain component has zero derivatives.
+    Returns (vals, d1, d12), each with the component axis first. The
+    output shape is fixed before fn runs: the seed axes broadcast against
+    the probe shape of values. vals has its probe part, and d1 and d12
+    have all of it; d1 holds the derivative of each component along every
+    e1 direction and d12, given e2, the second derivative along every
+    (e1, e2) pair (else None). A plain component has zero derivatives. A
+    component must broadcast to that shape; it cannot widen it.
     """
     e1 = np.asarray(e1, dtype=float)
     e2 = None if e2 is None else np.asarray(e2, dtype=float)
+    probe = np.broadcast_shapes(*map(np.shape, values))
+    full = np.broadcast_shapes(e1.shape[:-1], probe,
+                               () if e2 is None else e2.shape[:-1])
     out = fn([HyperDual(v, e1[..., a], 0.0 if e2 is None else e2[..., a], 0.0)
               for a, v in enumerate(values)])
-    probe = np.broadcast_shapes(*map(np.shape, values))
-    base = np.broadcast_shapes(e1.shape[:-1], probe,
-                               () if e2 is None else e2.shape[:-1])
-    k = len(base) - len(probe)
-    vals = [_value(c) for c in out]
-    d1 = [getattr(c, "f1", 0.0) for c in out]
-    d12 = None if e2 is None else [getattr(c, "f12", 0.0) for c in out]
-    shape = np.broadcast_shapes(
-        base[k:], *map(np.shape, vals),
-        *(np.broadcast_shapes(np.shape(d), base)[k:]
-          for d in d1 + (d12 or [])))
-    full = base[:k] + shape
-    return (_stacked(vals, shape), _stacked(d1, full),
-            None if d12 is None else _stacked(d12, full))
+    return (_stacked([_value(c) for c in out], full[len(full) - len(probe):]),
+            _stacked([getattr(c, "f1", 0.0) for c in out], full),
+            None if e2 is None else
+            _stacked([getattr(c, "f12", 0.0) for c in out], full))
 
 
 def _stacked(entries, shape):
@@ -205,6 +203,23 @@ def exp(x):
         v = np.exp(x.f)
         return _chain(x, v, v, v)
     return np.exp(x)
+
+
+def _check_power(base, p):
+    """A fractional constant power of a negative base has no real value."""
+    if (np.ndim(p) == 0 and not float(p).is_integer()
+            and np.any(np.asarray(base) < 0)):
+        raise EvaluationDomainError("fractional power of a negative base")
+
+
+def power(a, b):
+    """a ** b for plain or hyper-dual operands; a fractional constant power
+    of a negative base raises EvaluationDomainError."""
+    if isinstance(a, HyperDual) or isinstance(b, HyperDual):
+        return a ** b
+    _check_power(a, b)
+    # the ufunc on scalars rounds like on arrays; scalar ** calls libm
+    return np.power(a, b)
 
 
 def log(x):

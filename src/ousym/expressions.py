@@ -9,10 +9,9 @@ Whitespace is insignificant. Error offsets are 1-based byte positions.
 Trees are immutable; parse(render(tree)) == tree.
 """
 
+import operator
 import re
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import duals
 from .errors import ArityMismatch, ExpressionSyntaxError, UnknownIdentifier
@@ -34,6 +33,15 @@ _FUNCTIONS = {
 
 # precedence levels; unary minus sits between ^ and * /
 _P_ADD, _P_MUL, _P_NEG, _P_POW, _P_ATOM = 10, 20, 25, 30, 100
+
+# each binary operator's precedence and function
+_BINARY = {
+    "+": (_P_ADD, operator.add),
+    "-": (_P_ADD, operator.sub),
+    "*": (_P_MUL, operator.mul),
+    "/": (_P_MUL, operator.truediv),
+    "^": (_P_POW, duals.power),
+}
 
 
 @dataclass(frozen=True)
@@ -114,7 +122,7 @@ class BinOp:
 
     @property
     def precedence(self):
-        return _P_POW if self.op == "^" else _P_MUL if self.op in "*/" else _P_ADD
+        return _BINARY[self.op][0]
 
     def render(self):
         p = self.precedence
@@ -128,24 +136,8 @@ class BinOp:
         return f"{lhs} {self.op} {rhs}" if self.op in "+-" else f"{lhs}{self.op}{rhs}"
 
     def evaluate(self, xs):
-        a = self.left.evaluate(xs)
-        b = self.right.evaluate(xs)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            return a / b
-        if isinstance(a, duals.HyperDual) or isinstance(b, duals.HyperDual):
-            return a ** b
-        bf = float(b) if np.ndim(b) == 0 else None
-        if bf is not None and not bf.is_integer() and np.any(np.asarray(a) < 0):
-            from .errors import EvaluationDomainError
-            raise EvaluationDomainError("fractional power of a negative base")
-        # the ufunc on scalars rounds like on arrays; scalar ** calls libm
-        return np.power(a, b)
+        return _BINARY[self.op][1](self.left.evaluate(xs),
+                                   self.right.evaluate(xs))
 
 
 class _Token:
@@ -205,9 +197,9 @@ class _Parser:
         node = self.parse_prefix()
         while True:
             tok = self.peek()
-            if tok.kind != "op" or tok.text not in "+-*/^":
+            if tok.kind != "op" or tok.text not in _BINARY:
                 break
-            bp = _P_POW if tok.text == "^" else _P_MUL if tok.text in "*/" else _P_ADD
+            bp = _BINARY[tok.text][0]
             if bp <= min_bp:
                 break
             self.advance()

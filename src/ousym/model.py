@@ -26,6 +26,16 @@ from .expressions import parse_force_expression
 _TOL = 1e-8
 
 
+def _numbers(values, what):
+    """values as a tuple of floats; anything but a flat sequence of numbers
+    raises DimensionMismatch."""
+    try:
+        return tuple(float(v) for v in values)
+    except TypeError:
+        raise DimensionMismatch(
+            f"{what} must be a list of numbers, got {values!r}") from None
+
+
 def default_x_probes(n):
     """32 probe points in [-2, 2]^n, seed 0, for force classification."""
     rng = np.random.default_rng(0)
@@ -102,7 +112,7 @@ class ConstantForce(ForceField):
     """F(x) = c with finite entries. Jacobian is exactly zero."""
 
     def __init__(self, c):
-        self.c = tuple(float(ci) for ci in c)
+        self.c = _numbers(c, "constant force c")
         if not all(np.isfinite(self.c)):
             raise NonFiniteEvaluation(
                 f"constant force must be finite, got {list(self.c)}")
@@ -225,9 +235,12 @@ def classify_force(force, probes=None):
         if not all(np.isfinite(c) for c in p):
             raise NonFiniteEvaluation(f"non-finite probe {p}")
 
-    # every probe at once, as stacked columns; the probe axis first below
-    values, jac, hess = (np.moveaxis(a, -1, 0) for a in force._derivatives(
-        [np.array(c) for c in zip(*probes)]))
+    # every probe at once, as stacked columns; the probe axis first below;
+    # what overflows fails the finite checks that follow
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, jac, hess = (np.moveaxis(a, -1, 0) for a in
+                             force._derivatives(
+                                 [np.array(c) for c in zip(*probes)]))
     bad_value = ~np.isfinite(values).all(axis=1)
     bad = bad_value | ~(np.isfinite(jac).all(axis=(1, 2))
                         & np.isfinite(hess).all(axis=(1, 2, 3)))
@@ -290,10 +303,12 @@ class OUSystem:
     sigma_is_constant = True
 
     def __init__(self, n, beta, mu, force):
-        if not isinstance(n, (int, np.integer)) or n < 1:
+        # True is a bool, not a count
+        if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+                or n < 1):
             raise DimensionMismatch(f"n must be a positive integer, got {n!r}")
-        beta = tuple(float(b) for b in beta)
-        mu = tuple(float(m) for m in mu)
+        beta = _numbers(beta, "beta")
+        mu = _numbers(mu, "mu")
         if len(beta) != n or len(mu) != n:
             raise DimensionMismatch(
                 f"beta/mu lengths {len(beta)}/{len(mu)} do not match n={n}")
@@ -413,8 +428,14 @@ def system_from_json(data):
         force = LinearForce(fdata["L"], fdata.get("K"))
     elif ftype == "expr":
         comps = fdata["components"]
-        force = parse_force_expression(
-            comps if isinstance(comps, str) else "; ".join(comps), n)
+        if not isinstance(comps, str):
+            if not (isinstance(comps, (list, tuple))
+                    and all(isinstance(c, str) for c in comps)):
+                raise DimensionMismatch(
+                    f"components must be a string or a list of strings, "
+                    f"got {comps!r}")
+            comps = "; ".join(comps)
+        force = parse_force_expression(comps, n)
     else:
         raise DimensionMismatch(f"unknown force type {ftype!r}")
     return build_ou_system(n, beta, mu, force)

@@ -476,8 +476,11 @@ def _max_blocks(X, sys, p, drift=None):
 
 
 def max_residuals(X, sys, probes):
-    """Max |f-residual| and |sigma-residual| over a probe set (batched)."""
-    return _max_blocks(X, sys, stack_probes(probes))
+    """Max |f-residual| and |sigma-residual| over a probe set (batched).
+    What overflows shows as a non-finite residual or Laplacian, not as a
+    numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _max_blocks(X, sys, stack_probes(probes))
 
 
 def max_invariant_residual(theta, sys, probes):

@@ -30,6 +30,24 @@ def test_derivative_orders():
         1.0, abs=1e-13)
 
 
+def test_derivative_at_a_point_of_mixed_shapes_matches_plain_points():
+    # x holds probes and v one plain float; the derivative along v has the
+    # probe shape and the bits of the plain points, where v ** 2.5 goes
+    # through Python's float power, not np.power
+    x = np.array([0.3, -1.2, 2.0, 0.7, -0.05])
+    f = lambda q: q.v[0] ** 2.5 * q.x[0] + duals.sin(q.x[0] * q.v[0])
+    # np.power and Python's power differ on a few percent of inputs
+    for v in np.random.default_rng(4).uniform(0.2, 3.0, 30).tolist():
+        p = point(x=[x], v=[v], t=0.4)
+        for args in [(("v", 0),), (("v", 0), 2), (("x", 0), 2, ("v", 0)),
+                     (("v", 0), 2, ("t", 0))]:
+            mixed = derivative(f, p, *args)
+            plain = [derivative(f, point(x=[xk], v=[v], t=0.4), *args)
+                     for xk in x.tolist()]
+            assert mixed.shape == x.shape
+            assert mixed.tobytes() == np.array(plain).tobytes(), (v, args)
+
+
 def test_dual_and_fd_engines_agree():
     p = point(x=[0.7], v=[-0.3], t=0.4, w=[0.2])
 

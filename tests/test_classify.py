@@ -105,6 +105,92 @@ def test_pairwise_brackets_vanish():
         assert max(float(np.max(np.abs(np.asarray(e)))) for e in br) <= 1e-10
 
 
+def _searched_linear_modes(sys, L):
+    """The mode emitter that searched for each complex mode's conjugate
+    partner with a tolerance, kept as the oracle of _emit_linear_modes."""
+    def is_real_vec(vec, tol=1e-12):
+        return float(np.max(np.abs(np.imag(vec)))) <= tol * max(
+            1.0, float(np.max(np.abs(vec))))
+
+    n = sys.n
+    beta = sys.beta[0]
+    lams, M = classify._eigenmodes(L)
+    modes = []
+    for i in range(n):
+        kp, km = mode_rates(beta, lams[i])
+        col = M[:, i]
+        modes.append({"kappa": kp, "col": col})
+        modes.append({"kappa": km, "col": col})
+    gens = []
+    used = [False] * len(modes)
+    for a, mode in enumerate(modes):
+        if used[a]:
+            continue
+        used[a] = True
+        kap, col = mode["kappa"], mode["col"]
+        if abs(kap.imag) <= 1e-12 * max(1.0, abs(kap)) and is_real_vec(col):
+            gens.append(SymmetryGenerator.linear_mode(col, kap.real, n, "re"))
+            continue
+        partner = None
+        for b in range(a + 1, len(modes)):
+            if used[b]:
+                continue
+            if (np.isclose(modes[b]["kappa"], np.conj(kap), atol=1e-10)
+                    and np.allclose(modes[b]["col"], np.conj(col),
+                                    atol=1e-10)):
+                partner = b
+                break
+        if partner is None:
+            raise NotDiagonalizable(
+                "complex eigenmode without a conjugate partner")
+        used[partner] = True
+        gens.append(SymmetryGenerator.linear_mode(col, kap, n, "re"))
+        gens.append(SymmetryGenerator.linear_mode(col, kap, n, "im"))
+    eigen_data = {
+        "eigenvalues": [complex(z) for z in lams],
+        "kappa_pairs": [tuple(mode_rates(beta, lams[i])) for i in range(n)],
+        "M": [[complex(z) for z in row] for row in M],
+    }
+    return gens, eigen_data
+
+
+def _drawn_force_matrices(rng, n):
+    """Symmetric, general real, skew minus I/2 (complex pairs), lambda I,
+    and underdamped (strongly negative spectrum, rotated) force matrices."""
+    A = rng.normal(size=(n, n))
+    yield (A + A.T) / 2.0
+    yield A
+    yield (A - A.T) / 2.0 - 0.5 * np.eye(n)
+    yield rng.uniform(-3.0, 3.0) * np.eye(n)
+    yield -rng.uniform(1.0, 4.0) * np.eye(n) + 0.3 * (A - A.T)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_linear_modes_match_the_partner_search(n):
+    # eig's own conjugate pairing gives the labels, families and eigen data
+    # of the tolerance search over modes
+    rng = np.random.default_rng(100 + n)
+    kinds = set()
+    for _ in range(8):
+        for L in _drawn_force_matrices(rng, n):
+            sys_ = build_ou_system(n, [float(rng.uniform(0.3, 2.5))] * n,
+                                   [1.0] * n, LinearForce(L))
+            got, want = (emit(sys_, L) for emit in (
+                classify._emit_linear_modes, _searched_linear_modes))
+            assert [g.label for g in got[0]] == [g.label for g in want[0]]
+            assert [repr(g.family) for g in got[0]] == [
+                repr(g.family) for g in want[0]]
+            assert repr(got[1]) == repr(want[1])
+            kinds |= {"complex" if lam.imag else
+                      "real rates" if kp.imag == 0 else "real, rate pair"
+                      for lam, (kp, _) in zip(got[1]["eigenvalues"],
+                                              got[1]["kappa_pairs"])}
+    # each of the three emission rules was reached (a real L of size 1 has
+    # no complex eigenvalue)
+    assert kinds == {"real rates", "real, rate pair"} | (
+        {"complex"} if n > 1 else set())
+
+
 def test_critically_damped_raises():
     # beta^2 + 4 lambda = 0: 4 - 4 = 0 with lambda = -1, beta = 2
     sys1 = build_ou_system(1, [2.0], [1.0], LinearForce([[-1.0]]))

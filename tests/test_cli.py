@@ -249,6 +249,94 @@ def test_out_of_range_parameters_exit_one_without_warnings(
     assert err.startswith("error: ") and "Warning" not in err
 
 
+HUGE_LINEAR = {"n": 1, "beta": [1.0], "mu": [1.0],
+               "force": {"type": "linear", "L": [[1e308]]}}
+STEEP_LINEAR = {"n": 1, "beta": [1.0], "mu": [1.0],
+                "force": {"type": "linear", "L": [[2.0]]}}
+CONSTANT = {"n": 1, "beta": [1.0], "mu": [1.0],
+            "force": {"type": "constant", "c": [0.5]}}
+# generator specs whose residuals overflow on a fitting system
+OVERFLOWING_SPECS = [
+    "expdecay:i=1,kappa=-800",
+    "modulescaled:base=expdecay,i=1,kappa=1,f=exp(1000*chi1)"]
+
+
+@pytest.mark.parametrize("payload,argv,expected", [
+    (HUGE_LINEAR, ["classify"], 1),
+    (HUGE_LINEAR, ["invariants"], 1),
+    # the documented NaN payload
+    (HUGE_LINEAR, ["verify", "--generator", "expdecay:i=1,kappa=1"], 0),
+    (STEEP_LINEAR, ["verify", "--generator", OVERFLOWING_SPECS[0]], 1),
+    (CONSTANT, ["verify", "--generator", OVERFLOWING_SPECS[1]], 1),
+], ids=["classify-1e308", "invariants-1e308", "verify-1e308",
+        "verify-steep-rate", "verify-overflowing-scale"])
+def test_overflow_puts_no_warning_on_stderr(tmp_path, capsys, payload, argv,
+                                            expected):
+    system = write_system(tmp_path, "edge.json", payload)
+    with warnings.catch_warnings():
+        # a numpy warning raised here would end the command with exit 2
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv, "--system", system)
+    assert code == expected and "Warning" not in err
+    if expected == 0:
+        assert math.isnan(json.loads(out)["max_residual"])
+    else:
+        assert out == "" and err.startswith("error: ")
+
+
+def _malformed(path, value):
+    """CONSTANT with the field at path (a key sequence) set to value."""
+    payload = json.loads(json.dumps(CONSTANT))
+    *head, last = path
+    target = payload
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return payload
+
+
+_EXPR = {"type": "expr", "components": "x1"}
+
+
+@pytest.mark.parametrize("payload", [
+    _malformed(["beta"], 1.0),
+    _malformed(["beta"], [None]),
+    _malformed(["beta"], [[1.0]]),
+    _malformed(["mu"], None),
+    _malformed(["force", "c"], 5),
+    _malformed(["force", "c"], [None]),
+    _malformed(["force", "c"], [[1.0]]),
+    _malformed(["force"], dict(_EXPR, components=5)),
+    _malformed(["force"], dict(_EXPR, components=[5])),
+    _malformed(["force"], dict(_EXPR, components=None)),
+    # True is a bool, not a count
+    _malformed(["n"], True),
+], ids=["beta-number", "beta-null-entry", "beta-nested", "mu-null",
+        "c-number", "c-null-entry", "c-nested", "components-number",
+        "components-number-entry", "components-null", "n-true"])
+def test_malformed_system_files_exit_one(tmp_path, capsys, payload):
+    system = write_system(tmp_path, "bad.json", payload)
+    code, out, err = run(capsys, "classify", "--system", system)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "TypeError" not in err
+
+
+@pytest.mark.parametrize("spec", [
+    # the base recursed until RecursionError
+    "modulescaled:base=modulescaled,i=1,kappa=1,f=chi1",
+    json.dumps({"family": "modulescaled",
+                "base": {"family": "modulescaled", "i": 1}, "f": "chi1"}),
+    # a JSON base that is not an object raised TypeError
+    json.dumps({"family": "modulescaled", "base": 3, "f": "chi1"}),
+], ids=["shorthand-scaled-base", "json-scaled-base", "json-number-base"])
+def test_bad_modulescaled_bases_exit_one(tmp_path, capsys, spec):
+    system = write_system(tmp_path, "const.json", CONSTANT)
+    code, out, err = run(capsys, "verify", "--system", system,
+                         "--generator", spec)
+    assert code == 1 and out == ""
+    assert err.startswith("error: modulescaled"), err
+
+
 # values a system file may hold: non-finite, zero, negative, extreme
 EDGE_VALUES = [float("nan"), float("inf"), float("-inf"), 0.0, -1.0, 0.5,
                1.0, 2.0, 1e300, -1e300, 1e-300, -1e-300]
@@ -264,7 +352,15 @@ EDGE_COMMANDS = [
     ["solve", "--steps", "5"],
     ["converge", "--paths", "3", "--ladder", "2", "--base-steps", "2",
      "--refine", "2"],
+    *(["verify", "--probes", "4", "--generator", spec]
+      for spec in OVERFLOWING_SPECS),
 ]
+# the count options, by the commands that take them; a drawn value
+# overrides the command's own (argparse keeps the last)
+COUNT_OPTIONS = {"--steps": ("simulate", "solve"),
+                 "--paths": ("converge",), "--ladder": ("converge",),
+                 "--probes": ("classify", "invariants", "verify")}
+BAD_COUNTS = ["0", "-1", "-7", "abc", "1.5", ""]
 _NON_FINITE_TOKEN = re.compile(r"(?<![A-Za-z])(nan|inf|infinity)(?![A-Za-z])",
                                re.IGNORECASE)
 
@@ -285,7 +381,7 @@ def test_every_system_file_gives_finite_output_or_exits_one(tmp_path):
         size = n if draw(st.integers(0, 7)) else draw(st.integers(0, 3))
         return draw(st.lists(number(valid), min_size=size, max_size=size))
 
-    entries = [0.0, 1.0, -1.0, 1e300, -1e300, 1e-300]
+    entries = [0.0, 1.0, -1.0, 1e300, -1e300, 1e-300, 1e308, -1e308]
 
     @st.composite
     def system_file(draw):
@@ -301,18 +397,35 @@ def test_every_system_file_gives_finite_output_or_exits_one(tmp_path):
             force = {"type": "expr", "components": [
                 draw(st.sampled_from(EDGE_EXPRESSIONS)).replace(
                     "x1", f"x{i + 1}") for i in range(n)]}
-        return {"n": n, "beta": draw(vector(n, [0.5, 2.0, 1e300, 1e-300])),
-                "mu": draw(vector(n, [1.0, -1.0, 1e300, 1e-300])),
-                "force": force}
+        payload = {"n": n,
+                   "beta": draw(vector(n, [0.5, 2.0, 1e300, 1e-300])),
+                   "mu": draw(vector(n, [1.0, -1.0, 1e300, 1e-300])),
+                   "force": force}
+        # one file in four has a field of a malformed shape: a number where
+        # a list goes, null, a nested list, or numbers for the expressions
+        if draw(st.integers(0, 3)) == 3:
+            field = draw(st.sampled_from(["beta", "mu", "force"]))
+            shape = draw(st.sampled_from([1.0, None, [[1.0]] * n, [5] * n]))
+            if field == "force":
+                force[{"constant": "c", "linear": "K",
+                       "expr": "components"}[kind]] = shape
+            else:
+                payload[field] = shape
+        return payload
 
+    # no count at all, or one bad count for the commands that take it
+    counts = st.one_of(st.none(), st.tuples(st.sampled_from(
+        sorted(COUNT_OPTIONS)), st.sampled_from(BAD_COUNTS)))
     system = tmp_path / "edge.json"
 
     @hypothesis.settings(max_examples=40, deadline=None)
-    @hypothesis.given(payload=system_file())
-    def check(payload):
+    @hypothesis.given(payload=system_file(), count=counts)
+    def check(payload, count):
         # json writes NaN and Infinity tokens, which json.load reads back
         system.write_text(json.dumps(payload))
         for argv in EDGE_COMMANDS:
+            if count is not None and argv[0] in COUNT_OPTIONS[count[0]]:
+                argv = [*argv, *count]
             out, err = io.StringIO(), io.StringIO()
             with warnings.catch_warnings(record=True) as caught, \
                     contextlib.redirect_stdout(out), \

@@ -75,6 +75,24 @@ def test_fractional_power_of_negative_base_raises():
         HyperDual(-1.5, 1.0) ** 0.5
 
 
+@pytest.mark.parametrize("base", [-1.5, np.array([-0.5, -1.5]),
+                                  HyperDual(-1.5, 1.0)],
+                         ids=["float", "array", "hyperdual"])
+def test_power_refuses_a_fractional_power_of_a_negative_base(base):
+    with pytest.raises(EvaluationDomainError):
+        duals.power(base, 0.5)
+    # an integral power of a negative base is real
+    assert np.all(duals.value(duals.power(base, 3.0)) < 0.0)
+
+
+def test_power_of_plain_operands_rounds_like_np_power():
+    # the ufunc, not Python's float power, for scalars as for arrays
+    rng = np.random.default_rng(2)
+    for a, b in rng.uniform(0.1, 10.0, (200, 2)):
+        got = duals.power(float(a), float(b))
+        assert np.float64(got).tobytes() == np.power(a, b).tobytes()
+
+
 def test_log_sqrt_domain():
     with pytest.raises(EvaluationDomainError):
         duals.log(HyperDual(-1.0, 1.0))
@@ -167,18 +185,33 @@ def test_jet_with_two_seed_axes():
     assert np.array_equal(d12[2], np.zeros((2, 2, 3)))
 
 
-def test_jet_widens_to_the_shape_the_components_add():
-    # a component that broadcasts against an array of its own (a block of
-    # rates on the length-1 axis ahead of the probes) widens every output
+@pytest.mark.parametrize("e1_shape, probe", [
+    ((2,), ()), ((2,), (4,)), ((2, 1, 2), (4,)), ((3, 2, 1, 2), (1, 5)),
+    ((1, 4, 2), (4,))], ids=["plain", "shared", "one-seed-axis",
+                            "two-seed-axes", "per-probe-seed"])
+def test_jet_output_shape_is_the_seeds_by_values_shape(e1_shape, probe):
+    # the shape is fixed before fn runs: the seed axes broadcast against
+    # the probe shape of the values; vals keep the probe part
+    rng = np.random.default_rng(5)
+    x, y = (rng.uniform(-1.0, 1.0, probe) if probe else 0.7 for _ in "xy")
+    e1 = rng.uniform(-1.0, 1.0, e1_shape)
+    vals, d1, d12 = duals.jet(_jet_fixture, [x, y], e1, e1)
+    full = np.broadcast_shapes(e1_shape[:-1], probe)
+    assert vals.shape == (3,) + full[len(full) - len(probe):]
+    assert d1.shape == d12.shape == (3,) + full
+    # a plain component is broadcast to the full shape with zero
+    # derivatives
+    assert np.array_equal(vals[2], np.full(vals.shape[1:], 2.0))
+    assert not d1[2].any() and not d12[2].any()
+
+
+def test_jet_refuses_a_component_wider_than_the_seeds_and_values():
+    # a component may not add axes of its own to the output shape
     rates = np.array([[0.5], [1.0], [2.0]])
     x, y = np.array([[0.3, -1.2]]), np.array([[1.1, 0.4]])
-    vals, d1, _ = duals.jet(lambda s: [s[0] * rates, s[1]], [x, y],
-                            np.eye(2).reshape(2, 1, 1, 2))
-    assert vals.shape == (2, 3, 2) and d1.shape == (2, 2, 3, 2)
-    assert np.array_equal(vals[0], x * rates)
-    assert np.array_equal(d1[0, 0], np.broadcast_to(rates, (3, 2)))
-    assert np.array_equal(d1[1, 1], np.ones((3, 2)))
-    assert np.array_equal(d1[0, 1], np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        duals.jet(lambda s: [s[0] * rates, s[1]], [x, y],
+                  np.eye(2).reshape(2, 1, 1, 2))
 
 
 def test_facade_passes_plain_floats_through():

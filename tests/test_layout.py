@@ -78,6 +78,51 @@ def test_coordinates_are_seeded_only_through_jet():
         ("model.py", "ForceField"), ("classify.py", "_scaling_partial")}
 
 
+def _top_readers(module, names):
+    """Top-level statements of module (by defined name) that load any of
+    names."""
+    found = set()
+    for top in ast.parse((SRC / module).read_text()).body:
+        label = getattr(top, "name", None) or ast.unparse(
+            getattr(top, "targets", [top])[0])
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Name) and node.id in names
+                    and isinstance(node.ctx, ast.Load)):
+                found.add(label)
+    return found
+
+
+def test_operator_precedence_is_read_from_one_table():
+    # the binary operators' levels are written once, in _BINARY, which
+    # the tree node and the parser both read
+    assert _top_readers("expressions.py",
+                        {"_P_ADD", "_P_MUL", "_P_POW"}) == {"_BINARY"}
+    assert _top_readers("expressions.py", {"_BINARY"}) == {"BinOp",
+                                                           "_Parser"}
+
+
+def test_np_power_is_called_only_in_duals_power():
+    # one place holds the fractional-power rule and numpy's rounding
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr == "power"
+                        and getattr(node.value, "id", None) == "np"):
+                    found.add((path.name, getattr(top, "name", None)))
+    assert found == {("duals.py", "power")}
+
+
+def test_the_flat_coordinate_order_is_written_once():
+    # _flat lists a point's coordinates and _at inverts it; nothing else
+    # rebuilds the order coordinate by coordinate
+    assert not any(re.search(r"\.coord\(\w+\) for \w+ in extended_coords",
+                             p.read_text()) for p in SRC.glob("*.py"))
+    assert _calling_functions({"_flat"}) == {
+        ("calculus.py", "ExtendedPoint"), ("calculus.py", "stack_probes"),
+        ("calculus.py", "_probe_shape"), ("calculus.py", "_jet")}
+
+
 def test_extended_points_are_built_in_three_places():
     # the tuple-normalising constructor, the probe sampler, and _at, which
     # every other point (stacked probes, a replaced coordinate) goes through
