@@ -107,9 +107,8 @@ def classify_invariants(sys, probes=None):
         gens = [InvariantCandidate.chi(sys, i) for i in range(1, sys.n + 1)]
         p = stack_probes(probes)
         for g in gens:
-            # what overflows fails the finite Laplacian or the gate below
-            with np.errstate(over="ignore", invalid="ignore"):
-                worst = _max_abs(invariant_residual(g, sys, p))
+            # what overflows fails the gate below
+            worst = _max_abs(invariant_residual(g, sys, p))
             if not worst <= CERT_TOL_INVARIANT:
                 raise CertificationFailed(
                     f"{g.label} failed invariance certification: "
@@ -187,16 +186,14 @@ def _emit_linear_modes(sys, L):
 def _certify(gens, sys, probes):
     p = stack_probes(probes)
     tol = CERT_TOL_RESIDUAL
-    # what overflows fails the finite Laplacian or the gate below
-    with np.errstate(over="ignore", invalid="ignore"):
-        drift = _drift_jet(sys, p)
-        for g in gens:
-            mf, ms = _max_blocks(g, sys, p, drift)
-            if not (mf <= tol and ms <= tol):
-                raise CertificationFailed(
-                    f"generator {g.label} failed the determining equations: "
-                    f"f-residual {mf:.3e}, sigma-residual {ms:.3e} > "
-                    f"{tol:.1e}")
+    # what overflows fails the gate below
+    drift = _drift_jet(sys, p)
+    for g in gens:
+        mf, ms = _max_blocks(g, sys, p, drift)
+        if not (mf <= tol and ms <= tol):
+            raise CertificationFailed(
+                f"generator {g.label} failed the determining equations: "
+                f"f-residual {mf:.3e}, sigma-residual {ms:.3e} > {tol:.1e}")
 
 
 def _pairwise_brackets(gens, sys, probes):

@@ -24,6 +24,12 @@ single-grid pair exact_terminal / em_terminal, which is the batched pair on
 a batch of one and raises DomainExit or NonFiniteState where a study would
 skip the path. The GBM and Kozlov closed forms are written once, batched,
 and serve both the adapters and solve_reference_problem.
+
+Each rejection rule is written once. Every exact OU path, one grid or a
+study's batch, passes _guarded, which applies the blow-up guard and
+IMAG_TOL together: a single solve raises NonFiniteState where a study
+skips the path. Every integer argument (steps, n_proc, seed, path_index,
+path counts, rungs, factors) is judged by model._is_count.
 """
 
 import os
@@ -35,7 +41,7 @@ import numpy as np
 from .classify import _eigenmodes, mode_rates
 from .errors import (DimensionMismatch, DomainExit, InvalidGrid,
                      NonFiniteState, OusymError, WrongForceClass)
-from .model import ConstantForce, LinearForce
+from .model import ConstantForce, LinearForce, _is_count
 
 BLOWUP_GUARD = 1e12
 IMAG_TOL = 1e-10
@@ -95,11 +101,6 @@ def _cumulative(inc):
     return out
 
 
-def _is_count(k):
-    """True for an int or numpy integer >= 1; True is a bool, not a count."""
-    return isinstance(k, (int, np.integer)) and k is not True and k >= 1
-
-
 def _philox_increments(n_proc, t0, t1, steps, seed, indices):
     """N(0, dt) increments (len(indices), n_proc, steps); row j is the path
     keyed (seed, indices[j]), drawn row-major as (n_proc, steps)."""
@@ -107,10 +108,11 @@ def _philox_increments(n_proc, t0, t1, steps, seed, indices):
         raise InvalidGrid(f"steps must be a positive integer, got {steps!r}")
     if not (np.isfinite(t0) and np.isfinite(t1)) or not t1 > t0:
         raise InvalidGrid(f"need finite t1 > t0, got [{t0}, {t1}]")
-    if n_proc < 1:
-        raise InvalidGrid("n_proc must be >= 1")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidGrid("seed must be a non-negative integer")
+    if not _is_count(n_proc):
+        raise InvalidGrid(
+            f"n_proc must be a positive integer, got {n_proc!r}")
+    if not _is_count(seed, 0):
+        raise InvalidGrid(f"seed must be a non-negative integer, got {seed!r}")
     out = np.empty((len(indices), int(n_proc), int(steps)))
     for row, idx in zip(out, indices):
         gen = np.random.Generator(np.random.Philox(key=[seed, idx]))
@@ -153,8 +155,9 @@ def sample_wiener(n_proc, t0, t1, steps, seed=0, path_index=0):
     The key is (seed, path_index): any path of any ensemble can be
     regenerated alone, and a batch of paths draws exactly these numbers.
     """
-    if not isinstance(path_index, (int, np.integer)) or path_index < 0:
-        raise InvalidGrid("path_index must be a non-negative integer")
+    if not _is_count(path_index, 0):
+        raise InvalidGrid(f"path_index must be a non-negative integer, "
+                          f"got {path_index!r}")
     inc = _philox_increments(n_proc, t0, t1, steps, seed, [path_index])[0]
     return WienerGrid(
         t0=float(t0), t1=float(t1), steps=int(steps), n_proc=int(n_proc),
@@ -403,13 +406,14 @@ def _one_path(n, grid):
 
 
 def _guarded(exact_paths, sys, x0, t, inc, strict=True):
-    """exact_paths(sys, x0, t, inc) under the blow-up guard of
-    Euler-Maruyama. Returns the states and each path's leakage, set to inf
-    for a path that fails max |state| <= BLOWUP_GUARD (NaN fails it), so a
-    study skips that path as it skips a leaky one; strict raises
-    NonFiniteState instead. numpy does not warn, and a Python-float
-    overflow, or a division by a square that underflows to zero, raises
-    NonFiniteState as well."""
+    """exact_paths(sys, x0, t, inc) under the one rule that rejects an exact
+    path. Returns the states, each path's leakage and the (paths,) mask of
+    rejected paths. A path is rejected when it fails max |state| <=
+    BLOWUP_GUARD (NaN fails it; its leakage is set to inf) or when its
+    leakage is not within IMAG_TOL, read at call time; a study skips it,
+    and strict raises NonFiniteState instead. numpy does not warn, and a
+    Python-float overflow, or a division by a square that underflows to
+    zero, raises NonFiniteState as well."""
     try:
         with np.errstate(all="ignore"):
             states, leak = exact_paths(sys, x0, t, inc)
@@ -421,7 +425,12 @@ def _guarded(exact_paths, sys, x0, t, inc, strict=True):
           & (states.min(axis=(1, 2)) >= -BLOWUP_GUARD))
     if strict and not ok.all():
         raise NonFiniteState("exact path is NaN or beyond BLOWUP_GUARD")
-    return states, np.where(ok, leak, np.inf)
+    leak = np.where(ok, leak, np.inf)
+    skip = ~(leak <= IMAG_TOL)
+    if strict and skip.any():
+        raise NonFiniteState(
+            f"imaginary leakage {leak.max():.3e} exceeds {IMAG_TOL:.1e}")
+    return states, leak, skip
 
 
 def _exact_constant_paths(sys, x0, t, inc):
@@ -457,8 +466,8 @@ def exact_solve_constant(sys, x0, grid):
     x then v. NonFiniteState when a state leaves [-BLOWUP_GUARD,
     BLOWUP_GUARD] or is NaN, as in euler_maruyama.
     """
-    states, _ = _guarded(_exact_constant_paths, sys, x0, grid.times,
-                         _one_path(sys.n, grid))
+    states, _, _ = _guarded(_exact_constant_paths, sys, x0, grid.times,
+                            _one_path(sys.n, grid))
     return Path(times=grid.times, states=states[0], labels=_ou_labels(sys.n),
                 meta=_grid_meta(grid, "exact-rectified"))
 
@@ -572,14 +581,10 @@ def exact_solve_linear(sys, x0, grid):
     x then v. NonFiniteState when a state leaves [-BLOWUP_GUARD,
     BLOWUP_GUARD] or is NaN, as in euler_maruyama.
     """
-    states, leak = _guarded(_exact_linear_paths, sys, x0, grid.times,
-                            _one_path(sys.n, grid))
-    worst_imag = float(leak[0])
-    if not worst_imag <= IMAG_TOL:
-        raise NonFiniteState(
-            f"imaginary leakage {worst_imag:.3e} exceeds {IMAG_TOL:.1e}")
+    states, leak, _ = _guarded(_exact_linear_paths, sys, x0, grid.times,
+                               _one_path(sys.n, grid))
     meta = _grid_meta(grid, "exact-eigenmodes")
-    meta["max_imag_leakage"] = worst_imag
+    meta["max_imag_leakage"] = float(leak[0])
     return Path(times=grid.times, states=states[0], labels=_ou_labels(sys.n),
                 meta=meta)
 
@@ -642,9 +647,9 @@ class OUConvergenceProblem(_ConvergenceProblem):
 
     def exact_terminals(self, x0, t0, t1, inc):
         t = np.linspace(t0, t1, inc.shape[2] + 1)
-        states, leak = _guarded(self._exact_paths, self.sys, x0, t, inc,
-                                strict=False)
-        return states[:, -1], ~(leak <= IMAG_TOL)
+        states, _, skip = _guarded(self._exact_paths, self.sys, x0, t, inc,
+                                   strict=False)
+        return states[:, -1], skip
 
     def em_terminals(self, x0, t0, t1, inc):
         return _ou_em(self.sys, x0, t0, t1, inc, strict=False)
@@ -726,9 +731,11 @@ def convergence_study(problem, x0, t0, t1, ladder_steps, n_paths=200,
     exact_terminal / em_terminal(x0, grid): the same maps on one grid as a
     batch of one, raising DomainExit or NonFiniteState on a skipped path.
     """
-    ladder = [int(s) for s in ladder_steps]
-    if not ladder or any(s < 1 for s in ladder):
-        raise InvalidGrid("ladder_steps must be positive integers")
+    ladder = list(ladder_steps)
+    if not ladder or not all(_is_count(s) for s in ladder):
+        raise InvalidGrid(f"ladder_steps must be a non-empty list of "
+                          f"positive integers, got {ladder!r}")
+    ladder = [int(s) for s in ladder]
     if sorted(set(ladder)) != ladder:
         raise InvalidGrid("ladder_steps must be strictly increasing")
     if not _is_count(refine):

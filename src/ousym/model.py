@@ -28,12 +28,24 @@ _TOL = 1e-8
 
 def _numbers(values, what):
     """values as a tuple of floats; anything but a flat sequence of numbers
-    raises DimensionMismatch."""
+    raises DimensionMismatch. A string is not one: float() would read it
+    character by character, or read "1.5" as a number."""
     try:
-        return tuple(float(v) for v in values)
+        vals = list(values)
+        if isinstance(values, str) or any(isinstance(v, str) for v in vals):
+            raise TypeError
+        return tuple(float(v) for v in vals)
     except TypeError:
         raise DimensionMismatch(
             f"{what} must be a list of numbers, got {values!r}") from None
+
+
+def _is_count(k, low=1):
+    """True for an int or numpy integer >= low. The one rule for every
+    integer argument (counts, seeds, path indices, rungs, components, n):
+    a bool, a float and a string are not integers, whatever their value."""
+    return (isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+            and k >= low)
 
 
 def default_x_probes(n):
@@ -303,9 +315,7 @@ class OUSystem:
     sigma_is_constant = True
 
     def __init__(self, n, beta, mu, force):
-        # True is a bool, not a count
-        if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
-                or n < 1):
+        if not _is_count(n):
             raise DimensionMismatch(f"n must be a positive integer, got {n!r}")
         beta = _numbers(beta, "beta")
         mu = _numbers(mu, "mu")

@@ -27,7 +27,7 @@ from .calculus import (ExtendedPoint, _gradients, _ito_jet, extended_coords,
                        sample_probes, stack_probes)
 from .duals import value
 from .errors import DimensionMismatch, NonFiniteResult, NotAnInvariant
-from .model import ConstantForce
+from .model import ConstantForce, _is_count
 
 
 # --- structured family tags ---
@@ -113,8 +113,7 @@ def _complex_profile(C, kappa, part):
 def _component(i, n):
     """i itself, as an int, if it is an integer in 1..n; DimensionMismatch
     otherwise."""
-    if (isinstance(i, bool) or not isinstance(i, (int, np.integer))
-            or not 1 <= i <= n):
+    if not (_is_count(i) and i <= n):
         raise DimensionMismatch(f"component i={i} outside 1..{n}")
     return int(i)
 
@@ -391,12 +390,14 @@ def _drift_jet(sys, p):
     """What the determining equations read of the system at p: the drift's
     values and Jacobian, and the Jacobian of a state-dependent sigma (None
     for a constant one). It does not depend on the generator, so every
-    generator checked at p can share one."""
-    fvals, ddrift = _gradients(sys.drift, p)
-    dsig = None
-    if not sys.sigma_is_constant:
-        _, dsig = _gradients(
-            lambda q: [e for row in sys.sigma(q) for e in row], p)
+    generator checked at p can share one. What overflows shows as a
+    non-finite entry, not as a numpy warning, here and in the residuals."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        fvals, ddrift = _gradients(sys.drift, p)
+        dsig = None
+        if not sys.sigma_is_constant:
+            _, dsig = _gradients(
+                lambda q: [e for row in sys.sigma(q) for e in row], p)
     return fvals, ddrift, dsig
 
 
@@ -404,25 +405,26 @@ def _residual_blocks(X, sys, p, drift=None):
     """Both determining blocks of X at p: the dt block (one row per state
     coord) and the dw block (state rows, Wiener columns), from one Ito jet
     of phi plus the system's _drift_jet at p (taken here when not given)."""
-    phi, dphi, dphi_t, dw, lap = _ito_jet(X.phi, sys, p)
-    coords = extended_coords(p)
-    S = [coords.index(c) for c in sys.state_coords]
-    if len(phi) != len(S):
-        raise DimensionMismatch(
-            f"generator has {len(phi)} components for state dim {len(S)}")
-    fvals, ddrift, dsig = drift or _drift_jet(sys, p)
-    fres = dphi_t + 0.5 * lap
-    for j, Sj in enumerate(S):
-        fres = fres + fvals[j] * dphi[:, j] - phi[j] * ddrift[:, Sj]
-    sres = dw
-    if dsig is not None:
-        dsig = dsig.reshape(dw.shape[:2] + dsig.shape[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi, dphi, dphi_t, dw, lap = _ito_jet(X.phi, sys, p)
+        coords = extended_coords(p)
+        S = [coords.index(c) for c in sys.state_coords]
+        if len(phi) != len(S):
+            raise DimensionMismatch(f"generator has {len(phi)} components "
+                                    f"for state dim {len(S)}")
+        fvals, ddrift, dsig = drift or _drift_jet(sys, p)
+        fres = dphi_t + 0.5 * lap
         for j, Sj in enumerate(S):
-            sres = sres - phi[j] * dsig[:, :, Sj]
-    sig = sys.sigma(p)
-    for m, k in zip(*np.nonzero(X.R)):
-        for i, row in enumerate(sig):
-            sres[i, k] = sres[i, k] - row[m] * X.R[m, k]
+            fres = fres + fvals[j] * dphi[:, j] - phi[j] * ddrift[:, Sj]
+        sres = dw
+        if dsig is not None:
+            dsig = dsig.reshape(dw.shape[:2] + dsig.shape[1:])
+            for j, Sj in enumerate(S):
+                sres = sres - phi[j] * dsig[:, :, Sj]
+        sig = sys.sigma(p)
+        for m, k in zip(*np.nonzero(X.R)):
+            for i, row in enumerate(sig):
+                sres[i, k] = sres[i, k] - row[m] * X.R[m, k]
     return fres, sres
 
 
@@ -439,12 +441,14 @@ def sigma_residual(X, sys, p):
 def _invariant_conditions(fvec, sys, p):
     """The invariance conditions of every component of fvec at p, from one
     Ito jet: the active dw coefficients, then the dt one; condition axis
-    first, then the components."""
-    _, dth, dth_t, dw, lap = _ito_jet(fvec, sys, p)
-    fvals = [value(c) for c in sys.drift(p)]
-    acc = dth_t + 0.5 * lap
-    for j, f in enumerate(fvals):
-        acc = acc + dth[:, j] * f
+    first, then the components. What overflows shows as a non-finite
+    condition, not as a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, dth, dth_t, dw, lap = _ito_jet(fvec, sys, p)
+        fvals = [value(c) for c in sys.drift(p)]
+        acc = dth_t + 0.5 * lap
+        for j, f in enumerate(fvals):
+            acc = acc + dth[:, j] * f
     W = list(sys.wiener_coords)
     active = [W.index(c) for c in sys.active_wiener_coords]
     return np.concatenate([np.swapaxes(dw[:, active], 0, 1), acc[None]])
@@ -479,8 +483,7 @@ def max_residuals(X, sys, probes):
     """Max |f-residual| and |sigma-residual| over a probe set (batched).
     What overflows shows as a non-finite residual or Laplacian, not as a
     numpy warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _max_blocks(X, sys, stack_probes(probes))
+    return _max_blocks(X, sys, stack_probes(probes))
 
 
 def max_invariant_residual(theta, sys, probes):
@@ -553,10 +556,9 @@ def affine_invariant_nullspace(sys, probes=None):
     if probes is None:
         probes = sample_probes(sys, count=max(32, 3 * n + 4), seed=11)
     # column c holds the conditions on coordinate function c, probes inner;
-    # _null_space rejects what overflows, so numpy need not warn about it
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = _invariant_conditions(lambda q: [*q.x, *q.v, *q.w, q.t], sys,
-                                     stack_probes(probes))
+    # _null_space rejects what overflows
+    rows = _invariant_conditions(lambda q: [*q.x, *q.v, *q.w, q.t], sys,
+                                 stack_probes(probes))
     ns = _null_space(np.swapaxes(rows, 1, 2).reshape(-1, 3 * n + 1),
                      rcond=1e-9)
     basis = []

@@ -311,9 +311,18 @@ _EXPR = {"type": "expr", "components": "x1"}
     _malformed(["force"], dict(_EXPR, components=None)),
     # True is a bool, not a count
     _malformed(["n"], True),
+    # a string is not a list of numbers, nor is a list of strings
+    _malformed(["beta"], "1"),
+    _malformed(["mu"], "1"),
+    _malformed(["force", "c"], "0"),
+    _malformed(["beta"], ["1.0"]),
+    {"n": 2, "beta": "12", "mu": "11", "force": {"type": "constant",
+                                                  "c": "00"}},
 ], ids=["beta-number", "beta-null-entry", "beta-nested", "mu-null",
         "c-number", "c-null-entry", "c-nested", "components-number",
-        "components-number-entry", "components-null", "n-true"])
+        "components-number-entry", "components-null", "n-true",
+        "beta-string", "mu-string", "c-string", "beta-string-entry",
+        "all-strings"])
 def test_malformed_system_files_exit_one(tmp_path, capsys, payload):
     system = write_system(tmp_path, "bad.json", payload)
     code, out, err = run(capsys, "classify", "--system", system)

@@ -11,8 +11,9 @@ from ousym import (ConstantForce, DimensionMismatch, DomainExit,
                    GBMConvergenceProblem, InvalidGrid,
                    KozlovConvergenceProblem, LinearForce,
                    NonFiniteState, OUConvergenceProblem, OusymError,
-                   WienerGrid, build_ou_system, coarsen, convergence_study,
-                   euler_maruyama, euler_maruyama_ensemble,
+                   WienerGrid, WrongForceClass, build_ou_system, coarsen,
+                   convergence_study, euler_maruyama,
+                   euler_maruyama_ensemble,
                    euler_maruyama_general, exact_solve_constant,
                    exact_solve_linear, integrate, ito_integral,
                    parse_force_expression, read_path_csv, sample_wiener,
@@ -52,6 +53,19 @@ def test_grid_validation():
         sample_wiener(1, 1.0, 0.0, 10)
     with pytest.raises(InvalidGrid):
         sample_wiener(1, 0.0, 1.0, 10, seed=-1)
+    # the one integer rule: a bool, a float or a string is not an integer;
+    # counts start at 1, the seed and the path index at 0
+    for bad in (1.5, True, "3", -1):
+        with pytest.raises(InvalidGrid, match="n_proc must be"):
+            sample_wiener(bad, 0.0, 1.0, 4)
+        with pytest.raises(InvalidGrid, match="seed must be"):
+            sample_wiener(1, 0.0, 1.0, 4, seed=bad)
+        with pytest.raises(InvalidGrid, match="path_index must be"):
+            sample_wiener(1, 0.0, 1.0, 4, path_index=bad)
+    with pytest.raises(InvalidGrid, match="n_proc must be"):
+        sample_wiener(0, 0.0, 1.0, 4)
+    with pytest.raises(InvalidGrid, match="seed must be"):
+        sample_wiener(1, 0.0, 1.0, 4, seed=False)
 
 
 def test_coarsen_sums_increments():
@@ -66,7 +80,7 @@ def test_coarsen_sums_increments():
 
 
 # True is a bool, not a count, for step counts and coarsening factors too
-@pytest.mark.parametrize("steps", [True, 0, 2.0, "4"])
+@pytest.mark.parametrize("steps", [True, 0, 2.0, "4", 1.5, -1])
 def test_wiener_rejects_a_bad_step_count(steps):
     with pytest.raises(InvalidGrid, match="steps must be a positive integer"):
         sample_wiener(1, 0.0, 1.0, steps)
@@ -88,6 +102,12 @@ def test_step_counts_take_numpy_integers():
         g.increments, sample_wiener(1, 0.0, 1.0, 4, seed=1).increments)
     assert np.array_equal(coarsen(g, np.int64(2)).increments,
                           coarsen(g, 2).increments)
+    # and so do the process count, the seed and the path index
+    h = sample_wiener(np.int64(2), 0.0, 1.0, 4, seed=np.int64(3),
+                      path_index=np.int64(5))
+    want = sample_wiener(2, 0.0, 1.0, 4, seed=3, path_index=5)
+    assert np.array_equal(h.increments, want.increments)
+    assert (h.n_proc, h.seed, h.path_index) == (2, 3, 5)
 
 
 def test_em_matches_ode_for_tiny_noise():
@@ -427,6 +447,29 @@ def test_convergence_takes_numpy_integer_counts():
                                    n_paths=np.int64(5), refine=np.int64(4))
     assert numpy_ints == plain
     assert type(numpy_ints.refine) is int and type(numpy_ints.n_paths) is int
+    rungs = convergence_study(problem, [1.0], 0.0, 1.0,
+                              np.array([4, 8]), n_paths=5, refine=4)
+    assert rungs == plain
+    assert all(type(s) is int for s in rungs.ladder_steps)
+
+
+@pytest.mark.parametrize("ladder,match", [
+    ([8.7, 16.2], "positive integers"),
+    ([True, 2], "positive integers"),
+    (["4", 8], "positive integers"),
+    ([-1, 8], "positive integers"),
+    ([], "non-empty"),
+    ([8, 4], "strictly increasing"),
+    ([4, 4], "strictly increasing"),
+    ([4, 6], "does not divide"),
+], ids=["floats", "bool", "string", "negative", "empty", "decreasing",
+        "repeated", "not-dividing"])
+def test_convergence_rejects_a_bad_ladder(ladder, match):
+    # floats are refused, not truncated to the rungs below them
+    problem = GBMConvergenceProblem(1.0, 0.5)
+    with pytest.raises(InvalidGrid, match=match):
+        convergence_study(problem, [1.0], 0.0, 1.0, ladder, n_paths=2,
+                          refine=1)
 
 
 def test_initial_state_is_2n_numbers_in_any_nesting():
@@ -441,6 +484,35 @@ def test_initial_state_is_2n_numbers_in_any_nesting():
         euler_maruyama(sys2, ([0.1], [0.2, 0.3, 0.4]), g)
     with pytest.raises(DimensionMismatch):
         euler_maruyama(sys2, (x, v[:1]), g)
+    with pytest.raises(NonFiniteState, match="initial state is not finite"):
+        euler_maruyama(sys2, x + [np.nan, 0.4], g)
+    constant = build_ou_system(2, [1.0, 1.0], [0.5, 0.5],
+                               ConstantForce([0.1, 0.2]))
+    with pytest.raises(NonFiniteState, match="initial state is not finite"):
+        exact_solve_constant(constant, x + [0.1, np.inf], g)
+
+
+def test_exact_solvers_refuse_what_they_do_not_cover():
+    g1 = sample_wiener(1, 0.0, 1.0, 8, seed=1)
+    g2 = sample_wiener(2, 0.0, 1.0, 8, seed=1)
+    linear = build_ou_system(1, [1.0], [1.0], LinearForce([[-1.0]]))
+    with pytest.raises(WrongForceClass, match="needs a constant force"):
+        exact_solve_constant(linear, [0.0, 0.0], g1)
+    aniso = build_ou_system(2, [1.0, 2.0], [1.0, 1.0],
+                            LinearForce([[-1.0, 0.0], [0.0, -2.0]]))
+    with pytest.raises(WrongForceClass, match="isotropic"):
+        exact_solve_linear(aniso, [0.0] * 4, g2)
+    # a singular L has no shift that absorbs a nonzero K
+    singular = build_ou_system(2, [1.0, 1.0], [1.0, 1.0],
+                               LinearForce([[1.0, 1.0], [1.0, 1.0]],
+                                           [1.0, 0.0]))
+    with pytest.raises(WrongForceClass, match="regular matrix"):
+        exact_solve_linear(singular, [0.0] * 4, g2)
+    # a grid drives as many processes as the system has coordinates
+    with pytest.raises(DimensionMismatch, match="grid drives 2 processes"):
+        exact_solve_linear(linear, [0.0, 0.0], g2)
+    with pytest.raises(DimensionMismatch, match="grid drives 1 processes"):
+        euler_maruyama(aniso, [0.0] * 4, g1)
 
 
 def test_convergence_gbm_order_half_smoke():
@@ -953,8 +1025,8 @@ def test_exact_guard_fails_each_out_of_range_state(bad):
     def exact_paths(sys, x0, t, inc):
         return states, np.zeros(2)
 
-    _, leak = integrate._guarded(exact_paths, None, None, None, None,
-                                 strict=False)
+    _, leak, _ = integrate._guarded(exact_paths, None, None, None, None,
+                                    strict=False)
     assert leak.tolist() == [0.0, np.inf]
     with pytest.raises(NonFiniteState):
         integrate._guarded(exact_paths, None, None, None, None)

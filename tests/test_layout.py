@@ -209,6 +209,41 @@ def test_coarsening_is_written_once():
         ("integrate.py", "coarsen"), ("integrate.py", "convergence_study")}
 
 
+def test_the_integer_rule_is_written_once():
+    # counts, seeds, path indices, rungs, components and n all go through
+    # model._is_count; nothing else tests for an integer type
+    defined, typed = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.FunctionDef)
+                        and node.name == "_is_count"):
+                    defined.add(path.name)
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "isinstance"
+                        and "np.integer" in ast.unparse(node.args[1])):
+                    typed.add((path.name, getattr(top, "name", None)))
+    assert defined == {"model.py"}
+    assert typed == {("model.py", "_is_count")}
+
+
+def test_imag_tol_is_read_by_the_exact_path_gate_alone():
+    # _guarded applies the range guard and the leakage tolerance together
+    assert _top_readers("integrate.py", {"IMAG_TOL"}) == {"_guarded"}
+
+
+def test_residual_overflow_policy_is_set_where_residuals_are_computed():
+    # the drift jet, the determining blocks and the invariance conditions
+    # silence numpy's overflow warnings themselves, so no caller has to;
+    # the exp-decay scan keeps its own for the closed form
+    found = {pair for pair in _calling_functions({"errstate"})
+             if pair[0] in ("symmetry.py", "classify.py")}
+    assert found == {("symmetry.py", "_drift_jet"),
+                     ("symmetry.py", "_residual_blocks"),
+                     ("symmetry.py", "_invariant_conditions"),
+                     ("classify.py", "expdecay_residual_scan")}
+
+
 def _run_python(code, *args):
     """Run code in a fresh interpreter that imports this ousym."""
     path = os.pathsep.join(filter(None, [str(SRC.parent),

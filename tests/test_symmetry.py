@@ -401,6 +401,34 @@ def test_non_finite_rejections_do_not_warn():
     assert [str(w.message) for w in caught] == []
 
 
+def test_residuals_of_an_overflowing_force_do_not_warn():
+    # exp(800) overflows at x1 = 2: every residual shows it as inf or NaN,
+    # and the invariant gate refuses it, without a numpy warning
+    sys1 = build_ou_system(1, [1.0], [1.0],
+                           parse_force_expression("exp(400*x1)", 1))
+    X = SymmetryGenerator.translation(1, 1)
+    p = point(x=[2.0], v=[0.5], t=0.3, w=[0.1], z=[0.0])
+
+    def alpha(q):
+        return q.v[0]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotAnInvariant):
+            scale_by_invariant(X, alpha, sys1)
+        worst = max_invariant_residual(alpha, sys1,
+                                       sample_probes(sys1, count=8, seed=1))
+        conditions = invariant_residual(alpha, sys1, p)
+        report = residual_report(X, sys1, p)
+        fres = f_residual(X, sys1, p)
+        sres = sigma_residual(X, sys1, p)
+        mf, ms = max_residuals(X, sys1, [p])
+    assert not np.isfinite(worst) and not np.all(np.isfinite(conditions))
+    assert np.isnan(report.max_abs) and np.isnan(mf)
+    assert np.isnan(fres).all() and np.array_equal(sres, np.zeros((2, 2)))
+    assert ms == 0.0
+
+
 def test_null_space_rejects_inf():
     # an SVD of a matrix with an inf entry returns without error; taken at
     # face value it would give a full null space
