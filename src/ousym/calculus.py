@@ -23,7 +23,7 @@ differences (engine="fd") stay as the independent cross-check.
 Every Lie bracket goes through two steps: _field_jet takes one field's
 values and Jacobian once (one seeded evaluation with engine="dual"; the
 field at p and at p +- h along each coordinate with engine="fd"), and
-_contract forms [X, Y] from stacked jets, one leading pair axis, with a
+_contract forms [X, Y] for index pairs into one stack of jets, with a
 live-coordinate mask per pair. lie_bracket is the two steps for one pair;
 the bracket table and structure_constants take each field's jet once,
 stack the jets and contract all of their pairs in one call.
@@ -41,8 +41,7 @@ from dataclasses import dataclass
 from . import duals
 from .duals import value
 from .errors import (DimensionMismatch, EmptyProbeSet,
-                     EvaluationDomainError, NonFiniteResult, WrongForceClass)
-from .model import ConstantForce
+                     EvaluationDomainError, NonFiniteResult)
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -70,14 +69,23 @@ class ExtendedPoint:
         return _at(self, vals)
 
     def chi(self, sys, i):
-        """The characteristic combination of the OU system with a constant
-        force, chi_i = w_i - v_i / mu_i - (beta_i / mu_i) x_i + rho_i t
-        with rho_i = c_i / mu_i, summed left to right."""
-        if not isinstance(sys.force, ConstantForce):
-            raise WrongForceClass("chi is defined for constant-force systems")
-        rho_i = sys.force.c[i] / sys.mu[i]
+        """The characteristic combination of the OU system,
+        chi_i = w_i - v_i / mu_i - (beta_i / mu_i) x_i + rho_i t with
+        rho_i = c_i / mu_i, summed left to right; c = _force_at_origin(sys).
+        It is an invariant when the force is the constant c; for any other
+        force it is a candidate that fails the invariance conditions."""
+        rho_i = _force_at_origin(sys)[i] / sys.mu[i]
         return (self.w[i] - self.v[i] / sys.mu[i]
                 - (sys.beta[i] / sys.mu[i]) * self.x[i] + rho_i * self.t)
+
+
+def _force_at_origin(sys):
+    """F(0) of an OU system as floats: the c of the chi invariants, the
+    constant itself for a ConstantForce. Evaluated on numpy scalars with
+    their warnings off, so a force undefined at 0 (x1/x1) gives NaN, which
+    fails certification, rather than raising or warning."""
+    with np.errstate(all="ignore"):
+        return sys.force._floats([0.0] * sys.n)
 
 
 def point(x=(), v=(), t=0.0, w=None, z=None):
@@ -321,30 +329,33 @@ def _field_jet(F, p, engine="dual"):
     return vals, jac
 
 
-def _contract(X, Y):
-    """[X, Y] = sum_b X_b dY[:, b] - Y_b dX[:, b] for stacked pairs of
-    _field_jet results: the values and Jacobians of X and Y carry one
-    leading pair axis, and so does the result, one row per coordinate after
-    it. Per pair, the coordinates are summed in order.
+def _contract(vals, jac, left, right):
+    """[X, Y] = sum_b X_b dY[:, b] - Y_b dX[:, b] for the pairs
+    (X, Y) = (left[k], right[k]) of stacked _field_jet results: vals and
+    jac carry one leading field axis, left and right index it, and the
+    result has one leading pair axis, one row per coordinate after it. Per
+    pair, the coordinates are summed in order, and the pairs' operands are
+    read one live coordinate at a time: no pair gets a copy of a whole
+    Jacobian.
 
     Coordinates where both fields of a pair vanish at every probe are
     skipped for that pair, so a non-finite partial along such a coordinate
     cannot turn its bracket into NaN; any other non-finite entry raises
     NonFiniteResult.
     """
-    (Xv, dX), (Yv, dY) = X, Y
-    probe_axes = tuple(range(2, Xv.ndim))
-    live = (Xv != 0.0).any(axis=probe_axes) | (Yv != 0.0).any(axis=probe_axes)
-    out = np.zeros(Xv.shape)
-    pairs = (len(live),) + (1,) * (Xv.ndim - 1)
+    nonzero = (vals != 0.0).any(axis=tuple(range(2, vals.ndim)))
+    live = nonzero[left] | nonzero[right]
+    out = np.zeros((len(live),) + vals.shape[1:])
+    pairs = (len(live),) + (1,) * (vals.ndim - 1)
     # out + X_b dY[:, b] - Y_b dX[:, b], left to right, on the pairs where b
     # is live; a dead coordinate's 0 * inf may be NaN and is not added
     with np.errstate(invalid="ignore"):
         for b in np.flatnonzero(live.any(axis=0)):
             where = live[:, b].reshape(pairs)
-            np.add(out, Xv[:, b, None] * dY[:, :, b], out=out, where=where)
-            np.subtract(out, Yv[:, b, None] * dX[:, :, b], out=out,
-                        where=where)
+            np.add(out, vals[left, b, None] * jac[right, :, b], out=out,
+                   where=where)
+            np.subtract(out, vals[right, b, None] * jac[left, :, b],
+                        out=out, where=where)
     return _check_finite(out, "lie_bracket")
 
 
@@ -359,6 +370,6 @@ def lie_bracket(X, Y, p, engine="dual"):
     coordinate (2N + 1 evaluations for N coordinates) and takes central
     differences. A field without N components raises DimensionMismatch.
     """
-    # one pair: a pair axis of length 1
-    jets = [[a[None] for a in _field_jet(F, p, engine)] for F in (X, Y)]
-    return list(_contract(*jets)[0])
+    vals, jac = map(np.stack, zip(*(_field_jet(F, p, engine)
+                                    for F in (X, Y))))
+    return list(_contract(vals, jac, [0], [1])[0])

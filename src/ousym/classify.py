@@ -6,16 +6,19 @@ The closed-form answers implemented here:
   chi_i = w_i - v_i/mu_i - (beta_i/mu_i) x_i + (c_i/mu_i) t, and the symmetry
   set is a rank-2n module over that ring, generated by
   X_i = exp(-beta_i t)(d/dx_i - beta_i d/dv_i) and Y_i = d/dx_i.
-- Regular linear force, n = 1 or isotropic: no nontrivial invariants; exactly
-  2n commuting generators built from the eigenmodes of L with rates
-  kappa_i_pm = (beta pm sqrt(beta^2 + 4 lambda_i)) / 2.
-- Second-order regular nonlinear force (n = 1 or isotropic): no real simple
-  symmetry at all (the ghost scalings z d/dz are disregarded).
+- Regular linear force, isotropic (every n = 1 system is): no nontrivial
+  invariants; exactly 2n commuting generators built from the eigenmodes of
+  L with rates kappa_i_pm = (beta pm sqrt(beta^2 + 4 lambda_i)) / 2.
+- Second-order regular nonlinear force, isotropic: no real simple symmetry
+  at all (the ghost scalings z d/dz are disregarded).
 - Everything else is reported as TheoryIncomplete: for linear force the
   necessary linear constraint L R = [B, R] is solved and its null-space basis
   attached as uncertified candidates.
 
-Every emitted generator and invariant is re-certified numerically against the
+The case is decided by classify_force from the force's derivatives at the
+probes, never from its Python class: an expression "1.5" or a linear force
+with L = 0 is a constant force, and c is the force at the origin. Every
+emitted generator and invariant is re-certified numerically against the
 determining equations; classification output is checked, not trusted.
 """
 
@@ -199,16 +202,14 @@ def _certify(gens, sys, probes):
 def _pairwise_brackets(gens, sys, probes):
     """(left, right, max |[left, right]|) over the stacked probes, for every
     pair of generators; each generator's jet is taken once, and all pairs
-    are contracted at once."""
+    are contracted at once, by index into the one stack of jets. Every
+    emitted algebra has at least 2 generators."""
     p = stack_probes(probes)
-    jets = [_field_jet(g.as_extended_field(sys), p) for g in gens]
-    left, right = np.triu_indices(len(jets), 1)
-    if len(left) == 0:
-        return []
-    vals, jac = map(np.stack, zip(*jets))
-    worst = np.abs(_contract((vals[left], jac[left]),
-                             (vals[right], jac[right])))
-    worst = worst.max(axis=tuple(range(1, worst.ndim)))
+    vals, jac = map(np.stack, zip(*(_field_jet(g.as_extended_field(sys), p)
+                                    for g in gens)))
+    left, right = np.triu_indices(len(gens), 1)
+    # stacked probes: one probe axis after the coordinates
+    worst = np.abs(_contract(vals, jac, left, right)).max(axis=(1, 2))
     return [(gens[a].label, gens[b].label, float(w))
             for a, b, w in zip(left, right, worst)]
 
@@ -231,11 +232,9 @@ def classify_symmetries(sys, probes=None):
     n = sys.n
 
     if fc.tag == "Constant":
-        gens = []
-        for i in range(1, n + 1):
-            gens.append(SymmetryGenerator.exp_decay(i, sys.beta[i - 1], n))
-        for i in range(1, n + 1):
-            gens.append(SymmetryGenerator.translation(i, n))
+        gens = [SymmetryGenerator.exp_decay(i, b, n)
+                for i, b in enumerate(sys.beta, 1)]
+        gens += [SymmetryGenerator.translation(i, n) for i in range(1, n + 1)]
         _certify(gens, sys, probes)
         return SymmetryAlgebra(
             case_tag="ConstantModule", system=sys, generators=tuple(gens),
@@ -247,7 +246,7 @@ def classify_symmetries(sys, probes=None):
 
     if fc.tag in ("LinearRegular", "LinearDegenerate"):
         L = fc.L
-        if fc.tag == "LinearDegenerate" or (n > 1 and not sys.isotropic):
+        if fc.tag == "LinearDegenerate" or not sys.isotropic:
             why = ("degenerate linear force: closed-form theory needs a "
                    "regular matrix; attached W-constraint null-space basis "
                    "is uncertified" if fc.tag == "LinearDegenerate" else
@@ -270,7 +269,7 @@ def classify_symmetries(sys, probes=None):
             force_tag=fc.tag)
 
     # nonlinear force
-    if n == 1 or sys.isotropic:
+    if sys.isotropic:
         if fc.tag == "NonlinearSecondOrderRegular":
             return SymmetryAlgebra(
                 case_tag="NoRealSimple", system=sys, module_rank=0,
@@ -405,22 +404,19 @@ def structure_constants(alg, probes=None):
     vX, vY = (stacked([g.as_extended_field(sys)(p) for g in G])
               for G in (X, Y))
 
-    def jets(G):
-        """The jets of fns[k] * G[i], each taken once, stacked k-major."""
-        return [np.stack(a) for a in zip(*[
-            _field_jet(g.scaled(lambda q, f=f: f(_chi_vector(sys, q)),
-                                label).as_extended_field(sys), p)
-            for label, f in sample_fs for g in G])]
-
-    # the X jets, then the Y jets; bracket k is [left[k], right[k]], three
+    # the jets of fns[k] * G[i], each taken once, stacked k-major, the X
+    # jets then the Y jets; bracket k is [left[k], right[k]], three
     # (X X, X Y, Y Y) per (a, b, i, j), in the order of the rows below
-    vals, jac = (np.concatenate(parts) for parts in zip(jets(X), jets(Y)))
+    vals, jac = map(np.stack, zip(*[
+        _field_jet(g.scaled(lambda q, f=f: f(_chi_vector(sys, q)),
+                            label).as_extended_field(sys), p)
+        for G in (X, Y) for label, f in sample_fs for g in G]))
     ka, kb, ki, kj = (ix.ravel()
                       for ix in np.indices((len(fns), len(fns), n, n)))
     xl, xr, off = ka * n + ki, kb * n + kj, len(fns) * n
     left = np.stack([xl, xl, xl + off], axis=1).ravel()
     right = np.stack([xr, xr + off, xr + off], axis=1).ravel()
-    brackets = _contract((vals[left], jac[left]), (vals[right], jac[right]))
+    brackets = _contract(vals, jac, left, right)
 
     # the predictions at [a, b, i, j]: cj = (beta_j/mu_j) f_j g and
     # ci = -(beta_i/mu_i) f g_i; 0, cj X^i and cj Y^i + ci Y^j

@@ -29,7 +29,9 @@ Each rejection rule is written once. Every exact OU path, one grid or a
 study's batch, passes _guarded, which applies the blow-up guard and
 IMAG_TOL together: a single solve raises NonFiniteState where a study
 skips the path. Every integer argument (steps, n_proc, seed, path_index,
-path counts, rungs, factors) is judged by model._is_count.
+path counts, rungs, factors) is judged by model._is_count; seed and
+path_index are the two 64-bit words of a Philox key, so each is also
+below 2**64.
 """
 
 import os
@@ -111,11 +113,13 @@ def _philox_increments(n_proc, t0, t1, steps, seed, indices):
     if not _is_count(n_proc):
         raise InvalidGrid(
             f"n_proc must be a positive integer, got {n_proc!r}")
-    if not _is_count(seed, 0):
-        raise InvalidGrid(f"seed must be a non-negative integer, got {seed!r}")
+    if not (_is_count(seed, 0) and seed < 2 ** 64):
+        raise InvalidGrid(f"seed must be an int in [0, 2**64), got {seed!r}")
     out = np.empty((len(indices), int(n_proc), int(steps)))
     for row, idx in zip(out, indices):
-        gen = np.random.Generator(np.random.Philox(key=[seed, idx]))
+        # a uint64 key: from a list, numpy makes keys >= 2**63 float64
+        key = np.array([seed, idx], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
         gen.standard_normal(out=row)
     out *= np.sqrt((t1 - t0) / steps)
     return out
@@ -152,11 +156,12 @@ def _increment_blocks(n_proc, t0, t1, steps, seed, n_paths, block):
 def sample_wiener(n_proc, t0, t1, steps, seed=0, path_index=0):
     """Draw one path's increments with a counter-based generator.
 
-    The key is (seed, path_index): any path of any ensemble can be
-    regenerated alone, and a batch of paths draws exactly these numbers.
+    The key is (seed, path_index), each an integer in [0, 2**64): any path
+    of any ensemble can be regenerated alone, and a batch of paths draws
+    exactly these numbers.
     """
-    if not _is_count(path_index, 0):
-        raise InvalidGrid(f"path_index must be a non-negative integer, "
+    if not (_is_count(path_index, 0) and path_index < 2 ** 64):
+        raise InvalidGrid(f"path_index must be an int in [0, 2**64), "
                           f"got {path_index!r}")
     inc = _philox_increments(n_proc, t0, t1, steps, seed, [path_index])[0]
     return WienerGrid(
@@ -495,10 +500,10 @@ def _exact_linear_paths(sys, x0, t, inc):
     the modes run in complex arithmetic and the leakage is measured."""
     if not isinstance(sys.force, LinearForce):
         raise WrongForceClass("exact_solve_linear needs a linear force")
-    n = sys.n
-    if n > 1 and not sys.isotropic:
+    if not sys.isotropic:
         raise WrongForceClass(
             "the exact linear solver covers n = 1 or isotropic systems")
+    n = sys.n
     x, v = _split_state(n, x0)
     L = np.asarray(sys.force.L, dtype=float)
     K = np.asarray(sys.force.K, dtype=float)

@@ -26,15 +26,28 @@ from .expressions import parse_force_expression
 _TOL = 1e-8
 
 
+def _float_array(values):
+    """np.array(values, dtype=float), reading an integer too large for a
+    float as +-inf, as JSON reads 1e400: the finite checks refuse both."""
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        if isinstance(values, int):
+            return np.array(np.inf if values > 0 else -np.inf)
+        return np.array([_float_array(v) for v in values])
+
+
 def _numbers(values, what):
-    """values as a tuple of floats; anything but a flat sequence of numbers
-    raises DimensionMismatch. A string is not one: float() would read it
-    character by character, or read "1.5" as a number."""
+    """values as a tuple of floats, an integer read by _float_array;
+    anything but a flat sequence of numbers raises DimensionMismatch. A
+    string is not one: float() would read it character by character, or
+    read "1.5" as a number."""
     try:
         vals = list(values)
         if isinstance(values, str) or any(isinstance(v, str) for v in vals):
             raise TypeError
-        return tuple(float(v) for v in vals)
+        return tuple(float(_float_array(v) if isinstance(v, int) else v)
+                     for v in vals)
     except TypeError:
         raise DimensionMismatch(
             f"{what} must be a list of numbers, got {values!r}") from None
@@ -149,11 +162,11 @@ class LinearForce(ForceField):
     itself, exactly."""
 
     def __init__(self, L, K=None):
-        self.L = np.array(L, dtype=float)
+        self.L = _float_array(L)
         if self.L.ndim != 2 or self.L.shape[0] != self.L.shape[1]:
             raise DimensionMismatch("L must be a square matrix")
         self.n = self.L.shape[0]
-        self.K = np.zeros(self.n) if K is None else np.array(K, dtype=float)
+        self.K = np.zeros(self.n) if K is None else _float_array(K)
         if self.K.shape != (self.n,):
             raise DimensionMismatch("K length must match L")
         if not (np.isfinite(self.L).all() and np.isfinite(self.K).all()):

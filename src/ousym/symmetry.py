@@ -23,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import duals
-from .calculus import (ExtendedPoint, _gradients, _ito_jet, extended_coords,
-                       sample_probes, stack_probes)
+from .calculus import (ExtendedPoint, _force_at_origin, _gradients, _ito_jet,
+                       extended_coords, sample_probes, stack_probes)
 from .duals import value
 from .errors import DimensionMismatch, NonFiniteResult, NotAnInvariant
-from .model import ConstantForce, _is_count
+from .model import _is_count
 
 
 # --- structured family tags ---
@@ -321,19 +321,19 @@ class InvariantCandidate:
 
     @staticmethod
     def chi(sys, i):
-        """chi_i = w_i - v_i/mu_i - (beta_i/mu_i) x_i + (c_i/mu_i) t."""
-        if not isinstance(sys.force, ConstantForce):
-            from .errors import WrongForceClass
-            raise WrongForceClass("chi invariants require a constant force")
+        """chi_i = w_i - v_i/mu_i - (beta_i/mu_i) x_i + (c_i/mu_i) t with
+        c = _force_at_origin(sys), as an affine record. An invariant when
+        the force is the constant c; for any other force a candidate that
+        fails its invariance conditions."""
         n = sys.n
         i = _component(i, n)
         idx = i - 1
-        mu_i, beta_i, c_i = sys.mu[idx], sys.beta[idx], sys.force.c[idx]
+        mu_i, beta_i = sys.mu[idx], sys.beta[idx]
         affine = AffineRecord(
             a_x=tuple(-(beta_i / mu_i) if j == idx else 0.0 for j in range(n)),
             a_v=tuple(-1.0 / mu_i if j == idx else 0.0 for j in range(n)),
             a_w=tuple(1.0 if j == idx else 0.0 for j in range(n)),
-            a_t=c_i / mu_i,
+            a_t=_force_at_origin(sys)[idx] / mu_i,
             a_0=0.0)
         return InvariantCandidate(affine=affine, label=f"chi{i}")
 

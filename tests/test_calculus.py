@@ -1,5 +1,7 @@
 """Extended-point derivatives, the Ito Laplacian, and Lie brackets."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -432,6 +434,24 @@ def test_chi_values():
     p = point(x=[1.0], v=[2.0], t=3.0, w=[4.0])
     # chi = w - v/mu - (beta/mu) x + (c/mu) t
     assert p.chi(sys1, 0) == pytest.approx(4.0 - 1.0 - 0.5 + 0.75)
+
+
+def test_chi_reads_c_from_the_force_at_the_origin():
+    # c is F(0), whatever the force's class: the same bits for a constant,
+    # a linear force with L = 0 and an expression; a force undefined at 0
+    # gives NaN, with no warning and no exception
+    p = point(x=[1.0], v=[2.0], t=3.0, w=[4.0])
+    forces = [ConstantForce([1.5]), LinearForce([[0.0]], [1.5]),
+              parse_force_expression("1.5", 1)]
+    chis = [p.chi(build_ou_system(1, [1.0], [2.0], f), 0) for f in forces]
+    assert len(set(chis)) == 1
+    # a linear force's c is K; chi is then a candidate, not an invariant
+    lin = build_ou_system(1, [1.0], [2.0], LinearForce([[-2.0]], [0.7]))
+    assert p.chi(lin, 0) == 4.0 - 2.0 / 2.0 - 0.5 * 1.0 + (0.7 / 2.0) * 3.0
+    odd = build_ou_system(1, [1.0], [2.0], parse_force_expression("x1/x1", 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(p.chi(odd, 0))
 
 
 @pytest.mark.parametrize("text", ["x1^0 + x1^1", "2^x1", "abs(x1)*x1"])

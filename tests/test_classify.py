@@ -302,6 +302,32 @@ def test_structure_constants_constant_module():
     assert max(r["max_discrepancy"] for r in rows) <= 1e-8
 
 
+def test_a_constant_force_of_any_class_gets_the_constant_answers():
+    # classify_force calls an expression "1.5" and a linear force with
+    # L = 0 constant; the chi basis, the module and its structure table
+    # follow, bit for bit those of ConstantForce([1.5])
+    systems = [build_ou_system(2, [1.0, 0.5], [2.0, 1.5], f) for f in (
+        ConstantForce([1.5, -0.25]),
+        LinearForce(np.zeros((2, 2)), [1.5, -0.25]),
+        parse_force_expression("1.5; -0.25", 2))]
+    answers = [(json.dumps(classify_invariants(s).to_json()),
+                json.dumps(classify_symmetries(s).to_json()),
+                json.dumps(structure_constants(classify_symmetries(s))))
+               for s in systems]
+    assert answers[1] == answers[0] and answers[2] == answers[0]
+    assert json.loads(answers[0][0])["basis_kind"] == "ChiBasis"
+
+
+def test_a_nearly_constant_linear_force_fails_chi_certification():
+    # L = 1e-9 is within classify_force's tolerance of zero, so the force
+    # is tagged Constant; its chi drifts by 1e-9 x / mu per unit time,
+    # which the invariant certificate (1e-10) refuses
+    sys1 = build_ou_system(1, [1.0], [1.0], LinearForce([[1e-9]]))
+    assert classify_symmetries(sys1).case_tag == "ConstantModule"
+    with pytest.raises(CertificationFailed, match="chi1 failed"):
+        classify_invariants(sys1)
+
+
 def test_structure_constants_linear_case():
     alg = classify_symmetries(lin1d(4.0))
     rows = structure_constants(alg)
@@ -447,15 +473,16 @@ def test_contract_masks_dead_coordinates_per_pair():
         jets = [[_field_jet(F, p) for F in pair] for pair in pairs]
         singles = [lie_bracket(X, Y, p) for X, Y in pairs]
     assert np.isinf(jets[0][0][1][ix, iz]).all()
-    stacked = _contract(*[[np.stack(a) for a in zip(*side)]
-                          for side in zip(*jets)])
+    # the fields A, B, C, D stacked once; the pairs by index
+    vals, jac = (np.stack(a) for a in zip(*(j for pair in jets for j in pair)))
+    stacked = _contract(vals, jac, [0, 2], [1, 3])
     for k, (jx, jy) in enumerate(jets):
         assert stacked[k].tobytes() == _contract_one(jx, jy).tobytes()
         assert stacked[k].tobytes() == np.array(singles[k]).tobytes()
     # a live non-finite entry still raises: C moves along z1 and A's
     # z1-partial is infinite
     with pytest.raises(NonFiniteResult):
-        _contract(*[[a[None] for a in jets[k][0]] for k in (0, 1)])
+        _contract(vals, jac, [0], [2])
 
 
 def test_structure_rows_match_per_pair_brackets():

@@ -187,8 +187,11 @@ def test_solve_picks_exact_scheme(constant_system, linear_system, tmp_path,
 
 
 def test_solve_rejects_a_non_finite_force(tmp_path, capsys):
+    # an integer too large for a float is refused as inf is
     for force in ({"type": "constant", "c": [float("nan")]},
-                  {"type": "linear", "L": [[float("inf")]]}):
+                  {"type": "linear", "L": [[float("inf")]]},
+                  {"type": "linear", "L": [[10 ** 400]]},
+                  {"type": "linear", "L": [[1.0]], "K": [-10 ** 400]}):
         system = write_system(tmp_path, "bad.json", {
             "n": 1, "beta": [1.0], "mu": [1.0], "force": force})
         code, out, err = run(capsys, "solve", "--system", system,
@@ -318,16 +321,89 @@ _EXPR = {"type": "expr", "components": "x1"}
     _malformed(["beta"], ["1.0"]),
     {"n": 2, "beta": "12", "mu": "11", "force": {"type": "constant",
                                                   "c": "00"}},
+    # integers too large for a float raised OverflowError (exit 2)
+    _malformed(["beta"], [10 ** 400]),
+    _malformed(["force"], {"type": "linear", "L": [[10 ** 400]]}),
 ], ids=["beta-number", "beta-null-entry", "beta-nested", "mu-null",
         "c-number", "c-null-entry", "c-nested", "components-number",
         "components-number-entry", "components-null", "n-true",
         "beta-string", "mu-string", "c-string", "beta-string-entry",
-        "all-strings"])
+        "all-strings", "beta-huge-int", "L-huge-int"])
 def test_malformed_system_files_exit_one(tmp_path, capsys, payload):
     system = write_system(tmp_path, "bad.json", payload)
     code, out, err = run(capsys, "classify", "--system", system)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "TypeError" not in err
+    assert "OverflowError" not in err
+
+
+@pytest.mark.parametrize("force", [
+    {"type": "expr", "components": ["1.5"]},
+    {"type": "linear", "L": [[0.0]], "K": [1.5]}], ids=["expr", "linear"])
+def test_invariants_follow_the_force_class_not_its_type(tmp_path, capsys,
+                                                        force):
+    # a force classify calls constant gets the chi basis, with c = F(0);
+    # the output is byte for byte that of the constant force
+    outputs = []
+    for f in (force, {"type": "constant", "c": [1.5]}):
+        system = write_system(tmp_path, "sys.json", {
+            "n": 1, "beta": [1.0], "mu": [2.0], "force": f})
+        code, out, err = run(capsys, "invariants", "--system", system)
+        assert code == 0 and err == ""
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    payload = json.loads(outputs[0])
+    assert payload["basis_kind"] == "ChiBasis"
+    assert payload["generators"][0]["a_t"] == 1.5 / 2.0
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("classify", 0), ("invariants", 1)])
+def test_a_force_undefined_at_the_origin_exits_cleanly(tmp_path, capsys,
+                                                       command, expected):
+    # x1/x1 is the constant 1 at every probe and 0/0 at the origin, where
+    # chi reads c: the chi then fails certification, with no warning
+    system = write_system(tmp_path, "odd.json", {
+        "n": 1, "beta": [1.0], "mu": [1.0],
+        "force": {"type": "expr", "components": ["x1/x1"]}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, command, "--system", system)
+    assert code == expected and "Warning" not in err
+    if expected == 0:
+        assert json.loads(out)["case_tag"] == "ConstantModule"
+    else:
+        assert out == "" and err.startswith("error: ")
+
+
+def test_verify_scales_by_the_chi_of_a_linear_force(tmp_path, capsys):
+    # the chi of a non-constant force is a candidate: verify prints its
+    # residuals, which certification would refuse
+    system = write_system(tmp_path, "lin.json", {
+        "n": 1, "beta": [1.0], "mu": [1.0],
+        "force": {"type": "linear", "L": [[-2.0]]}})
+    code, out, err = run(capsys, "verify", "--system", system, "--generator",
+                         "modulescaled:base=expdecay,i=1,kappa=1,f=chi1")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["generator"] == "chi1*[exp(-t)*(d/dx1 - 1*d/dv1)]"
+    assert 1e-6 < payload["max_residual"] < math.inf
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seed", str(10 ** 30)],
+    ["simulate", "--path-index", str(10 ** 30)],
+    ["simulate", "--seed", str(2 ** 64)],
+    ["converge", "--seed", str(2 ** 64), "--paths", "2", "--ladder", "1"]],
+    ids=["simulate-seed", "simulate-path-index", "simulate-seed-2-64",
+         "converge-seed"])
+def test_keys_beyond_64_bits_exit_one(tmp_path, capsys, argv):
+    # seed and path index are the two 64-bit words of the Philox key
+    system = write_system(tmp_path, "const.json", CONSTANT)
+    code, out, err = run(capsys, *argv, "--steps" if argv[0] == "simulate"
+                         else "--base-steps", "4", "--system", system)
+    assert code == 1 and out == ""
+    assert "must be an int in [0, 2**64)" in err
 
 
 @pytest.mark.parametrize("spec", [

@@ -1,6 +1,7 @@
 """Hyper-dual arithmetic: exact first, second, and mixed derivatives."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -103,6 +104,24 @@ def test_log_sqrt_domain():
 def test_abs_derivative():
     assert d1(lambda s: abs(s), -3.0) == -1.0
     assert d1(lambda s: abs(s), 3.0) == 1.0
+
+
+@pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+def test_comparisons_let_a_callable_branch_on_a_seeded_coordinate(op):
+    # each comparison reads the value part, against a float or a HyperDual,
+    # so a piecewise callable takes the derivative of the branch it is on
+    compare = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+               ">=": operator.ge}[op]
+    below = op in ("<", "<=")  # True where a value under 0 compares True
+
+    def f(s):
+        return s * s if compare(s, 0.0) == below else 3.0 * s
+
+    assert d1(f, -2.0) == -4.0 and d2(f, -2.0) == 2.0
+    assert d1(f, 2.0) == 3.0 and d2(f, 2.0) == 0.0
+    one = HyperDual(1.0, 0.0, 1.0)
+    assert compare(HyperDual(0.5, 1.0), one) == below
+    assert compare(HyperDual(1.5, 1.0), one) != below
 
 
 def test_numpy_scalars_defer():

@@ -66,6 +66,29 @@ def test_grid_validation():
         sample_wiener(0, 0.0, 1.0, 4)
     with pytest.raises(InvalidGrid, match="seed must be"):
         sample_wiener(1, 0.0, 1.0, 4, seed=False)
+    # the seed and the path index are the two 64-bit words of the key
+    for big in (2 ** 64, 10 ** 30):
+        with pytest.raises(InvalidGrid, match="seed must be"):
+            sample_wiener(1, 0.0, 1.0, 4, seed=big)
+        with pytest.raises(InvalidGrid, match="path_index must be"):
+            sample_wiener(1, 0.0, 1.0, 4, path_index=big)
+    top = 2 ** 64 - 1
+    assert sample_wiener(1, 0.0, 1.0, 4, seed=top, path_index=top).seed == top
+
+
+def test_keys_at_and_above_2_63_are_distinct_streams():
+    # a list key >= 2**63 became float64 in numpy, so 2**63 and 2**63 + 1
+    # drew the same numbers; below 2**63 the stream is the list-keyed one
+    for kw in ("seed", "path_index"):
+        a, b = (sample_wiener(1, 0.0, 1.0, 4, **{kw: k}).increments
+                for k in (2 ** 63, 2 ** 63 + 1))
+        assert not np.array_equal(a, b)
+    for seed, idx in ((0, 0), (7, 3), (2 ** 63 - 1, 2 ** 62 + 5)):
+        ref = np.random.Generator(np.random.Philox(
+            key=[seed, idx])).standard_normal((1, 4))
+        ref *= np.sqrt(0.25)
+        got = sample_wiener(1, 0.0, 1.0, 4, seed=seed, path_index=idx)
+        assert got.increments.tobytes() == ref.tobytes()
 
 
 def test_coarsen_sums_increments():

@@ -244,6 +244,65 @@ def test_residual_overflow_policy_is_set_where_residuals_are_computed():
                      ("classify.py", "expdecay_residual_scan")}
 
 
+def test_certification_reads_no_force_class():
+    # calculus, symmetry and classify decide from the force's values and
+    # derivatives and from the certificates: no force class is imported,
+    # named or tested with isinstance there (the exact solvers in
+    # integrate.py and cli.py keep their dispatch on purpose)
+    for name in ("calculus.py", "symmetry.py", "classify.py"):
+        tree = ast.parse((SRC / name).read_text())
+        named = {getattr(node, "id", None) or getattr(node, "attr", None)
+                 for node in ast.walk(tree)}
+        named |= {alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not {n for n in named if n and re.fullmatch(
+            r"\w*Force|ForceField", n)}, name
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "isinstance"
+                    and "Force" in ast.unparse(node.args[1])], name
+
+
+def test_brackets_contract_index_pairs_of_one_stack():
+    # _contract takes the stacked jets and the two index arrays; no caller
+    # gathers per-pair operand copies such as jac[left] or vals[right]
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "_contract"):
+                    calls.append((path.name, top.name,
+                                  len(node.args) + len(node.keywords)))
+    assert {(m, f) for m, f, _ in calls} == {
+        ("calculus.py", "lie_bracket"), ("classify.py", "_pairwise_brackets"),
+        ("classify.py", "structure_constants")}
+    assert {k for _, _, k in calls} == {4}
+    gathers = [ast.unparse(node) for node in ast.walk(
+        ast.parse((SRC / "classify.py").read_text()))
+        if isinstance(node, ast.Subscript)
+        and ast.unparse(node.slice) in ("left", "right")]
+    assert gathers == []
+
+
+def test_isotropy_is_one_rule():
+    # OUSystem.isotropic is true for every n = 1 system, so no condition
+    # that reads it also reads n
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            test = node if isinstance(node, ast.BoolOp) else getattr(
+                node, "test", None)
+            if test is None:
+                continue
+            names = {getattr(sub, "id", None) or getattr(sub, "attr", None)
+                     for sub in ast.walk(test)}
+            if "isotropic" in names:
+                readers.add(path.name)
+                assert "n" not in names, (path.name, ast.unparse(test))
+    assert readers == {"classify.py", "integrate.py"}
+
+
 def _run_python(code, *args):
     """Run code in a fresh interpreter that imports this ousym."""
     path = os.pathsep.join(filter(None, [str(SRC.parent),

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from ousym import (ConstantForce, DimensionMismatch, ExpressionForce,
-                   HyperDual, LinearForce, NonFiniteEvaluation,
-                   NonPositiveFriction, OUSystem, UnclassifiableForce,
-                   ZeroNoise, build_ou_system,
+from ousym import (ConstantForce, DimensionMismatch, EmptyProbeSet,
+                   ExpressionForce, HyperDual, LinearForce,
+                   NonFiniteEvaluation, NonPositiveFriction, OUSystem,
+                   UnclassifiableForce, ZeroNoise, build_ou_system,
                    classify_force, default_x_probes, parse_force_expression,
                    system_from_json, system_to_json)
 
@@ -26,20 +26,25 @@ def test_build_validations():
 
 @pytest.mark.parametrize("beta, mu", [
     ([np.nan], [1.0]), ([np.inf], [1.0]), ([-np.inf], [1.0]),
-    ([1.0], [np.nan]), ([1.0], [np.inf]), ([1.0], [-np.inf])],
+    ([1.0], [np.nan]), ([1.0], [np.inf]), ([1.0], [-np.inf]),
+    ([10 ** 400], [1.0]), ([1.0], [-10 ** 400])],
     ids=["beta-nan", "beta-inf", "beta-minus-inf", "mu-nan", "mu-inf",
-         "mu-minus-inf"])
+         "mu-minus-inf", "beta-huge-int", "mu-minus-huge-int"])
 def test_build_rejects_non_finite_friction_and_noise(beta, mu):
     # NaN fails both `b <= 0` and `m == 0`, so it needs its own check, and
-    # -inf friction is non-finite before it is non-positive
+    # -inf friction is non-finite before it is non-positive; an integer too
+    # large for a float is infinite
     with pytest.raises(NonFiniteEvaluation, match="must be finite"):
         build_ou_system(1, beta, mu, ConstantForce([0.0]))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
-                         ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 10 ** 400,
+                                 -10 ** 400],
+                         ids=["nan", "inf", "minus-inf", "huge-int",
+                              "minus-huge-int"])
 def test_constant_and_linear_forces_reject_non_finite_entries(bad):
-    # NaN slips past any check built from ordering comparisons
+    # NaN slips past any check built from ordering comparisons; an integer
+    # too large for a float is read as an infinite entry
     with pytest.raises(NonFiniteEvaluation, match="must be finite"):
         ConstantForce([0.5, bad])
     with pytest.raises(NonFiniteEvaluation, match="must be finite"):
@@ -183,10 +188,32 @@ def test_classify_nonlinear_degenerate_hessian():
 
 
 def test_classify_probe_disagreement():
-    # x1^3 has zero jacobian and zero hessian exactly at the origin
+    # each way the probes can disagree, at two probes that split it
+    for text, n, probes, why in [
+            # x1^3 has zero jacobian and zero hessian exactly at the origin
+            ("x1^3", 1, [(0.0,), (1.0,)], "Jacobian vanishes at some"),
+            # piecewise linear: zero Hessians, slope -1 then 1
+            ("abs(x1)", 1, [(-1.0,), (1.0,)], "probe-dependent Jacobian"),
+            # linear at the origin to second order, cubic beyond
+            ("x1^3 + x1", 1, [(0.0,), (1.0,)], "Hessians vanish at some"),
+            # the first component's Hessian [[2 x2, 2 x1], [2 x1, 0]] is
+            # singular at x1 = 0 only
+            ("x1^2*x2; x1*x2", 2, [(0.0, 1.0), (1.0, 1.0)],
+             "regularity differs")]:
+        f = parse_force_expression(text, n)
+        with pytest.raises(UnclassifiableForce, match=why):
+            classify_force(f, probes=probes)
+
+
+@pytest.mark.parametrize("probes, error", [
+    ([], EmptyProbeSet), ([(0.5, 1.0)], DimensionMismatch),
+    ([(0.5,), (np.nan,)], NonFiniteEvaluation)],
+    ids=["empty", "wrong-length", "nan"])
+def test_classify_force_checks_its_probes_before_evaluating(probes, error):
     f = parse_force_expression("x1^3", 1)
-    with pytest.raises(UnclassifiableForce):
-        classify_force(f, probes=[(0.0,), (1.0,)])
+    f.evaluate = None  # any evaluation would raise TypeError
+    with pytest.raises(error):
+        classify_force(f, probes=probes)
 
 
 def test_classify_force_names_the_probe_with_a_non_finite_value():

@@ -306,6 +306,28 @@ def test_component_index_is_an_integer_in_range(i):
         expdecay_residual_scan(sys2, [1.0], i=i, probes=[])
 
 
+def test_chi_of_any_force_is_a_candidate_the_certificate_judges():
+    # chi's c is the force at the origin; the chi of a constant force,
+    # whatever its class, is an invariant, and any other chi fails its
+    # invariance conditions rather than being refused up front
+    probes = sample_probes(build_ou_system(
+        1, [1.0], [2.0], ConstantForce([0.0])), count=16, seed=4)
+    const = [build_ou_system(1, [1.0], [2.0], f) for f in (
+        ConstantForce([1.5]), LinearForce([[0.0]], [1.5]),
+        parse_force_expression("1.5", 1))]
+    records = {InvariantCandidate.chi(s, 1).affine for s in const}
+    assert len(records) == 1 and records.pop().a_t == 1.5 / 2.0
+    for s in const:
+        assert max_invariant_residual(InvariantCandidate.chi(s, 1), s,
+                                      probes) <= 1e-12
+    lin = build_ou_system(1, [1.0], [2.0], LinearForce([[-2.0]], [0.7]))
+    chi = InvariantCandidate.chi(lin, 1)
+    assert chi.affine.a_t == 0.7 / 2.0
+    # d chi = (c - F(x)) / mu dt = x dt here
+    assert max_invariant_residual(chi, lin, probes) == pytest.approx(
+        max(abs(p.x[0]) for p in probes), rel=1e-12)
+
+
 def test_component_index_accepts_numpy_integers():
     sys2 = build_ou_system(2, [1.0, 2.0], [1.0, 1.5],
                            ConstantForce([0.1, 0.2]))
