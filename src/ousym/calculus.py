@@ -7,7 +7,7 @@ entry of extended_coords(p), in the order x-block, v-block, t, w-block,
 z-block. That flat order is written once: _flat lists a point's coordinates
 in it and _at builds a point back from such a list.
 
-The primary engine is hyper-dual numbers (exact to rounding), all seeded by
+The one engine is hyper-dual numbers (exact to rounding), all seeded by
 duals.jet in vector mode, so each field is evaluated once per derivative
 need rather than once per coordinate. _ito_jet is the one evaluation behind
 every determining equation and invariance condition: e1 holds a unit row per
@@ -17,16 +17,14 @@ the rest. It gives the values, the state and time partials, the dw-block
 terms and the Ito Laplacian. _gradients seeds e1 = I for full Jacobians
 (bracket jets, the drift and sigma). derivative() seeds only the coordinates
 it is asked for, and hands the jet p's probe shape as one more, unread
-value, so that a plain seeded coordinate stays a float. Central finite
-differences (engine="fd") stay as the independent cross-check.
+value, so that a plain seeded coordinate stays a float.
 
 Every Lie bracket goes through two steps: _field_jet takes one field's
-values and Jacobian once (one seeded evaluation with engine="dual"; the
-field at p and at p +- h along each coordinate with engine="fd"), and
-_contract forms [X, Y] for index pairs into one stack of jets, with a
-live-coordinate mask per pair. lie_bracket is the two steps for one pair;
-the bracket table and structure_constants take each field's jet once,
-stack the jets and contract all of their pairs in one call.
+values and Jacobian once, from one seeded evaluation, and _contract forms
+[X, Y] for index pairs into one stack of jets, with a live-coordinate mask
+per pair. lie_bracket is the two steps for one pair; the bracket table
+and structure_constants take each field's jet once, stack the jets and
+contract all of their pairs in one call.
 
 Probes come from one uniform draw per probe set (sample_probes), and
 stack_probes builds their (coordinates, probes) array in one go. The
@@ -39,11 +37,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from . import duals
-from .duals import value
-from .errors import (DimensionMismatch, EmptyProbeSet,
-                     EvaluationDomainError, NonFiniteResult)
-
-_CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
+from .errors import DimensionMismatch, EmptyProbeSet, NonFiniteResult
 
 
 @dataclass(frozen=True)
@@ -175,66 +169,39 @@ def _gradients(fvec, p):
 
 
 def _check_finite(out, what):
-    arr = np.asarray(out)
-    if not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(out)):
         raise NonFiniteResult(f"{what} is not finite")
     return out
 
 
-def _fd_step(val):
-    return _CBRT_EPS * np.maximum(1.0, np.abs(val))
-
-
-def derivative(f, p, coord, order=1, coord2=None, engine="dual"):
-    """First or second derivative of a scalar field at p.
+def derivative(f, p, coord, order=1, coord2=None):
+    """First or second derivative of a scalar field at p, exact to
+    rounding.
 
     coord/coord2 are (block, index) pairs; giving coord2 means the mixed
-    second derivative. engine "dual" is exact to rounding; engine "fd"
-    uses central differences with step cbrt(machine eps) * max(1, |coord|).
+    second derivative.
     """
     if coord2 is not None:
         order = 2
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    if engine == "dual":
-        # seed only the coordinates asked for; the rest stay plain. A seeded
-        # float stays a float (as an array, ** would go through np.power);
-        # one more value, never read, carries p's probe shape into the jet
-        pair = [coord] if coord2 in (None, coord) else [coord, coord2]
+    # seed only the coordinates asked for; the rest stay plain. A seeded
+    # float stays a float (as an array, ** would go through np.power); one
+    # more value, never read, carries p's probe shape into the jet
+    pair = [coord] if coord2 in (None, coord) else [coord, coord2]
 
-        def at(seeds):
-            q = p
-            for c, s in zip(pair, seeds):
-                q = q.with_coord(c, s)
-            return [f(q)]
+    def at(seeds):
+        q = p
+        for c, s in zip(pair, seeds):
+            q = q.with_coord(c, s)
+        return [f(q)]
 
-        eye = np.eye(len(pair) + 1)
-        _, d1, d12 = duals.jet(
-            at, [p.coord(c) for c in pair]
-            + [np.broadcast_to(0.0, _probe_shape(p))],
-            eye[0], None if order == 1 else eye[len(pair) - 1])
-        return _check_finite((d1 if order == 1 else d12)[0], "derivative")
-    if engine != "fd":
-        raise ValueError(f"unknown engine {engine!r}")
-    c1 = coord
-    v1 = p.coord(c1)
-    h1 = _fd_step(value(v1))
-    if order == 1:
-        out = (f(p.with_coord(c1, v1 + h1)) - f(p.with_coord(c1, v1 - h1))) / (2 * h1)
-        return _check_finite(out, "derivative")
-    c2 = coord2 or c1
-    if c2 == c1:
-        out = (f(p.with_coord(c1, v1 + h1)) - 2 * f(p)
-               + f(p.with_coord(c1, v1 - h1))) / (h1 * h1)
-        return _check_finite(out, "derivative")
-    v2 = p.coord(c2)
-    h2 = _fd_step(value(v2))
-    pp = f(p.with_coord(c1, v1 + h1).with_coord(c2, v2 + h2))
-    pm = f(p.with_coord(c1, v1 + h1).with_coord(c2, v2 - h2))
-    mp = f(p.with_coord(c1, v1 - h1).with_coord(c2, v2 + h2))
-    mm = f(p.with_coord(c1, v1 - h1).with_coord(c2, v2 - h2))
-    out = (pp - pm - mp + mm) / (4 * h1 * h2)
-    return _check_finite(out, "derivative")
+    eye = np.eye(len(pair) + 1)
+    _, d1, d12 = duals.jet(
+        at, [p.coord(c) for c in pair]
+        + [np.broadcast_to(0.0, _probe_shape(p))],
+        eye[0], None if order == 1 else eye[len(pair) - 1])
+    return _check_finite((d1 if order == 1 else d12)[0], "derivative")
 
 
 def _ito_jet(fvec, proc, p):
@@ -284,48 +251,20 @@ def ito_laplacian(f, sys, p):
     return ito_laplacian_components(lambda q: [f(q)], sys, p)[0]
 
 
-def _field_jet(F, p, engine="dual"):
-    """Values and Jacobian of the vector field F at p, each evaluation of F
-    shared by all of its components.
+def _field_jet(F, p):
+    """Values and Jacobian of the vector field F at p, from one
+    vector-seeded pass (_gradients).
 
     Returns (vals, jac) at full shape: vals[a] is component a and jac[a, b]
     is d(component a)/d(coordinate b), coordinates in extended_coords(p)
-    order, then p's probe axes. engine "dual" reads both from one
-    vector-seeded pass (_gradients). engine "fd" evaluates F at p and at
-    p +- h along each coordinate (2 evaluations per coordinate) and takes
-    central differences with step cbrt(machine eps) * max(1, |coord|). A
-    difference that is not finite, or a coordinate along which F leaves its
-    domain (EvaluationDomainError, recorded as NaN), is left for _contract
-    to drop or reject. A field without one component per coordinate raises
-    DimensionMismatch.
+    order, then p's probe axes. A Jacobian entry that is not finite is left
+    for _contract to drop or reject. A field without one component per
+    coordinate raises DimensionMismatch.
     """
-    coords = extended_coords(p)
-    n = len(coords)
-    shape = _probe_shape(p)
-    if engine == "dual":
-        vals, jac = _gradients(F, p)
-    elif engine == "fd":
-        vals = [value(c) for c in F(p)]
-        rows = [[] for _ in vals]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for c in coords:
-                v = p.coord(c)
-                h = _fd_step(value(v))
-                try:
-                    diffs = [(u - d) / (2 * h) for u, d in zip(
-                        F(p.with_coord(c, v + h)), F(p.with_coord(c, v - h)))]
-                except EvaluationDomainError:
-                    diffs = [np.nan] * len(vals)
-                for row, d in zip(rows, diffs):
-                    row.append(d)
-        vals = duals._stacked(vals, shape)
-        jac = duals._stacked([duals._stacked(row, shape) for row in rows],
-                             (n,) + shape)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    if len(vals) != n:
-        raise DimensionMismatch(
-            f"vector field has {len(vals)} components for {n} coordinates")
+    vals, jac = _gradients(F, p)
+    if len(vals) != jac.shape[1]:
+        raise DimensionMismatch(f"vector field has {len(vals)} components "
+                                f"for {jac.shape[1]} coordinates")
     return vals, jac
 
 
@@ -359,17 +298,14 @@ def _contract(vals, jac, left, right):
     return _check_finite(out, "lie_bracket")
 
 
-def lie_bracket(X, Y, p, engine="dual"):
+def lie_bracket(X, Y, p):
     """Commutator [X, Y] = (X . grad) Y - (Y . grad) X at p.
 
     X and Y are vector fields over extended_coords(p); the result is a list
     in that same coordinate order. Each field's jet (values and Jacobian) is
-    taken once by _field_jet, then the two jets are contracted by _contract.
-    engine "dual" evaluates each field once, seeded along every coordinate;
-    engine "fd" evaluates each field at p and at p +- h along every
-    coordinate (2N + 1 evaluations for N coordinates) and takes central
-    differences. A field without N components raises DimensionMismatch.
+    taken once by _field_jet, from one evaluation seeded along every
+    coordinate, then the two jets are contracted by _contract. A field
+    without one component per coordinate raises DimensionMismatch.
     """
-    vals, jac = map(np.stack, zip(*(_field_jet(F, p, engine)
-                                    for F in (X, Y))))
+    vals, jac = map(np.stack, zip(*(_field_jet(F, p) for F in (X, Y))))
     return list(_contract(vals, jac, [0], [1])[0])

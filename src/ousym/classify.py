@@ -28,7 +28,7 @@ import numpy as np
 
 from . import duals
 from .calculus import _contract, _field_jet, sample_probes, stack_probes
-from .errors import CertificationFailed, NotDiagonalizable
+from .errors import CertificationFailed, NonFiniteResult, NotDiagonalizable
 from .model import classify_force
 from .symmetry import (ExpDecay, InvariantCandidate, SymmetryGenerator,
                        Translation, _component, _drift_jet, _family_json,
@@ -110,8 +110,12 @@ def classify_invariants(sys, probes=None):
         gens = [InvariantCandidate.chi(sys, i) for i in range(1, sys.n + 1)]
         p = stack_probes(probes)
         for g in gens:
-            # what overflows fails the gate below
-            worst = _max_abs(invariant_residual(g, sys, p))
+            # what overflows fails the gate below, and so does a Laplacian
+            # that is not finite (NaN where c = F(0) is undefined)
+            try:
+                worst = _max_abs(invariant_residual(g, sys, p))
+            except NonFiniteResult:
+                worst = np.nan
             if not worst <= CERT_TOL_INVARIANT:
                 raise CertificationFailed(
                     f"{g.label} failed invariance certification: "

@@ -23,7 +23,7 @@ import sys
 from . import classify as _classify
 from . import integrate, model
 from .calculus import sample_probes
-from .errors import OusymError
+from .errors import InvalidGrid, OusymError
 from .expressions import parse_expression
 from .symmetry import SymmetryGenerator, _max_abs, max_residuals
 
@@ -258,6 +258,10 @@ def _cmd_path(solver):
 
 
 def _cmd_converge(args):
+    # the finest grid, base_steps * 2**(ladder - 1) * refine steps, is sized
+    # by its bit length, so that no rung of a refused ladder is formed
+    if (args.base_steps * args.refine).bit_length() + args.ladder > 64:
+        raise InvalidGrid(f"ladder {args.ladder} needs over 2**63 - 1 steps")
     sys_ = _load_system(args.system)
     x0 = _parse_x0(args.x0, sys_.n)
     ladder = [args.base_steps * (2 ** k) for k in range(args.ladder)]

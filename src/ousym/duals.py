@@ -116,25 +116,21 @@ class HyperDual:
     # branches on a coordinate (if x < 0: ...) works on seeded points.
 
     def __lt__(self, other):
-        return self.f < _value(other)
+        return self.f < value(other)
 
     def __le__(self, other):
-        return self.f <= _value(other)
+        return self.f <= value(other)
 
     def __gt__(self, other):
-        return self.f > _value(other)
+        return self.f > value(other)
 
     def __ge__(self, other):
-        return self.f >= _value(other)
-
-
-def _value(x):
-    return x.f if isinstance(x, HyperDual) else x
+        return self.f >= value(other)
 
 
 def value(x):
     """Value part of a scalar-or-HyperDual."""
-    return _value(x)
+    return x.f if isinstance(x, HyperDual) else x
 
 
 def jet(fn, values, e1, e2=None):
@@ -163,7 +159,7 @@ def jet(fn, values, e1, e2=None):
                                () if e2 is None else e2.shape[:-1])
     out = fn([HyperDual(v, e1[..., a], 0.0 if e2 is None else e2[..., a], 0.0)
               for a, v in enumerate(values)])
-    return (_stacked([_value(c) for c in out], full[len(full) - len(probe):]),
+    return (_stacked([value(c) for c in out], full[len(full) - len(probe):]),
             _stacked([getattr(c, "f1", 0.0) for c in out], full),
             None if e2 is None else
             _stacked([getattr(c, "f12", 0.0) for c in out], full))
@@ -223,7 +219,7 @@ def power(a, b):
 
 
 def log(x):
-    if np.any(_value(x) <= 0.0):
+    if np.any(value(x) <= 0.0):
         raise EvaluationDomainError("log argument must be positive")
     if isinstance(x, HyperDual):
         inv = 1.0 / x.f
@@ -232,7 +228,7 @@ def log(x):
 
 
 def sqrt(x):
-    if np.any(_value(x) < 0.0):
+    if np.any(value(x) < 0.0):
         raise EvaluationDomainError("sqrt argument must be nonnegative")
     if isinstance(x, HyperDual):
         v = np.sqrt(x.f)

@@ -15,6 +15,8 @@ from ousym import duals
 from ousym.calculus import _gradients, ito_laplacian_components
 from ousym.errors import DimensionMismatch
 
+from oracles import fd_derivative, fd_lie_bracket
+
 
 def _sys(n=1, beta=(1.0,), mu=(1.0,), c=(0.0,)):
     return build_ou_system(n, list(beta), list(mu), ConstantForce(list(c)))
@@ -57,11 +59,11 @@ def test_dual_and_fd_engines_agree():
         return duals.sin(q.x[0] * q.v[0]) + duals.exp(-q.t) * q.w[0]
 
     for c in [("x", 0), ("v", 0), ("t", 0), ("w", 0)]:
-        d_dual = derivative(f, p, c, engine="dual")
-        d_fd = derivative(f, p, c, engine="fd")
+        d_dual = derivative(f, p, c)
+        d_fd = fd_derivative(f, p, c)
         assert d_fd == pytest.approx(d_dual, rel=1e-6, abs=1e-8)
-    d2_dual = derivative(f, p, ("x", 0), coord2=("v", 0), engine="dual")
-    d2_fd = derivative(f, p, ("x", 0), coord2=("v", 0), engine="fd")
+    d2_dual = derivative(f, p, ("x", 0), coord2=("v", 0))
+    d2_fd = fd_derivative(f, p, ("x", 0), coord2=("v", 0))
     assert d2_fd == pytest.approx(d2_dual, rel=1e-4, abs=1e-6)
 
     # a nonlinear field in every block at n=3, anisotropic beta/mu, on a
@@ -80,15 +82,15 @@ def test_dual_and_fd_engines_agree():
 
     _, (grad,) = _gradients(lambda q: [g(q)], stacked)
     for b, c in enumerate(extended_coords(stacked)):
-        fd = derivative(g, stacked, c, engine="fd")
-        assert np.allclose(derivative(g, stacked, c, engine="dual"), fd,
+        fd = fd_derivative(g, stacked, c)
+        assert np.allclose(derivative(g, stacked, c), fd,
                            rtol=1e-6, atol=1e-8)
         assert np.allclose(grad[b], fd, rtol=1e-6, atol=1e-8)
     lap_fd = 0.0
     for i in range(3):
         w, v, z = ("w", i), ("v", i), ("z", i)
         lap_fd = lap_fd + sum(
-            coef * derivative(g, stacked, a, coord2=b, engine="fd")
+            coef * fd_derivative(g, stacked, a, coord2=b)
             for coef, a, b in ((1.0, w, w), (1.0, z, z), (2.0 * mu[i], v, w),
                                (mu[i] ** 2, v, v)))
     assert np.allclose(ito_laplacian(g, sys3, stacked), lap_fd,
@@ -109,10 +111,10 @@ def test_dual_and_fd_engines_agree():
         for j in range(3):
             xj = ("x", j)
             assert J[i, j] == pytest.approx(
-                derivative(comp(i), at, xj, engine="fd"), rel=1e-6, abs=1e-8)
+                fd_derivative(comp(i), at, xj), rel=1e-6, abs=1e-8)
             for k in range(3):
                 assert H[i][j, k] == pytest.approx(
-                    derivative(comp(i), at, xj, coord2=("x", k), engine="fd"),
+                    fd_derivative(comp(i), at, xj, coord2=("x", k)),
                     rel=1e-4, abs=1e-4)
     # stacked probe columns give every probe's Jacobian and Hessians at once,
     # each equal to its own single-point result and exactly symmetric
@@ -174,9 +176,9 @@ def test_ito_laplacian_on_custom_process():
         stacked = stack_probes(sample_probes(proc, count=6, seed=3,
                                              box=(0.2, 2.0)))
         s = sigma(stacked.x[0])
-        oracle = (s * s * derivative(f, stacked, x, order=2, engine="fd")
-                  + 2.0 * s * derivative(f, stacked, x, coord2=w, engine="fd")
-                  + derivative(f, stacked, w, order=2, engine="fd"))
+        oracle = (s * s * fd_derivative(f, stacked, x, order=2)
+                  + 2.0 * s * fd_derivative(f, stacked, x, coord2=w)
+                  + fd_derivative(f, stacked, w, order=2))
         assert np.allclose(ito_laplacian(f, proc, stacked), oracle,
                            rtol=1e-4, atol=1e-6)
 
@@ -253,7 +255,7 @@ def test_lie_bracket_antisymmetry_and_jacobi():
     # Jacobi via nested numerical brackets (fd on the outer level)
     def bracket_field(A, B):
         def F(p):
-            return lie_bracket(A, B, p, engine="dual")
+            return lie_bracket(A, B, p)
         return F
 
     # vector-seeded brackets at stacked probes against central differences
@@ -261,17 +263,17 @@ def test_lie_bracket_antisymmetry_and_jacobi():
     probes = sample_probes(sys1, count=6, seed=8)
     stacked = stack_probes(probes)
     for A, B in ((X, Y), (Y, Z), (Z, X)):
-        dual = lie_bracket(A, B, stacked, engine="dual")
-        fd = lie_bracket(A, B, stacked, engine="fd")
+        dual = lie_bracket(A, B, stacked)
+        fd = fd_lie_bracket(A, B, stacked)
         for d, e in zip(dual, fd):
             assert np.allclose(d, e, rtol=1e-6, atol=1e-8)
         pointwise = np.array([as_floats(lie_bracket(A, B, q))
                               for q in probes]).T
         assert np.allclose(np.array(dual), pointwise, rtol=1e-14, atol=1e-15)
 
-    j1 = as_floats(lie_bracket(X, bracket_field(Y, Z), p0, engine="fd"))
-    j2 = as_floats(lie_bracket(Y, bracket_field(Z, X), p0, engine="fd"))
-    j3 = as_floats(lie_bracket(Z, bracket_field(X, Y), p0, engine="fd"))
+    j1 = as_floats(fd_lie_bracket(X, bracket_field(Y, Z), p0))
+    j2 = as_floats(fd_lie_bracket(Y, bracket_field(Z, X), p0))
+    j3 = as_floats(fd_lie_bracket(Z, bracket_field(X, Y), p0))
     assert np.max(np.abs(j1 + j2 + j3)) < 1e-5
 
 
@@ -313,7 +315,7 @@ def test_infinite_partial_stays_in_its_own_coordinate():
         dual = lie_bracket(X, Y, stacked)
     assert grad[ix].tolist() == [-1.3, 0.1]
     assert grad[coords.index(("x", 1))][0] == np.inf
-    fd = lie_bracket(X, Y, stacked, engine="fd")
+    fd = fd_lie_bracket(X, Y, stacked)
     for d, e in zip(dual, fd):
         assert np.allclose(d, e, rtol=1e-6, atol=1e-8)
 
@@ -336,7 +338,7 @@ def test_lie_bracket_engines_agree_on_dense_fields():
         return [duals.exp(-0.2 * c[(a + 2) % nc]) * c[a] for a in range(nc)]
 
     dual = np.array(lie_bracket(X, Y, stacked))
-    fd = np.array(lie_bracket(X, Y, stacked, engine="fd"))
+    fd = np.array(fd_lie_bracket(X, Y, stacked))
     assert dual.shape == (nc, 5)
     assert np.min(np.max(np.abs(dual), axis=1)) > 1e-2
     assert np.allclose(fd, dual, rtol=1e-6, atol=1e-8)
@@ -344,7 +346,8 @@ def test_lie_bracket_engines_agree_on_dense_fields():
 
 
 def test_lie_bracket_rejects_wrong_component_count():
-    # a field with one component too few is a shape error for either engine
+    # a field with one component too few is a shape error, for the library
+    # and for the central-difference oracle alike
     p = point(x=[0.8, -0.2], v=[0.1, 0.5], t=0.2, w=[0.4, 0.3])
     nc = len(extended_coords(p))
 
@@ -355,14 +358,12 @@ def test_lie_bracket_rejects_wrong_component_count():
         return [q.x[0]] + [0.0] * (nc - 2)
 
     stacked = stack_probes([p, point(x=[0.2, 0.5], v=[0.1, 0.0])])
-    for engine in ("dual", "fd"):
+    for bracket in (lie_bracket, fd_lie_bracket):
         for q in (p, stacked):
             with pytest.raises(DimensionMismatch):
-                lie_bracket(full, short, q, engine=engine)
+                bracket(full, short, q)
             with pytest.raises(DimensionMismatch):
-                lie_bracket(short, full, q, engine=engine)
-    with pytest.raises(ValueError):
-        lie_bracket(full, full, p, engine="spline")
+                bracket(short, full, q)
 
 
 def test_sample_probes_shape_and_range():
@@ -466,7 +467,7 @@ def test_dual_derivative_of_powers_and_abs_matches_fd(text):
     for x in (-0.8, 0.6, 1.3):
         p = point(x=[x], v=[0.0])
         d_dual = derivative(f, p, ("x", 0))
-        d_fd = derivative(f, p, ("x", 0), engine="fd")
+        d_fd = fd_derivative(f, p, ("x", 0))
         assert d_fd == pytest.approx(d_dual, rel=1e-6, abs=1e-8)
 
 
@@ -490,6 +491,6 @@ def test_lie_bracket_engines_agree_with_a_wiener_matrix():
     probes = [q.with_coord(("z", 0), 0.6 - q.x[0]) for q in probes]
     for p in (probes[0], stack_probes(probes)):
         dual = np.array(lie_bracket(fx, fy, p))
-        fd = np.array(lie_bracket(fx, fy, p, engine="fd"))
+        fd = np.array(fd_lie_bracket(fx, fy, p))
         assert np.max(np.abs(dual[-2:])) > 1e-2
         assert np.allclose(fd, dual, rtol=1e-6, atol=1e-8)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import time
 import warnings
 
 import pytest
@@ -362,7 +363,8 @@ def test_invariants_follow_the_force_class_not_its_type(tmp_path, capsys,
 def test_a_force_undefined_at_the_origin_exits_cleanly(tmp_path, capsys,
                                                        command, expected):
     # x1/x1 is the constant 1 at every probe and 0/0 at the origin, where
-    # chi reads c: the chi then fails certification, with no warning
+    # chi reads c: the chi then fails certification by name, its NaN
+    # Laplacian counted as a failed condition, with no warning
     system = write_system(tmp_path, "odd.json", {
         "n": 1, "beta": [1.0], "mu": [1.0],
         "force": {"type": "expr", "components": ["x1/x1"]}})
@@ -373,7 +375,8 @@ def test_a_force_undefined_at_the_origin_exits_cleanly(tmp_path, capsys,
     if expected == 0:
         assert json.loads(out)["case_tag"] == "ConstantModule"
     else:
-        assert out == "" and err.startswith("error: ")
+        assert out == "" and err == (
+            "error: chi1 failed invariance certification: nan > 1.0e-10\n")
 
 
 def test_verify_scales_by_the_chi_of_a_linear_force(tmp_path, capsys):
@@ -689,6 +692,35 @@ def test_refused_allocation_exits_one(linear_system, capsys, monkeypatch):
                          "--paths", "10000000000000", "--ladder", "1")
     assert code == 1 and out == ""
     assert err.startswith("error: MemoryError: Unable to allocate 72.8 TiB")
+
+
+@pytest.mark.parametrize("base, refine, ladder, refused", [
+    (8, 64, 54, False), (8, 64, 55, True), (3, 3, 60, False),
+    (3, 3, 61, True), (8, 64, 10 ** 30, True)])
+def test_ladder_is_sized_before_its_rungs_are_formed(
+        linear_system, capsys, monkeypatch, base, refine, ladder, refused):
+    # the finest grid, base * 2**(ladder - 1) * refine steps, may hold at
+    # most 2**63 - 1 steps; the check reads bit lengths, so a huge ladder
+    # is refused at once, with no rung formed
+    rungs = []
+
+    def record(problem, x0, t0, t1, ladder_steps, **_):
+        rungs.append(ladder_steps)
+        raise MemoryError("recorded")
+
+    monkeypatch.setattr(cli.integrate, "convergence_study", record)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "converge", "--system", linear_system,
+                         "--base-steps", str(base), "--refine", str(refine),
+                         "--ladder", str(ladder))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    if refused:
+        assert rungs == []
+        assert err == f"error: ladder {ladder} needs over 2**63 - 1 steps\n"
+    else:
+        assert rungs[0][-1] * refine <= 2 ** 63 - 1
+        assert rungs[0][-1] * refine * 2 > 2 ** 63 - 1
 
 
 def test_bad_expression_reports_offset(tmp_path, capsys):

@@ -70,6 +70,31 @@ def test_residuals_read_one_ito_jet_per_object():
             field), field
 
 
+def test_differentiation_has_one_engine():
+    # hyper-duals only: no engine switch, no finite-difference step and no
+    # domain-error fallback in the library; the central differences are a
+    # test oracle (tests/oracles.py)
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                a = node.args
+                params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+                assert "engine" not in params, (path.name, node.lineno)
+            name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or getattr(node, "name", None))
+            assert name not in ("_fd_step", "_CBRT_EPS"), path.name
+    calculus = ast.parse((SRC / "calculus.py").read_text())
+    imported = {alias.name for node in ast.walk(calculus)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "EvaluationDomainError" not in imported
+    # _field_jet reads the Jacobian from _gradients and checks its shape
+    field_jet = next(top for top in calculus.body
+                     if getattr(top, "name", None) == "_field_jet")
+    assert {ast.unparse(node.func) for node in ast.walk(field_jet)
+            if isinstance(node, ast.Call)} == {"_gradients", "len",
+                                                "DimensionMismatch"}
+
+
 def test_coordinates_are_seeded_only_through_jet():
     # the calculus jets, derivative(), the force's derivatives and the
     # structure check's scaling partials; nothing else seeds coordinates
