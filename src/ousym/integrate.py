@@ -28,7 +28,11 @@ and serve both the adapters and solve_reference_problem.
 Each rejection rule is written once. Every exact OU path, one grid or a
 study's batch, passes _guarded, which applies the blow-up guard and
 IMAG_TOL together: a single solve raises NonFiniteState where a study
-skips the path. Every integer argument (steps, n_proc, seed, path_index,
+skips the path. The exact OU solvers yield their paths in time windows of
+about WINDOW_VALUES values (_windows); _guarded folds the guard and the
+leakage over the windows and keeps every state for a single solve but
+only the terminal states for a study, so a study never builds a block's
+whole path. Every integer argument (steps, n_proc, seed, path_index,
 path counts, rungs, factors) is judged by model._is_count; seed and
 path_index are the two 64-bit words of a Philox key, so each is also
 below 2**64.
@@ -49,6 +53,9 @@ BLOWUP_GUARD = 1e12
 IMAG_TOL = 1e-10
 # fine increments drawn at once by convergence_study; bounds its memory
 BLOCK_VALUES = 1 << 19
+# values (paths * n * steps) an exact path is built from at once: the
+# exact solvers stream the path over time windows of this size
+WINDOW_VALUES = 1 << 15
 # paths stepped at once by euler_maruyama_ensemble
 ENSEMBLE_PATHS = 2048
 
@@ -96,11 +103,20 @@ class WienerGrid:
         return _cumulative(self.increments)
 
 
-def _cumulative(inc):
-    """Running sums (..., steps + 1) of increments (..., steps), from 0."""
-    out = np.zeros(inc.shape[:-1] + (inc.shape[-1] + 1,))
-    np.cumsum(inc, axis=-1, out=out[..., 1:])
-    return out
+def _cumulative(inc, start=None):
+    """Running sums (..., steps + 1) of increments (..., steps), left to
+    right, from 0; or, for a window of steps that continues a longer sum,
+    from start, the running sum that ends the window before. start goes in
+    as the first entry of the cumsum, so every sum is added in the order of
+    one cumsum over all steps and has its bits."""
+    out = np.empty(inc.shape[:-1] + (inc.shape[-1] + 1,), dtype=inc.dtype)
+    if start is None:
+        out[..., 0] = 0.0
+        np.cumsum(inc, axis=-1, out=out[..., 1:])
+        return out
+    out[..., 0] = start
+    out[..., 1:] = inc
+    return np.cumsum(out, axis=-1, out=out)
 
 
 def _philox_increments(n_proc, t0, t1, steps, seed, indices):
@@ -116,10 +132,19 @@ def _philox_increments(n_proc, t0, t1, steps, seed, indices):
     if not (_is_count(seed, 0) and seed < 2 ** 64):
         raise InvalidGrid(f"seed must be an int in [0, 2**64), got {seed!r}")
     out = np.empty((len(indices), int(n_proc), int(steps)))
+    # one bit generator, set to each path's key with counter 0 and an empty
+    # buffer: Philox(key=...) would first seed a SeedSequence from OS
+    # entropy, once per path, only to discard it
+    bits = np.random.Philox(0)
+    gen = np.random.Generator(bits)
     for row, idx in zip(out, indices):
-        # a uint64 key: from a list, numpy makes keys >= 2**63 float64
-        key = np.array([seed, idx], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
+        bits.state = {
+            "bit_generator": "Philox",
+            # a uint64 key: from a list, numpy makes keys >= 2**63 float64
+            "state": {"counter": np.zeros(4, dtype=np.uint64),
+                      "key": np.array([seed, idx], dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
         gen.standard_normal(out=row)
     out *= np.sqrt((t1 - t0) / steps)
     return out
@@ -395,9 +420,7 @@ def ito_integral(a, grid, proc=0):
             raise TypeError
     except (TypeError, ValueError):
         vals = np.array([float(a(t)) for t in ts])
-    out = np.zeros(grid.steps + 1)
-    np.cumsum(vals * grid.increments[proc], out=out[1:])
-    return out
+    return _cumulative(vals * grid.increments[proc])
 
 
 # --- exact solvers ---
@@ -410,24 +433,64 @@ def _one_path(n, grid):
     return grid.increments[None]
 
 
-def _guarded(exact_paths, sys, x0, t, inc, strict=True):
+def _windows(steps, per_step):
+    """The time windows an exact path is built in: row ranges (k0, k1) that
+    cover the states 0..steps in order. Window k0..k1 - 1 takes the steps
+    k0..min(k1, steps) - 1; per_step is the values one step holds (paths *
+    n, 0 for an empty batch), so a window holds about WINDOW_VALUES values.
+
+    Window starts are multiples of a power of two, at least 16, so every
+    column of a window product (M @ q, Minv @ dW) keeps its place modulo
+    BLAS's unrolling and rounds as in one product over the whole path; a
+    last window of one step joins the window before it, since a one-column
+    product goes to gemv and rounds differently."""
+    width = 1 << max(4, (WINDOW_VALUES // max(per_step, 1)).bit_length() - 1)
+    starts = list(range(0, steps, width))
+    if len(starts) > 1 and steps - starts[-1] < 2:
+        del starts[-1]
+    return list(zip(starts, starts[1:] + [steps + 1]))
+
+
+def _guarded(exact_paths, sys, x0, t, inc, strict=True, whole=True):
     """exact_paths(sys, x0, t, inc) under the one rule that rejects an exact
-    path. Returns the states, each path's leakage and the (paths,) mask of
+    path. exact_paths yields the path in time windows (k0, k1, x, v, leak):
+    the states of rows k0..k1 - 1 as x and v (paths, k1 - k0, n) and the
+    window's largest imaginary part per path (paths,) or 0.0. The guard and
+    the leakage are folded over the windows, so the states are kept only as
+    asked: every state (paths, steps + 1, 2n) when whole, else the terminal
+    states (paths, 2n) alone.
+
+    Returns those states, each path's leakage and the (paths,) mask of
     rejected paths. A path is rejected when it fails max |state| <=
     BLOWUP_GUARD (NaN fails it; its leakage is set to inf) or when its
     leakage is not within IMAG_TOL, read at call time; a study skips it,
     and strict raises NonFiniteState instead. numpy does not warn, and a
     Python-float overflow, or a division by a square that underflows to
     zero, raises NonFiniteState as well."""
+    paths, n = inc.shape[:2]
+    rows = t.shape[0]
+    states = np.empty((paths, rows, 2 * n) if whole else (paths, 2 * n))
+    hi = np.full(paths, -np.inf)
+    lo = np.full(paths, np.inf)
+    leak = np.zeros(paths)
     try:
         with np.errstate(all="ignore"):
-            states, leak = exact_paths(sys, x0, t, inc)
+            for k0, k1, x, v, part in exact_paths(sys, x0, t, inc):
+                for s in (x, v):
+                    # NaN propagates through both, and fails the guard
+                    hi = np.maximum(hi, s.max(axis=(1, 2)))
+                    lo = np.minimum(lo, s.min(axis=(1, 2)))
+                leak = np.maximum(leak, part)
+                if whole:
+                    states[:, k0:k1, :n] = x
+                    states[:, k0:k1, n:] = v
+                elif k1 == rows:
+                    states[:, :n] = x[:, -1]
+                    states[:, n:] = v[:, -1]
     except (OverflowError, ZeroDivisionError):
         # 1e300 ** 2 overflows; c / b ** 2 divides by zero when b ** 2 = 0.0
         raise NonFiniteState("exact solution leaves the float range") from None
-    # NaN fails both comparisons
-    ok = ((states.max(axis=(1, 2)) <= BLOWUP_GUARD)
-          & (states.min(axis=(1, 2)) >= -BLOWUP_GUARD))
+    ok = (hi <= BLOWUP_GUARD) & (lo >= -BLOWUP_GUARD)
     if strict and not ok.all():
         raise NonFiniteState("exact path is NaN or beyond BLOWUP_GUARD")
     leak = np.where(ok, leak, np.inf)
@@ -439,26 +502,42 @@ def _guarded(exact_paths, sys, x0, t, inc, strict=True):
 
 
 def _exact_constant_paths(sys, x0, t, inc):
-    """Constant-force states (paths, steps + 1, 2n) on the times t, from
-    increments (paths, n, steps). Real arithmetic: the leakage is zero."""
+    """Constant-force states on the times t, from increments
+    (paths, n, steps), in the time windows of _guarded. Real arithmetic:
+    the leakage is zero."""
     if not isinstance(sys.force, ConstantForce):
         raise WrongForceClass("exact_solve_constant needs a constant force")
     n = sys.n
     x, v = _split_state(n, x0)
-    states = np.empty((inc.shape[0], t.shape[0], 2 * n))
+    paths, _, steps = inc.shape
+    comps = []
     for i in range(n):
         b, m, c = sys.beta[i], sys.mu[i], sys.force.c[i]
-        # I(t_k) = sum_{j<k} exp(b t_j) dw_j, the quadrature for z
-        integ = _cumulative(np.exp(b * t[:-1]) * inc[:, i])
-        z0 = -np.exp(b * t[0]) / b * v[i]
-        y0 = x[i] + v[i] / b
-        z = z0 - (c / b ** 2) * (np.exp(b * t) - np.exp(b * t[0])) \
-            - (m / b) * integ
-        y = y0 + (c / b) * (t - t[0]) + (m / b) * _cumulative(inc[:, i])
-        vi = -b * np.exp(-b * t) * z
-        states[:, :, n + i] = vi
-        states[:, :, i] = y - vi / b
-    return states, np.zeros(inc.shape[0])
+        # z0, y0, the exponential at t0 and the three coefficients
+        comps.append((b, -np.exp(b * t[0]) / b * v[i], x[i] + v[i] / b,
+                      np.exp(b * t[0]), c / b ** 2, c / b, m / b))
+    # running sums that end the window before: I (below) and w, per i
+    ends = [[None, None] for _ in range(n)]
+    for k0, k1 in _windows(steps, paths * n):
+        tr, ts, r = t[k0:k1], t[k0:min(k1, steps)], k1 - k0
+        xs = np.empty((paths, r, n))
+        vs = np.empty((paths, r, n))
+        for i, (b, z0, y0, e0, cz, cy, mb) in enumerate(comps):
+            dw = inc[:, i, k0:min(k1, steps)]
+            # I(t_k) = sum_{j<k} exp(b t_j) dw_j, the quadrature for z
+            integ = _cumulative(np.exp(b * ts) * dw, ends[i][0])
+            w = _cumulative(dw, ends[i][1])
+            ends[i] = [integ[:, -1].copy(), w[:, -1].copy()]
+            # in place, operand for operand:
+            # z = z0 - cz (exp(b t) - exp(b t0)) - mb I,
+            # y = y0 + cy (t - t0) + mb w, v = -b exp(-b t) z, x = y - v / b
+            z = np.multiply(mb, integ[:, :r], out=integ[:, :r])
+            np.subtract(z0 - cz * (np.exp(b * tr) - e0), z, out=z)
+            y = np.multiply(mb, w[:, :r], out=w[:, :r])
+            np.add(y0 + cy * (tr - t[0]), y, out=y)
+            vi = np.multiply(-b * np.exp(-b * tr), z, out=vs[:, :, i])
+            np.subtract(y, np.divide(vi, b, out=z), out=xs[:, :, i])
+        yield k0, k1, xs, vs, 0.0
 
 
 def exact_solve_constant(sys, x0, grid):
@@ -477,20 +556,24 @@ def exact_solve_constant(sys, x0, grid):
                 meta=_grid_meta(grid, "exact-rectified"))
 
 
-def _mode_quadrature(y0, a, dw):
-    """One mode branch (paths, steps + 1): y0, then y0 plus the running
-    sums of a * dw along the steps of dw (paths, steps)."""
-    y = np.empty((dw.shape[0], dw.shape[1] + 1), dtype=np.result_type(a, dw))
-    y[:, 0] = y0
-    np.cumsum(a * dw, axis=1, out=y[:, 1:])
-    y[:, 1:] += y0
-    return y
+def _mode_quadrature(y0, a, dw, start=None):
+    """One mode branch over one window of steps, (paths, steps + 1): y0
+    plus the running sums of a * dw (paths, steps), continued from start,
+    the raw running sum that ends the window before (None on the first
+    window, where the branch starts at y0 itself). Returns the branch and
+    the raw running sum that ends this window."""
+    raw = _cumulative(a * dw, start)
+    end = raw[:, -1].copy()
+    y = np.add(raw, y0, out=raw)
+    if start is None:
+        y[:, 0] = y0
+    return y, end
 
 
 def _exact_linear_paths(sys, x0, t, inc):
-    """Eigenmode states (paths, steps + 1, 2n) on the times t, from
-    increments (paths, n, steps), and each path's largest imaginary part
-    over its whole path (paths,).
+    """Eigenmode states on the times t, from increments (paths, n, steps),
+    in the time windows of _guarded, with each window's largest imaginary
+    part per path.
 
     When the eigenvector matrix M, its inverse and the initial modes are
     real (every symmetric L, every L with a real spectrum), the modes run
@@ -528,47 +611,54 @@ def _exact_linear_paths(sys, x0, t, inc):
                 or p0.imag.any())
     if real:
         M, Minv = M.real, Minv.real
-    else:
-        inc = inc.astype(complex)
-    dW = Minv @ inc  # per-mode noise, (paths, n, steps)
-
-    q = np.empty((inc.shape[0], n, t.shape[0]), dtype=M.dtype)
-    p = np.empty_like(q)
+    modes = []
     for i in range(n):
         kp, km = mode_rates(beta, lams[i])
-        # complex exp even for a real mode: real exp rounds differently
         yp0 = np.exp(kp * t[0]) * (km * q0[i] + p0[i]) / (km - kp)
         ym0 = np.exp(km * t[0]) * (kp * q0[i] + p0[i]) / (kp - km)
-        ap = mu * np.exp(kp * t[:-1]) / (km - kp)
-        am = mu * np.exp(km * t[:-1]) / (kp - km)
-        ep = np.exp(-kp * t)
-        em = np.exp(-km * t)
-        if real and kp.imag != 0.0:
-            # conjugate pair: q = a + conj(a), p = -b - conj(b)
-            yp = _mode_quadrature(yp0, ap, dW[:, i])
-            a = (ep * yp).real
-            b = ((kp * ep) * yp).real
-            q[:, i] = a + a
-            p[:, i] = -b - b
-            continue
-        if real:
-            kp, km, yp0, ym0 = kp.real, km.real, yp0.real, ym0.real
-            ap, am, ep, em = ap.real, am.real, ep.real, em.real
-        yp = _mode_quadrature(yp0, ap, dW[:, i])
-        ym = _mode_quadrature(ym0, am, dW[:, i])
-        q[:, i] = ep * yp + em * ym
-        p[:, i] = -kp * ep * yp - km * em * ym
-    s_path = M @ q  # (paths, n, steps + 1)
-    v_path = M @ p
-    if real:
-        leak = np.zeros(inc.shape[0])
-    else:
-        leak = np.maximum(np.max(np.abs(s_path.imag), axis=(1, 2)),
-                          np.max(np.abs(v_path.imag), axis=(1, 2)))
-    states = np.empty((inc.shape[0], t.shape[0], 2 * n))
-    states[:, :, :n] = s_path.real.transpose(0, 2, 1) - shift
-    states[:, :, n:] = v_path.real.transpose(0, 2, 1)
-    return states, leak
+        modes.append((kp, km, yp0, ym0))
+    # raw running sums that end the window before, per mode and branch
+    ends = [[None, None] for _ in range(n)]
+    paths, _, steps = inc.shape
+    for k0, k1 in _windows(steps, paths * n):
+        tr, ts, r = t[k0:k1], t[k0:min(k1, steps)], k1 - k0
+        dw = inc[:, :, k0:min(k1, steps)]
+        dW = Minv @ (dw if real else dw.astype(complex))  # per-mode noise
+        q = np.empty((paths, n, r), dtype=M.dtype)
+        p = np.empty_like(q)
+        for i, (kp, km, yp0, ym0) in enumerate(modes):
+            # complex exp even for a real mode: real exp rounds differently
+            ap = mu * np.exp(kp * ts) / (km - kp)
+            ep = np.exp(-kp * tr)
+            if real and kp.imag != 0.0:
+                # conjugate pair: q = a + conj(a), p = -b - conj(b)
+                yp, ends[i][0] = _mode_quadrature(yp0, ap, dW[:, i],
+                                                  ends[i][0])
+                a = (ep * yp[:, :r]).real
+                b = ((kp * ep) * yp[:, :r]).real
+                np.add(a, a, out=q[:, i])
+                np.subtract(-b, b, out=p[:, i])
+                continue
+            am = mu * np.exp(km * ts) / (kp - km)
+            em = np.exp(-km * tr)
+            if real:
+                kp, km, yp0, ym0 = kp.real, km.real, yp0.real, ym0.real
+                ap, am, ep, em = ap.real, am.real, ep.real, em.real
+            yp, ends[i][0] = _mode_quadrature(yp0, ap, dW[:, i], ends[i][0])
+            ym, ends[i][1] = _mode_quadrature(ym0, am, dW[:, i], ends[i][1])
+            yp, ym = yp[:, :r], ym[:, :r]
+            # in place, operand for operand: q = ep yp + em ym and
+            # p = (-kp ep) yp - (km em) ym
+            np.add(ep * yp, em * ym, out=q[:, i])
+            np.subtract(np.multiply(-kp * ep, yp, out=yp),
+                        np.multiply(km * em, ym, out=ym), out=p[:, i])
+        s_path = M @ q  # (paths, n, r)
+        v_path = M @ p
+        leak = 0.0 if real else np.maximum(
+            np.max(np.abs(s_path.imag), axis=(1, 2)),
+            np.max(np.abs(v_path.imag), axis=(1, 2)))
+        yield (k0, k1, s_path.real.transpose(0, 2, 1) - shift,
+               v_path.real.transpose(0, 2, 1), leak)
 
 
 def exact_solve_linear(sys, x0, grid):
@@ -652,9 +742,9 @@ class OUConvergenceProblem(_ConvergenceProblem):
 
     def exact_terminals(self, x0, t0, t1, inc):
         t = np.linspace(t0, t1, inc.shape[2] + 1)
-        states, _, skip = _guarded(self._exact_paths, self.sys, x0, t, inc,
-                                   strict=False)
-        return states[:, -1], skip
+        term, _, skip = _guarded(self._exact_paths, self.sys, x0, t, inc,
+                                 strict=False, whole=False)
+        return term, skip
 
     def em_terminals(self, x0, t0, t1, inc):
         return _ou_em(self.sys, x0, t0, t1, inc, strict=False)
@@ -726,8 +816,12 @@ def convergence_study(problem, x0, t0, t1, ladder_steps, n_paths=200,
     whole (deterministically, by path index) and counted.
 
     Paths go in blocks of at most BLOCK_VALUES fine increments; the next
-    block is drawn while the current one runs, so peak memory is two
-    blocks (one with OUSYM_THREADS=1).
+    block is drawn while the current one runs, so two blocks of increments
+    are alive at once (one with OUSYM_THREADS=1). Beyond them, each rung
+    holds the coarsened copy of the block it steps, and the OU reference
+    streams over time windows of about WINDOW_VALUES values, keeping only
+    the terminal states, so it adds a few window-sized arrays; the GBM and
+    Kozlov references evaluate their closed forms along the whole block.
 
     problem is an adapter: it has n_proc, name and exact_terminals /
     em_terminals(x0, t0, t1, inc), which map increments

@@ -1,17 +1,27 @@
-"""Reference derivatives that the tests compare the library against.
+"""Reference implementations that the tests compare the library against.
 
-Central finite differences, with step cbrt(machine eps) * max(1, |coord|):
-independent of the hyper-dual engine, and accurate to about 1e-6 relative
-for first derivatives and 1e-4 for second ones, which is the tolerance the
-tests that call them use.
+Derivatives: central finite differences, with step
+cbrt(machine eps) * max(1, |coord|): independent of the hyper-dual engine,
+and accurate to about 1e-6 relative for first derivatives and 1e-4 for
+second ones, which is the tolerance the tests that call them use.
+
+Exact OU paths: the whole-array solvers exact_constant_paths and
+exact_linear_paths, which build every state of every path at once and
+return (states (paths, steps + 1, 2n), leakage (paths,)). The library
+streams the same arithmetic over time windows; the tests require its
+states and leakage to equal these bit for bit.
 """
 
 import numpy as np
 
 from ousym import duals
 from ousym.calculus import _contract, _probe_shape, extended_coords
+from ousym.classify import _eigenmodes, mode_rates
 from ousym.duals import value
-from ousym.errors import DimensionMismatch, EvaluationDomainError
+from ousym.errors import (DimensionMismatch, EvaluationDomainError,
+                          WrongForceClass)
+from ousym.integrate import _split_state
+from ousym.model import ConstantForce, LinearForce
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -77,3 +87,140 @@ def fd_lie_bracket(X, Y, p):
     contracts; a field without N components raises DimensionMismatch."""
     vals, jac = map(np.stack, zip(*(_fd_field_jet(F, p) for F in (X, Y))))
     return list(_contract(vals, jac, [0], [1])[0])
+
+
+# --- whole-array exact OU solvers ---
+
+def _cumulative(inc):
+    """Running sums (..., steps + 1) of increments (..., steps), from 0."""
+    out = np.zeros(inc.shape[:-1] + (inc.shape[-1] + 1,))
+    np.cumsum(inc, axis=-1, out=out[..., 1:])
+    return out
+
+
+def exact_constant_paths(sys, x0, t, inc):
+    """Constant-force states (paths, steps + 1, 2n) on the times t, from
+    increments (paths, n, steps). Real arithmetic: the leakage is zero."""
+    if not isinstance(sys.force, ConstantForce):
+        raise WrongForceClass("exact_solve_constant needs a constant force")
+    n = sys.n
+    x, v = _split_state(n, x0)
+    states = np.empty((inc.shape[0], t.shape[0], 2 * n))
+    for i in range(n):
+        b, m, c = sys.beta[i], sys.mu[i], sys.force.c[i]
+        # I(t_k) = sum_{j<k} exp(b t_j) dw_j, the quadrature for z
+        integ = _cumulative(np.exp(b * t[:-1]) * inc[:, i])
+        z0 = -np.exp(b * t[0]) / b * v[i]
+        y0 = x[i] + v[i] / b
+        z = z0 - (c / b ** 2) * (np.exp(b * t) - np.exp(b * t[0])) \
+            - (m / b) * integ
+        y = y0 + (c / b) * (t - t[0]) + (m / b) * _cumulative(inc[:, i])
+        vi = -b * np.exp(-b * t) * z
+        states[:, :, n + i] = vi
+        states[:, :, i] = y - vi / b
+    return states, np.zeros(inc.shape[0])
+
+
+def _mode_quadrature(y0, a, dw):
+    """One mode branch (paths, steps + 1): y0, then y0 plus the running
+    sums of a * dw along the steps of dw (paths, steps)."""
+    y = np.empty((dw.shape[0], dw.shape[1] + 1), dtype=np.result_type(a, dw))
+    y[:, 0] = y0
+    np.cumsum(a * dw, axis=1, out=y[:, 1:])
+    y[:, 1:] += y0
+    return y
+
+
+def exact_linear_paths(sys, x0, t, inc):
+    """Eigenmode states (paths, steps + 1, 2n) on the times t, from
+    increments (paths, n, steps), and each path's largest imaginary part
+    over its whole path (paths,).
+
+    When the eigenvector matrix M, its inverse and the initial modes are
+    real (every symmetric L, every L with a real spectrum), the modes run
+    in float64 and the leakage is exactly 0.0: a real mode takes the real
+    parts of its complex coefficients, and a conjugate pair is formed from
+    its + branch alone, its - branch being the bitwise conjugate. Otherwise
+    the modes run in complex arithmetic and the leakage is measured."""
+    if not isinstance(sys.force, LinearForce):
+        raise WrongForceClass("exact_solve_linear needs a linear force")
+    if not sys.isotropic:
+        raise WrongForceClass(
+            "the exact linear solver covers n = 1 or isotropic systems")
+    n = sys.n
+    x, v = _split_state(n, x0)
+    L = np.asarray(sys.force.L, dtype=float)
+    K = np.asarray(sys.force.K, dtype=float)
+    if np.any(K != 0.0):
+        try:
+            shift = np.linalg.solve(L, K)
+        except np.linalg.LinAlgError:
+            raise WrongForceClass(
+                "affine offset needs a regular matrix to absorb")
+    else:
+        shift = np.zeros(n)
+    beta = sys.beta[0]
+    mu = sys.mu[0]
+
+    lams, M = _eigenmodes(L)
+    Minv = np.linalg.inv(M)
+
+    s0 = x + shift
+    q0 = Minv @ s0.astype(complex)
+    p0 = Minv @ v.astype(complex)
+    real = not (M.imag.any() or Minv.imag.any() or q0.imag.any()
+                or p0.imag.any())
+    if real:
+        M, Minv = M.real, Minv.real
+    else:
+        inc = inc.astype(complex)
+    dW = Minv @ inc  # per-mode noise, (paths, n, steps)
+
+    q = np.empty((inc.shape[0], n, t.shape[0]), dtype=M.dtype)
+    p = np.empty_like(q)
+    for i in range(n):
+        kp, km = mode_rates(beta, lams[i])
+        # complex exp even for a real mode: real exp rounds differently
+        yp0 = np.exp(kp * t[0]) * (km * q0[i] + p0[i]) / (km - kp)
+        ym0 = np.exp(km * t[0]) * (kp * q0[i] + p0[i]) / (kp - km)
+        ap = mu * np.exp(kp * t[:-1]) / (km - kp)
+        am = mu * np.exp(km * t[:-1]) / (kp - km)
+        ep = np.exp(-kp * t)
+        em = np.exp(-km * t)
+        if real and kp.imag != 0.0:
+            # conjugate pair: q = a + conj(a), p = -b - conj(b)
+            yp = _mode_quadrature(yp0, ap, dW[:, i])
+            a = (ep * yp).real
+            b = ((kp * ep) * yp).real
+            q[:, i] = a + a
+            p[:, i] = -b - b
+            continue
+        if real:
+            kp, km, yp0, ym0 = kp.real, km.real, yp0.real, ym0.real
+            ap, am, ep, em = ap.real, am.real, ep.real, em.real
+        yp = _mode_quadrature(yp0, ap, dW[:, i])
+        ym = _mode_quadrature(ym0, am, dW[:, i])
+        q[:, i] = ep * yp + em * ym
+        p[:, i] = -kp * ep * yp - km * em * ym
+    s_path = M @ q  # (paths, n, steps + 1)
+    v_path = M @ p
+    if real:
+        leak = np.zeros(inc.shape[0])
+    else:
+        leak = np.maximum(np.max(np.abs(s_path.imag), axis=(1, 2)),
+                          np.max(np.abs(v_path.imag), axis=(1, 2)))
+    states = np.empty((inc.shape[0], t.shape[0], 2 * n))
+    states[:, :, :n] = s_path.real.transpose(0, 2, 1) - shift
+    states[:, :, n:] = v_path.real.transpose(0, 2, 1)
+    return states, leak
+
+
+def one_window(exact_paths):
+    """A whole-array solver in the window interface that
+    ousym.integrate._guarded reads: the whole path as one window
+    (0, steps + 1, x, v, leakage)."""
+    def windows(sys, x0, t, inc):
+        states, leak = exact_paths(sys, x0, t, inc)
+        n = states.shape[2] // 2
+        yield 0, states.shape[1], states[:, :, :n], states[:, :, n:], leak
+    return windows

@@ -2,6 +2,7 @@
 
 import io
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +21,8 @@ from ousym import (ConstantForce, DimensionMismatch, DomainExit,
                    solve_reference_problem, write_convergence_csv,
                    write_path_csv)
 from ousym.classify import _eigenmodes, mode_rates
+from oracles import _mode_quadrature as whole_mode_quadrature
+from oracles import exact_constant_paths, exact_linear_paths, one_window
 
 
 def manual_grid(increments, t0=0.0, t1=1.0):
@@ -379,20 +382,28 @@ COMPLEX_ISO2 = build_ou_system(2, [1.0, 1.0], [0.6, 0.6],
     # path 0 leaves [-BLOWUP_GUARD, BLOWUP_GUARD] without overflowing
     (MIXED_ISO2, [0.1, 0.2, -0.3, 0.4], 1e14),
 ], ids=["pair-n1", "real-n1", "mixed-iso2", "complex-iso2", "blow-up"])
-def test_exact_linear_paths_equal_the_complex_oracle(sys_, x0, scale):
-    # bit for bit, states and leakage, the real and complex branches alike
+def test_exact_linear_paths_equal_the_complex_oracle(monkeypatch, sys_, x0,
+                                                     scale):
+    # bit for bit, states and leakage, the real and complex branches alike,
+    # in one window and in 16 windows of 16 steps, every state kept or the
+    # terminal ones
     steps = 256
     t = np.linspace(0.0, 1.5, steps + 1)
     inc = np.random.default_rng(3).standard_normal((6, sys_.n, steps)) \
         * np.sqrt(1.5 / steps)
     if scale is not None:
         inc[0] *= scale
-    got = integrate._guarded(integrate._exact_linear_paths, sys_, x0, t, inc,
-                             strict=False)
-    want = integrate._guarded(parent_exact_linear_paths, sys_, x0, t, inc,
-                              strict=False)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    oracle = one_window(parent_exact_linear_paths)
+    for window_values, windows in ((integrate.WINDOW_VALUES, 1), (1, 16)):
+        monkeypatch.setattr(integrate, "WINDOW_VALUES", window_values)
+        assert len(integrate._windows(steps, 6 * sys_.n)) == windows
+        for whole in (False, True):
+            got = integrate._guarded(integrate._exact_linear_paths, sys_, x0,
+                                     t, inc, strict=False, whole=whole)
+            want = integrate._guarded(oracle, sys_, x0, t, inc, strict=False,
+                                      whole=whole)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     leak = got[1]
     if sys_ is COMPLEX_ISO2:
         assert np.all(leak > 0.0)
@@ -415,12 +426,218 @@ def test_study_with_the_complex_oracle_gives_the_same_report(
     args = (x0, 0.0, 1.0, [8, 16, 32])
     kw = {"n_paths": 24, "seed": 4, "refine": 8}
     rep = convergence_study(OUConvergenceProblem(sys_), *args, **kw)
+    # 16 windows of 16 steps per block
+    monkeypatch.setattr(integrate, "WINDOW_VALUES", 1)
+    assert rep == convergence_study(OUConvergenceProblem(sys_), *args, **kw)
     monkeypatch.setattr(integrate, "_exact_linear_paths",
-                        parent_exact_linear_paths)
+                        one_window(parent_exact_linear_paths))
     want = convergence_study(OUConvergenceProblem(sys_), *args, **kw)
     assert rep == want
     if sys_ is COMPLEX_ISO2:
         assert 0 < rep.skipped_paths < rep.n_paths
+
+
+# generic complex eigenvectors (no zero real or imaginary part in M), so
+# every complex product rounds; eigenvalues -2.5 +- 1.32i
+GENERIC_COMPLEX_ISO2 = build_ou_system(
+    2, [1.0, 1.0], [0.6, 0.6],
+    LinearForce([[-3.0, 2.0], [-1.0, -2.0]], [0.2, 0.1]))
+GENERIC_COMPLEX_ISO3 = build_ou_system(
+    3, [0.9] * 3, [0.5] * 3,
+    LinearForce([[-3.0, 2.0, 0.0], [-1.0, -2.0, 0.5], [0.3, 0.0, -1.0]],
+                [0.1, -0.2, 0.3]))
+WINDOW_CASES = {
+    "constant-n1": build_ou_system(1, [1.3], [0.9], ConstantForce([-0.4])),
+    "constant-n2": build_ou_system(2, [1.0, 2.0], [0.5, 1.5],
+                                   ConstantForce([0.3, -0.2])),
+    "pair-n1": build_ou_system(1, [1.0], [0.7], LinearForce([[-3.0]])),
+    "real-n1": build_ou_system(1, [2.5], [1.3], LinearForce([[-1.0]], [0.3])),
+    "mixed-iso2": MIXED_ISO2,
+    "complex-iso2": COMPLEX_ISO2,
+    "generic-complex-iso2": GENERIC_COMPLEX_ISO2,
+    "generic-complex-iso3": GENERIC_COMPLEX_ISO3,
+}
+
+
+def windowed_and_oracle(sys_, x0, t, inc):
+    """The windowed solver's windows joined into (states, leakage), checked
+    to tile the rows in order, and the whole-array oracle's pair."""
+    if isinstance(sys_.force, ConstantForce):
+        windowed, oracle = (integrate._exact_constant_paths,
+                            exact_constant_paths)
+    else:
+        windowed, oracle = integrate._exact_linear_paths, exact_linear_paths
+    parts, leak, end = [], np.zeros(inc.shape[0]), 0
+    with np.errstate(all="ignore"):
+        for k0, k1, x, v, part in windowed(sys_, x0, t, inc):
+            assert k0 == end and k1 > k0
+            end = k1
+            parts.append(np.concatenate((x, v), axis=2))
+            leak = np.maximum(leak, part)
+        want = oracle(sys_, x0, t, inc)
+    assert end == t.shape[0]
+    return (np.concatenate(parts, axis=1), leak), want
+
+
+def test_windowed_exact_paths_equal_the_whole_array_oracle():
+    # bit for bit, states and leakage, over windows of 16 to 64 steps whose
+    # last one is 0, 1 (joined to the one before) or 2 steps past a window
+    # boundary, with paths that blow up, overflow or turn NaN part way; a
+    # zero initial state (the command line's default) starts some mode
+    # branches at -0.0
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.seed(22)
+    @hypothesis.settings(max_examples=120, deadline=None)
+    @hypothesis.given(case=st.sampled_from(sorted(WINDOW_CASES)),
+                      width=st.sampled_from([16, 32, 64]),
+                      windows=st.integers(0, 4), tail=st.integers(0, 2),
+                      paths=st.integers(1, 4),
+                      trouble=st.sampled_from([None, "blow-up", "inf",
+                                               "nan"]),
+                      zero_start=st.booleans(), seed=st.integers(0, 999))
+    def check(case, width, windows, tail, paths, trouble, zero_start, seed):
+        steps = windows * width + tail
+        hypothesis.assume(steps > 0)
+        sys_ = WINDOW_CASES[case]
+        n = sys_.n
+        rng = np.random.default_rng(seed)
+        x0 = np.zeros(2 * n) if zero_start else rng.uniform(-0.5, 0.5, 2 * n)
+        t = np.linspace(0.0, 1.5, steps + 1)
+        inc = rng.standard_normal((paths, n, steps)) * np.sqrt(1.5 / steps)
+        at = (paths - 1, n - 1, int(rng.integers(steps)))
+        if trouble == "blow-up":
+            inc[-1] *= 1e14
+        elif trouble is not None:
+            inc[at] = np.inf if trouble == "inf" else np.nan
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrate, "WINDOW_VALUES", width * paths * n)
+            got, want = windowed_and_oracle(sys_, x0, t, inc)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            # and through the guard, every state or the terminal ones
+            oracle = one_window(exact_constant_paths if isinstance(
+                sys_.force, ConstantForce) else exact_linear_paths)
+            for whole in (True, False):
+                got = integrate._guarded(
+                    integrate.OUConvergenceProblem(sys_)._exact_paths, sys_,
+                    x0, t, inc, strict=False, whole=whole)
+                want = integrate._guarded(oracle, sys_, x0, t, inc,
+                                          strict=False, whole=whole)
+                for a, b in zip(got, want):
+                    assert a.tobytes() == b.tobytes()
+            assert got[2][-1] == (trouble is not None)
+
+    check()
+
+
+@pytest.mark.parametrize("y0", [-0.0, 0.7, complex(-0.0, -0.0),
+                                complex(0.3, -0.2)])
+def test_mode_branch_over_windows_equals_one_cumsum(y0):
+    # windows of 16 steps, the last one 8 steps and the final state; a
+    # branch starting at -0.0 keeps its sign, as the whole-array branch does
+    rng = np.random.default_rng(2)
+    dw = rng.standard_normal((3, 40))
+    a = rng.standard_normal(40) * (1.0 if isinstance(y0, float) else 1 - 2j)
+    parts, start = [], None
+    for k0, k1 in ((0, 16), (16, 32), (32, 41)):
+        y, start = integrate._mode_quadrature(y0, a[k0:k1], dw[:, k0:k1],
+                                              start)
+        parts.append(y[:, :k1 - k0])
+    want = whole_mode_quadrature(y0, a, dw)
+    got = np.concatenate(parts, axis=1)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("steps", [8192, 8193, 8194],
+                         ids=["tail-0", "tail-1", "tail-2"])
+@pytest.mark.parametrize("sys_", [MIXED_ISO2, GENERIC_COMPLEX_ISO2],
+                         ids=["mixed-iso2", "generic-complex-iso2"])
+def test_a_study_block_equals_the_oracle_at_the_default_window(sys_, steps):
+    # a 32-path block of a study on the iso2 system: 512-step windows; with
+    # one step past the last boundary, a one-step window would make
+    # Minv @ dW a one-column product, which BLAS rounds differently
+    inc = np.random.default_rng(7).standard_normal((32, 2, steps)) \
+        * np.sqrt(1.0 / steps)
+    t = np.linspace(0.0, 1.0, steps + 1)
+    windows = integrate._windows(steps, 32 * 2)
+    assert windows[0] == (0, 512) and len(windows) == 16 + (steps > 8193)
+    got, want = windowed_and_oracle(sys_, [0.1, 0.2, -0.3, 0.4], t, inc)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_windows_tile_the_rows_in_aligned_steps_of_two_or_more():
+    for per_step in (1, 2, 7, 48, 64, 1000, 3000, 40000):
+        width = integrate._windows(10 ** 6, per_step)[0][1]
+        # a power of two, at least 16, within the values budget if it can be
+        assert width >= 16 and width & (width - 1) == 0
+        assert width * per_step <= max(integrate.WINDOW_VALUES,
+                                       16 * per_step) < 2 * width * per_step
+        for steps in (1, 2, 3, width - 1, width, width + 1, width + 2,
+                      3 * width, 3 * width + 1, 3 * width + 2):
+            windows = integrate._windows(steps, per_step)
+            assert windows[0][0] == 0 and windows[-1][1] == steps + 1
+            assert all(a[1] == b[0] for a, b in zip(windows, windows[1:]))
+            assert all(k0 % width == 0 for k0, _ in windows)
+            # steps in a window: k1 - k0, or one fewer in the last
+            sizes = [k1 - k0 for k0, k1 in windows[:-1]]
+            sizes.append(windows[-1][1] - windows[-1][0] - 1)
+            assert min(sizes) >= min(2, steps)
+            assert max(sizes) <= width + 1
+    # the sizes that the study and the single solves get by default
+    assert integrate._windows(8192, 64)[:2] == [(0, 512), (512, 1024)]
+    assert len(integrate._windows(100000, 2)) == 7
+    # an empty batch is windowed as a batch of one
+    assert integrate._windows(8192, 0) == integrate._windows(8192, 1)
+    for sys_ in (WINDOW_CASES["constant-n2"], GENERIC_COMPLEX_ISO2):
+        term, skip = OUConvergenceProblem(sys_).exact_terminals(
+            [0.1] * 4, 0.0, 1.0, np.zeros((0, 2, 8)))
+        assert term.shape == (0, 4) and skip.shape == (0,)
+
+
+@pytest.mark.parametrize("sys_", [
+    build_ou_system(1, [1.0], [1.0], ConstantForce([0.3])),
+    build_ou_system(1, [4.0], [1.0], LinearForce([[-2.0]])),
+    build_ou_system(1, [1.0], [1.0], LinearForce([[-4.0]])),
+], ids=["constant", "overdamped", "underdamped"])
+def test_exact_terminals_stay_below_the_full_state_array(sys_):
+    # one default study block at n = 1: 64 paths of 8192 steps; its full
+    # state array (paths, steps + 1, 2n) would take 8.4 MB
+    inc = np.random.default_rng(5).standard_normal((64, 1, 8192)) / 90.5
+    full = 64 * 8193 * 2 * 8
+    problem = OUConvergenceProblem(sys_)
+    problem.exact_terminals([0.3, -0.2], 0.0, 1.0, inc)  # warm-up
+    tracemalloc.start()
+    try:
+        term, skip = problem.exact_terminals([0.3, -0.2], 0.0, 1.0, inc)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        t = np.linspace(0.0, 1.0, 8193)
+        oracle = (exact_constant_paths if isinstance(sys_.force, ConstantForce)
+                  else exact_linear_paths)
+        states, _ = oracle(sys_, [0.3, -0.2], t, inc)
+        oracle_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full <= oracle_peak
+    assert term.tobytes() == np.ascontiguousarray(states[:, -1]).tobytes()
+    assert not skip.any()
+
+
+def test_one_bit_generator_draws_each_keys_own_stream():
+    # _philox_increments resets one Philox per call to each path's key;
+    # every row is the stream of a fresh Philox(key=[seed, idx]). 3 x 7
+    # draws leave the 4-value buffer part full between paths
+    keys = [0, 5, 2 ** 63 + 5, 2 ** 64 - 1]
+    for seed in keys:
+        inc = integrate._philox_increments(3, 0.0, 1.0, 7, seed, keys)
+        for row, idx in zip(inc, keys):
+            key = np.array([seed, idx], dtype=np.uint64)
+            ref = np.random.Generator(np.random.Philox(key=key)) \
+                .standard_normal((3, 7)) * np.sqrt(1.0 / 7)
+            assert row.tobytes() == ref.tobytes()
 
 
 def test_ito_integral_oracle():
@@ -1042,17 +1259,29 @@ def test_exact_solvers_keep_the_blow_up_guard(sys_):
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 2e12, -2e12])
 def test_exact_guard_fails_each_out_of_range_state(bad):
     # one bad entry in path 1 of 2, at the last step of its last component
-    states = np.zeros((2, 5, 2))
-    states[1, -1, -1] = bad
+    # in the first, the middle or the last of three windows
+    t = np.linspace(0.0, 1.0, 7)
+    inc = np.zeros((2, 1, 6))
+    bounds = [(0, 2), (2, 4), (4, 7)]
+    for window, (_, row) in enumerate(bounds):
+        def exact_paths(sys, x0, t, inc):
+            for j, (k0, k1) in enumerate(bounds):
+                x, v = np.zeros((2, k1 - k0, 1)), np.zeros((2, k1 - k0, 1))
+                if j == window:
+                    v[1, -1, -1] = bad
+                yield k0, k1, x, v, 0.0
 
-    def exact_paths(sys, x0, t, inc):
-        return states, np.zeros(2)
-
-    _, leak, _ = integrate._guarded(exact_paths, None, None, None, None,
-                                    strict=False)
-    assert leak.tolist() == [0.0, np.inf]
-    with pytest.raises(NonFiniteState):
-        integrate._guarded(exact_paths, None, None, None, None)
+        for whole in (False, True):
+            states, leak, skip = integrate._guarded(
+                exact_paths, None, None, t, inc, strict=False, whole=whole)
+            assert leak.tolist() == [0.0, np.inf]
+            assert skip.tolist() == [False, True]
+            with pytest.raises(NonFiniteState):
+                integrate._guarded(exact_paths, None, None, t, inc,
+                                   whole=whole)
+        assert np.array_equal(states[1, row - 1, -1], bad, equal_nan=True)
+        states[1, row - 1, -1] = 0.0
+        assert not states.any()
 
 
 def test_exact_solve_linear_reads_imag_tol_when_called(monkeypatch):

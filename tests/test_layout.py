@@ -257,6 +257,36 @@ def test_imag_tol_is_read_by_the_exact_path_gate_alone():
     assert _top_readers("integrate.py", {"IMAG_TOL"}) == {"_guarded"}
 
 
+def test_exact_paths_stream_through_one_splitter_into_one_consumer():
+    # the two exact path functions cut the path with the one window
+    # splitter, and nothing calls them: they are handed to _guarded, which
+    # folds their windows
+    assert _calling_functions({"_windows"}) == {
+        ("integrate.py", "_exact_constant_paths"),
+        ("integrate.py", "_exact_linear_paths")}
+    assert _calling_functions({"_exact_constant_paths",
+                               "_exact_linear_paths"}) == set()
+    assert _calling_functions({"exact_paths"}) == {
+        ("integrate.py", "_guarded")}
+
+
+def test_running_sums_carry_across_windows_in_one_helper():
+    # every cumsum is _cumulative's; a sum continued from the window before
+    # (a second argument) is taken by the constant solver and, for the
+    # linear solver, by _mode_quadrature
+    assert _calling_functions({"cumsum"}) == {("integrate.py", "_cumulative")}
+    carried = set()
+    for top in ast.parse((SRC / "integrate.py").read_text()).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "_cumulative"
+                    and len(node.args) + len(node.keywords) == 2):
+                carried.add(top.name)
+    assert carried == {"_exact_constant_paths", "_mode_quadrature"}
+    assert _calling_functions({"_mode_quadrature"}) == {
+        ("integrate.py", "_exact_linear_paths")}
+
+
 def test_residual_overflow_policy_is_set_where_residuals_are_computed():
     # the drift jet, the determining blocks and the invariance conditions
     # silence numpy's overflow warnings themselves, so no caller has to;
