@@ -52,4 +52,4 @@ print("linear force:", inv_lin.basis_kind,
 # to evaluate it yourself.
 chi1 = InvariantCandidate.chi(sys3, 1)
 p = probes[0]
-print("chi1 at a probe:", float(chi1.evaluate(p)))
+print("chi1 at a probe:", float(chi1(p)))

@@ -26,6 +26,10 @@ per pair. lie_bracket is the two steps for one pair; the bracket table
 and structure_constants take each field's jet once, stack the jets and
 contract all of their pairs in one call.
 
+ExtendedPoint.chi is the one chi formula. classify_invariants certifies
+it, through InvariantCandidate.chi, and verify's f=chi1 and
+structure_constants evaluate it.
+
 Probes come from one uniform draw per probe set (sample_probes), and
 stack_probes builds their (coordinates, probes) array in one go. The
 drift's Jacobian, which every determining equation reads, is taken once

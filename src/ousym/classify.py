@@ -20,6 +20,11 @@ probes, never from its Python class: an expression "1.5" or a linear force
 with L = 0 is a constant force, and c is the force at the origin. Every
 emitted generator and invariant is re-certified numerically against the
 determining equations; classification output is checked, not trusted.
+
+The chi that classify_invariants certifies is ExtendedPoint.chi, the one
+chi formula. verify's modulescaled generators and structure_constants read
+it through _chi_scaled, the one way to scale a generator by a function of
+the chi vector.
 """
 
 from dataclasses import dataclass
@@ -354,9 +359,11 @@ def _chi_vector(sys, p):
     return [p.chi(sys, i) for i in range(sys.n)]
 
 
-def _scaling_partial(fn, chis, j):
-    """d fn / d chi_j at plain chi values, seeded on chi_j."""
-    return duals.jet(lambda s: [fn(s)], chis, np.eye(len(chis))[j])[1][0]
+def _chi_scaled(X, sys, fn, label):
+    """X scaled by fn of the chi vector (ExtendedPoint.chi at each point):
+    the one way a generator is scaled by a function of the chi
+    invariants."""
+    return X.scaled(lambda p: fn(_chi_vector(sys, p)), label)
 
 
 def structure_constants(alg, probes=None):
@@ -400,11 +407,12 @@ def structure_constants(alg, probes=None):
     def stacked(entries):
         return np.stack([duals._stacked(e, shape) for e in entries])
 
-    # each f and its chi-partials at the probes, fv[k] and dv[k, j]; the
-    # base fields' values vX[i] and vY[i], one row per coordinate
+    # each f and its chi-partials at the probes, fv[k] and dv[k, j], the
+    # partials from one jet per f seeded along every chi; the base fields'
+    # values vX[i] and vY[i], one row per coordinate
     fv = duals._stacked([f(chis) for f in fns], shape)
-    dv = stacked([[_scaling_partial(f, chis, j) for j in range(n)]
-                  for f in fns])
+    dv = np.stack([duals.jet(lambda s, f=f: [f(s)], chis,
+                             np.eye(n)[:, None])[1][0] for f in fns])
     vX, vY = (stacked([g.as_extended_field(sys)(p) for g in G])
               for G in (X, Y))
 
@@ -412,8 +420,7 @@ def structure_constants(alg, probes=None):
     # jets then the Y jets; bracket k is [left[k], right[k]], three
     # (X X, X Y, Y Y) per (a, b, i, j), in the order of the rows below
     vals, jac = map(np.stack, zip(*[
-        _field_jet(g.scaled(lambda q, f=f: f(_chi_vector(sys, q)),
-                            label).as_extended_field(sys), p)
+        _field_jet(_chi_scaled(g, sys, f, label).as_extended_field(sys), p)
         for G in (X, Y) for label, f in sample_fs for g in G]))
     ka, kb, ki, kj = (ix.ravel()
                       for ix in np.indices((len(fns), len(fns), n, n)))

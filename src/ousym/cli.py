@@ -46,19 +46,9 @@ def _load_system(path):
 def _parse_x0(text, n):
     if text is None:
         return [0.0] * (2 * n)
-    # the solvers check the count (2n) and that every value is finite
-    return [float(c) for c in text.split(",") if c.strip() != ""]
-
-
-def _chi_expression(text, n):
-    """Compile an expression in chi1..chin into a callable on points."""
-    rewritten = re.sub(r"\bchi(\d+)\b", r"x\1", text)
-    tree = parse_expression(rewritten, n)
-
-    def alpha(p, sys):
-        return tree.evaluate(_classify._chi_vector(sys, p))
-
-    return alpha, text
+    # a blank cell is a ValueError; the solvers check the count (2n) and
+    # that every value is finite
+    return [float(c) for c in text.split(",")]
 
 
 def _shorthand_fields(rest):
@@ -93,8 +83,10 @@ def _generator_from_fields(kind, fields, sys):
         base = _generator_from_fields(fields["base"], fields, sys)
         if "f" not in fields:
             raise _UsageError("modulescaled needs an f=<expression> field")
-        alpha, label = _chi_expression(fields["f"], n)
-        return base.scaled(lambda p: alpha(p, sys), label)
+        # an expression in chi1..chin, read as one in x1..xn
+        tree = parse_expression(
+            re.sub(r"\bchi(\d+)\b", r"x\1", fields["f"]), n)
+        return _classify._chi_scaled(base, sys, tree.evaluate, fields["f"])
     raise _UsageError(f"unknown generator family {kind!r} "
                       f"(known: expdecay, translation, modulescaled)")
 

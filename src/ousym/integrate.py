@@ -259,13 +259,15 @@ def _blew_up(k, t0, dt):
                           f"(t = {t0 + (k + 1) * dt})")
 
 
-def _em_batch(step, state, inc, t0, dt, guard, record=None, strict=True):
+def _em_batch(step, state, inc, t0, dt, record=None, strict=True):
     """The Euler-Maruyama loop over a (paths, d) batch; returns the terminal
     states and the (paths,) mask of paths that blew up, i.e. failed
-    max |state| <= guard (NaN fails it). step(s, dw, out) writes the next
-    states into out; inc is (paths, n_proc, steps); record, if given, gets
-    all (steps + 1, paths, d) states. strict raises at the first blow-up.
+    max |state| <= BLOWUP_GUARD (NaN fails it; the guard is read once per
+    call). step(s, dw, out) writes the next states into out; inc is
+    (paths, n_proc, steps); record, if given, gets all (steps + 1, paths,
+    d) states. strict raises at the first blow-up.
     """
+    guard = BLOWUP_GUARD
     blown = np.zeros(state.shape[0], dtype=bool)
     spare = (np.empty_like(state), np.empty_like(state))
     if record is not None:
@@ -284,7 +286,7 @@ def _em_batch(step, state, inc, t0, dt, guard, record=None, strict=True):
     return state, blown
 
 
-def _em_one_path(sys, x, v, inc, t0, dt, guard, record, strict):
+def _em_one_path(sys, x, v, inc, t0, dt, record, strict):
     """_em_batch for the euler_maruyama scheme on one path, stepped on
     Python floats: on a (1, 2n) batch numpy call overhead is most of a
     step. Every operation is the batch step's, in its order, so the path
@@ -292,6 +294,7 @@ def _em_one_path(sys, x, v, inc, t0, dt, guard, record, strict):
     inc is (n, steps); returns the (1, 2n) terminal state and blown mask.
     """
     F = sys.force._floats
+    guard = BLOWUP_GUARD
     x, v = x.tolist(), v.tolist()
     beta, mu = sys.beta, sys.mu
     row = x + v
@@ -317,16 +320,14 @@ def _em_one_path(sys, x, v, inc, t0, dt, guard, record, strict):
     return np.array([row]), np.array([blown])
 
 
-def _ou_em(sys, x0, t0, t1, inc, guard=BLOWUP_GUARD, record=None,
-           strict=True):
+def _ou_em(sys, x0, t0, t1, inc, record=None, strict=True):
     """_em_batch with the euler_maruyama scheme, driven by inc
     (paths, n, steps); a one-path batch goes to _em_one_path."""
     n = sys.n
     x, v = _split_state(n, x0)
     dt = (t1 - t0) / inc.shape[2]
     if inc.shape[0] == 1:
-        return _em_one_path(sys, x, v, inc[0], t0, dt, guard, record,
-                            strict)
+        return _em_one_path(sys, x, v, inc[0], t0, dt, record, strict)
     beta = np.asarray(sys.beta, dtype=float)
     mu = np.asarray(sys.mu, dtype=float)
     F = sys.force._rows
@@ -337,7 +338,7 @@ def _ou_em(sys, x0, t0, t1, inc, guard=BLOWUP_GUARD, record=None,
         out[:, n:] = v + (F(x) - beta * v) * dt + mu * dw
 
     start = np.tile(np.concatenate((x, v)), (inc.shape[0], 1))
-    return _em_batch(step, start, inc, t0, dt, guard, record, strict)
+    return _em_batch(step, start, inc, t0, dt, record, strict)
 
 
 def _grid_meta(grid, scheme):
@@ -378,8 +379,7 @@ def euler_maruyama_general(drift, sigma, x0, grid):
         out[0] = s[0] + f * dt + g @ dw[0]
 
     record = np.empty((grid.steps + 1, 1, d))
-    _em_batch(step, x[None], grid.increments[None], grid.t0, dt,
-              BLOWUP_GUARD, record)
+    _em_batch(step, x[None], grid.increments[None], grid.t0, dt, record)
     return Path(times=grid.times, states=record[:, 0],
                 labels=tuple(f"x{i + 1}" for i in range(d)),
                 meta=_grid_meta(grid, "euler-maruyama"))
@@ -763,8 +763,7 @@ class _ScalarProblem(_ConvergenceProblem):
             np.add(y + self.drift(y) * dt, self.sigma(y) * dw, out=out)
 
         start = np.full((inc.shape[0], 1), float(x0[0]))
-        return _em_batch(step, start, inc, t0, dt, BLOWUP_GUARD,
-                         strict=False)
+        return _em_batch(step, start, inc, t0, dt, strict=False)
 
 
 class GBMConvergenceProblem(_ScalarProblem):

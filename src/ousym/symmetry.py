@@ -12,7 +12,10 @@ must satisfy two determining blocks at every point:
 where d_j runs over state coordinates, dhat_k over Wiener coordinates, and
 Delta is the Ito Laplacian. A scalar function Theta(x, t; w) is an invariant
 (d Theta = 0 along the dynamics) iff n+1 conditions hold: one per active
-Wiener process and one for the dt coefficient.
+Wiener process and one for the dt coefficient. An InvariantCandidate is
+such a Theta given as a callable; InvariantCandidate.chi evaluates
+ExtendedPoint.chi, the one chi formula, and carries its coefficients as an
+AffineRecord, data for render() and to_json that is never evaluated.
 
 Everything here is evaluated pointwise at probes with exact forward-mode
 derivatives; nothing is trusted symbolically.
@@ -301,30 +304,27 @@ class AffineRecord:
 
 
 class InvariantCandidate:
-    """A scalar field Theta(x, v, t; w), optionally with an affine record."""
+    """A scalar field Theta(x, v, t; w): the callable theta on points,
+    which every check evaluates. affine, when given, holds the field's
+    coefficients as data, for render() and InvariantSet.to_json; it is
+    never evaluated."""
 
-    def __init__(self, theta=None, affine=None, label="Theta"):
-        if theta is None and affine is None:
-            raise DimensionMismatch("need a callable or an affine record")
+    def __init__(self, theta, affine=None, label="Theta"):
+        self.theta = theta
         self.affine = affine
         self.label = label
-        if theta is not None:
-            self.theta = theta
-        else:
-            self.theta = _affine_callable(affine)
-
-    def evaluate(self, p):
-        return self.theta(p)
 
     def __call__(self, p):
         return self.theta(p)
 
     @staticmethod
     def chi(sys, i):
-        """chi_i = w_i - v_i/mu_i - (beta_i/mu_i) x_i + (c_i/mu_i) t with
-        c = _force_at_origin(sys), as an affine record. An invariant when
-        the force is the constant c; for any other force a candidate that
-        fails its invariance conditions."""
+        """chi_i as a candidate that evaluates ExtendedPoint.chi, the one
+        chi formula, with its coefficients as an affine record: a_w = 1,
+        a_v = -1/mu_i, a_x = -beta_i/mu_i and a_t = c_i/mu_i, c =
+        _force_at_origin(sys). An invariant when the force is the constant
+        c; for any other force a candidate that fails its invariance
+        conditions."""
         n = sys.n
         i = _component(i, n)
         idx = i - 1
@@ -335,25 +335,13 @@ class InvariantCandidate:
             a_w=tuple(1.0 if j == idx else 0.0 for j in range(n)),
             a_t=_force_at_origin(sys)[idx] / mu_i,
             a_0=0.0)
-        return InvariantCandidate(affine=affine, label=f"chi{i}")
+        return InvariantCandidate(lambda p: p.chi(sys, idx), affine=affine,
+                                  label=f"chi{i}")
 
     def render(self):
         if self.affine is None:
             return self.label
         return render_affine(self.affine)
-
-
-def _affine_callable(affine):
-    def theta(p):
-        acc = affine.a_0 + affine.a_t * p.t
-        for blockname, coeffs in (("x", affine.a_x), ("v", affine.a_v),
-                                  ("w", affine.a_w)):
-            block = getattr(p, blockname)
-            for c, val in zip(coeffs, block):
-                if c != 0.0:
-                    acc = acc + c * val
-        return acc
-    return theta
 
 
 def render_affine(affine):

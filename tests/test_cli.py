@@ -176,6 +176,18 @@ def test_simulate_stdout_when_no_out(constant_system, capsys):
     assert "t,x1,v1" in out
 
 
+@pytest.mark.parametrize("x0", ["1,,0", "1,0,", " , 1, 0"],
+                         ids=["inner", "trailing", "leading"])
+@pytest.mark.parametrize("command", ["simulate", "solve", "converge"])
+def test_a_blank_x0_cell_exits_one(constant_system, capsys, command, x0):
+    # a blank cell is refused, not dropped: dropped, each of these would
+    # run from (1, 0) on this n = 1 system
+    code, out, err = run(capsys, command, "--system", constant_system,
+                         "--x0", x0)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ValueError: could not convert string")
+
+
 def test_solve_picks_exact_scheme(constant_system, linear_system, tmp_path,
                                   capsys):
     for sys_path, scheme in ((constant_system, "exact-rectified"),

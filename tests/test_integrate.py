@@ -1059,14 +1059,15 @@ NAN_FORCES = {
 def one_and_two_paths(force, strict, t1=20.0, steps=200):
     """_ou_em on one path, which takes the scalar kernel, and on a 2-row
     batch of the same increments, which takes the batch loop: each
-    outcome, a (terminal, blown) pair or the NonFiniteState raised."""
+    outcome, a (terminal, blown) pair or the NonFiniteState raised. Both
+    read the guard BLOWUP_GUARD when called."""
     sys1 = build_ou_system(1, [0.1], [1.0], force)
     inc = sample_wiener(1, 0.0, t1, steps, seed=3).increments[None]
     outcomes = []
     for batch in (inc, np.concatenate((inc, inc))):
         try:
             outcomes.append(integrate._ou_em(sys1, [1.0, 0.0], 0.0, t1,
-                                             batch, 1e3, strict=strict))
+                                             batch, strict=strict))
         except NonFiniteState as exc:
             outcomes.append(exc)
     return outcomes
@@ -1076,7 +1077,8 @@ def one_and_two_paths(force, strict, t1=20.0, steps=200):
     pytest.param(force, id=f"{kind}-forces{j}")
     for j, forces in enumerate([BLOWUP_FORCES, NAN_FORCES])
     for kind, force in forces.items()])
-def test_scalar_kernel_guard_matches_the_batch_loop(force):
+def test_scalar_kernel_guard_matches_the_batch_loop(monkeypatch, force):
+    monkeypatch.setattr(integrate, "BLOWUP_GUARD", 1e3)
     one, two = one_and_two_paths(force, strict=True)
     assert isinstance(one, NonFiniteState)
     assert str(one) == str(two)

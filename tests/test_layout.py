@@ -100,7 +100,36 @@ def test_coordinates_are_seeded_only_through_jet():
     # structure check's scaling partials; nothing else seeds coordinates
     assert _calling_functions({"jet"}) == {
         ("calculus.py", "_jet"), ("calculus.py", "derivative"),
-        ("model.py", "ForceField"), ("classify.py", "_scaling_partial")}
+        ("model.py", "ForceField"), ("classify.py", "structure_constants")}
+
+
+def test_chi_is_written_once():
+    # ExtendedPoint.chi is the one chi formula: it alone reads the force at
+    # the origin to evaluate chi; InvariantCandidate.chi reads it only for
+    # its record's a_t
+    assert _calling_functions({"_force_at_origin"}) == {
+        ("calculus.py", "ExtendedPoint"),
+        ("symmetry.py", "InvariantCandidate")}
+    candidate = next(top for top in ast.parse(
+        (SRC / "symmetry.py").read_text()).body
+        if getattr(top, "name", None) == "InvariantCandidate")
+    reads = [node for node in ast.walk(candidate) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_force_at_origin"]
+    a_t = [kw.value for node in ast.walk(candidate)
+           if isinstance(node, ast.Call)
+           and getattr(node.func, "id", None) == "AffineRecord"
+           for kw in node.keywords if kw.arg == "a_t"]
+    assert len(reads) == 1 and len(a_t) == 1
+    assert reads[0] in list(ast.walk(a_t[0]))
+    # one evaluator and one way to scale a generator by a chi function
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or getattr(node, "name", None))
+            assert name not in ("_affine_callable", "_chi_expression"), (
+                path.name)
+    assert _calling_functions({"_chi_vector"}) == {
+        ("classify.py", "_chi_scaled"), ("classify.py", "structure_constants")}
 
 
 def _top_readers(module, names):

@@ -221,6 +221,19 @@ def test_chi_render_and_affine_record():
     assert "w1" in text and "t" in text
 
 
+def test_the_certified_chi_is_the_evaluated_chi():
+    # InvariantCandidate.chi, which classify_invariants certifies, evaluates
+    # ExtendedPoint.chi, which verify and structure_constants read: the
+    # same bits at every probe, not only the same value to rounding
+    sys2 = build_ou_system(2, [0.7, 1.9], [1.0, 1.5],
+                           ConstantForce([0.3, -0.4]))
+    p = stack_probes(sample_probes(sys2, count=200, seed=1))
+    for i in (1, 2):
+        got = np.asarray(InvariantCandidate.chi(sys2, i)(p))
+        want = np.asarray(p.chi(sys2, i - 1))
+        assert got.tobytes() == want.tobytes()
+
+
 def test_scale_by_invariant():
     sys1 = build_ou_system(1, [1.0], [1.0], ConstantForce([0.2]))
     X = SymmetryGenerator.exp_decay(1, 1.0, 1)
