@@ -198,10 +198,14 @@ def _emit_linear_modes(sys, L):
 def _certify(gens, sys, probes):
     p = stack_probes(probes)
     tol = CERT_TOL_RESIDUAL
-    # what overflows fails the gate below
+    # what overflows fails the gate below, and so does a Laplacian that is
+    # not finite (a mode whose exp(-kappa t) overflows at the probes)
     drift = _drift_jet(sys, p)
     for g in gens:
-        mf, ms = _max_blocks(g, sys, p, drift)
+        try:
+            mf, ms = _max_blocks(g, sys, p, drift)
+        except NonFiniteResult:
+            mf = ms = np.nan
         if not (mf <= tol and ms <= tol):
             raise CertificationFailed(
                 f"generator {g.label} failed the determining equations: "

@@ -504,40 +504,47 @@ def _guarded(exact_paths, sys, x0, t, inc, strict=True, whole=True):
 def _exact_constant_paths(sys, x0, t, inc):
     """Constant-force states on the times t, from increments
     (paths, n, steps), in the time windows of _guarded. Real arithmetic:
-    the leakage is zero."""
+    the leakage is zero.
+
+    The components run as one block: beta, mu, c and the coefficients
+    derived from them are (n, 1) columns, each window takes one running
+    sum of exp(beta t) dw and one of dw over the whole (paths, n, steps)
+    block, and one pair of sums carries over to the next window. Each
+    entry is computed as the per-component formula computes it, operand
+    for operand."""
     if not isinstance(sys.force, ConstantForce):
         raise WrongForceClass("exact_solve_constant needs a constant force")
-    n = sys.n
-    x, v = _split_state(n, x0)
-    paths, _, steps = inc.shape
-    comps = []
-    for i in range(n):
-        b, m, c = sys.beta[i], sys.mu[i], sys.force.c[i]
-        # z0, y0, the exponential at t0 and the three coefficients
-        comps.append((b, -np.exp(b * t[0]) / b * v[i], x[i] + v[i] / b,
-                      np.exp(b * t[0]), c / b ** 2, c / b, m / b))
-    # running sums that end the window before: I (below) and w, per i
-    ends = [[None, None] for _ in range(n)]
+    x, v = _split_state(sys.n, x0)
+    paths, n, steps = inc.shape
+    b = np.array(sys.beta)[:, None]
+    mb = np.array(sys.mu)[:, None] / b
+    cy = np.array(sys.force.c)[:, None] / b
+    # c / b ** 2 on Python floats: b ** 2 is libm's pow, whose last bit an
+    # array's b ** 2 (b * b) misses now and then, and it raises where
+    # _guarded expects, on overflow and on a square that underflows to 0
+    cz = np.array([[ci / bi ** 2] for bi, ci in zip(sys.beta, sys.force.c)])
+    e0 = np.exp(b * t[0])
+    z0 = -e0 / b * v[:, None]
+    y0 = x[:, None] + v[:, None] / b
+    # running sums that end the window before: I (below) and w
+    ends = (None, None)
     for k0, k1 in _windows(steps, paths * n):
         tr, ts, r = t[k0:k1], t[k0:min(k1, steps)], k1 - k0
-        xs = np.empty((paths, r, n))
-        vs = np.empty((paths, r, n))
-        for i, (b, z0, y0, e0, cz, cy, mb) in enumerate(comps):
-            dw = inc[:, i, k0:min(k1, steps)]
-            # I(t_k) = sum_{j<k} exp(b t_j) dw_j, the quadrature for z
-            integ = _cumulative(np.exp(b * ts) * dw, ends[i][0])
-            w = _cumulative(dw, ends[i][1])
-            ends[i] = [integ[:, -1].copy(), w[:, -1].copy()]
-            # in place, operand for operand:
-            # z = z0 - cz (exp(b t) - exp(b t0)) - mb I,
-            # y = y0 + cy (t - t0) + mb w, v = -b exp(-b t) z, x = y - v / b
-            z = np.multiply(mb, integ[:, :r], out=integ[:, :r])
-            np.subtract(z0 - cz * (np.exp(b * tr) - e0), z, out=z)
-            y = np.multiply(mb, w[:, :r], out=w[:, :r])
-            np.add(y0 + cy * (tr - t[0]), y, out=y)
-            vi = np.multiply(-b * np.exp(-b * tr), z, out=vs[:, :, i])
-            np.subtract(y, np.divide(vi, b, out=z), out=xs[:, :, i])
-        yield k0, k1, xs, vs, 0.0
+        dw = inc[:, :, k0:min(k1, steps)]
+        # I(t_k) = sum_{j<k} exp(b t_j) dw_j, the quadrature for z
+        integ = _cumulative(np.exp(b * ts) * dw, ends[0])
+        w = _cumulative(dw, ends[1])
+        ends = (integ[:, :, -1].copy(), w[:, :, -1].copy())
+        # in place, operand for operand:
+        # z = z0 - cz (exp(b t) - exp(b t0)) - mb I,
+        # y = y0 + cy (t - t0) + mb w, v = -b exp(-b t) z, x = y - v / b
+        z = np.multiply(mb, integ[:, :, :r], out=integ[:, :, :r])
+        np.subtract(z0 - cz * (np.exp(b * tr) - e0), z, out=z)
+        y = np.multiply(mb, w[:, :, :r], out=w[:, :, :r])
+        np.add(y0 + cy * (tr - t[0]), y, out=y)
+        vs = np.multiply(-b * np.exp(-b * tr), z)
+        xs = np.subtract(y, np.divide(vs, b, out=z), out=y)
+        yield k0, k1, xs.transpose(0, 2, 1), vs.transpose(0, 2, 1), 0.0
 
 
 def exact_solve_constant(sys, x0, grid):
@@ -814,6 +821,10 @@ def convergence_study(problem, x0, t0, t1, ladder_steps, n_paths=200,
     noise. Paths where any solver exits its domain or blows up are skipped
     whole (deterministically, by path index) and counted.
 
+    fitted_order is the slope of log error against log dt, fitted by least
+    squares over the rungs; a one-rung ladder fits no order, and its
+    fitted_order is NaN.
+
     Paths go in blocks of at most BLOCK_VALUES fine increments; the next
     block is drawn while the current one runs, so two blocks of increments
     are alive at once (one with OUSYM_THREADS=1). Beyond them, each rung
@@ -867,7 +878,9 @@ def convergence_study(problem, x0, t0, t1, ladder_steps, n_paths=200,
         raise OusymError("every path was skipped; nothing to average")
     means = errs[~skip].mean(axis=0)
     dts = [(t1 - t0) / s for s in ladder]
-    slope = np.polyfit(np.log(dts), np.log(means), 1)[0]
+    # one rung fits no slope
+    slope = (np.polyfit(np.log(dts), np.log(means), 1)[0] if len(ladder) > 1
+             else np.nan)
     return ConvergenceReport(
         problem=problem.name, ladder_steps=tuple(ladder), dts=tuple(dts),
         errors=tuple(float(e) for e in means), fitted_order=float(slope),

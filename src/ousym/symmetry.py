@@ -86,29 +86,29 @@ def _family_json(fam):
 
 
 def _complex_profile(C, kappa, part):
-    """Closure t -> part of C exp(-kappa t), for a complex constant vector C.
+    """Closure p -> part of C exp(-kappa p.t), for a complex constant
+    vector C.
 
     Re: e^{-at} (Re C cos bt + Im C sin bt)
     Im: e^{-at} (Im C cos bt - Re C sin bt)
-    for kappa = a + i b. Works with HyperDual t.
+    for kappa = a + i b, the part picked here, once; Im takes its sine term
+    as + (-Re C) sin bt, which rounds as - Re C sin bt does. Works with
+    HyperDual t.
     """
     a, b = float(np.real(kappa)), float(np.imag(kappa))
     Cr = [float(np.real(c)) for c in C]
     Ci = [float(np.imag(c)) for c in C]
+    # the coefficients of cos bt and of sin bt
+    cos_c, sin_c = (Cr, Ci) if part == "re" else (Ci, [-c for c in Cr])
 
-    def profile(t):
-        envelope = duals.exp(-a * t)
+    def profile(p):
+        envelope = duals.exp(-a * p.t)
         if b == 0.0:
-            if part == "re":
-                return [envelope * cr for cr in Cr]
-            return [envelope * ci for ci in Ci]
-        cosb = duals.cos(b * t)
-        sinb = duals.sin(b * t)
-        if part == "re":
-            return [envelope * (cr * cosb + ci * sinb)
-                    for cr, ci in zip(Cr, Ci)]
-        return [envelope * (ci * cosb - cr * sinb)
-                for cr, ci in zip(Cr, Ci)]
+            return [envelope * c for c in cos_c]
+        cosb = duals.cos(b * p.t)
+        sinb = duals.sin(b * p.t)
+        return [envelope * (c * cosb + s * sinb)
+                for c, s in zip(cos_c, sin_c)]
 
     return profile
 
@@ -146,20 +146,19 @@ class SymmetryGenerator:
         return f"SymmetryGenerator({self.label})"
 
     def as_extended_field(self, proc):
-        """Vector field over extended_coords: phi, 0 on t, R w on Wiener."""
-        R = self.R
+        """Vector field over extended_coords: phi, 0 on t, R w on Wiener.
+        R's nonzero entries are read here, once, row by row; each R w
+        component sums its row's entries from 0.0, in column order."""
+        size = len(proc.wiener_coords)
+        entries = [(k, m, self.R[k, m]) for k in range(size)
+                   for m in range(size) if self.R[k, m] != 0.0]
 
         def field(p):
-            comps = list(self.phi(p))
-            comps.append(0.0)  # no action on time
-            wcoords = [p.coord(c) for c in proc.wiener_coords]
-            for k in range(len(wcoords)):
-                h = 0.0
-                for m in range(len(wcoords)):
-                    if R[k, m] != 0.0:
-                        h = h + R[k, m] * wcoords[m]
-                comps.append(h)
-            return comps
+            w = [p.coord(c) for c in proc.wiener_coords]
+            Rw = [0.0] * size
+            for k, m, r in entries:
+                Rw[k] = Rw[k] + r * w[m]
+            return [*self.phi(p), 0.0, *Rw]  # no action on time
 
         return field
 
@@ -198,16 +197,15 @@ class SymmetryGenerator:
 
     @staticmethod
     def linear_mode(column, kappa, n, part="re"):
-        """Mode field xi = part[M e^{-kappa t}], eta = part[-kappa M e^{-kappa t}]."""
+        """Mode field xi = part[M e^{-kappa t}], eta = part[-kappa M
+        e^{-kappa t}], M the column: one profile over the 2n constants
+        (M, -kappa M), so each evaluation takes e^{-a t} (and cos bt and
+        sin bt) once for xi and eta."""
         column = np.asarray(column, dtype=complex)
         if column.shape != (n,):
             raise DimensionMismatch(f"column must have length {n}")
-        xi_profile = _complex_profile(column, kappa, part)
-        eta_profile = _complex_profile(-kappa * column, kappa, part)
-
-        def phi(p):
-            return xi_profile(p.t) + eta_profile(p.t)
-
+        phi = _complex_profile(np.concatenate([column, -kappa * column]),
+                               kappa, part)
         return SymmetryGenerator(
             phi, 2 * n, 2 * n, family=LinearMode(kappa=complex(kappa), part=part),
             label=_render_linear_mode(column, kappa, part, n))
@@ -480,10 +478,14 @@ def max_invariant_residual(theta, sys, probes):
 
 def scale_by_invariant(X, alpha, sys, probes=None):
     """Multiply a generator by an invariant; validates alpha first: its
-    invariance conditions must stay within 1e-8 at the probes."""
+    invariance conditions must stay within 1e-8 at the probes, and a
+    Laplacian that is not finite fails them (NotAnInvariant)."""
     if probes is None:
         probes = sample_probes(sys, count=50, seed=7)
-    worst = max_invariant_residual(alpha, sys, probes)
+    try:
+        worst = max_invariant_residual(alpha, sys, probes)
+    except NonFiniteResult:
+        worst = np.nan
     if not worst <= 1e-8:
         raise NotAnInvariant(
             f"{getattr(alpha, 'label', 'alpha')} fails the invariance "

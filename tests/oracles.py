@@ -10,6 +10,12 @@ exact_linear_paths, which build every state of every path at once and
 return (states (paths, steps + 1, 2n), leakage (paths,)). The library
 streams the same arithmetic over time windows; the tests require its
 states and leakage to equal these bit for bit.
+
+Generator fields: two_profile_linear_mode_phi, a mode field's phi from
+one profile for the column and another for -kappa times it, and
+per_entry_extended_field, which tests R's entries one by one at every
+evaluation. The library takes the envelope once per mode field and reads
+R once per extended field; the tests require the same bits.
 """
 
 import numpy as np
@@ -224,3 +230,57 @@ def one_window(exact_paths):
         n = states.shape[2] // 2
         yield 0, states.shape[1], states[:, :, :n], states[:, :, n:], leak
     return windows
+
+
+# --- generator fields, each piece evaluated where it is used ---
+
+def _t_profile(C, kappa, part):
+    """Closure t -> part of C exp(-kappa t), kappa = a + i b, deciding the
+    part and taking exp(-a t), cos(b t) and sin(b t) at every call."""
+    a, b = float(np.real(kappa)), float(np.imag(kappa))
+    Cr = [float(np.real(c)) for c in C]
+    Ci = [float(np.imag(c)) for c in C]
+
+    def profile(t):
+        envelope = duals.exp(-a * t)
+        if b == 0.0:
+            if part == "re":
+                return [envelope * cr for cr in Cr]
+            return [envelope * ci for ci in Ci]
+        cosb = duals.cos(b * t)
+        sinb = duals.sin(b * t)
+        if part == "re":
+            return [envelope * (cr * cosb + ci * sinb)
+                    for cr, ci in zip(Cr, Ci)]
+        return [envelope * (ci * cosb - cr * sinb)
+                for cr, ci in zip(Cr, Ci)]
+
+    return profile
+
+
+def two_profile_linear_mode_phi(column, kappa, part):
+    """phi of the mode field part[column exp(-kappa t)] d/dx +
+    part[-kappa column exp(-kappa t)] d/dv, from two profiles."""
+    column = np.asarray(column, dtype=complex)
+    xi_profile = _t_profile(column, kappa, part)
+    eta_profile = _t_profile(-kappa * column, kappa, part)
+    return lambda p: xi_profile(p.t) + eta_profile(p.t)
+
+
+def per_entry_extended_field(phi, R, proc):
+    """The extended field of phi and R over proc's coordinates: phi, 0 on
+    t, R w on the Wiener coordinates, testing every entry of R when the
+    field is evaluated."""
+    def field(p):
+        comps = list(phi(p))
+        comps.append(0.0)
+        wcoords = [p.coord(c) for c in proc.wiener_coords]
+        for k in range(len(wcoords)):
+            h = 0.0
+            for m in range(len(wcoords)):
+                if R[k, m] != 0.0:
+                    h = h + R[k, m] * wcoords[m]
+            comps.append(h)
+        return comps
+
+    return field

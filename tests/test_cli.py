@@ -265,6 +265,24 @@ def test_out_of_range_parameters_exit_one_without_warnings(
     assert err.startswith("error: ") and "Warning" not in err
 
 
+def test_a_mode_that_overflows_at_the_probes_fails_certification_by_name(
+        tmp_path, capsys):
+    # exp(445.7 t) overflows at the probes, so the mode's Ito Laplacian is
+    # not finite: the certificate fails, naming the generator, with NaN
+    # maxima, as any other failed determining equation does
+    system = write_system(tmp_path, "steep.json", {
+        "n": 1, "beta": [3.0], "mu": [1.0],
+        "force": {"type": "linear", "L": [[200000.0]]}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "classify", "--system", system)
+    assert code == 1 and out == ""
+    assert err == (
+        "error: generator exp(445.7161111t)*(d/dx1 + 445.7161111*d/dv1) "
+        "failed the determining equations: f-residual nan, sigma-residual "
+        "nan > 1.0e-06\n")
+
+
 HUGE_LINEAR = {"n": 1, "beta": [1.0], "mu": [1.0],
                "force": {"type": "linear", "L": [[1e308]]}}
 STEEP_LINEAR = {"n": 1, "beta": [1.0], "mu": [1.0],
@@ -565,6 +583,21 @@ def test_converge_csv_shape(constant_system, capsys):
     assert data[0] == "dt,strong_error"
     assert len(data) == 4
     assert lines[-1].startswith("# fitted_order=")
+
+
+def test_a_one_rung_ladder_fits_no_order(tmp_path, capsys):
+    # one rung gives one point, through which no order is fitted: the CSV
+    # ends in a NaN order, and numpy's poorly-conditioned fit, which
+    # warned on stderr, is not attempted
+    system = write_system(tmp_path, "c.json", CONSTANT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "converge", "--system", system,
+                             "--ladder", "1", "--paths", "20")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[-3:] == ["dt,strong_error", "0.125,0.02747565027975249",
+                          "# fitted_order=nan"]
 
 
 @pytest.mark.parametrize("paths", ["0", "-3"])

@@ -450,6 +450,10 @@ WINDOW_CASES = {
     "constant-n1": build_ou_system(1, [1.3], [0.9], ConstantForce([-0.4])),
     "constant-n2": build_ou_system(2, [1.0, 2.0], [0.5, 1.5],
                                    ConstantForce([0.3, -0.2])),
+    # anisotropic, three components; 2.759 ** 2 (libm's pow) is not
+    # 2.759 * 2.759, so a c / beta ** 2 taken on arrays shows here
+    "constant-n3": build_ou_system(3, [0.7, 2.759, 1.9], [0.5, -1.2, 2.0],
+                                   ConstantForce([0.3, -0.4, 0.25])),
     "pair-n1": build_ou_system(1, [1.0], [0.7], LinearForce([[-3.0]])),
     "real-n1": build_ou_system(1, [2.5], [1.3], LinearForce([[-1.0]], [0.3])),
     "mixed-iso2": MIXED_ISO2,
@@ -668,6 +672,22 @@ def test_convergence_smoke_constant():
     assert 0.7 <= rep.fitted_order <= 1.3
     assert all(rep.errors[i] > rep.errors[i + 1]
                for i in range(len(rep.errors) - 1))
+
+
+def test_a_one_rung_study_fits_no_order():
+    # a slope through one point is no order: fitted_order is NaN, and
+    # numpy's poorly-conditioned fit is not attempted, so nothing warns
+    sys1 = build_ou_system(1, [1.0], [1.0], ConstantForce([0.5]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = convergence_study(OUConvergenceProblem(sys1), [0.0, 0.0], 0.0,
+                                1.0, [8], n_paths=20)
+    assert np.isnan(one.fitted_order) and type(one.fitted_order) is float
+    assert one.used_paths == 20 and len(one.errors) == 1
+    two = convergence_study(OUConvergenceProblem(sys1), [0.0, 0.0], 0.0,
+                            1.0, [8, 16], n_paths=20)
+    assert two.fitted_order == np.polyfit(np.log(two.dts),
+                                          np.log(two.errors), 1)[0]
 
 
 # True is a bool, not a count, for the ensemble and the study alike

@@ -316,6 +316,41 @@ def test_running_sums_carry_across_windows_in_one_helper():
         ("integrate.py", "_exact_linear_paths")}
 
 
+def _function(module, *names):
+    """The function at the dotted path names in module's source."""
+    scope = ast.parse((SRC / module).read_text())
+    for name in names:
+        scope = next(node for node in ast.walk(scope)
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                     and node.name == name)
+    return scope
+
+
+def test_fixed_work_is_done_once():
+    # the constant solver's one loop runs over the time windows, with no
+    # loop over the components in it and one pair of running sums carried
+    constant = _function("integrate.py", "_exact_constant_paths")
+    loops = [node for node in ast.walk(constant)
+             if isinstance(node, (ast.For, ast.While))]
+    assert [ast.unparse(loop.iter.func) for loop in loops] == ["_windows"]
+    assert not any(isinstance(node, (ast.For, ast.While, ast.comprehension))
+                   for stmt in loops[0].body for node in ast.walk(stmt))
+    carried = [ast.unparse(node) for node in ast.walk(loops[0])
+               if isinstance(node, ast.Assign)
+               and ast.unparse(node.targets[0]) == "ends"]
+    assert carried == [
+        "ends = (integ[:, :, -1].copy(), w[:, :, -1].copy())"]
+    # a mode field builds one profile for its 2n components
+    mode = _function("symmetry.py", "SymmetryGenerator", "linear_mode")
+    assert [ast.unparse(node.func) for node in ast.walk(mode)
+            if isinstance(node, ast.Call)].count("_complex_profile") == 1
+    # an extended field reads R where it is built: its closure compares
+    # nothing
+    field = _function("symmetry.py", "SymmetryGenerator",
+                      "as_extended_field", "field")
+    assert not any(isinstance(node, ast.Compare) for node in ast.walk(field))
+
+
 def test_residual_overflow_policy_is_set_where_residuals_are_computed():
     # the drift jet, the determining blocks and the invariance conditions
     # silence numpy's overflow warnings themselves, so no caller has to;

@@ -15,7 +15,9 @@ from ousym import (ConstantForce, DimensionMismatch, InvariantCandidate,
                    sample_probes, scale_by_invariant, sigma_residual,
                    solve_wsym_linear_constraint, stack_probes)
 from ousym import duals, symmetry
-from ousym.calculus import derivative
+from ousym.calculus import (_field_jet, _ito_jet, derivative,
+                            extended_coords)
+from oracles import per_entry_extended_field, two_profile_linear_mode_phi
 
 
 def test_sigma_residual_unit_entry_oracle():
@@ -266,6 +268,79 @@ def test_imaginary_part_of_a_real_rate_mode():
         [2.0 * np.exp(-2.0), -8.0 * np.exp(-2.0)], rel=1e-15)
     probes = sample_probes(sys1, count=10, seed=3)
     assert max(max_residuals(X, sys1, probes)) <= 1e-10
+
+
+def _bits(values):
+    """Type, dtype, shape and bytes of each entry of a list or tuple."""
+    return [(type(v), np.asarray(v).dtype, np.shape(v),
+             np.asarray(v).tobytes()) for v in values]
+
+
+def assert_same_bits(new, old, proc, probes):
+    """new and old, two vector callables on points, agree bit for bit at a
+    plain probe and at the stacked probes: their values, their Ito jets
+    (values, state and t partials, dw terms, Laplacian) and, for a field
+    over every coordinate, their field jets (values and Jacobian)."""
+    for p in (probes[0], stack_probes(probes)):
+        assert _bits(new(p)) == _bits(old(p))
+        assert _bits(_ito_jet(new, proc, p)) == _bits(_ito_jet(old, proc, p))
+        if len(new(p)) == len(extended_coords(p)):
+            assert _bits(_field_jet(new, p)) == _bits(_field_jet(old, p))
+
+
+ISO3 = build_ou_system(3, [1.1] * 3, [0.6] * 3,
+                       LinearForce([[-1.0, 0.4, 0.0], [0.2, -2.0, 0.3],
+                                    [0.0, -0.5, -0.7]]))
+
+
+@pytest.mark.parametrize("kappa", [1.7, -0.4, 0.8 + 1.3j, -0.5 - 2.1j])
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_a_mode_field_has_the_bits_of_its_two_profile_oracle(kappa, part):
+    # one profile over (column, -kappa column) takes the envelope, cos and
+    # sin once per evaluation; each of its 2n components keeps the bits of
+    # a profile for the column and one for -kappa times it
+    column = np.array([0.3 - 1.2j, -0.7 + 0.4j, 1.1 + 0.0j])
+    X = SymmetryGenerator.linear_mode(column, kappa, 3, part)
+    old = two_profile_linear_mode_phi(column, kappa, part)
+    probes = sample_probes(ISO3, count=16, seed=3)
+    assert_same_bits(X.phi, old, ISO3, probes)
+    assert_same_bits(X.as_extended_field(ISO3),
+                     per_entry_extended_field(old, X.R, ISO3), ISO3, probes)
+
+
+SPARSE_R = np.zeros((6, 6))
+SPARSE_R[[0, 3, 5], [0, 3, 5]] = [0.5, -1.25, -0.0]
+SPARSE_R[1, 4], SPARSE_R[4, 1] = 0.75, -0.75
+DENSE_A = np.random.default_rng(8).standard_normal((6, 6))
+
+
+@pytest.mark.parametrize("R", [np.zeros((6, 6)), SPARSE_R,
+                               DENSE_A - DENSE_A.T],
+                         ids=["zero", "sparse-skew-plus-diagonal",
+                              "dense-skew"])
+def test_an_extended_field_reads_R_as_its_per_entry_oracle(R):
+    # R's nonzero entries are read when the field is built; each R w
+    # component sums them from 0.0 in column order, as a test of every
+    # entry at every evaluation does (a -0.0 entry counts as zero in both)
+    mode = SymmetryGenerator.linear_mode([0.3, -0.7, 1.1], 1.7, 3)
+    X = SymmetryGenerator(mode.phi, 6, 6, R=R)
+    probes = sample_probes(ISO3, count=16, seed=5)
+    assert_same_bits(X.as_extended_field(ISO3),
+                     per_entry_extended_field(mode.phi, R, ISO3), ISO3,
+                     probes)
+
+
+def test_scale_by_a_chi_whose_laplacian_is_not_finite_fails_by_name():
+    # x1/x1 is 0/0 at the origin, where chi reads c: chi's Laplacian is
+    # NaN, a failed invariance condition like every other failed check
+    odd = build_ou_system(1, [1.0], [2.0], parse_force_expression("x1/x1", 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotAnInvariant, match=(
+                r"^chi1 fails the invariance conditions: max residual nan "
+                r"> 1\.0e-08$")):
+            scale_by_invariant(SymmetryGenerator.translation(1, 1),
+                               InvariantCandidate.chi(odd, 1), odd)
 
 
 def test_rendering_of_unit_and_constant_terms():
