@@ -14,10 +14,14 @@ every determining equation and invariance condition: e1 holds a unit row per
 state coordinate and one for t, then the rows
 D_k = d/dW_k + sum_j sigma_jk d/dS_j; e2 is zero on the unit rows and D on
 the rest. It gives the values, the state and time partials, the dw-block
-terms and the Ito Laplacian. _gradients seeds e1 = I for full Jacobians
-(bracket jets, the drift and sigma). derivative() seeds only the coordinates
-it is asked for, and hands the jet p's probe shape as one more, unread
-value, so that a plain seeded coordinate stays a float.
+terms and the Ito Laplacian, and refuses nothing: a determining equation
+or invariance condition that cannot be evaluated is NaN, which fails its
+gate. The public derivative, ito_laplacian(_components) and lie_bracket
+raise NonFiniteResult on a result that is not finite. _gradients seeds
+e1 = I for full Jacobians (bracket jets, the drift and sigma).
+derivative() seeds only the coordinates it is asked for, and hands the jet
+p's probe shape as one more, unread value, so that a plain seeded
+coordinate stays a float.
 
 Every Lie bracket goes through two steps: _field_jet takes one field's
 values and Jacobian once, from one seeded evaluation, and _contract forms
@@ -213,8 +217,8 @@ def _ito_jet(fvec, proc, p):
     (vals, d_state, d_t, dw_terms, lap) at full shape, the component axis
     first. d_state[a, j] is the partial along state coordinate j,
     dw_terms[a, k] the dw-block term D_k . grad along Wiener coordinate k,
-    and lap[a] the Ito Laplacian; a Laplacian that is not finite raises
-    NonFiniteResult.
+    and lap[a] the Ito Laplacian, as computed: a Laplacian that is not
+    finite stays in the jet, for the residuals that read it to report.
 
     e1 holds a unit row per state coordinate and one for t, then the rows
     D_k = d/dW_k + sum_j sigma_jk d/dS_j (S over the full state, W over the
@@ -240,14 +244,15 @@ def _ito_jet(fvec, proc, p):
     e2 = e1.copy()
     e2[:k0] = 0.0
     vals, d1, d12 = _jet(fvec, p, e1, e2)
-    lap = _check_finite(d12[:, k0:].sum(axis=1), "ito_laplacian")
-    return vals, d1[:, :k0 - 1], d1[:, k0 - 1], d1[:, k0:], lap
+    return (vals, d1[:, :k0 - 1], d1[:, k0 - 1], d1[:, k0:],
+            d12[:, k0:].sum(axis=1))
 
 
 def ito_laplacian_components(fvec, proc, p):
     """Ito Laplacian applied to each component of a vector-valued callable,
-    from one evaluation (see _ito_jet)."""
-    return _ito_jet(fvec, proc, p)[4]
+    from one evaluation (see _ito_jet); a Laplacian that is not finite
+    raises NonFiniteResult."""
+    return _check_finite(_ito_jet(fvec, proc, p)[4], "ito_laplacian")
 
 
 def ito_laplacian(f, sys, p):

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import duals
 from .calculus import _contract, _field_jet, sample_probes, stack_probes
-from .errors import CertificationFailed, NonFiniteResult, NotDiagonalizable
+from .errors import CertificationFailed, NotDiagonalizable
 from .model import classify_force
 from .symmetry import (ExpDecay, InvariantCandidate, SymmetryGenerator,
                        Translation, _component, _drift_jet, _family_json,
@@ -115,12 +115,9 @@ def classify_invariants(sys, probes=None):
         gens = [InvariantCandidate.chi(sys, i) for i in range(1, sys.n + 1)]
         p = stack_probes(probes)
         for g in gens:
-            # what overflows fails the gate below, and so does a Laplacian
-            # that is not finite (NaN where c = F(0) is undefined)
-            try:
-                worst = _max_abs(invariant_residual(g, sys, p))
-            except NonFiniteResult:
-                worst = np.nan
+            # what overflows, or is NaN where c = F(0) is undefined, fails
+            # the gate below
+            worst = _max_abs(invariant_residual(g, sys, p))
             if not worst <= CERT_TOL_INVARIANT:
                 raise CertificationFailed(
                     f"{g.label} failed invariance certification: "
@@ -198,14 +195,12 @@ def _emit_linear_modes(sys, L):
 def _certify(gens, sys, probes):
     p = stack_probes(probes)
     tol = CERT_TOL_RESIDUAL
-    # what overflows fails the gate below, and so does a Laplacian that is
-    # not finite (a mode whose exp(-kappa t) overflows at the probes)
+    # a residual that cannot be evaluated is NaN and fails the gate below,
+    # as what overflows does (a mode whose exp(-kappa t) overflows at the
+    # probes has a NaN Laplacian)
     drift = _drift_jet(sys, p)
     for g in gens:
-        try:
-            mf, ms = _max_blocks(g, sys, p, drift)
-        except NonFiniteResult:
-            mf = ms = np.nan
+        mf, ms = _max_blocks(g, sys, p, drift)
         if not (mf <= tol and ms <= tol):
             raise CertificationFailed(
                 f"generator {g.label} failed the determining equations: "
@@ -318,7 +313,10 @@ def expdecay_residual_scan(sys, kappas, i=1, probes=None):
     within 1e-12 times the largest term size over the probes,
     exp(-kappa t_p) (kappa^2 + |beta_i kappa| + max_a |dF_a/dx_i|), or
     CertificationFailed is raised. A rate whose exp(-kappa t) overflows
-    scores inf; when every rate does, there is no rate to re-check.
+    scores inf; a rate that is NaN or infinite, or whose terms overflow
+    where exp(-kappa t) is 0, scores NaN. The rate re-checked is that of
+    the smallest score that is not NaN; when no score is finite, there is
+    no rate to re-check. NaN scores stay NaN in the result.
     """
     idx = _component(i, sys.n) - 1
     if probes is None:
@@ -330,11 +328,13 @@ def expdecay_residual_scan(sys, kappas, i=1, probes=None):
     # r_a for a != i does not depend on the rate; exp(-kappa t) > 0 factors
     # out of the max over a; a rate where it overflows scores inf
     off = np.delete(np.abs(dF), idx, axis=0).max(axis=0, initial=0.0)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         out = (np.exp(-k * st.t) * np.maximum(
             np.abs(k * k - beta * k - dF[idx]), off)).max(axis=1)
-    if out.size and np.isfinite(out.min()):
-        kap, low = float(k[np.argmin(out), 0]), out.min()
+    # the smallest score that is not NaN is re-checked, if it is finite
+    low = np.fmin.reduce(out, initial=np.inf)
+    if np.isfinite(low):
+        kap = float(k[np.nanargmin(out), 0])
         scale = np.max(np.exp(-kap * st.t) * (
             kap * kap + abs(beta * kap) + np.abs(dF).max(axis=0)))
         worst = max(_max_blocks(SymmetryGenerator.exp_decay(

@@ -32,6 +32,9 @@ from .duals import value
 from .errors import DimensionMismatch, NonFiniteResult, NotAnInvariant
 from .model import _is_count
 
+# the largest invariance residual scale_by_invariant accepts of an alpha
+SCALE_TOL = 1e-8
+
 
 # --- structured family tags ---
 
@@ -147,15 +150,13 @@ class SymmetryGenerator:
 
     def as_extended_field(self, proc):
         """Vector field over extended_coords: phi, 0 on t, R w on Wiener.
-        R's nonzero entries are read here, once, row by row; each R w
+        R's nonzero entries are read here, once (_r_entries); each R w
         component sums its row's entries from 0.0, in column order."""
-        size = len(proc.wiener_coords)
-        entries = [(k, m, self.R[k, m]) for k in range(size)
-                   for m in range(size) if self.R[k, m] != 0.0]
+        entries = _r_entries(self.R, proc)
 
         def field(p):
             w = [p.coord(c) for c in proc.wiener_coords]
-            Rw = [0.0] * size
+            Rw = [0.0] * len(w)
             for k, m, r in entries:
                 Rw[k] = Rw[k] + r * w[m]
             return [*self.phi(p), 0.0, *Rw]  # no action on time
@@ -228,6 +229,17 @@ class SymmetryGenerator:
             phi, self.state_dim, self.wiener_dim, R=None,
             family=ModuleScaled(base=self.family, scaling=scaling_label),
             label=f"{scaling_label}*[{self.label}]")
+
+
+def _r_entries(R, proc):
+    """R's nonzero entries as (row, col, value), row-major: how R is read
+    against the process. R must be W x W for proc's W Wiener coordinates,
+    else DimensionMismatch."""
+    size = len(proc.wiener_coords)
+    if R.shape != (size, size):
+        raise DimensionMismatch(f"R is {R.shape[0]}x{R.shape[1]}, the process "
+                                f"has {size} Wiener coordinates")
+    return [(k, m, R[k, m]) for k, m in zip(*np.nonzero(R))]
 
 
 def _fmt(x):
@@ -408,9 +420,9 @@ def _residual_blocks(X, sys, p, drift=None):
             for j, Sj in enumerate(S):
                 sres = sres - phi[j] * dsig[:, :, Sj]
         sig = sys.sigma(p)
-        for m, k in zip(*np.nonzero(X.R)):
+        for m, k, r in _r_entries(X.R, sys):
             for i, row in enumerate(sig):
-                sres[i, k] = sres[i, k] - row[m] * X.R[m, k]
+                sres[i, k] = sres[i, k] - row[m] * r
     return fres, sres
 
 
@@ -467,8 +479,9 @@ def _max_blocks(X, sys, p, drift=None):
 
 def max_residuals(X, sys, probes):
     """Max |f-residual| and |sigma-residual| over a probe set (batched).
-    What overflows shows as a non-finite residual or Laplacian, not as a
-    numpy warning."""
+    What overflows shows as a non-finite maximum, not as a numpy warning,
+    and a residual that cannot be evaluated (a Laplacian that is not
+    finite) as a NaN one, not as an error."""
     return _max_blocks(X, sys, stack_probes(probes))
 
 
@@ -478,18 +491,16 @@ def max_invariant_residual(theta, sys, probes):
 
 def scale_by_invariant(X, alpha, sys, probes=None):
     """Multiply a generator by an invariant; validates alpha first: its
-    invariance conditions must stay within 1e-8 at the probes, and a
-    Laplacian that is not finite fails them (NotAnInvariant)."""
+    invariance conditions must stay within SCALE_TOL at the probes, and
+    a condition that cannot be evaluated (NaN) fails them
+    (NotAnInvariant)."""
     if probes is None:
         probes = sample_probes(sys, count=50, seed=7)
-    try:
-        worst = max_invariant_residual(alpha, sys, probes)
-    except NonFiniteResult:
-        worst = np.nan
-    if not worst <= 1e-8:
+    worst = max_invariant_residual(alpha, sys, probes)
+    if not worst <= SCALE_TOL:
         raise NotAnInvariant(
             f"{getattr(alpha, 'label', 'alpha')} fails the invariance "
-            f"conditions: max residual {worst:.3e} > 1.0e-08")
+            f"conditions: max residual {worst:.3e} > {SCALE_TOL:.1e}")
     return X.scaled(alpha, getattr(alpha, "label", "alpha"))
 
 

@@ -708,6 +708,32 @@ def test_scan_of_a_steep_force_is_finite_without_warnings():
     assert only.tolist() == [np.inf]
 
 
+def test_a_nan_score_does_not_hide_the_recheck(monkeypatch):
+    # a NaN rate, and an infinite or huge one (inf - inf, 0 * inf), score
+    # NaN; the smallest score that is not NaN is still re-checked, without
+    # a numpy warning, and a grid with no NaN score keeps its bits
+    sys1 = build_ou_system(1, [1.0], [1.0],
+                           parse_force_expression("-x1^3 + x1", 1))
+    rechecked = []
+    max_blocks = classify._max_blocks
+
+    def spy(X, *args):
+        rechecked.append(X.family.kappa)
+        return max_blocks(X, *args)
+
+    monkeypatch.setattr(classify, "_max_blocks", spy)
+    clean = expdecay_residual_scan(sys1, [0.5, 1.0])
+    assert clean.tolist() == [4.821966095631581, 2.9630928932021123]
+    assert rechecked == [1.0]
+    for rate in (np.nan, np.inf, 1e200):
+        rechecked.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = expdecay_residual_scan(sys1, [0.5, 1.0, rate])
+        assert rechecked == [1.0], rate
+        assert scores[:2].tobytes() == clean.tobytes() and np.isnan(scores[2])
+
+
 def test_no_real_simple_symmetry_for_regular_cubic_forces():
     # the negative result as a property: a regular cubic force (a radial
     # cubic plus the cube of each coordinate, one sign) on an isotropic

@@ -351,6 +351,39 @@ def test_fixed_work_is_done_once():
     assert not any(isinstance(node, ast.Compare) for node in ast.walk(field))
 
 
+def test_certification_has_one_failure_rule():
+    # a residual that cannot be evaluated is NaN, which fails its gate: no
+    # module turns NonFiniteResult back into a NaN, the Ito jet returns its
+    # Laplacian as computed, and the public Laplacian refuses it
+    handlers = [path.name for path in sorted(SRC.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ExceptHandler) and node.type
+                and "NonFiniteResult" in ast.unparse(node.type)]
+    assert handlers == []
+
+    def calls(name):
+        return [ast.unparse(node.func)
+                for node in ast.walk(_function("calculus.py", name))
+                if isinstance(node, ast.Call)]
+
+    assert "_check_finite" not in calls("_ito_jet")
+    assert "_check_finite" in calls("ito_laplacian_components")
+
+
+def test_R_is_read_against_the_process_in_one_place():
+    # R's entries are taken, and its size checked against the process, by
+    # _r_entries, which the extended field and the dw block both call
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                callers += [(path.name, node.name) for call in ast.walk(node)
+                            if isinstance(call, ast.Call)
+                            and getattr(call.func, "id", None) == "_r_entries"]
+    assert sorted(callers) == [("symmetry.py", "_residual_blocks"),
+                               ("symmetry.py", "as_extended_field")]
+
+
 def test_residual_overflow_policy_is_set_where_residuals_are_computed():
     # the drift jet, the determining blocks and the invariance conditions
     # silence numpy's overflow warnings themselves, so no caller has to;

@@ -9,8 +9,9 @@ from ousym import (ConstantForce, DimensionMismatch, InvariantCandidate,
                    LinearForce, NonFiniteResult, NotAnInvariant,
                    SymmetryGenerator, affine_invariant_nullspace,
                    build_ou_system, expdecay_residual_scan, f_residual,
-                   gbm_process,
-                   invariant_residual, max_invariant_residual, max_residuals,
+                   gbm_process, invariant_residual, ito_laplacian,
+                   ito_laplacian_components, lie_bracket,
+                   max_invariant_residual, max_residuals,
                    parse_force_expression, point, residual_report,
                    sample_probes, scale_by_invariant, sigma_residual,
                    solve_wsym_linear_constraint, stack_probes)
@@ -341,6 +342,47 @@ def test_scale_by_a_chi_whose_laplacian_is_not_finite_fails_by_name():
                 r"> 1\.0e-08$")):
             scale_by_invariant(SymmetryGenerator.translation(1, 1),
                                InvariantCandidate.chi(odd, 1), odd)
+
+
+def test_a_laplacian_that_is_not_finite_is_a_nan_residual():
+    # exp(800 t) overflows at the probes, so phi's Ito Laplacian is not
+    # finite: the residuals report NaN, as what overflows elsewhere does,
+    # without a numpy warning; the differentiation API still refuses it
+    steep = build_ou_system(1, [1.0], [1.0], LinearForce([[2.0]]))
+    X = SymmetryGenerator.exp_decay(1, -800.0, 1)
+    p = point(x=[0.5], v=[0.1], t=1.5, w=[0.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mf, ms = max_residuals(X, steep, sample_probes(steep))
+        report = residual_report(X, steep, p)
+    assert np.isnan(mf) and np.isnan(ms) and np.isnan(report.max_abs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteResult, match="^ito_laplacian "):
+            ito_laplacian(lambda q: X.phi(q)[0], steep, p)
+        with pytest.raises(NonFiniteResult, match="^ito_laplacian "):
+            ito_laplacian_components(X.phi, steep, p)
+
+
+@pytest.mark.parametrize("R", [
+    [[0.0, 0.0, 0.0, 1.0], [0.0] * 4, [0.0] * 4, [-1.0, 0.0, 0.0, 0.0]],
+    [[1.0]]], ids=["4x4-skew", "1x1"])
+def test_R_must_match_the_wiener_coordinates_of_the_process(R):
+    # a constant n = 1 system has 2 Wiener coordinates (w1 and its ghost
+    # z1); an R of any other size is refused wherever it is read against
+    # the process, not cut down to fit or read out of bounds
+    sys1 = build_ou_system(1, [1.0], [1.0], ConstantForce([0.5]))
+    size = len(R)
+    X = SymmetryGenerator(lambda p: [0.0, 0.0], 2, size, R=R)
+    p = point(x=[0.5], v=[0.1], t=0.3, w=[0.2])
+    match = rf"^R is {size}x{size}, the process has 2 Wiener coordinates$"
+    with pytest.raises(DimensionMismatch, match=match):
+        X.as_extended_field(sys1)
+    with pytest.raises(DimensionMismatch, match=match):
+        max_residuals(X, sys1, [p])
+    with pytest.raises(DimensionMismatch, match=match):
+        lie_bracket(X.as_extended_field(sys1),
+                    SymmetryGenerator.translation(1, 1).as_extended_field(
+                        sys1), p)
 
 
 def test_rendering_of_unit_and_constant_terms():
