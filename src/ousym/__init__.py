@@ -30,15 +30,14 @@ from .integrate import (ConvergenceReport, GBMConvergenceProblem,
                         KozlovConvergenceProblem, OUConvergenceProblem,
                         Path, WienerGrid, coarsen, convergence_study,
                         euler_maruyama, euler_maruyama_ensemble,
-                        euler_maruyama_general, exact_solve_constant,
-                        exact_solve_linear, ito_integral, read_path_csv,
-                        sample_wiener, solve_reference_problem,
-                        thread_count, write_convergence_csv, write_path_csv)
+                        exact_solve_constant, exact_solve_linear,
+                        read_path_csv, sample_wiener,
+                        solve_reference_problem, thread_count,
+                        write_convergence_csv, write_path_csv)
 from .model import (ConstantForce, CustomItoProcess, ExpressionForce,
                     ForceClass, ForceField, LinearForce, OUSystem,
                     build_ou_system, classify_force, default_x_probes,
-                    gbm_process, kozlov_exp_process, system_from_json,
-                    system_to_json)
+                    system_from_json, system_to_json)
 from .symmetry import (AffineRecord, InvariantCandidate, ResidualReport,
                        SymmetryGenerator, affine_invariant_nullspace,
                        f_residual, invariant_residual,
@@ -66,11 +65,9 @@ __all__ = [
     "classify_invariants", "classify_symmetries", "coarsen",
     "convergence_study", "default_scaling_functions", "default_x_probes",
     "derivative", "euler_maruyama", "euler_maruyama_ensemble",
-    "euler_maruyama_general", "exact_solve_constant", "exact_solve_linear",
-    "expdecay_residual_scan",
-    "extended_coords", "f_residual", "gbm_process", "invariant_residual",
-    "ito_integral", "ito_laplacian", "ito_laplacian_components",
-    "kozlov_exp_process", "lie_bracket", "max_invariant_residual",
+    "exact_solve_constant", "exact_solve_linear", "expdecay_residual_scan",
+    "extended_coords", "f_residual", "invariant_residual", "ito_laplacian",
+    "ito_laplacian_components", "lie_bracket", "max_invariant_residual",
     "max_residuals", "mode_rates", "parse_components", "parse_expression",
     "parse_force_expression", "point", "read_path_csv", "residual_report",
     "sample_probes", "sample_wiener", "scale_by_invariant",

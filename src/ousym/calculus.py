@@ -205,10 +205,12 @@ def derivative(f, p, coord, order=1, coord2=None):
         return [f(q)]
 
     eye = np.eye(len(pair) + 1)
-    _, d1, d12 = duals.jet(
-        at, [p.coord(c) for c in pair]
-        + [np.broadcast_to(0.0, _probe_shape(p))],
-        eye[0], None if order == 1 else eye[len(pair) - 1])
+    # what overflows is refused below, without a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, d1, d12 = duals.jet(
+            at, [p.coord(c) for c in pair]
+            + [np.broadcast_to(0.0, _probe_shape(p))],
+            eye[0], None if order == 1 else eye[len(pair) - 1])
     return _check_finite((d1 if order == 1 else d12)[0], "derivative")
 
 
@@ -251,8 +253,9 @@ def _ito_jet(fvec, proc, p):
 def ito_laplacian_components(fvec, proc, p):
     """Ito Laplacian applied to each component of a vector-valued callable,
     from one evaluation (see _ito_jet); a Laplacian that is not finite
-    raises NonFiniteResult."""
-    return _check_finite(_ito_jet(fvec, proc, p)[4], "ito_laplacian")
+    raises NonFiniteResult, without a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _check_finite(_ito_jet(fvec, proc, p)[4], "ito_laplacian")
 
 
 def ito_laplacian(f, sys, p):
@@ -314,7 +317,9 @@ def lie_bracket(X, Y, p):
     in that same coordinate order. Each field's jet (values and Jacobian) is
     taken once by _field_jet, from one evaluation seeded along every
     coordinate, then the two jets are contracted by _contract. A field
-    without one component per coordinate raises DimensionMismatch.
+    without one component per coordinate raises DimensionMismatch, and a
+    bracket that is not finite NonFiniteResult, without a numpy warning.
     """
-    vals, jac = map(np.stack, zip(*(_field_jet(F, p) for F in (X, Y))))
-    return list(_contract(vals, jac, [0], [1])[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, jac = map(np.stack, zip(*(_field_jet(F, p) for F in (X, Y))))
+        return list(_contract(vals, jac, [0], [1])[0])

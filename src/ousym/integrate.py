@@ -22,8 +22,11 @@ exact_terminals and em_terminals, from increments (paths, n_proc, steps)
 to terminal states and a mask of paths to skip. Every adapter also has the
 single-grid pair exact_terminal / em_terminal, which is the batched pair on
 a batch of one and raises DomainExit or NonFiniteState where a study would
-skip the path. The GBM and Kozlov closed forms are written once, batched,
-and serve both the adapters and solve_reference_problem.
+skip the path. The GBM and Kozlov SDEs are written once, as the elementwise
+drift and sigma of their adapters, which Euler-Maruyama steps on arrays
+and whose sys is the SDE as an Ito process for the residual machinery.
+Their closed forms are written once, batched, and serve both the adapters
+and solve_reference_problem.
 
 Each rejection rule is written once. Every exact OU path, one grid or a
 study's batch, passes _guarded, which applies the blow-up guard and
@@ -32,7 +35,8 @@ skips the path. The exact OU solvers yield their paths in time windows of
 about WINDOW_VALUES values (_windows); _guarded folds the guard and the
 leakage over the windows and keeps every state for a single solve but
 only the terminal states for a study, so a study never builds a block's
-whole path. Every integer argument (steps, n_proc, seed, path_index,
+whole path; the GBM and Kozlov references sum the Wiener path over the
+same windows. Every integer argument (steps, n_proc, seed, path_index,
 path counts, rungs, factors) is judged by model._is_count; seed and
 path_index are the two 64-bit words of a Philox key, so each is also
 below 2**64.
@@ -44,10 +48,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import duals
 from .classify import _eigenmodes, mode_rates
 from .errors import (DimensionMismatch, DomainExit, InvalidGrid,
                      NonFiniteState, OusymError, WrongForceClass)
-from .model import ConstantForce, LinearForce, _is_count
+from .model import ConstantForce, CustomItoProcess, LinearForce, _is_count
 
 BLOWUP_GUARD = 1e12
 IMAG_TOL = 1e-10
@@ -362,29 +367,6 @@ def euler_maruyama(sys, x0, grid):
                 meta=_grid_meta(grid, "euler-maruyama"))
 
 
-def euler_maruyama_general(drift, sigma, x0, grid):
-    """Euler-Maruyama for a plain Ito system given as callables.
-
-    drift(x) -> (d,), sigma(x) -> (d, n_proc), x0 length d; the columns
-    are labelled x1..xd, and a state outside [-BLOWUP_GUARD, BLOWUP_GUARD]
-    or NaN raises NonFiniteState.
-    """
-    x = np.asarray(x0, dtype=float).ravel()
-    d = x.shape[0]
-    dt = grid.dt
-
-    def step(s, dw, out):
-        f = np.asarray(drift(s[0]), dtype=float)
-        g = np.asarray(sigma(s[0]), dtype=float).reshape(d, grid.n_proc)
-        out[0] = s[0] + f * dt + g @ dw[0]
-
-    record = np.empty((grid.steps + 1, 1, d))
-    _em_batch(step, x[None], grid.increments[None], grid.t0, dt, record)
-    return Path(times=grid.times, states=record[:, 0],
-                labels=tuple(f"x{i + 1}" for i in range(d)),
-                meta=_grid_meta(grid, "euler-maruyama"))
-
-
 def euler_maruyama_ensemble(sys, x0, t0, t1, steps, n_paths, seed=0):
     """Terminal states of n_paths Euler-Maruyama paths, (n_paths, 2n).
 
@@ -403,24 +385,6 @@ def euler_maruyama_ensemble(sys, x0, t0, t1, steps, n_paths, seed=0):
         for i0, inc in blocks:
             out[i0:i0 + len(inc)], _ = _ou_em(sys, x0, t0, t1, inc)
     return out
-
-
-# --- Ito integrals ---
-
-def ito_integral(a, grid, proc=0):
-    """Left-endpoint sums of int a(t) dw along one driving process.
-
-    Returns an array of length steps + 1; entry k is the integral over
-    [t0, t_k], so the first entry is 0.
-    """
-    ts = grid.times[:-1]
-    try:
-        vals = np.asarray(a(ts), dtype=float)
-        if vals.shape != ts.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([float(a(t)) for t in ts])
-    return _cumulative(vals * grid.increments[proc])
 
 
 # --- exact solvers ---
@@ -758,10 +722,18 @@ class OUConvergenceProblem(_ConvergenceProblem):
 
 
 class _ScalarProblem(_ConvergenceProblem):
-    """Euler-Maruyama side of a scalar fixture dy = drift(y) dt +
-    sigma(y) dw whose drift and sigma act elementwise."""
+    """A scalar fixture dy = drift(y) dt + sigma(y) dw, written once:
+    drift and sigma act elementwise on an array, which Euler-Maruyama
+    steps, and on a hyper-dual, through sys, the fixture's Ito process."""
 
     n_proc = 1
+
+    @property
+    def sys(self):
+        """The fixture as an Ito process on extended points, for the
+        residual and invariance checks."""
+        return CustomItoProcess(1, 1, lambda p: [self.drift(p.x[0])],
+                                lambda p: [[self.sigma(p.x[0])]], self.name)
 
     def em_terminals(self, x0, t0, t1, inc):
         dt = (t1 - t0) / inc.shape[2]
@@ -787,7 +759,12 @@ class GBMConvergenceProblem(_ScalarProblem):
         return self.b * x
 
     def exact_terminals(self, x0, t0, t1, inc):
-        w = _cumulative(inc)[:, :, -1]
+        # the Wiener value at t1, summed window by window: each window's
+        # running sum continues from the one that ended the window before
+        # (the last window's slice stops at the last step)
+        w = None
+        for k0, k1 in _windows(inc.shape[2], inc.shape[0]):
+            w = _cumulative(inc[:, :, k0:k1], w)[:, :, -1]
         x = float(x0[0]) * np.exp(_gbm_exponent(self.a, self.b, t1 - t0, w))
         return x, np.zeros(inc.shape[0], dtype=bool)
 
@@ -800,16 +777,24 @@ class KozlovConvergenceProblem(_ScalarProblem):
     exact_skip = DomainExit
 
     def drift(self, y):
-        return np.exp(-y) - 0.5 * np.exp(-2.0 * y)
+        return duals.exp(-y) - 0.5 * duals.exp(-2.0 * y)
 
     def sigma(self, y):
-        return np.exp(-y)
+        return duals.exp(-y)
 
     def exact_terminals(self, x0, t0, t1, inc):
-        t = np.linspace(t0, t1, inc.shape[2] + 1)
-        x, below = _kozlov_transform(float(x0[0]), t - t0, _cumulative(inc))
+        # x and its floor mask window by window, the running sums carried
+        # as in GBMConvergenceProblem: w holds states k0..k1, the last of
+        # which starts the next window, and the last window ends at t1
+        s = np.linspace(t0, t1, inc.shape[2] + 1) - t0
+        end, skip = None, np.zeros(inc.shape[0], dtype=bool)
+        for k0, k1 in _windows(inc.shape[2], inc.shape[0]):
+            w = _cumulative(inc[:, :, k0:k1], end)
+            end = w[:, :, -1]
+            x, below = _kozlov_transform(float(x0[0]), s[k0:k1 + 1], w)
+            skip |= below[:, 0].any(axis=1)
         with np.errstate(invalid="ignore"):
-            return np.log(x[:, :, -1]), below[:, 0].any(axis=1)
+            return np.log(x[:, :, -1]), skip
 
 
 def convergence_study(problem, x0, t0, t1, ladder_steps, n_paths=200,
@@ -828,10 +813,10 @@ def convergence_study(problem, x0, t0, t1, ladder_steps, n_paths=200,
     Paths go in blocks of at most BLOCK_VALUES fine increments; the next
     block is drawn while the current one runs, so two blocks of increments
     are alive at once (one with OUSYM_THREADS=1). Beyond them, each rung
-    holds the coarsened copy of the block it steps, and the OU reference
-    streams over time windows of about WINDOW_VALUES values, keeping only
-    the terminal states, so it adds a few window-sized arrays; the GBM and
-    Kozlov references evaluate their closed forms along the whole block.
+    holds the coarsened copy of the block it steps, and the OU, GBM and
+    Kozlov references stream over time windows of about WINDOW_VALUES
+    values, keeping only the terminal states, so they add a few
+    window-sized arrays.
 
     problem is an adapter: it has n_proc, name and exact_terminals /
     em_terminals(x0, t0, t1, inc), which map increments

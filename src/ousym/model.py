@@ -409,24 +409,6 @@ class CustomItoProcess:
         return self._sigma_fn(p)
 
 
-def gbm_process(a, b):
-    """dx = a x dt + b x dw."""
-    return CustomItoProcess(
-        1, 1,
-        drift_fn=lambda p: [a * p.x[0]],
-        sigma_fn=lambda p: [[b * p.x[0]]],
-        name=f"gbm(a={a}, b={b})")
-
-
-def kozlov_exp_process():
-    """dy = (exp(-y) - exp(-2y)/2) dt + exp(-y) dw."""
-    return CustomItoProcess(
-        1, 1,
-        drift_fn=lambda p: [duals.exp(-p.x[0]) - 0.5 * duals.exp(-2.0 * p.x[0])],
-        sigma_fn=lambda p: [[duals.exp(-p.x[0])]],
-        name="kozlov_exp")
-
-
 # --- JSON system schema ---
 
 def system_from_json(data):

@@ -11,6 +11,15 @@ return (states (paths, steps + 1, 2n), leakage (paths,)). The library
 streams the same arithmetic over time windows; the tests require its
 states and leakage to equal these bit for bit.
 
+Scalar fixture references: gbm_exact_terminals and kozlov_exact_terminals,
+which evaluate the closed forms along the whole block's Wiener path. The
+library streams the same sums over time windows; the tests require its
+terminals and skip masks to equal these bit for bit.
+
+Paths and integrals on one grid: euler_maruyama_general, Euler-Maruyama
+for an Ito system given as callables, and ito_integral, left-endpoint
+sums of int a(t) dw.
+
 Generator fields: two_profile_linear_mode_phi, a mode field's phi from
 one profile for the column and another for -kappa times it, and
 per_entry_extended_field, which tests R's entries one by one at every
@@ -26,7 +35,7 @@ from ousym.classify import _eigenmodes, mode_rates
 from ousym.duals import value
 from ousym.errors import (DimensionMismatch, EvaluationDomainError,
                           WrongForceClass)
-from ousym.integrate import _split_state
+from ousym.integrate import Path, _em_batch, _grid_meta, _split_state
 from ousym.model import ConstantForce, LinearForce
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -230,6 +239,69 @@ def one_window(exact_paths):
         n = states.shape[2] // 2
         yield 0, states.shape[1], states[:, :, :n], states[:, :, n:], leak
     return windows
+
+
+# --- whole-block scalar fixture references ---
+
+def gbm_exact_terminals(a, b, x0, t0, t1, inc):
+    """GBM terminal states (paths, 1) from increments (paths, 1, steps),
+    through the whole block's Wiener path, and a mask that skips no
+    path."""
+    w = _cumulative(inc)[:, :, -1]
+    x = float(x0[0]) * np.exp((a - 0.5 * b ** 2) * (t1 - t0) + b * w)
+    return x, np.zeros(inc.shape[0], dtype=bool)
+
+
+def kozlov_exact_terminals(x0, t0, t1, inc):
+    """Kozlov terminal states (paths, 1) from increments (paths, 1, steps),
+    through the whole block's transformed path x = exp(y0) + (t - t0) + w,
+    and the mask of paths where x is not above 1e-9 at some time (NaN
+    included)."""
+    t = np.linspace(t0, t1, inc.shape[2] + 1)
+    x = np.exp(float(x0[0])) + (t - t0) + _cumulative(inc)
+    with np.errstate(invalid="ignore"):
+        return np.log(x[:, :, -1]), (~(x > 1e-9))[:, 0].any(axis=1)
+
+
+# --- single-grid Euler-Maruyama and Ito integrals ---
+
+def euler_maruyama_general(drift, sigma, x0, grid):
+    """Euler-Maruyama for a plain Ito system given as callables.
+
+    drift(x) -> (d,), sigma(x) -> (d, n_proc), x0 length d; the columns
+    are labelled x1..xd, and a state outside [-BLOWUP_GUARD, BLOWUP_GUARD]
+    or NaN raises NonFiniteState.
+    """
+    x = np.asarray(x0, dtype=float).ravel()
+    d = x.shape[0]
+    dt = grid.dt
+
+    def step(s, dw, out):
+        f = np.asarray(drift(s[0]), dtype=float)
+        g = np.asarray(sigma(s[0]), dtype=float).reshape(d, grid.n_proc)
+        out[0] = s[0] + f * dt + g @ dw[0]
+
+    record = np.empty((grid.steps + 1, 1, d))
+    _em_batch(step, x[None], grid.increments[None], grid.t0, dt, record)
+    return Path(times=grid.times, states=record[:, 0],
+                labels=tuple(f"x{i + 1}" for i in range(d)),
+                meta=_grid_meta(grid, "euler-maruyama"))
+
+
+def ito_integral(a, grid, proc=0):
+    """Left-endpoint sums of int a(t) dw along one driving process.
+
+    Returns an array of length steps + 1; entry k is the integral over
+    [t0, t_k], so the first entry is 0.
+    """
+    ts = grid.times[:-1]
+    try:
+        vals = np.asarray(a(ts), dtype=float)
+        if vals.shape != ts.shape:
+            raise TypeError
+    except (TypeError, ValueError):
+        vals = np.array([float(a(t)) for t in ts])
+    return _cumulative(vals * grid.increments[proc])
 
 
 # --- generator fields, each piece evaluated where it is used ---

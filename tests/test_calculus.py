@@ -5,15 +5,15 @@ import warnings
 import numpy as np
 import pytest
 
-from ousym import (ConstantForce, EmptyProbeSet, LinearForce,
+from ousym import (ConstantForce, EmptyProbeSet, GBMConvergenceProblem,
+                   KozlovConvergenceProblem, LinearForce,
                    SymmetryGenerator, build_ou_system, derivative,
-                   expdecay_residual_scan, extended_coords, gbm_process,
-                   ito_laplacian, kozlov_exp_process, lie_bracket,
-                   max_residuals, parse_force_expression, point,
-                   sample_probes, stack_probes)
+                   expdecay_residual_scan, extended_coords, ito_laplacian,
+                   lie_bracket, max_residuals, parse_force_expression,
+                   point, sample_probes, stack_probes)
 from ousym import duals
 from ousym.calculus import _gradients, ito_laplacian_components
-from ousym.errors import DimensionMismatch
+from ousym.errors import DimensionMismatch, NonFiniteResult
 
 from oracles import fd_derivative, fd_lie_bracket
 
@@ -159,7 +159,7 @@ def test_ito_laplacian_linearity():
 
 def test_ito_laplacian_on_custom_process():
     # GBM: Delta f = b^2 x^2 f'' for state-only f
-    gbm = gbm_process(1.0, 0.5)
+    gbm = GBMConvergenceProblem(1.0, 0.5).sys
     p = point(x=[2.0])
     val = ito_laplacian(lambda q: q.x[0] ** 3, gbm, p)
     assert val == pytest.approx(0.25 * 4.0 * 6.0 * 2.0, rel=1e-12)
@@ -171,8 +171,8 @@ def test_ito_laplacian_on_custom_process():
         return q.x[0] ** 3 * duals.exp(-q.t) + duals.sin(q.x[0] * q.w[0])
 
     x, w = ("x", 0), ("w", 0)
-    for proc, sigma in ((gbm, lambda y: 0.5 * y),
-                        (kozlov_exp_process(), lambda y: np.exp(-y))):
+    koz = KozlovConvergenceProblem().sys
+    for proc, sigma in ((gbm, lambda y: 0.5 * y), (koz, lambda y: np.exp(-y))):
         stacked = stack_probes(sample_probes(proc, count=6, seed=3,
                                              box=(0.2, 2.0)))
         s = sigma(stacked.x[0])
@@ -181,6 +181,24 @@ def test_ito_laplacian_on_custom_process():
                   + fd_derivative(f, stacked, w, order=2))
         assert np.allclose(ito_laplacian(f, proc, stacked), oracle,
                            rtol=1e-4, atol=1e-6)
+
+
+def test_what_overflows_raises_without_a_numpy_warning():
+    # exp(800 t) overflows at t = 1.5: derivative and lie_bracket refuse
+    # the result with NonFiniteResult, and numpy prints nothing first
+    steep = build_ou_system(1, [1.0], [1.0], LinearForce([[2.0]]))
+    X = SymmetryGenerator.exp_decay(1, -800.0, 1)
+    T = SymmetryGenerator.translation(1, 1)
+    p = point(x=[0.5], v=[0.1], t=1.5, w=[0.2])
+    t, x = ("t", 0), ("x", 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kwargs in ({}, {"order": 2}, {"coord2": x}):
+            with pytest.raises(NonFiniteResult, match="^derivative "):
+                derivative(lambda q: X.phi(q)[0], p, t, **kwargs)
+        with pytest.raises(NonFiniteResult, match="^lie_bracket "):
+            lie_bracket(X.as_extended_field(steep),
+                        T.as_extended_field(steep), p)
 
 
 def test_ito_laplacian_components_batched():
@@ -406,7 +424,7 @@ def _bits(p):
 @pytest.mark.parametrize("seed", [0, 3, 11, 12345])
 def test_sample_probes_match_per_probe_draws(seed):
     procs = [build_ou_system(n, [1.0] * n, [1.0] * n, ConstantForce([0.0] * n))
-             for n in (1, 2, 5)] + [gbm_process(0.3, 0.5)]
+             for n in (1, 2, 5)] + [GBMConvergenceProblem(0.3, 0.5).sys]
     for proc in procs:
         for count, box in [(1, (-2.0, 2.0)), (7, (-2.0, 2.0)),
                            (32, (-0.5, 3.0))]:

@@ -14,15 +14,15 @@ from ousym import (ConstantForce, DimensionMismatch, DomainExit,
                    NonFiniteState, OUConvergenceProblem, OusymError,
                    WienerGrid, WrongForceClass, build_ou_system, coarsen,
                    convergence_study, euler_maruyama,
-                   euler_maruyama_ensemble,
-                   euler_maruyama_general, exact_solve_constant,
-                   exact_solve_linear, integrate, ito_integral,
-                   parse_force_expression, read_path_csv, sample_wiener,
-                   solve_reference_problem, write_convergence_csv,
-                   write_path_csv)
+                   euler_maruyama_ensemble, exact_solve_constant,
+                   exact_solve_linear, integrate, parse_force_expression,
+                   read_path_csv, sample_wiener, solve_reference_problem,
+                   write_convergence_csv, write_path_csv)
 from ousym.classify import _eigenmodes, mode_rates
 from oracles import _mode_quadrature as whole_mode_quadrature
-from oracles import exact_constant_paths, exact_linear_paths, one_window
+from oracles import (euler_maruyama_general, exact_constant_paths,
+                     exact_linear_paths, gbm_exact_terminals, ito_integral,
+                     kozlov_exact_terminals, one_window)
 
 
 def manual_grid(increments, t0=0.0, t1=1.0):
@@ -628,6 +628,71 @@ def test_exact_terminals_stay_below_the_full_state_array(sys_):
     assert peak < full <= oracle_peak
     assert term.tobytes() == np.ascontiguousarray(states[:, -1]).tobytes()
     assert not skip.any()
+
+
+def scalar_oracle(problem, x0, t0, t1, inc):
+    """The whole-block reference of a GBM or Kozlov adapter."""
+    if isinstance(problem, KozlovConvergenceProblem):
+        return kozlov_exact_terminals(x0, t0, t1, inc)
+    return gbm_exact_terminals(problem.a, problem.b, x0, t0, t1, inc)
+
+
+SCALAR_REFERENCES = pytest.mark.parametrize("problem,x0", [
+    (GBMConvergenceProblem(1.0, 0.5), [1.0]),
+    (GBMConvergenceProblem(-0.3, 1.7), [-2.0]),
+    (KozlovConvergenceProblem(), [0.0]),
+    (KozlovConvergenceProblem(), [-1.0]),
+], ids=["gbm", "gbm-negative", "kozlov", "kozlov-low"])
+
+
+@pytest.mark.parametrize("steps", [10, 48, 49, 50],
+                         ids=["one-window", "three-windows", "tail-1-joined",
+                              "tail-2"])
+@SCALAR_REFERENCES
+def test_streamed_scalar_references_equal_the_whole_block_oracle(
+        monkeypatch, problem, x0, steps):
+    # windows of 16 steps; at 49 steps the last window would hold one step
+    # and joins the one before. Path 0 dips below the Kozlov floor at
+    # states 4 and 5 only, path 1 at state 16 only, on a window boundary
+    # from 17 steps on; paths 2 and 3 turn NaN and -inf part way
+    paths = 6
+    monkeypatch.setattr(integrate, "WINDOW_VALUES", 16 * paths)
+    rng = np.random.default_rng(steps)
+    inc = rng.standard_normal((paths, 1, steps)) * np.sqrt(1.5 / steps)
+    inc[0, 0, 3], inc[0, 0, 5] = -5.0, 5.0
+    if steps > 16:
+        inc[1, 0, 15], inc[1, 0, 16] = -5.0, 5.0
+    inc[2, 0, steps // 2] = np.nan
+    inc[3, 0, steps - 3] = -np.inf
+    assert len(integrate._windows(steps, paths)) == {10: 1, 48: 3, 49: 3,
+                                                      50: 4}[steps]
+    term, skip = problem.exact_terminals(x0, 0.5, 2.0, inc)
+    want_term, want_skip = scalar_oracle(problem, x0, 0.5, 2.0, inc)
+    assert np.array_equal(term, want_term, equal_nan=True)
+    assert np.array_equal(skip, want_skip)
+    if isinstance(problem, KozlovConvergenceProblem):
+        # the dips are caught although the last window is above the floor
+        dipped = [0, 1] if steps > 16 else [0]
+        assert skip[dipped].all() and np.isfinite(term[dipped]).all()
+
+
+@SCALAR_REFERENCES
+def test_scalar_references_stay_below_the_whole_block(problem, x0):
+    # one default study block: 64 paths of 8192 steps, whose increments
+    # take 4.2 MB; the whole-block reference builds arrays of that size
+    inc = np.random.default_rng(3).standard_normal((64, 1, 8192)) / 90.5
+    problem.exact_terminals(x0, 0.0, 1.0, inc)  # warm-up
+    tracemalloc.start()
+    try:
+        term, skip = problem.exact_terminals(x0, 0.0, 1.0, inc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+    want_term, want_skip = scalar_oracle(problem, x0, 0.0, 1.0, inc)
+    assert np.array_equal(term, want_term, equal_nan=True)
+    assert np.array_equal(skip, want_skip)
+    assert skip.any() == isinstance(problem, KozlovConvergenceProblem)
 
 
 def test_one_bit_generator_draws_each_keys_own_stream():

@@ -202,11 +202,23 @@ def test_philox_draws_only_in_sampling_and_the_block_iterator():
 def test_euler_maruyama_loops_are_pinned():
     # one batch loop; one-path OU batches step on Python floats instead
     assert _calling_functions({"_em_batch"}) == {
-        ("integrate.py", "_ou_em"),
-        ("integrate.py", "euler_maruyama_general"),
-        ("integrate.py", "_ScalarProblem")}
+        ("integrate.py", "_ou_em"), ("integrate.py", "_ScalarProblem")}
     assert _calling_functions({"_em_one_path"}) == {
         ("integrate.py", "_ou_em")}
+
+
+def test_each_fixture_sde_is_written_once():
+    # a scalar fixture's drift and sigma live on its convergence adapter,
+    # which Euler-Maruyama steps and whose sys is the Ito process the
+    # residuals read; Kozlov's drift is written once
+    assert _calling_functions({"CustomItoProcess"}) == {
+        ("integrate.py", "_ScalarProblem")}
+    assert sum(p.read_text().count("exp(-2.0")
+               for p in SRC.glob("*.py")) == 1
+    # exports that no library code calls live in the test oracles
+    for name in ("gbm_process", "kozlov_exp_process",
+                 "euler_maruyama_general", "ito_integral"):
+        assert name not in ousym.__all__ and not hasattr(ousym, name)
 
 
 def test_force_forms_live_on_the_force_classes():
@@ -287,12 +299,14 @@ def test_imag_tol_is_read_by_the_exact_path_gate_alone():
 
 
 def test_exact_paths_stream_through_one_splitter_into_one_consumer():
-    # the two exact path functions cut the path with the one window
-    # splitter, and nothing calls them: they are handed to _guarded, which
-    # folds their windows
+    # the two exact path functions and the GBM and Kozlov references cut
+    # the path with the one window splitter; nothing calls the path
+    # functions: they are handed to _guarded, which folds their windows
     assert _calling_functions({"_windows"}) == {
         ("integrate.py", "_exact_constant_paths"),
-        ("integrate.py", "_exact_linear_paths")}
+        ("integrate.py", "_exact_linear_paths"),
+        ("integrate.py", "GBMConvergenceProblem"),
+        ("integrate.py", "KozlovConvergenceProblem")}
     assert _calling_functions({"_exact_constant_paths",
                                "_exact_linear_paths"}) == set()
     assert _calling_functions({"exact_paths"}) == {
@@ -301,8 +315,8 @@ def test_exact_paths_stream_through_one_splitter_into_one_consumer():
 
 def test_running_sums_carry_across_windows_in_one_helper():
     # every cumsum is _cumulative's; a sum continued from the window before
-    # (a second argument) is taken by the constant solver and, for the
-    # linear solver, by _mode_quadrature
+    # (a second argument) is taken by the constant solver, the GBM and
+    # Kozlov references and, for the linear solver, by _mode_quadrature
     assert _calling_functions({"cumsum"}) == {("integrate.py", "_cumulative")}
     carried = set()
     for top in ast.parse((SRC / "integrate.py").read_text()).body:
@@ -311,7 +325,8 @@ def test_running_sums_carry_across_windows_in_one_helper():
                     and getattr(node.func, "id", None) == "_cumulative"
                     and len(node.args) + len(node.keywords) == 2):
                 carried.add(top.name)
-    assert carried == {"_exact_constant_paths", "_mode_quadrature"}
+    assert carried == {"_exact_constant_paths", "_mode_quadrature",
+                       "GBMConvergenceProblem", "KozlovConvergenceProblem"}
     assert _calling_functions({"_mode_quadrature"}) == {
         ("integrate.py", "_exact_linear_paths")}
 

@@ -297,12 +297,13 @@ def test_json_round_trip():
 
 
 def test_custom_process_fixtures():
-    from ousym import gbm_process, kozlov_exp_process, point
-    gbm = gbm_process(1.0, 0.5)
+    from ousym import (GBMConvergenceProblem, KozlovConvergenceProblem,
+                       point)
+    gbm = GBMConvergenceProblem(1.0, 0.5).sys
     p = point(x=[2.0])
     assert gbm.drift(p)[0] == pytest.approx(2.0)
     assert gbm.sigma(p)[0][0] == pytest.approx(1.0)
-    koz = kozlov_exp_process()
+    koz = KozlovConvergenceProblem().sys
     p = point(x=[0.0])
     assert koz.drift(p)[0] == pytest.approx(1.0 - 0.5)
     assert koz.sigma(p)[0][0] == pytest.approx(1.0)

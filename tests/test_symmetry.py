@@ -5,11 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from ousym import (ConstantForce, DimensionMismatch, InvariantCandidate,
+from ousym import (ConstantForce, DimensionMismatch, GBMConvergenceProblem,
+                   InvariantCandidate, KozlovConvergenceProblem,
                    LinearForce, NonFiniteResult, NotAnInvariant,
                    SymmetryGenerator, affine_invariant_nullspace,
                    build_ou_system, expdecay_residual_scan, f_residual,
-                   gbm_process, invariant_residual, ito_laplacian,
+                   invariant_residual, ito_laplacian,
                    ito_laplacian_components, lie_bracket,
                    max_invariant_residual, max_residuals,
                    parse_force_expression, point, residual_report,
@@ -63,7 +64,7 @@ def test_rotation_with_its_wiener_rotation_certifies():
 def test_state_dependent_sigma_enters_the_dw_block():
     # GBM dx = a x dt + b x dw: the scaling x d/dx is a symmetry, and for
     # phi = x^2 the dw block is sigma phi' - phi sigma' = b x^2
-    gbm = gbm_process(0.7, 0.4)
+    gbm = GBMConvergenceProblem(0.7, 0.4).sys
     probes = sample_probes(gbm, count=20, seed=8, box=(0.2, 2.0))
     scaling = SymmetryGenerator(lambda p: [p.x[0]], 1, 1)
     mf, ms = max_residuals(scaling, gbm, probes)
@@ -131,7 +132,8 @@ def test_residual_blocks_match_an_entrywise_reference():
     a, b = 0.7, 0.4
     cases = [(SymmetryGenerator(phi, 4, 4, R=R), sys2, (-2.0, 2.0)),
              (SymmetryGenerator(lambda p: [p.x[0] * p.w[0] + p.t], 1, 1,
-                                R=[[0.4]]), gbm_process(a, b), (0.2, 2.0))]
+                                R=[[0.4]]), GBMConvergenceProblem(a, b).sys,
+             (0.2, 2.0))]
     for X, proc, box in cases:
         p = stack_probes(sample_probes(proc, count=12, seed=5, box=box))
         p = p.with_coord(("z", 0), 0.3 * p.x[0]) if p.z else p
@@ -195,7 +197,7 @@ def test_invariant_residual_chi_and_gbm():
     assert max_invariant_residual(chi, sys1, probes) <= 1e-12
 
     # the GBM invariant x exp(-(a - b^2/2) t - b w)
-    gbm = gbm_process(1.0, 0.5)
+    gbm = GBMConvergenceProblem(1.0, 0.5).sys
     a, b = 1.0, 0.5
 
     def theta(p):
@@ -204,6 +206,24 @@ def test_invariant_residual_chi_and_gbm():
     cand = InvariantCandidate(theta=theta, label="Theta_gbm")
     probes = sample_probes(gbm, count=30, seed=5, box=(0.2, 2.0))
     assert max_invariant_residual(cand, gbm, probes) <= 1e-10
+
+
+def test_kozlov_sde_keeps_its_closed_form_invariant():
+    # x = exp(y) turns the SDE that Euler-Maruyama steps into dx = dt + dw,
+    # the closed form of its reference, so exp(y) - t - w is an invariant;
+    # with 0.49 in place of 0.5 in the drift it is not
+    cand = InvariantCandidate(
+        theta=lambda p: duals.exp(p.x[0]) - p.t - p.w[0],
+        label="Theta_kozlov")
+    koz = KozlovConvergenceProblem().sys
+    probes = sample_probes(koz, count=30, seed=5, box=(0.2, 2.0))
+    assert max_invariant_residual(cand, koz, probes) <= 1e-10
+
+    class OffDrift(KozlovConvergenceProblem):
+        def drift(self, y):
+            return duals.exp(-y) - 0.49 * duals.exp(-2.0 * y)
+
+    assert not max_invariant_residual(cand, OffDrift().sys, probes) <= 1e-10
 
 
 def test_non_invariant_has_residual():
@@ -347,7 +367,7 @@ def test_scale_by_a_chi_whose_laplacian_is_not_finite_fails_by_name():
 def test_a_laplacian_that_is_not_finite_is_a_nan_residual():
     # exp(800 t) overflows at the probes, so phi's Ito Laplacian is not
     # finite: the residuals report NaN, as what overflows elsewhere does,
-    # without a numpy warning; the differentiation API still refuses it
+    # and the differentiation API refuses it, both without a numpy warning
     steep = build_ou_system(1, [1.0], [1.0], LinearForce([[2.0]]))
     X = SymmetryGenerator.exp_decay(1, -800.0, 1)
     p = point(x=[0.5], v=[0.1], t=1.5, w=[0.2])
@@ -355,12 +375,11 @@ def test_a_laplacian_that_is_not_finite_is_a_nan_residual():
         warnings.simplefilter("error")
         mf, ms = max_residuals(X, steep, sample_probes(steep))
         report = residual_report(X, steep, p)
-    assert np.isnan(mf) and np.isnan(ms) and np.isnan(report.max_abs)
-    with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteResult, match="^ito_laplacian "):
             ito_laplacian(lambda q: X.phi(q)[0], steep, p)
         with pytest.raises(NonFiniteResult, match="^ito_laplacian "):
             ito_laplacian_components(X.phi, steep, p)
+    assert np.isnan(mf) and np.isnan(ms) and np.isnan(report.max_abs)
 
 
 @pytest.mark.parametrize("R", [
