@@ -216,11 +216,14 @@ def derivative(f, p, coord, order=1, coord2=None):
 
 def _ito_jet(fvec, proc, p):
     """The Ito jet of every component of fvec at p, from one evaluation:
-    (vals, d_state, d_t, dw_terms, lap) at full shape, the component axis
-    first. d_state[a, j] is the partial along state coordinate j,
-    dw_terms[a, k] the dw-block term D_k . grad along Wiener coordinate k,
-    and lap[a] the Ito Laplacian, as computed: a Laplacian that is not
-    finite stays in the jet, for the residuals that read it to report.
+    (vals, d_state, d_t, dw_terms, lap, dw_size) at full shape, the
+    component axis first. d_state[a, j] is the partial along state
+    coordinate j, dw_terms[a, k] the dw-block term D_k . grad along Wiener
+    coordinate k, and lap[a] the Ito Laplacian, as computed: a Laplacian
+    that is not finite stays in the jet, for the residuals that read it to
+    report. dw_size[a, k] = |dw_terms[a, k]| + sum_j |sigma_jk
+    d_state[a, j]|, the part of a dw entry's size (symmetry._judge) that
+    D_k contributes.
 
     e1 holds a unit row per state coordinate and one for t, then the rows
     D_k = d/dW_k + sum_j sigma_jk d/dS_j (S over the full state, W over the
@@ -246,8 +249,13 @@ def _ito_jet(fvec, proc, p):
     e2 = e1.copy()
     e2[:k0] = 0.0
     vals, d1, d12 = _jet(fvec, p, e1, e2)
-    return (vals, d1[:, :k0 - 1], d1[:, k0 - 1], d1[:, k0:],
-            d12[:, k0:].sum(axis=1))
+    d_state, dw = d1[:, :k0 - 1], d1[:, k0:]
+    # sum_j |sigma_jk| |d_state[a, j]| as a matmul over probes: e1's D rows
+    # hold sigma_jk at p's probes, in the state columns
+    sig = np.moveaxis(np.abs(e1[k0:][..., S]), (0, -1), (-1, -2))
+    dw_size = np.abs(dw) + np.moveaxis(np.moveaxis(
+        np.abs(d_state), (0, 1), (-2, -1)) @ sig, (-2, -1), (0, 1))
+    return vals, d_state, d1[:, k0 - 1], dw, d12[:, k0:].sum(axis=1), dw_size
 
 
 def ito_laplacian_components(fvec, proc, p):

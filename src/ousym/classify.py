@@ -20,6 +20,11 @@ probes, never from its Python class: an expression "1.5" or a linear force
 with L = 0 is a constant force, and c is the force at the origin. Every
 emitted generator and invariant is re-certified numerically against the
 determining equations; classification output is checked, not trusted.
+Each certificate is decided by symmetry._judge, the one relative rule:
+every residual entry must be within CERT_REL = 1e-12 of its size (floored
+at the smallest normal float), and a NaN entry fails. A force within
+classify_force's 1e-8 of linear or of constant therefore gets no
+certified generator unless the generator solves its equations to 1e-12.
 
 The chi that classify_invariants certifies is ExtendedPoint.chi, the one
 chi formula. verify's modulescaled generators and structure_constants read
@@ -37,11 +42,9 @@ from .errors import CertificationFailed, NotDiagonalizable
 from .model import classify_force
 from .symmetry import (ExpDecay, InvariantCandidate, SymmetryGenerator,
                        Translation, _component, _drift_jet, _family_json,
-                       _max_abs, _max_blocks, affine_invariant_nullspace,
-                       invariant_residual, solve_wsym_linear_constraint)
-
-CERT_TOL_RESIDUAL = 1e-6
-CERT_TOL_INVARIANT = 1e-10
+                       _invariant_conditions, _judge, _max_abs,
+                       _residual_blocks, affine_invariant_nullspace,
+                       solve_wsym_linear_constraint)
 
 
 @dataclass(frozen=True)
@@ -105,8 +108,9 @@ def _cplx(z):
 
 
 def classify_invariants(sys, probes=None):
-    """Invariant ring generators, or certified emptiness: each chi must
-    meet its invariance conditions within CERT_TOL_INVARIANT."""
+    """Invariant ring generators, or certified emptiness: each chi's
+    invariance conditions must pass symmetry._judge, the one certification
+    rule, at every probe."""
     if probes is None:
         probes = sample_probes(sys, count=32, seed=0)
     fc = classify_force(sys.force, probes=[p.x for p in probes])
@@ -117,11 +121,10 @@ def classify_invariants(sys, probes=None):
         for g in gens:
             # what overflows, or is NaN where c = F(0) is undefined, fails
             # the gate below
-            worst = _max_abs(invariant_residual(g, sys, p))
-            if not worst <= CERT_TOL_INVARIANT:
+            why = _judge(*_invariant_conditions(lambda q: [g(q)], sys, p))[1]
+            if why:
                 raise CertificationFailed(
-                    f"{g.label} failed invariance certification: "
-                    f"{worst:.3e} > {CERT_TOL_INVARIANT:.1e}")
+                    f"{g.label} failed invariance certification: {why}")
         return InvariantSet(basis_kind="ChiBasis", generators=tuple(gens),
                             annotation="constant force: chi basis",
                             affine_nullspace_dim=dim)
@@ -193,18 +196,19 @@ def _emit_linear_modes(sys, L):
 
 
 def _certify(gens, sys, probes):
+    """Each entry of both determining blocks of every generator must pass
+    symmetry._judge, the one certification rule, at every probe."""
     p = stack_probes(probes)
-    tol = CERT_TOL_RESIDUAL
     # a residual that cannot be evaluated is NaN and fails the gate below,
     # as what overflows does (a mode whose exp(-kappa t) overflows at the
     # probes has a NaN Laplacian)
     drift = _drift_jet(sys, p)
     for g in gens:
-        mf, ms = _max_blocks(g, sys, p, drift)
-        if not (mf <= tol and ms <= tol):
+        fres, sres, fsize, ssize = _residual_blocks(g, sys, p, drift)
+        why = _judge(fres, fsize)[1] or _judge(sres, ssize)[1]
+        if why:
             raise CertificationFailed(
-                f"generator {g.label} failed the determining equations: "
-                f"f-residual {mf:.3e}, sigma-residual {ms:.3e} > {tol:.1e}")
+                f"generator {g.label} failed the determining equations: {why}")
 
 
 def _pairwise_brackets(gens, sys, probes):
@@ -232,8 +236,7 @@ def _quick_bracket_table(gens, sys, probes):
 
 def classify_symmetries(sys, probes=None):
     """Emit the simple-symmetry algebra for the closed-form cases; each
-    emitted generator must meet the determining equations within
-    CERT_TOL_RESIDUAL."""
+    emitted generator must meet the determining equations (_certify)."""
     if probes is None:
         probes = sample_probes(sys, count=32, seed=0)
     fc = classify_force(sys.force, probes=[p.x for p in probes])
@@ -309,14 +312,14 @@ def expdecay_residual_scan(sys, kappas, i=1, probes=None):
                                          - dF_a/dx_i(x_p)),
     so the force Jacobian is taken once at the probes. The rate where the
     scan is smallest is re-evaluated through the determining equations
-    (max_residuals of SymmetryGenerator.exp_decay); the two must agree
-    within 1e-12 times the largest term size over the probes,
-    exp(-kappa t_p) (kappa^2 + |beta_i kappa| + max_a |dF_a/dx_i|), or
-    CertificationFailed is raised. A rate whose exp(-kappa t) overflows
-    scores inf; a rate that is NaN or infinite, or whose terms overflow
-    where exp(-kappa t) is 0, scores NaN. The rate re-checked is that of
-    the smallest score that is not NaN; when no score is finite, there is
-    no rate to re-check. NaN scores stay NaN in the result.
+    (the blocks of SymmetryGenerator.exp_decay); the difference of the two
+    maxima must pass symmetry._judge against the largest size of an entry
+    of the blocks, or CertificationFailed is raised. A rate whose
+    exp(-kappa t) overflows scores inf; a rate that is NaN or infinite, or
+    whose terms overflow where exp(-kappa t) is 0, scores NaN. The rate
+    re-checked is that of the smallest score that is not NaN; when no
+    score is finite, there is no rate to re-check. NaN scores stay NaN in
+    the result.
     """
     idx = _component(i, sys.n) - 1
     if probes is None:
@@ -335,14 +338,14 @@ def expdecay_residual_scan(sys, kappas, i=1, probes=None):
     low = np.fmin.reduce(out, initial=np.inf)
     if np.isfinite(low):
         kap = float(k[np.nanargmin(out), 0])
-        scale = np.max(np.exp(-kap * st.t) * (
-            kap * kap + abs(beta * kap) + np.abs(dF).max(axis=0)))
-        worst = max(_max_blocks(SymmetryGenerator.exp_decay(
-            idx + 1, kap, sys.n), sys, st))
-        if abs(worst - low) > 1e-12 * scale:
+        fres, sres, fsize, ssize = _residual_blocks(
+            SymmetryGenerator.exp_decay(idx + 1, kap, sys.n), sys, st)
+        worst = _max_abs([fres, sres])
+        why = _judge(worst - low, _max_abs([fsize, ssize]))[1]
+        if why:
             raise CertificationFailed(
                 f"exp-decay scan at kappa={kap}: closed form {low:.3e}, "
-                f"determining equations {worst:.3e}")
+                f"determining equations {worst:.3e}, difference {why}")
     return out
 
 

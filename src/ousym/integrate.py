@@ -29,9 +29,11 @@ Their closed forms are written once, batched, and serve both the adapters
 and solve_reference_problem.
 
 Each rejection rule is written once. Every exact OU path, one grid or a
-study's batch, passes _guarded, which applies the blow-up guard and
-IMAG_TOL together: a single solve raises NonFiniteState where a study
-skips the path. The exact OU solvers yield their paths in time windows of
+study's batch, passes _guarded, which applies the blow-up guard and the
+leakage test together: a path's largest imaginary part must pass
+symmetry._judge, the one certification rule, against the path's largest
+|state|. A single solve raises NonFiniteState where a study skips the
+path. The exact OU solvers yield their paths in time windows of
 about WINDOW_VALUES values (_windows); _guarded folds the guard and the
 leakage over the windows and keeps every state for a single solve but
 only the terminal states for a study, so a study never builds a block's
@@ -53,9 +55,9 @@ from .classify import _eigenmodes, mode_rates
 from .errors import (DimensionMismatch, DomainExit, InvalidGrid,
                      NonFiniteState, OusymError, WrongForceClass)
 from .model import ConstantForce, CustomItoProcess, LinearForce, _is_count
+from .symmetry import _judge
 
 BLOWUP_GUARD = 1e12
-IMAG_TOL = 1e-10
 # fine increments drawn at once by convergence_study; bounds its memory
 BLOCK_VALUES = 1 << 19
 # values (paths * n * steps) an exact path is built from at once: the
@@ -427,8 +429,9 @@ def _guarded(exact_paths, sys, x0, t, inc, strict=True, whole=True):
     Returns those states, each path's leakage and the (paths,) mask of
     rejected paths. A path is rejected when it fails max |state| <=
     BLOWUP_GUARD (NaN fails it; its leakage is set to inf) or when its
-    leakage is not within IMAG_TOL, read at call time; a study skips it,
-    and strict raises NonFiniteState instead. numpy does not warn, and a
+    leakage fails symmetry._judge with the path's largest |state| as its
+    size (CERT_REL read at call time); a study skips it, and strict raises
+    NonFiniteState instead. numpy does not warn, and a
     Python-float overflow, or a division by a square that underflows to
     zero, raises NonFiniteState as well."""
     paths, n = inc.shape[:2]
@@ -458,11 +461,10 @@ def _guarded(exact_paths, sys, x0, t, inc, strict=True, whole=True):
     if strict and not ok.all():
         raise NonFiniteState("exact path is NaN or beyond BLOWUP_GUARD")
     leak = np.where(ok, leak, np.inf)
-    skip = ~(leak <= IMAG_TOL)
-    if strict and skip.any():
-        raise NonFiniteState(
-            f"imaginary leakage {leak.max():.3e} exceeds {IMAG_TOL:.1e}")
-    return states, leak, skip
+    clean, why = _judge(leak, np.maximum(hi, -lo))
+    if strict and why:
+        raise NonFiniteState(f"imaginary leakage {why}")
+    return states, leak, ~clean
 
 
 def _exact_constant_paths(sys, x0, t, inc):
@@ -643,7 +645,8 @@ def exact_solve_linear(sys, x0, grid):
     spectrum) the modes run in float64, a conjugate pair of rates is taken
     once, and meta["max_imag_leakage"] is exactly 0.0. Complex eigenvectors
     are carried in complex arithmetic and the imaginary part of the
-    reassembled state is checked against IMAG_TOL. x0 holds 2n numbers,
+    reassembled state is checked against the path's largest |state| by
+    symmetry._judge, the one certification rule. x0 holds 2n numbers,
     x then v. NonFiniteState when a state leaves [-BLOWUP_GUARD,
     BLOWUP_GUARD] or is NaN, as in euler_maruyama.
     """

@@ -19,6 +19,16 @@ AffineRecord, data for render() and to_json that is never evaluated.
 
 Everything here is evaluated pointwise at probes with exact forward-mode
 derivatives; nothing is trusted symbolically.
+
+Every certificate is decided by one relative rule, _judge, with one
+constant, CERT_REL = 1e-12: an entry r of a residual passes when
+|r| <= max(CERT_REL * size, tiny), its size being the largest sum of the
+absolute values of the terms of an entry of its block at its probe, and
+tiny the smallest normal float, the floor for sizes that underflow. A
+residual that is NaN or infinite fails. _residual_blocks and
+_invariant_conditions return the sizes beside the residuals, from the
+same Ito jet; the classify gates, scale_by_invariant, R's skew check and
+the exact solver's leakage test all call _judge.
 """
 
 from dataclasses import dataclass
@@ -32,8 +42,8 @@ from .duals import value
 from .errors import DimensionMismatch, NonFiniteResult, NotAnInvariant
 from .model import _is_count
 
-# the largest invariance residual scale_by_invariant accepts of an alpha
-SCALE_TOL = 1e-8
+# the one certification limit, relative to an entry's size (_judge)
+CERT_REL = 1e-12
 
 
 # --- structured family tags ---
@@ -137,11 +147,13 @@ class SymmetryGenerator:
         if self.R.shape != (wiener_dim, wiener_dim):
             raise DimensionMismatch(
                 f"R must be {wiener_dim}x{wiener_dim}, got {self.R.shape}")
+        if not np.all(np.isfinite(self.R)):
+            raise NonFiniteResult("R must be finite")
         offdiag = self.R - np.diag(np.diag(self.R))
-        asym = np.max(np.abs(offdiag + offdiag.T)) if wiener_dim else 0.0
-        if asym > 1e-12 * max(1.0, float(np.max(np.abs(self.R)))):
-            raise DimensionMismatch(
-                "off-diagonal part of R must be skew-symmetric")
+        # an entry's terms are R_km and R_mk: at most 2 max |offdiag| each
+        why = _judge(offdiag + offdiag.T, 2 * abs(offdiag).max(initial=0))[1]
+        if why:
+            raise DimensionMismatch(f"R is not skew off its diagonal: {why}")
         self.family = family
         self.label = label
 
@@ -399,31 +411,63 @@ def _drift_jet(sys, p):
     return fvals, ddrift, dsig
 
 
+def _judge(r, size):
+    """The one certification rule. An entry r passes when
+    |r| <= max(CERT_REL * size, tiny): size is the scale of the terms that
+    r adds up (the largest sum of their absolute values over r's block, see
+    _residual_blocks), tiny the smallest normal float, the floor for sizes
+    that underflow. A residual that is NaN or infinite fails, as does a NaN
+    size. r and size broadcast together.
+
+    Returns (ok, why): the verdict per entry, and None when every entry
+    passes, else "|r| at term size s > limit l" for the worst entry that
+    fails: the first NaN residual, else the largest |r|."""
+    r = np.abs(r)
+    limit = np.maximum(CERT_REL * size, np.finfo(float).tiny)
+    ok = (r <= limit) & np.isfinite(r)
+    if ok.all():
+        return ok, None
+    k = np.argmax(np.where(ok, -1.0, r))  # the first NaN, else the largest
+    r, size, limit = (a.flat[k] for a in np.broadcast_arrays(r, size, limit))
+    return ok, f"{r:.3e} at term size {size:.3e} > limit {limit:.3e}"
+
+
 def _residual_blocks(X, sys, p, drift=None):
     """Both determining blocks of X at p: the dt block (one row per state
-    coord) and the dw block (state rows, Wiener columns), from one Ito jet
-    of phi plus the system's _drift_jet at p (taken here when not given)."""
+    coord) and the dw block (state rows, Wiener columns), then the size of
+    each block's entries at each probe (probe axes only, for _judge), from
+    one Ito jet of phi plus the system's _drift_jet at p (taken here when
+    not given).
+
+    A dt entry's terms are d_t phi, (1/2) Delta phi, each f^j d_j phi and
+    each phi^j d_j f; a dw entry's are D_k phi, each sigma_jk d_j phi, each
+    phi^j d_j sigma and each sigma R term. An entry's size is the largest
+    sum of |terms| over the entries of its block at its probe: a mode from
+    eig is accurate in norm, not entry by entry, so an entry whose own
+    terms all nearly vanish is judged on the scale of its block."""
     with np.errstate(over="ignore", invalid="ignore"):
-        phi, dphi, dphi_t, dw, lap = _ito_jet(X.phi, sys, p)
+        phi, dphi, dphi_t, dw, lap, ssize = _ito_jet(X.phi, sys, p)
         coords = extended_coords(p)
         S = [coords.index(c) for c in sys.state_coords]
         if len(phi) != len(S):
             raise DimensionMismatch(f"generator has {len(phi)} components "
                                     f"for state dim {len(S)}")
         fvals, ddrift, dsig = drift or _drift_jet(sys, p)
-        fres = dphi_t + 0.5 * lap
-        for j, Sj in enumerate(S):
-            fres = fres + fvals[j] * dphi[:, j] - phi[j] * ddrift[:, Sj]
+        # in the order they are summed; x - y rounds as x + (-y) does
+        terms = [dphi_t, 0.5 * lap] + [t for j, Sj in enumerate(S) for t in (
+            fvals[j] * dphi[:, j], -(phi[j] * ddrift[:, Sj]))]
+        fres, fsize = sum(terms[1:], terms[0]), np.abs(np.stack(terms)).sum(0)
         sres = dw
         if dsig is not None:
             dsig = dsig.reshape(dw.shape[:2] + dsig.shape[1:])
-            for j, Sj in enumerate(S):
-                sres = sres - phi[j] * dsig[:, :, Sj]
+            pulls = [-(phi[j] * dsig[:, :, Sj]) for j, Sj in enumerate(S)]
+            sres, ssize = sum(pulls, sres), ssize + sum(map(np.abs, pulls))
         sig = sys.sigma(p)
         for m, k, r in _r_entries(X.R, sys):
             for i, row in enumerate(sig):
                 sres[i, k] = sres[i, k] - row[m] * r
-    return fres, sres
+                ssize[i, k] = ssize[i, k] + np.abs(row[m] * r)
+    return fres, sres, fsize.max(axis=0), ssize.max(axis=(0, 1))
 
 
 def f_residual(X, sys, p):
@@ -439,27 +483,33 @@ def sigma_residual(X, sys, p):
 def _invariant_conditions(fvec, sys, p):
     """The invariance conditions of every component of fvec at p, from one
     Ito jet: the active dw coefficients, then the dt one; condition axis
-    first, then the components. What overflows shows as a non-finite
-    condition, not as a numpy warning."""
+    first, then the components. Returns them and each one's size for
+    _judge: a dw condition's terms are D_k Theta and each sigma_jk d_j
+    Theta, the dt one's d_t Theta, (1/2) Delta Theta and each f^j d_j
+    Theta, and a condition's size is the largest sum of |terms| over its
+    block at its probe (as in _residual_blocks), the dw conditions of a
+    component being one block and its dt condition another. What
+    overflows shows as a non-finite condition, not as a numpy warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        _, dth, dth_t, dw, lap = _ito_jet(fvec, sys, p)
-        fvals = [value(c) for c in sys.drift(p)]
-        acc = dth_t + 0.5 * lap
-        for j, f in enumerate(fvals):
-            acc = acc + dth[:, j] * f
+        _, dth, dth_t, dw, lap, dw_size = _ito_jet(fvec, sys, p)
+        terms = [dth_t, 0.5 * lap] + [dth[:, j] * value(f)
+                                      for j, f in enumerate(sys.drift(p))]
+        acc, size = sum(terms[1:], terms[0]), np.abs(np.stack(terms)).sum(0)
     W = list(sys.wiener_coords)
     active = [W.index(c) for c in sys.active_wiener_coords]
-    return np.concatenate([np.swapaxes(dw[:, active], 0, 1), acc[None]])
+    dw_size = dw_size[:, active].max(axis=1, initial=0.0)
+    return (np.concatenate([np.swapaxes(dw[:, active], 0, 1), acc[None]]),
+            np.stack([dw_size] * len(active) + [size]))
 
 
 def invariant_residual(theta, sys, p):
     """n+1 invariance conditions: active dw coefficients, then the dt one."""
-    return _invariant_conditions(lambda q: [theta(q)], sys, p)[:, 0]
+    return _invariant_conditions(lambda q: [theta(q)], sys, p)[0][:, 0]
 
 
 def residual_report(X, sys, p):
     """Both determining blocks at one plain-float point."""
-    fres, sres = map(np.asarray, _residual_blocks(X, sys, p))
+    fres, sres = map(np.asarray, _residual_blocks(X, sys, p)[:2])
     return ResidualReport(point=p, f_residual=fres, sigma_residual=sres,
                           max_abs=_max_abs((fres, sres)))
 
@@ -471,18 +521,13 @@ def _max_abs(entries):
         [np.ravel(e) for e in entries]))))
 
 
-def _max_blocks(X, sys, p, drift=None):
-    """Max |f-residual| and |sigma-residual| over the stacked probes p."""
-    fres, sres = _residual_blocks(X, sys, p, drift)
-    return _max_abs([fres]), _max_abs([sres])
-
-
 def max_residuals(X, sys, probes):
     """Max |f-residual| and |sigma-residual| over a probe set (batched).
     What overflows shows as a non-finite maximum, not as a numpy warning,
     and a residual that cannot be evaluated (a Laplacian that is not
     finite) as a NaN one, not as an error."""
-    return _max_blocks(X, sys, stack_probes(probes))
+    fres, sres = _residual_blocks(X, sys, stack_probes(probes))[:2]
+    return _max_abs([fres]), _max_abs([sres])
 
 
 def max_invariant_residual(theta, sys, probes):
@@ -490,18 +535,18 @@ def max_invariant_residual(theta, sys, probes):
 
 
 def scale_by_invariant(X, alpha, sys, probes=None):
-    """Multiply a generator by an invariant; validates alpha first: its
-    invariance conditions must stay within SCALE_TOL at the probes, and
-    a condition that cannot be evaluated (NaN) fails them
+    """Multiply a generator by an invariant; validates alpha first: each
+    of its invariance conditions at the probes must pass _judge against
+    its size, and a condition that cannot be evaluated (NaN) fails
     (NotAnInvariant)."""
     if probes is None:
         probes = sample_probes(sys, count=50, seed=7)
-    worst = max_invariant_residual(alpha, sys, probes)
-    if not worst <= SCALE_TOL:
-        raise NotAnInvariant(
-            f"{getattr(alpha, 'label', 'alpha')} fails the invariance "
-            f"conditions: max residual {worst:.3e} > {SCALE_TOL:.1e}")
-    return X.scaled(alpha, getattr(alpha, "label", "alpha"))
+    label = getattr(alpha, "label", "alpha")
+    why = _judge(*_invariant_conditions(lambda q: [alpha(q)], sys,
+                                        stack_probes(probes)))[1]
+    if why:
+        raise NotAnInvariant(f"{label} fails the invariance conditions: {why}")
+    return X.scaled(alpha, label)
 
 
 # --- linear W-symmetry constraint ---
@@ -559,7 +604,7 @@ def affine_invariant_nullspace(sys, probes=None):
     # column c holds the conditions on coordinate function c, probes inner;
     # _null_space rejects what overflows
     rows = _invariant_conditions(lambda q: [*q.x, *q.v, *q.w, q.t], sys,
-                                 stack_probes(probes))
+                                 stack_probes(probes))[0]
     ns = _null_space(np.swapaxes(rows, 1, 2).reshape(-1, 3 * n + 1),
                      rcond=1e-9)
     basis = []

@@ -18,8 +18,7 @@ from ousym import (CertificationFailed, ConstantForce, LinearForce,
                    stack_probes, structure_constants)
 from ousym import classify, duals
 from ousym.calculus import _contract, _field_jet
-from ousym.classify import (CERT_TOL_RESIDUAL, _quick_bracket_table,
-                            default_scaling_functions)
+from ousym.classify import _quick_bracket_table, default_scaling_functions
 from ousym.symmetry import SymmetryGenerator
 
 
@@ -320,10 +319,12 @@ def test_a_constant_force_of_any_class_gets_the_constant_answers():
 
 def test_a_nearly_constant_linear_force_fails_chi_certification():
     # L = 1e-9 is within classify_force's tolerance of zero, so the force
-    # is tagged Constant; its chi drifts by 1e-9 x / mu per unit time,
-    # which the invariant certificate (1e-10) refuses
+    # is tagged Constant; its chi drifts by 1e-9 x / mu per unit time, and
+    # its exp-decay generator by 1e-9 exp(-t) per unit x, both far above
+    # the relative rule's 1e-12 of their terms
     sys1 = build_ou_system(1, [1.0], [1.0], LinearForce([[1e-9]]))
-    assert classify_symmetries(sys1).case_tag == "ConstantModule"
+    with pytest.raises(CertificationFailed, match="^generator exp"):
+        classify_symmetries(sys1)
     with pytest.raises(CertificationFailed, match="chi1 failed"):
         classify_invariants(sys1)
 
@@ -568,48 +569,89 @@ def test_certificates_take_one_evaluation_per_object(monkeypatch):
         assert len(jets) == 1
 
 
+def _scaled(sys_, lam, a):
+    """sys_ seen on the time scale t / lam and the space scale a x: the SDE
+    maps to itself with (beta, mu, c, L, K) -> (lam beta, lam^(3/2) a mu,
+    lam^2 a c, lam^2 L, lam^2 a K), and its rates are lam times sys_'s."""
+    f = sys_.force
+    force = (ConstantForce(lam ** 2 * a * np.asarray(f.c))
+             if isinstance(f, ConstantForce) else
+             LinearForce(lam ** 2 * np.asarray(f.L),
+                         lam ** 2 * a * np.asarray(f.K)))
+    return build_ou_system(sys_.n, [lam * b for b in sys_.beta],
+                           [lam ** 1.5 * a * m for m in sys_.mu], force)
+
+
+def _rates(alg):
+    """The rates of the emitted generators (translations have none), in
+    one order for the algebra of any scale."""
+    rates = [complex(g.family.kappa) for g in alg.generators
+             if hasattr(g.family, "kappa")]
+    return np.array(sorted(rates, key=lambda z: (z.real, z.imag)))
+
+
 def test_emitted_modes_certify_and_moved_rates_fail():
-    # criterion 2 as a property: on regular isotropic linear systems away
-    # from critical damping every emitted generator certifies, and the same
-    # generator with its rate moved by 1e-3 relative does not
+    # criterion 2 as a metamorphic property over scalings (_scaled): a
+    # constant system and an affine regular isotropic linear one away from
+    # critical damping, with time scaled by lam in [0.1, 10] and space by
+    # a in [1e-3, 1e3] (the four corners and one drawn scale), keep their
+    # case, generator count and invariant basis, their rates scale by lam,
+    # and every certificate passes; the same generators with their rates
+    # moved by 1e-9 relative each fail
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    @hypothesis.settings(max_examples=20, deadline=None)
-    @hypothesis.given(data=st.data(), n=st.integers(1, 4))
-    def check(data, n):
-        beta = data.draw(st.floats(0.5, 2.5))
-        mu = data.draw(st.floats(0.3, 2.0))
-        # |lambda| >= 0.3, |beta^2 + 4 lambda| >= 1, eigenvalues 0.1 apart
-        lams = []
-        for _ in range(n):
-            lams.append(data.draw(st.floats(-3.0, 3.0).filter(
-                lambda lam: abs(lam) >= 0.3 and abs(beta ** 2 + 4 * lam) >= 1
-                and all(abs(lam - m) >= 0.1 for m in lams))))
-        Q, _ = np.linalg.qr(np.reshape(
-            data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n,
-                               max_size=n * n)), (n, n)))
-        L = Q @ np.diag(lams) @ Q.T
-        sys_ = build_ou_system(n, [beta] * n, [mu] * n, LinearForce(L))
-        probes = sample_probes(sys_, count=32, seed=0)
-        alg = classify_symmetries(sys_, probes=probes)
-        assert len(alg.generators) == 2 * n
-        for g in alg.generators:
-            mf, ms = max_residuals(g, sys_, probes)
-            assert mf <= CERT_TOL_RESIDUAL and ms <= CERT_TOL_RESIDUAL
-
-        def moved_rates(b, lam):
-            return tuple((1.0 + 1e-3) * k for k in mode_rates(b, lam))
-
-        with mock.patch.object(classify, "mode_rates", moved_rates):
-            moved, _ = classify._emit_linear_modes(sys_, L)
-        assert [g.family.part for g in moved] == [
-            g.family.part for g in alg.generators]
-        for g in moved:
-            with pytest.raises(CertificationFailed):
-                classify._certify([g], sys_, probes)
+    @hypothesis.seed(27)
+    @hypothesis.settings(max_examples=12, deadline=None)
+    @hypothesis.given(data=st.data(), n=st.integers(1, 4),
+                      lam=st.floats(-1.0, 1.0), a=st.floats(-3.0, 3.0))
+    def check(data, n, lam, a):
+        unit = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+        iso, L = _draw_iso_linear(data, st, n)
+        constant = build_ou_system(
+            n, data.draw(st.lists(st.floats(0.5, 2.5), min_size=n,
+                                  max_size=n)),
+            data.draw(st.lists(st.floats(0.3, 2.0), min_size=n, max_size=n)),
+            ConstantForce(data.draw(unit)))
+        affine = build_ou_system(n, iso.beta, iso.mu,
+                                 LinearForce(L, data.draw(unit)))
+        for base in (constant, affine):
+            alg0, inv0 = classify_symmetries(base), classify_invariants(base)
+            for scale in ((0.1, 1e-3), (0.1, 1e3), (10.0, 1e-3), (10.0, 1e3),
+                          (10.0 ** lam, 10.0 ** a)):
+                _check_scaled(base, alg0, inv0, *scale)
 
     check()
+
+
+def _check_scaled(base, alg0, inv0, lam, a):
+    """The scaled system's algebra and invariants against base's (alg0,
+    inv0), and its generators with their rates moved by 1e-9 relative."""
+    sys_ = _scaled(base, lam, a)
+    n = sys_.n
+    probes = sample_probes(sys_, count=32, seed=0)
+    alg = classify_symmetries(sys_, probes=probes)
+    assert alg.case_tag == alg0.case_tag
+    assert len(alg.generators) == len(alg0.generators) == 2 * n
+    np.testing.assert_allclose(_rates(alg), lam * _rates(alg0), rtol=1e-9)
+    inv = classify_invariants(sys_, probes=probes)
+    assert (inv.basis_kind, len(inv.generators)) == (
+        inv0.basis_kind, len(inv0.generators))
+
+    def moved_rates(b, lam):
+        return tuple((1.0 + 1e-9) * k for k in mode_rates(b, lam))
+
+    if alg.case_tag == "ConstantModule":
+        moved = [SymmetryGenerator.exp_decay(i, (1.0 + 1e-9) * b, n)
+                 for i, b in enumerate(sys_.beta, 1)]
+    else:
+        with mock.patch.object(classify, "mode_rates", moved_rates):
+            moved, _ = classify._emit_linear_modes(sys_, sys_.force.L)
+        assert [g.family.part for g in moved] == [
+            g.family.part for g in alg.generators]
+    for g in moved:
+        with pytest.raises(CertificationFailed):
+            classify._certify([g], sys_, probes)
 
 
 def test_structure_constants_flag_a_mismatched_system():
@@ -682,7 +724,9 @@ def test_scan_minimum_is_rechecked_on_the_determining_equations(
     kappas = np.linspace(3.0, 5.0, 201)
     expdecay_residual_scan(sys1, kappas)
     # the generic path disagreeing at the minimum is a failed certificate
-    monkeypatch.setattr(classify, "_max_blocks", lambda *a: (1e-3, 0.0))
+    blocks = classify._residual_blocks
+    monkeypatch.setattr(classify, "_residual_blocks", lambda *a: (
+        blocks(*a)[0] + 1e-3, *blocks(*a)[1:]))
     with pytest.raises(CertificationFailed, match="kappa=4.0"):
         expdecay_residual_scan(sys1, kappas)
 
@@ -715,13 +759,13 @@ def test_a_nan_score_does_not_hide_the_recheck(monkeypatch):
     sys1 = build_ou_system(1, [1.0], [1.0],
                            parse_force_expression("-x1^3 + x1", 1))
     rechecked = []
-    max_blocks = classify._max_blocks
+    blocks = classify._residual_blocks
 
     def spy(X, *args):
         rechecked.append(X.family.kappa)
-        return max_blocks(X, *args)
+        return blocks(X, *args)
 
-    monkeypatch.setattr(classify, "_max_blocks", spy)
+    monkeypatch.setattr(classify, "_residual_blocks", spy)
     clean = expdecay_residual_scan(sys1, [0.5, 1.0])
     assert clean.tolist() == [4.821966095631581, 2.9630928932021123]
     assert rechecked == [1.0]
@@ -791,13 +835,21 @@ def test_algebra_json_serializable():
 def test_nan_residual_fails_certification(monkeypatch):
     from ousym import CertificationFailed, classify
     sys1 = lin1d(-4.0)
-    # a NaN in either block, after or before a finite one, is not <= tol
-    for blocks in ((0.0, np.nan), (np.nan, 0.0)):
-        monkeypatch.setattr(classify, "_max_blocks",
-                            lambda *_a, b=blocks: b)
-        with pytest.raises(CertificationFailed):
+    blocks = classify._residual_blocks
+    # a NaN entry in either block, after or before finite ones, fails
+    for at in (0, 1):
+        def nan_at(*a, at=at):
+            out = list(blocks(*a))
+            out[at] = np.where(np.arange(out[at].size).reshape(
+                out[at].shape) == out[at].size - 1, np.nan, out[at])
+            return tuple(out)
+
+        monkeypatch.setattr(classify, "_residual_blocks", nan_at)
+        with pytest.raises(CertificationFailed, match="nan at term size"):
             classify_symmetries(sys1)
-    monkeypatch.setattr(classify, "_max_abs", lambda _e: np.nan)
+    conditions = classify._invariant_conditions
+    monkeypatch.setattr(classify, "_invariant_conditions", lambda *a: (
+        conditions(*a)[0] * np.nan, conditions(*a)[1]))
     with pytest.raises(CertificationFailed):
         classify_invariants(
             build_ou_system(1, [1.0], [2.0], ConstantForce([0.5])))

@@ -268,8 +268,10 @@ def test_out_of_range_parameters_exit_one_without_warnings(
 def test_a_mode_that_overflows_at_the_probes_fails_certification_by_name(
         tmp_path, capsys):
     # exp(445.7 t) overflows at the probes, so the mode's Ito Laplacian is
-    # not finite: the certificate fails, naming the generator, with NaN
-    # maxima, as any other failed determining equation does
+    # not finite: the certificate fails, naming the generator, with a NaN
+    # entry, as any other failed determining equation does; the decaying
+    # mode before it, whose sizes underflow to ~4e-313, passes by the
+    # rule's floor at the smallest normal float
     system = write_system(tmp_path, "steep.json", {
         "n": 1, "beta": [3.0], "mu": [1.0],
         "force": {"type": "linear", "L": [[200000.0]]}})
@@ -279,8 +281,8 @@ def test_a_mode_that_overflows_at_the_probes_fails_certification_by_name(
     assert code == 1 and out == ""
     assert err == (
         "error: generator exp(445.7161111t)*(d/dx1 + 445.7161111*d/dv1) "
-        "failed the determining equations: f-residual nan, sigma-residual "
-        "nan > 1.0e-06\n")
+        "failed the determining equations: nan at term size nan > limit "
+        "nan\n")
 
 
 HUGE_LINEAR = {"n": 1, "beta": [1.0], "mu": [1.0],
@@ -389,24 +391,78 @@ def test_invariants_follow_the_force_class_not_its_type(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command, expected", [
-    ("classify", 0), ("invariants", 1)])
+    ("classify", "generator d/dx1 failed the determining equations: "
+                 "1.776e-15 at term size 1.776e-15 > limit 1.776e-27"),
+    ("invariants", "chi1 failed invariance certification: nan at term "
+                   "size nan > limit nan")],
+    ids=["classify-1", "invariants-1"])
 def test_a_force_undefined_at_the_origin_exits_cleanly(tmp_path, capsys,
                                                        command, expected):
     # x1/x1 is the constant 1 at every probe and 0/0 at the origin, where
     # chi reads c: the chi then fails certification by name, its NaN
-    # Laplacian counted as a failed condition, with no warning
+    # Laplacian counted as a failed condition, with no warning. The
+    # translation's only nonzero term is the roundoff of d(x1/x1)/dx1, so
+    # its residual is all of its size and it fails too
     system = write_system(tmp_path, "odd.json", {
         "n": 1, "beta": [1.0], "mu": [1.0],
         "force": {"type": "expr", "components": ["x1/x1"]}})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, command, "--system", system)
-    assert code == expected and "Warning" not in err
+    assert code == 1 and "Warning" not in err
+    assert out == "" and err == f"error: {expected}\n"
+
+
+def _one_d(force, beta=3.0, mu=1.0):
+    return {"n": 1, "beta": [beta], "mu": [mu], "force": force}
+
+
+def _linear_1d(L):
+    return _one_d({"type": "linear", "L": [[L]]})
+
+
+def _expr_1d(source):
+    return _one_d({"type": "expr", "components": [source]})
+
+
+ISO2_ROTATION = {"n": 2, "beta": [1.0, 1.0], "mu": [1.0, 1.0],
+                 "force": {"type": "linear",
+                           "L": [[-1.0, 2.0], [-2.0, -1.0]]}}
+
+
+@pytest.mark.parametrize("payload, argv, expected", [
+    *[(_linear_1d(110.0), ["classify", "--seed", str(seed)], 0)
+      for seed in range(10)],
+    *[(_linear_1d(L), ["classify"], 0) for L in (200.0, 1000.0, 1e4)],
+    (_expr_1d("x1 + 1e-9*x1^2"), ["classify"], "generator "),
+    (_expr_1d("x1 + 1e-9*x1^3"), ["classify"], "generator "),
+    (_linear_1d(1e-9), ["classify"], "generator "),
+    (_linear_1d(1e-9), ["invariants"], "chi1 "),
+    (_expr_1d("1e6*(sin(x1)^2 + cos(x1)^2)"), ["classify"], 0),
+    (_expr_1d("1e6*(sin(x1)^2 + cos(x1)^2)"), ["invariants"], 0),
+    (_one_d({"type": "constant", "c": [0.3]}, mu=49.0), ["invariants"], 0),
+    (_one_d({"type": "constant", "c": [0.3]}, mu=0.1), ["invariants"], 0),
+    (ISO2_ROTATION, ["solve", "--x0", "1e8,-1e8,0,0"], 0),
+], ids=[*[f"L110-seed{seed}" for seed in range(10)], "L200", "L1000",
+        "L1e4", "quadratic-1e-9", "cubic-1e-9", "L1e-9-classify",
+        "L1e-9-invariants", "trig-classify", "trig-invariants",
+        "constant-mu49", "constant-mu0.1", "iso2-x0-1e8"])
+def test_verdicts_follow_the_relative_rule(tmp_path, capsys, payload, argv,
+                                           expected):
+    # one relative rule decides every certificate: a true symmetry or
+    # invariant passes at any scale and probe seed, and an object off by
+    # 1e-9 of its terms fails, by name (expected is the start of the
+    # error after "error: "). classify and invariants agree on the two
+    # forces tagged constant. At mu = 49, D_1 chi is 1.1e-16 where its
+    # terms are 1 and -49/49, so a dw condition is sized by all of its
+    # terms; the rotation's exact path leaks 7.5e-9 from states of 1.7e8
+    system = write_system(tmp_path, "system.json", payload)
+    code, out, err = run(capsys, argv[0], "--system", system, *argv[1:])
     if expected == 0:
-        assert json.loads(out)["case_tag"] == "ConstantModule"
+        assert (code, err) == (0, "")
     else:
-        assert out == "" and err == (
-            "error: chi1 failed invariance certification: nan > 1.0e-10\n")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {expected}"), err
 
 
 def test_verify_scales_by_the_chi_of_a_linear_force(tmp_path, capsys):

@@ -17,7 +17,7 @@ from ousym import (ConstantForce, DimensionMismatch, DomainExit,
                    euler_maruyama_ensemble, exact_solve_constant,
                    exact_solve_linear, integrate, parse_force_expression,
                    read_path_csv, sample_wiener, solve_reference_problem,
-                   write_convergence_csv, write_path_csv)
+                   symmetry, write_convergence_csv, write_path_csv)
 from ousym.classify import _eigenmodes, mode_rates
 from oracles import _mode_quadrature as whole_mode_quadrature
 from oracles import (euler_maruyama_general, exact_constant_paths,
@@ -419,10 +419,11 @@ def test_exact_linear_paths_equal_the_complex_oracle(monkeypatch, sys_, x0,
 ], ids=["mixed-iso2", "complex-iso2"])
 def test_study_with_the_complex_oracle_gives_the_same_report(
         monkeypatch, sys_, x0):
-    # the complex system's tolerance sits inside its leakage range, so the
-    # study skips some paths by leakage
+    # the complex system's relative limit sits inside the range of its
+    # paths' leakage over their largest |state| (2.8e-17 to 5.0e-17), so
+    # the study skips some paths by leakage
     if sys_ is COMPLEX_ISO2:
-        monkeypatch.setattr(integrate, "IMAG_TOL", 4e-17)
+        monkeypatch.setattr(symmetry, "CERT_REL", 4e-17)
     args = (x0, 0.0, 1.0, [8, 16, 32])
     kw = {"n_paths": 24, "seed": 4, "refine": 8}
     rep = convergence_study(OUConvergenceProblem(sys_), *args, **kw)
@@ -1296,24 +1297,28 @@ def test_single_grid_pair_equals_the_oracle(problem, x0, t1, ladder, refine):
 
 def test_study_skips_by_whole_path_leakage(monkeypatch):
     # complex modes leave roundoff-sized imaginary parts that differ by
-    # path; a tolerance between them must skip exactly the paths whose
-    # single-path solve reports more leakage than it
+    # path; a relative limit between them must skip exactly the paths
+    # whose single-path solve reports more leakage than the limit times
+    # the path's largest |state|
     sys2 = build_ou_system(2, [1.0, 1.0], [0.6, 0.6],
                            LinearForce([[-3.0, 1.0], [-1.0, -3.0]]))
     x0, ladder, refine, n_paths = [0.4, -0.2, 0.3, 0.1], [8, 16], 4, 12
-    leaks = [exact_solve_linear(sys2, x0, sample_wiener(
-        2, 0.0, 1.0, ladder[-1] * refine, seed=2, path_index=i)
-    ).meta["max_imag_leakage"] for i in range(n_paths)]
-    tol = float(np.median(leaks))
-    monkeypatch.setattr(integrate, "IMAG_TOL", tol)
+    paths = [exact_solve_linear(sys2, x0, sample_wiener(
+        2, 0.0, 1.0, ladder[-1] * refine, seed=2, path_index=i))
+        for i in range(n_paths)]
+    leaks = [path.meta["max_imag_leakage"] for path in paths]
+    sizes = [np.abs(path.states).max() for path in paths]
+    rel = float(np.median([leak / size for leak, size in zip(leaks, sizes)]))
+    monkeypatch.setattr(symmetry, "CERT_REL", rel)
     problem = OUConvergenceProblem(sys2)
     rep = convergence_study(problem, x0, 0.0, 1.0,
                             ladder, n_paths=n_paths, seed=2, refine=refine)
-    assert 0 < rep.skipped_paths == sum(leak > tol for leak in leaks)
+    over = [leak > rel * size for leak, size in zip(leaks, sizes)]
+    assert 0 < rep.skipped_paths == sum(over)
     for i, leak in enumerate(leaks):
         grid = sample_wiener(2, 0.0, 1.0, ladder[-1] * refine, seed=2,
                              path_index=i)
-        if leak > tol:
+        if over[i]:
             with pytest.raises(NonFiniteState):
                 problem.exact_terminal(x0, grid)
         else:
@@ -1371,22 +1376,27 @@ def test_exact_guard_fails_each_out_of_range_state(bad):
         assert not states.any()
 
 
-def test_exact_solve_linear_reads_imag_tol_when_called(monkeypatch):
+def test_exact_solve_linear_reads_the_leakage_limit_when_called(
+        monkeypatch):
     # the single-path solver and the study adapter judge the leakage of one
-    # grid against the same IMAG_TOL, read at call time
+    # grid, relative to the path's largest |state|, against the same
+    # CERT_REL, read at call time
     sys2 = build_ou_system(2, [1.0, 1.0], [0.6, 0.6],
                            LinearForce([[-3.0, 1.0], [-1.0, -3.0]]))
     x0 = [0.4, -0.2, 0.3, 0.1]
     grid = sample_wiener(2, 0.0, 1.0, 64, seed=2)
-    leak = exact_solve_linear(sys2, x0, grid).meta["max_imag_leakage"]
-    assert 0.0 < leak <= integrate.IMAG_TOL
+    path = exact_solve_linear(sys2, x0, grid)
+    leak = path.meta["max_imag_leakage"]
+    size = np.abs(path.states).max()
+    assert 0.0 < leak <= symmetry.CERT_REL * size
     problem = OUConvergenceProblem(sys2)
-    monkeypatch.setattr(integrate, "IMAG_TOL", leak / 2)
-    with pytest.raises(NonFiniteState):
+    monkeypatch.setattr(symmetry, "CERT_REL", leak / size / 2)
+    with pytest.raises(NonFiniteState, match="^imaginary leakage "):
         exact_solve_linear(sys2, x0, grid)
     with pytest.raises(NonFiniteState):
         problem.exact_terminal(x0, grid)
-    monkeypatch.setattr(integrate, "IMAG_TOL", leak)
+    # (leak / size) * size rounds back to leak here
+    monkeypatch.setattr(symmetry, "CERT_REL", leak / size)
     assert np.array_equal(exact_solve_linear(sys2, x0, grid).terminal(),
                           problem.exact_terminal(x0, grid))
 

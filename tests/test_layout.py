@@ -293,9 +293,35 @@ def test_the_integer_rule_is_written_once():
     assert typed == {("model.py", "_is_count")}
 
 
-def test_imag_tol_is_read_by_the_exact_path_gate_alone():
-    # _guarded applies the range guard and the leakage tolerance together
-    assert _top_readers("integrate.py", {"IMAG_TOL"}) == {"_guarded"}
+def test_certification_has_one_tolerance():
+    # every certificate (the determining equations, the chi basis, an
+    # invariant's scaling, the exp-decay scan's re-check, R's skew part
+    # and an exact path's imaginary leakage) is decided by symmetry._judge,
+    # the one relative rule, which alone reads the one constant CERT_REL;
+    # the only other tolerance name left is classify_force's model._TOL
+    names, literals = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            label = getattr(top, "name", None) or ast.unparse(
+                getattr(top, "targets", [top])[0])
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if name and re.fullmatch(r"\w*_TOL\w*|CERT_REL", name):
+                    names.add((path.name, label, name))
+                if isinstance(node, ast.Constant) and node.value == 1e-12:
+                    literals.add((path.name, label))
+    assert {(module, name) for module, _, name in names
+            if name != "CERT_REL"} == {("model.py", "_TOL")}
+    assert {entry[:2] for entry in names if entry[2] == "CERT_REL"} == {
+        ("symmetry.py", "CERT_REL"), ("symmetry.py", "_judge")}
+    # mode_rates' critical-damping test is not a certificate
+    assert literals == {("symmetry.py", "CERT_REL"),
+                        ("classify.py", "mode_rates")}
+    assert _calling_functions({"_judge"}) == {
+        ("classify.py", "_certify"), ("classify.py", "classify_invariants"),
+        ("classify.py", "expdecay_residual_scan"),
+        ("symmetry.py", "scale_by_invariant"),
+        ("symmetry.py", "SymmetryGenerator"), ("integrate.py", "_guarded")}
 
 
 def test_exact_paths_stream_through_one_splitter_into_one_consumer():

@@ -76,9 +76,10 @@ def test_state_dependent_sigma_enters_the_dw_block():
 
 
 def _entrywise_blocks(X, sys, p):
-    """Reference for both determining blocks: loops over the entries, one
-    derivative() call per partial, the Laplacian from its second-order
-    terms."""
+    """Reference for both determining blocks and the size of each block's
+    entries at each probe, the largest sum of the absolute values of an
+    entry's terms: loops over the entries, one derivative() call per
+    partial, the Laplacian from its second-order terms."""
     S, W = sys.state_coords, sys.wiener_coords
     sig = [[np.asarray(e) for e in row] for row in sys.sigma(p)]
     phi, f = X.phi(p), sys.drift(p)
@@ -86,7 +87,7 @@ def _entrywise_blocks(X, sys, p):
     def d(g, a, b=None):
         return derivative(g, p, a, coord2=b)
 
-    fres, sres = [], []
+    fres, sres, fsize, ssize = [], [], [], []
     for i in range(len(S)):
         def phi_i(q, i=i):
             return X.phi(q)[i]
@@ -100,19 +101,27 @@ def _entrywise_blocks(X, sys, p):
                 lap = lap + 2.0 * sig[j][k] * d(phi_i, a, w)
                 for m, b in enumerate(S):
                     lap = lap + sig[j][k] * sig[m][k] * d(phi_i, a, b)
-        fres.append(d(phi_i, ("t", 0)) + 0.5 * lap + sum(
-            f[j] * d(phi_i, a) - phi[j] * d(f_i, a) for j, a in enumerate(S)))
-        row = []
+        fterms = [d(phi_i, ("t", 0)), 0.5 * lap] + [
+            t for j, a in enumerate(S)
+            for t in (f[j] * d(phi_i, a), -phi[j] * d(f_i, a))]
+        fres.append(sum(fterms))
+        fsize.append(sum(map(np.abs, fterms)))
+        row, sizes = [], []
         for k, w in enumerate(W):
             def sig_ik(q, i=i, k=k):
                 return sys.sigma(q)[i][k]
 
-            row.append(d(phi_i, w) + sum(
-                sig[j][k] * d(phi_i, a) - phi[j] * d(sig_ik, a)
-                for j, a in enumerate(S)) - sum(
-                sig[i][m] * X.R[m, k] for m in range(len(W))))
+            transport = [sig[j][k] * d(phi_i, a) for j, a in enumerate(S)]
+            dk = d(phi_i, w) + sum(transport)
+            rest = [-phi[j] * d(sig_ik, a) for j, a in enumerate(S)] + [
+                -sig[i][m] * X.R[m, k] for m in range(len(W))]
+            row.append(dk + sum(rest))
+            # D_k phi is one term, and its sigma parts count again
+            sizes.append(sum(map(np.abs, [dk] + transport + rest)))
         sres.append(row)
-    return fres, sres
+        ssize.append(sizes)
+    return (fres, sres, np.max(fsize, axis=0),
+            np.max(np.array(ssize), axis=(0, 1)))
 
 
 def test_residual_blocks_match_an_entrywise_reference():
@@ -137,10 +146,9 @@ def test_residual_blocks_match_an_entrywise_reference():
     for X, proc, box in cases:
         p = stack_probes(sample_probes(proc, count=12, seed=5, box=box))
         p = p.with_coord(("z", 0), 0.3 * p.x[0]) if p.z else p
-        fres, sres = symmetry._residual_blocks(X, proc, p)
-        ref_f, ref_s = _entrywise_blocks(X, proc, p)
-        assert np.allclose(fres, np.array(ref_f), rtol=1e-12, atol=1e-12)
-        assert np.allclose(sres, np.array(ref_s), rtol=1e-12, atol=1e-12)
+        blocks = symmetry._residual_blocks(X, proc, p)
+        for got, ref in zip(blocks, _entrywise_blocks(X, proc, p)):
+            assert np.allclose(got, np.array(ref), rtol=1e-12, atol=1e-12)
 
 
 def test_exp_decay_zero_residual_on_matching_linear_force():
@@ -358,8 +366,8 @@ def test_scale_by_a_chi_whose_laplacian_is_not_finite_fails_by_name():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NotAnInvariant, match=(
-                r"^chi1 fails the invariance conditions: max residual nan "
-                r"> 1\.0e-08$")):
+                r"^chi1 fails the invariance conditions: nan at term size "
+                r"nan > limit nan$")):
             scale_by_invariant(SymmetryGenerator.translation(1, 1),
                                InvariantCandidate.chi(odd, 1), odd)
 
@@ -433,10 +441,25 @@ def test_scaling_with_nonzero_R_is_rejected():
 def test_R_validation():
     # off-diagonal part must be skew-symmetric
     R_bad = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match=(
+            r"^R is not skew off its diagonal: 2\.000e\+00 at term size "
+            r"2\.000e\+00 > limit 2\.000e-12$")):
         SymmetryGenerator(lambda p: [0.0, 0.0], 2, 2, R=R_bad)
     R_ok = np.array([[0.5, 1.0], [-1.0, 0.3]])
     SymmetryGenerator(lambda p: [0.0, 0.0], 2, 2, R=R_ok)
+
+
+@pytest.mark.parametrize("R", [[[np.nan, 0.0], [0.0, 0.0]],
+                               [[0.0, np.inf], [-np.inf, 0.0]]],
+                         ids=["nan-diagonal", "inf-skew"])
+def test_R_that_is_not_finite_is_refused(R):
+    # nan > tol is False and inf - inf is NaN: a non-finite R used to pass
+    # the skew check and give a NaN sigma-residual; it is refused up
+    # front, without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteResult, match="^R must be finite$"):
+            SymmetryGenerator(lambda p: [0.0, 0.0], 2, 2, R=R)
 
 
 @pytest.mark.parametrize("i", [1.5, 0, 3, -1, True, "1"])
@@ -779,8 +802,9 @@ def test_max_abs_propagates_nan_in_any_entry(entries):
 def test_nan_invariant_residual_is_not_an_invariant(monkeypatch):
     from ousym import symmetry
     sys1 = build_ou_system(1, [1.0], [1.0], ConstantForce([0.2]))
-    monkeypatch.setattr(symmetry, "max_invariant_residual",
-                        lambda *_a: np.nan)
+    conditions = symmetry._invariant_conditions
+    monkeypatch.setattr(symmetry, "_invariant_conditions", lambda *a: (
+        conditions(*a)[0] * np.nan, conditions(*a)[1]))
     with pytest.raises(NotAnInvariant):
         scale_by_invariant(SymmetryGenerator.exp_decay(1, 1.0, 1),
                            InvariantCandidate.chi(sys1, 1), sys1)
