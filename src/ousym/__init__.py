@@ -38,11 +38,10 @@ from .model import (ConstantForce, CustomItoProcess, ExpressionForce,
                     ForceClass, ForceField, LinearForce, OUSystem,
                     build_ou_system, classify_force, default_x_probes,
                     system_from_json, system_to_json)
-from .symmetry import (AffineRecord, InvariantCandidate, ResidualReport,
-                       SymmetryGenerator, affine_invariant_nullspace,
-                       f_residual, invariant_residual,
-                       max_invariant_residual, max_residuals,
-                       residual_report, scale_by_invariant, sigma_residual,
+from .symmetry import (AffineRecord, InvariantCandidate, SymmetryGenerator,
+                       affine_invariant_nullspace, f_residual,
+                       invariant_residual, max_invariant_residual,
+                       max_residuals, scale_by_invariant, sigma_residual,
                        solve_wsym_linear_constraint)
 
 __version__ = "0.1.0"
@@ -58,9 +57,8 @@ __all__ = [
     "LinearForce", "NonFiniteEvaluation", "NonFiniteResult",
     "NonFiniteState", "NonPositiveFriction", "NotAnInvariant",
     "NotDiagonalizable", "OUConvergenceProblem", "OUSystem", "OusymError",
-    "Path", "ResidualReport", "SymmetryAlgebra", "SymmetryGenerator",
-    "UnclassifiableForce", "UnknownIdentifier", "WienerGrid",
-    "WrongForceClass", "ZeroNoise",
+    "Path", "SymmetryAlgebra", "SymmetryGenerator", "UnclassifiableForce",
+    "UnknownIdentifier", "WienerGrid", "WrongForceClass", "ZeroNoise",
     "affine_invariant_nullspace", "build_ou_system", "classify_force",
     "classify_invariants", "classify_symmetries", "coarsen",
     "convergence_study", "default_scaling_functions", "default_x_probes",
@@ -69,9 +67,9 @@ __all__ = [
     "extended_coords", "f_residual", "invariant_residual", "ito_laplacian",
     "ito_laplacian_components", "lie_bracket", "max_invariant_residual",
     "max_residuals", "mode_rates", "parse_components", "parse_expression",
-    "parse_force_expression", "point", "read_path_csv", "residual_report",
-    "sample_probes", "sample_wiener", "scale_by_invariant",
-    "sigma_residual", "solve_reference_problem",
+    "parse_force_expression", "point", "read_path_csv", "sample_probes",
+    "sample_wiener", "scale_by_invariant", "sigma_residual",
+    "solve_reference_problem",
     "solve_wsym_linear_constraint", "stack_probes", "structure_constants",
     "system_from_json", "system_to_json", "thread_count", "value",
     "write_convergence_csv", "write_path_csv",

@@ -229,10 +229,7 @@ def _cmd_verify(args):
 
 
 def _solve_exact(sys_, x0, grid):
-    solve = (integrate.exact_solve_constant
-             if isinstance(sys_.force, model.ConstantForce)
-             else integrate.exact_solve_linear)
-    return solve(sys_, x0, grid)
+    return integrate._exact_solver(sys_)[0](sys_, x0, grid)
 
 
 def _cmd_path(solver):

@@ -266,23 +266,21 @@ def _blew_up(k, t0, dt):
                           f"(t = {t0 + (k + 1) * dt})")
 
 
-def _em_batch(step, state, inc, t0, dt, record=None, strict=True):
+def _em_batch(step, state, inc, t0, dt, strict=True):
     """The Euler-Maruyama loop over a (paths, d) batch; returns the terminal
     states and the (paths,) mask of paths that blew up, i.e. failed
     max |state| <= BLOWUP_GUARD (NaN fails it; the guard is read once per
     call). step(s, dw, out) writes the next states into out; inc is
-    (paths, n_proc, steps); record, if given, gets all (steps + 1, paths,
-    d) states. strict raises at the first blow-up.
+    (paths, n_proc, steps). strict raises at the first blow-up. Only the
+    terminal states are kept: a whole path is stepped by _em_one_path.
     """
     guard = BLOWUP_GUARD
     blown = np.zeros(state.shape[0], dtype=bool)
     spare = (np.empty_like(state), np.empty_like(state))
-    if record is not None:
-        record[0] = state
     # overflow, NaN and division by zero are what the guard reports
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(inc.shape[2]):
-            out = spare[k % 2] if record is None else record[k + 1]
+            out = spare[k % 2]
             step(state, inc[:, :, k], out)
             # the whole-batch test is cheap; the per-path one is not
             if not np.abs(out).max() <= guard:
@@ -329,7 +327,8 @@ def _em_one_path(sys, x, v, inc, t0, dt, record, strict):
 
 def _ou_em(sys, x0, t0, t1, inc, record=None, strict=True):
     """_em_batch with the euler_maruyama scheme, driven by inc
-    (paths, n, steps); a one-path batch goes to _em_one_path."""
+    (paths, n, steps); a one-path batch goes to _em_one_path, which fills
+    record, if given, with all (steps + 1, 1, 2n) states."""
     n = sys.n
     x, v = _split_state(n, x0)
     dt = (t1 - t0) / inc.shape[2]
@@ -345,7 +344,7 @@ def _ou_em(sys, x0, t0, t1, inc, record=None, strict=True):
         out[:, n:] = v + (F(x) - beta * v) * dt + mu * dw
 
     start = np.tile(np.concatenate((x, v)), (inc.shape[0], 1))
-    return _em_batch(step, start, inc, t0, dt, record, strict)
+    return _em_batch(step, start, inc, t0, dt, strict)
 
 
 def _grid_meta(grid, scheme):
@@ -658,6 +657,17 @@ def exact_solve_linear(sys, x0, grid):
                 meta=meta)
 
 
+def _exact_solver(sys):
+    """The one choice of exact solver, by sys's force class, for `solve`
+    and `converge`: (single-path solver, path generator, problem name)."""
+    if isinstance(sys.force, ConstantForce):
+        return exact_solve_constant, _exact_constant_paths, "ou-constant"
+    if isinstance(sys.force, LinearForce):
+        return exact_solve_linear, _exact_linear_paths, "ou-linear"
+    raise WrongForceClass(
+        "no exact solver for this force class; nothing to compare")
+
+
 # --- convergence studies ---
 
 @dataclass(frozen=True)
@@ -704,15 +714,7 @@ class OUConvergenceProblem(_ConvergenceProblem):
     def __init__(self, sys):
         self.sys = sys
         self.n_proc = sys.n
-        if isinstance(sys.force, ConstantForce):
-            self._exact_paths = _exact_constant_paths
-            self.name = "ou-constant"
-        elif isinstance(sys.force, LinearForce):
-            self._exact_paths = _exact_linear_paths
-            self.name = "ou-linear"
-        else:
-            raise WrongForceClass(
-                "no exact solver for this force class; nothing to compare")
+        _, self._exact_paths, self.name = _exact_solver(sys)
 
     def exact_terminals(self, x0, t0, t1, inc):
         t = np.linspace(t0, t1, inc.shape[2] + 1)
@@ -736,7 +738,7 @@ class _ScalarProblem(_ConvergenceProblem):
         """The fixture as an Ito process on extended points, for the
         residual and invariance checks."""
         return CustomItoProcess(1, 1, lambda p: [self.drift(p.x[0])],
-                                lambda p: [[self.sigma(p.x[0])]], self.name)
+                                lambda p: [[self.sigma(p.x[0])]])
 
     def em_terminals(self, x0, t0, t1, inc):
         dt = (t1 - t0) / inc.shape[2]
@@ -964,14 +966,12 @@ def _open_dest(dest):
     return open(dest, "w", newline="")
 
 
-def write_path_csv(path, dest, extra_meta=None):
-    """Comment header with provenance, then t plus one column per label."""
-    meta = dict(path.meta)
-    if extra_meta:
-        meta.update(extra_meta)
+def write_path_csv(path, dest):
+    """A comment header with path.meta, one "# key=value" line per key in
+    sorted order, then t plus one column per label."""
     with _open_dest(dest) as fh:
-        for key in sorted(meta):
-            fh.write(f"# {key}={meta[key]}\n")
+        for key in sorted(path.meta):
+            fh.write(f"# {key}={path.meta[key]}\n")
         fh.write("t," + ",".join(path.labels) + "\n")
         # repr of a Python float is repr(float(v)) of the numpy value
         table = np.column_stack((path.times, path.states)).astype(

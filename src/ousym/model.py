@@ -218,24 +218,25 @@ class ExpressionForce(ForceField):
 
 @dataclass(frozen=True)
 class ForceClass:
-    """Outcome of the regularity decision tree, with witnesses."""
+    """Outcome of the regularity decision tree. For a linear tag, L is the
+    Jacobian and rank the count of its singular values at least _TOL times
+    its largest: the tag is LinearRegular exactly when rank == n."""
 
     tag: str  # Constant | LinearRegular | LinearDegenerate |
               # NonlinearSecondOrderRegular | NonlinearSecondOrderDegenerate
     L: np.ndarray | None = None
     rank: int | None = None
-    probes: tuple = ()
-    hessian_regular: tuple = ()  # per-probe booleans for nonlinear tags
     detail: str = ""
 
 
-def _smallest_relative_sv(M):
-    """Smallest over largest singular value of each matrix of the stack M
-    (0 for a zero matrix), and whether it is below _TOL (singular)."""
+def _relative_rank(M):
+    """From one SVD of each matrix of the stack M: the count of its
+    singular values at least _TOL times its largest, and its smallest
+    over its largest singular value (0 and 0 for a zero matrix)."""
     s = np.linalg.svd(M, compute_uv=False)
-    top = s[..., 0]
-    rel = s[..., -1] / np.where(top == 0.0, 1.0, top)
-    return rel, rel < _TOL
+    top = s[..., :1]
+    rel = s / np.where(top == 0.0, 1.0, top)
+    return (rel >= _TOL).sum(axis=-1), rel[..., -1]
 
 
 def classify_force(force, probes=None):
@@ -243,10 +244,11 @@ def classify_force(force, probes=None):
     of the force over all of them.
 
     Decision tree: zero Jacobian at every probe -> Constant; zero Hessians
-    with nonsingular (resp. singular) Jacobian -> LinearRegular (resp.
-    LinearDegenerate); otherwise second-order regularity is decided by
-    invertibility of all n component Hessian matrices at every probe.
-    Probes that disagree raise UnclassifiableForce.
+    with a Jacobian L of full rank (resp. lower rank) -> LinearRegular
+    (resp. LinearDegenerate); otherwise second-order regularity is decided
+    by the full rank of all n component Hessian matrices at every probe.
+    Every rank is _relative_rank's, from one SVD. Probes that disagree
+    raise UnclassifiableForce.
     """
     if probes is None:
         probes = default_x_probes(force.n)
@@ -282,8 +284,7 @@ def classify_force(force, probes=None):
     hess_zero = np.abs(hess).max(axis=(1, 2, 3)) <= atol
 
     if jac_zero.all():
-        return ForceClass(tag="Constant", probes=tuple(probes),
-                          detail="zero Jacobian at all probes")
+        return ForceClass(tag="Constant", detail="zero Jacobian at all probes")
     if jac_zero.any():
         raise UnclassifiableForce(
             "Jacobian vanishes at some probes but not others")
@@ -293,17 +294,15 @@ def classify_force(force, probes=None):
         if float(np.abs(jac - L).max()) > atol:
             raise UnclassifiableForce(
                 "zero Hessians but probe-dependent Jacobian")
-        rel, singular = _smallest_relative_sv(L)
-        rank = int(np.linalg.matrix_rank(
-            L, tol=_TOL * max(1.0, float(np.max(np.abs(L))))))
-        tag = "LinearDegenerate" if singular else "LinearRegular"
-        return ForceClass(tag=tag, L=L.copy(), rank=rank, probes=tuple(probes),
+        rank, rel = _relative_rank(L)
+        tag = "LinearRegular" if rank == force.n else "LinearDegenerate"
+        return ForceClass(tag=tag, L=L.copy(), rank=int(rank),
                           detail=f"smallest relative singular value {rel:.3e}")
     if hess_zero.any():
         raise UnclassifiableForce(
             "Hessians vanish at some probes but not others")
 
-    regular = ~_smallest_relative_sv(hess)[1].any(axis=1)
+    regular = (_relative_rank(hess)[0] == force.n).all(axis=1)
     if regular.all():
         tag = "NonlinearSecondOrderRegular"
     elif not regular.any():
@@ -312,8 +311,7 @@ def classify_force(force, probes=None):
         raise UnclassifiableForce(
             "Hessian regularity differs between probes: "
             f"{int(regular.sum())}/{len(regular)} probes regular")
-    return ForceClass(tag=tag, probes=tuple(probes),
-                      hessian_regular=tuple(regular.tolist()),
+    return ForceClass(tag=tag,
                       detail="all component Hessians tested at every probe")
 
 
@@ -392,12 +390,9 @@ class CustomItoProcess:
 
     sigma_is_constant = False
 
-    def __init__(self, n_state, n_wiener, drift_fn, sigma_fn, name="custom"):
-        self.n_state = n_state
-        self.n_wiener = n_wiener
+    def __init__(self, n_state, n_wiener, drift_fn, sigma_fn):
         self._drift_fn = drift_fn
         self._sigma_fn = sigma_fn
-        self.name = name
         self.state_coords = tuple(("x", i) for i in range(n_state))
         self.wiener_coords = tuple(("w", k) for k in range(n_wiener))
         self.active_wiener_coords = self.wiener_coords

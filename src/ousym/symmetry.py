@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import duals
-from .calculus import (ExtendedPoint, _force_at_origin, _gradients, _ito_jet,
+from .calculus import (_force_at_origin, _gradients, _ito_jet,
                        extended_coords, sample_probes, stack_probes)
 from .duals import value
 from .errors import DimensionMismatch, NonFiniteResult, NotAnInvariant
@@ -388,14 +388,6 @@ def render_affine(affine):
 
 # --- residual evaluation ---
 
-@dataclass(frozen=True)
-class ResidualReport:
-    point: ExtendedPoint
-    f_residual: np.ndarray
-    sigma_residual: np.ndarray
-    max_abs: float
-
-
 def _drift_jet(sys, p):
     """What the determining equations read of the system at p: the drift's
     values and Jacobian, and the Jacobian of a state-dependent sigma (None
@@ -505,13 +497,6 @@ def _invariant_conditions(fvec, sys, p):
 def invariant_residual(theta, sys, p):
     """n+1 invariance conditions: active dw coefficients, then the dt one."""
     return _invariant_conditions(lambda q: [theta(q)], sys, p)[0][:, 0]
-
-
-def residual_report(X, sys, p):
-    """Both determining blocks at one plain-float point."""
-    fres, sres = map(np.asarray, _residual_blocks(X, sys, p)[:2])
-    return ResidualReport(point=p, f_residual=fres, sigma_residual=sres,
-                          max_abs=_max_abs((fres, sres)))
 
 
 def _max_abs(entries):

@@ -29,13 +29,13 @@ R once per extended field; the tests require the same bits.
 
 import numpy as np
 
-from ousym import duals
+from ousym import duals, integrate
 from ousym.calculus import _contract, _probe_shape, extended_coords
 from ousym.classify import _eigenmodes, mode_rates
 from ousym.duals import value
 from ousym.errors import (DimensionMismatch, EvaluationDomainError,
-                          WrongForceClass)
-from ousym.integrate import Path, _em_batch, _grid_meta, _split_state
+                          NonFiniteState, WrongForceClass)
+from ousym.integrate import Path, _grid_meta, _split_state
 from ousym.model import ConstantForce, LinearForce
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -266,24 +266,26 @@ def kozlov_exact_terminals(x0, t0, t1, inc):
 # --- single-grid Euler-Maruyama and Ito integrals ---
 
 def euler_maruyama_general(drift, sigma, x0, grid):
-    """Euler-Maruyama for a plain Ito system given as callables.
+    """Euler-Maruyama for a plain Ito system given as callables, in its
+    own loop, not the library's.
 
     drift(x) -> (d,), sigma(x) -> (d, n_proc), x0 length d; the columns
     are labelled x1..xd, and a state outside [-BLOWUP_GUARD, BLOWUP_GUARD]
-    or NaN raises NonFiniteState.
+    or NaN raises NonFiniteState. The guard is integrate.BLOWUP_GUARD as
+    it is when called.
     """
-    x = np.asarray(x0, dtype=float).ravel()
-    d = x.shape[0]
-    dt = grid.dt
-
-    def step(s, dw, out):
-        f = np.asarray(drift(s[0]), dtype=float)
-        g = np.asarray(sigma(s[0]), dtype=float).reshape(d, grid.n_proc)
-        out[0] = s[0] + f * dt + g @ dw[0]
-
-    record = np.empty((grid.steps + 1, 1, d))
-    _em_batch(step, x[None], grid.increments[None], grid.t0, dt, record)
-    return Path(times=grid.times, states=record[:, 0],
+    states = np.empty((grid.steps + 1, np.size(x0)))
+    states[0] = np.ravel(x0)
+    d, dt, guard = states.shape[1], grid.dt, integrate.BLOWUP_GUARD
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(grid.steps):
+            s = states[k]
+            f = np.asarray(drift(s), dtype=float)
+            g = np.asarray(sigma(s), dtype=float).reshape(d, grid.n_proc)
+            states[k + 1] = s + f * dt + g @ grid.increments[:, k]
+            if not np.abs(states[k + 1]).max() <= guard:
+                raise NonFiniteState(f"path blew up at step {k + 1}")
+    return Path(times=grid.times, states=states,
                 labels=tuple(f"x{i + 1}" for i in range(d)),
                 meta=_grid_meta(grid, "euler-maruyama"))
 

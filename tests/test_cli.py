@@ -390,6 +390,20 @@ def test_invariants_follow_the_force_class_not_its_type(tmp_path, capsys,
     assert payload["generators"][0]["a_t"] == 1.5 / 2.0
 
 
+def test_solve_and_converge_refuse_an_expression_force_alike(cubic_system,
+                                                             capsys):
+    # the exact solver is chosen in one place, which names no function the
+    # user did not call
+    errors = []
+    for command in ("solve", "converge"):
+        code, out, err = run(capsys, command, "--system", cubic_system,
+                             "--x0", "0.1,0")
+        assert code == 1 and out == ""
+        errors.append(err)
+    assert errors == ["error: no exact solver for this force class; "
+                      "nothing to compare\n"] * 2
+
+
 @pytest.mark.parametrize("command, expected", [
     ("classify", "generator d/dx1 failed the determining equations: "
                  "1.776e-15 at term size 1.776e-15 > limit 1.776e-27"),

@@ -1442,9 +1442,9 @@ def test_path_csv_golden_bytes_and_exact_read_back():
     times = vals.copy()
     states = np.column_stack((np.roll(vals, -1), -np.roll(vals, -2)))
     path = integrate.Path(times=times, states=states, labels=("x1", "v1"),
-                          meta={"seed": 3, "scheme": "golden"})
+                          meta={"seed": 3, "scheme": "golden", "note": "a=b"})
     buf = io.StringIO()
-    write_path_csv(path, buf, extra_meta={"note": "a=b"})
+    write_path_csv(path, buf)
     # the per-value formatting the bulk writer replaced
     expected = "# note=a=b\n# scheme=golden\n# seed=3\nt,x1,v1\n"
     for k in range(len(times)):

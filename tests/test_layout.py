@@ -223,7 +223,8 @@ def test_each_fixture_sde_is_written_once():
 
 def test_force_forms_live_on_the_force_classes():
     # the EM loops read F from the force; integrate.py tests the force
-    # class only where it picks a closed form
+    # class only where it picks a closed form, and `solve` and `converge`
+    # pick it in one place, _exact_solver
     found = set()
     for top in ast.parse((SRC / "integrate.py").read_text()).body:
         scopes = [(top.name, top)] if isinstance(top, ast.FunctionDef) else [
@@ -236,13 +237,55 @@ def test_force_forms_live_on_the_force_classes():
                         and ast.unparse(node.args[1]).endswith("Force")):
                     found.add(name)
     assert found == {"_exact_constant_paths", "_exact_linear_paths",
-                     "OUConvergenceProblem.__init__"}
+                     "_exact_solver"}
+    assert _calling_functions({"_exact_solver"}) == {
+        ("cli.py", "_solve_exact"), ("integrate.py", "OUConvergenceProblem")}
+    assert "Force" not in (SRC / "cli.py").read_text()
     readers = {attr: {top.name for top in ast.parse(
         (SRC / "integrate.py").read_text()).body for node in ast.walk(top)
         if isinstance(node, ast.Attribute) and node.attr == attr}
         for attr in ("_rows", "_floats")}
     assert readers == {"_rows": {"_ou_em"}, "_floats": {"_em_one_path"}}
     assert "_force_fn" not in (SRC / "integrate.py").read_text()
+
+
+def test_state_that_no_caller_reads_is_gone():
+    # one SVD decides a linear force's tag and rank; ForceClass keeps no
+    # copy of its input and nothing that restates the tag
+    assert not [p.name for p in SRC.glob("*.py")
+                if "matrix_rank" in p.read_text()]
+    assert [f.name for f in ousym.ForceClass.__dataclass_fields__.values()
+            ] == ["tag", "L", "rank", "detail"]
+    proc = ousym.GBMConvergenceProblem(1.0, 0.5).sys
+    assert not [a for a in ("n_state", "n_wiener", "name") if hasattr(proc, a)]
+    # the batch loop keeps terminal states only, a path CSV's header is its
+    # path's meta, and the test oracle steps Euler-Maruyama in its own loop,
+    # so the oracle shares no code with the loop it checks
+    em_batch = _function("integrate.py", "_em_batch")
+    assert "record" not in [a.arg for a in em_batch.args.args]
+    oracles = Path(__file__).with_name("oracles.py").read_text()
+    assert "_em_batch" not in oracles
+    writer = _function("integrate.py", "write_path_csv")
+    assert [a.arg for a in writer.args.args] == ["path", "dest"]
+    for name in ("ResidualReport", "residual_report"):
+        assert name not in ousym.__all__ and not hasattr(ousym, name)
+
+
+def test_every_import_is_read():
+    # a name a module imports is read in that module; __init__.py imports
+    # to export
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        assert imported <= read, (path.name, imported - read)
 
 
 def test_eigenmodes_come_from_one_helper():
@@ -440,8 +483,8 @@ def test_residual_overflow_policy_is_set_where_residuals_are_computed():
 def test_certification_reads_no_force_class():
     # calculus, symmetry and classify decide from the force's values and
     # derivatives and from the certificates: no force class is imported,
-    # named or tested with isinstance there (the exact solvers in
-    # integrate.py and cli.py keep their dispatch on purpose)
+    # named or tested with isinstance there (integrate.py's choice of exact
+    # solver keeps its dispatch on purpose)
     for name in ("calculus.py", "symmetry.py", "classify.py"):
         tree = ast.parse((SRC / name).read_text())
         named = {getattr(node, "id", None) or getattr(node, "attr", None)

@@ -141,6 +141,19 @@ def test_classify_linear_degenerate():
     assert fc.rank == 1
 
 
+@pytest.mark.parametrize("diag", [
+    pytest.param((s, s * r), id=f"s{s:g}-r{r:g}")
+    for s in (1e-3, 0.5, 1e3) for r in (5e-9, 1.8e-8, 1e-6)]
+    + [pytest.param((1.0, 0.0), id="one-zero")])
+def test_rank_agrees_with_the_tag(diag):
+    # one SVD decides both: the smallest relative singular value is below
+    # 1e-8 exactly when one singular value is not counted in the rank
+    fc = classify_force(LinearForce(np.diag(diag)))
+    regular = diag[1] / diag[0] > 1e-8
+    assert fc.tag == ("LinearRegular" if regular else "LinearDegenerate")
+    assert fc.rank == (2 if regular else 1)
+
+
 def test_classify_cubic_second_order_regular():
     fc = classify_force(parse_force_expression("x1^3", 1))
     assert fc.tag == "NonlinearSecondOrderRegular"

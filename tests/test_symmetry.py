@@ -13,8 +13,8 @@ from ousym import (ConstantForce, DimensionMismatch, GBMConvergenceProblem,
                    invariant_residual, ito_laplacian,
                    ito_laplacian_components, lie_bracket,
                    max_invariant_residual, max_residuals,
-                   parse_force_expression, point, residual_report,
-                   sample_probes, scale_by_invariant, sigma_residual,
+                   parse_force_expression, point, sample_probes,
+                   scale_by_invariant, sigma_residual,
                    solve_wsym_linear_constraint, stack_probes)
 from ousym import duals, symmetry
 from ousym.calculus import (_field_jet, _ito_jet, derivative,
@@ -382,12 +382,11 @@ def test_a_laplacian_that_is_not_finite_is_a_nan_residual():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         mf, ms = max_residuals(X, steep, sample_probes(steep))
-        report = residual_report(X, steep, p)
         with pytest.raises(NonFiniteResult, match="^ito_laplacian "):
             ito_laplacian(lambda q: X.phi(q)[0], steep, p)
         with pytest.raises(NonFiniteResult, match="^ito_laplacian "):
             ito_laplacian_components(X.phi, steep, p)
-    assert np.isnan(mf) and np.isnan(ms) and np.isnan(report.max_abs)
+    assert np.isnan(mf) and np.isnan(ms)
 
 
 @pytest.mark.parametrize("R", [
@@ -613,12 +612,11 @@ def test_residuals_of_an_overflowing_force_do_not_warn():
         worst = max_invariant_residual(alpha, sys1,
                                        sample_probes(sys1, count=8, seed=1))
         conditions = invariant_residual(alpha, sys1, p)
-        report = residual_report(X, sys1, p)
         fres = f_residual(X, sys1, p)
         sres = sigma_residual(X, sys1, p)
         mf, ms = max_residuals(X, sys1, [p])
     assert not np.isfinite(worst) and not np.all(np.isfinite(conditions))
-    assert np.isnan(report.max_abs) and np.isnan(mf)
+    assert np.isnan(mf)
     assert np.isnan(fres).all() and np.array_equal(sres, np.zeros((2, 2)))
     assert ms == 0.0
 
@@ -761,29 +759,6 @@ def test_affine_nullspace_dimension_property():
         assert dim == 0
 
     check()
-
-
-def test_residual_report_fields():
-    sys1 = build_ou_system(1, [3.0], [1.0], LinearForce([[4.0]]))
-    X = SymmetryGenerator.exp_decay(1, 4.0, 1)
-    p = point(x=[0.5], v=[0.1], t=0.2, w=[0.3])
-    rep = residual_report(X, sys1, p)
-    assert rep.max_abs <= 1e-12
-    assert len(rep.f_residual) == 2
-    assert len(rep.sigma_residual) == 2
-    # one column per formal process (active w1 plus ghost z1)
-    assert len(rep.sigma_residual[0]) == 2
-
-
-def test_residual_report_keeps_a_nan_sigma_block(monkeypatch):
-    # Python max(0.0, nan) is 0.0: a NaN sigma block after a finite f
-    # block must still make max_abs NaN
-    sys1 = build_ou_system(1, [3.0], [1.0], LinearForce([[4.0]]))
-    X = SymmetryGenerator.exp_decay(1, 4.0, 1)
-    p = point(x=[0.5], v=[0.1], t=0.2, w=[0.3])
-    monkeypatch.setattr(symmetry, "_residual_blocks", lambda *_a: (
-        [0.0, 1e-3], [[np.nan, 0.0], [0.0, 0.0]]))
-    assert np.isnan(residual_report(X, sys1, p).max_abs)
 
 
 @pytest.mark.parametrize("entries", [
