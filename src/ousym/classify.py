@@ -15,6 +15,14 @@ The closed-form answers implemented here:
   necessary linear constraint L R = [B, R] is solved and its null-space basis
   attached as uncertified candidates.
 
+classify_symmetries follows this table: the two cases with generators only
+choose them and their case fields, and one _certify and one bracket table
+serve both; every TheoryIncomplete verdict is one return, its annotation
+naming the row (degenerate linear, anisotropic linear, isotropic nonlinear
+with degenerate Hessians, anisotropic nonlinear). The linear-mode basis
+(eig, the defective-matrix test, the rates) is formed once, by _eigenmodes,
+which the mode emitter and the exact linear solver both read.
+
 The case is decided by classify_force from the force's derivatives at the
 probes, never from its Python class: an expression "1.5" or a linear force
 with L = 0 is a constant force, and c is the force at the origin. Every
@@ -151,21 +159,26 @@ def mode_rates(beta, lam):
     return (beta + sq) / 2.0, (beta - sq) / 2.0
 
 
-def _eigenmodes(L):
-    """Eigenvalues and eigenvector matrix M of L, both complex; raises
-    NotDiagonalizable when M is numerically singular (L is defective)."""
+def _eigenmodes(L, beta):
+    """The one linear-mode basis, read by _emit_linear_modes and the exact
+    linear solver: L's eigenvalues lams and eigenvector matrix M, both
+    complex, and each eigenvalue's kappa pair from mode_rates. Raises
+    NotDiagonalizable when M is numerically singular (L is defective),
+    then when a mode is critically damped."""
     lams, M = np.linalg.eig(np.asarray(L, dtype=float))
     M = M.astype(complex)
     svals = np.linalg.svd(M, compute_uv=False)
     if svals[-1] < 1e-10 * svals[0]:
         raise NotDiagonalizable(
             "force matrix is defective: eigenvector matrix is singular")
-    return lams.astype(complex), M
+    lams = lams.astype(complex)
+    return lams, M, [mode_rates(beta, lam) for lam in lams]
 
 
 def _emit_linear_modes(sys, L):
-    """2n certified generators from the eigenmodes of L, pairing complex
-    conjugate modes into real/imaginary parts.
+    """2n generators from the eigenmodes of L (_eigenmodes), pairing
+    complex conjugate modes into real/imaginary parts, and the eigen data
+    SymmetryAlgebra prints; classify_symmetries certifies them.
 
     eig lists each conjugate pair of eigenvalues together, the one with
     positive imaginary part first, with conjugate columns; the second is
@@ -174,8 +187,7 @@ def _emit_linear_modes(sys, L):
     the real and imaginary parts of kappa+, then of kappa-.
     """
     n = sys.n
-    lams, M = _eigenmodes(L)
-    rates = [mode_rates(sys.beta[0], lam) for lam in lams]
+    lams, M, rates = _eigenmodes(L, sys.beta[0])
     gens = []
     for lam, col, (kp, km) in zip(lams, M.T, rates):
         if lam.imag < 0:
@@ -236,67 +248,61 @@ def _quick_bracket_table(gens, sys, probes):
 
 def classify_symmetries(sys, probes=None):
     """Emit the simple-symmetry algebra for the closed-form cases; each
-    emitted generator must meet the determining equations (_certify)."""
+    emitted generator must meet the determining equations (_certify).
+
+    The paper's case table: a constant force and an isotropic regular
+    linear force each choose their generators and case fields, and the
+    one certificate and bracket table below serve both; an isotropic
+    regular nonlinear force has no real simple symmetry; everything else
+    is TheoryIncomplete, with the W-constraint candidates of a linear
+    force attached."""
     if probes is None:
         probes = sample_probes(sys, count=32, seed=0)
     fc = classify_force(sys.force, probes=[p.x for p in probes])
     n = sys.n
-
     if fc.tag == "Constant":
         gens = [SymmetryGenerator.exp_decay(i, b, n)
                 for i, b in enumerate(sys.beta, 1)]
         gens += [SymmetryGenerator.translation(i, n) for i in range(1, n + 1)]
-        _certify(gens, sys, probes)
+        case = dict(case_tag="ConstantModule", module_rank=2 * n,
+                    annotation="X-set spans an abelian ideal; module over "
+                               "the chi ring has rank 2n")
+    elif fc.tag == "LinearRegular" and sys.isotropic:
+        gens, eigen_data = _emit_linear_modes(sys, fc.L)
+        case = dict(case_tag="LinearPair1D" if n == 1 else "LinearAbelian2n",
+                    eigen_data=eigen_data,
+                    annotation="2n commuting generators from the eigenmodes "
+                               "of L")
+    elif fc.tag == "NonlinearSecondOrderRegular" and sys.isotropic:
         return SymmetryAlgebra(
-            case_tag="ConstantModule", system=sys, generators=tuple(gens),
-            module_rank=2 * n,
-            commutators=_quick_bracket_table(gens, sys, probes),
-            annotation="X-set spans an abelian ideal; module over the chi "
-                       "ring has rank 2n",
+            case_tag="NoRealSimple", system=sys,
+            annotation="second-order regular nonlinear force admits no "
+                       "real simple symmetry (ghost scalings disregarded)",
             force_tag=fc.tag)
-
-    if fc.tag in ("LinearRegular", "LinearDegenerate"):
-        L = fc.L
-        if fc.tag == "LinearDegenerate" or not sys.isotropic:
+    else:
+        if fc.tag == "LinearDegenerate":
             why = ("degenerate linear force: closed-form theory needs a "
                    "regular matrix; attached W-constraint null-space basis "
-                   "is uncertified" if fc.tag == "LinearDegenerate" else
-                   "anisotropic linear force: only the necessary W-matrix "
+                   "is uncertified")
+        elif fc.L is not None:
+            why = ("anisotropic linear force: only the necessary W-matrix "
                    "constraint is solved; candidates are not certified "
                    "symmetries")
-            basis = solve_wsym_linear_constraint(L, np.diag(sys.beta))
-            return SymmetryAlgebra(
-                case_tag="TheoryIncomplete", system=sys,
-                wsym_candidates=tuple(basis), annotation=why,
-                force_tag=fc.tag)
-        gens, eigen_data = _emit_linear_modes(sys, L)
-        _certify(gens, sys, probes)
+        elif sys.isotropic:
+            why = ("nonlinear force with degenerate component Hessians: "
+                   "outside the classified cases")
+        else:
+            why = "anisotropic nonlinear force: outside the classified cases"
         return SymmetryAlgebra(
-            case_tag="LinearPair1D" if n == 1 else "LinearAbelian2n",
-            system=sys, generators=tuple(gens), module_rank=0,
-            commutators=_quick_bracket_table(gens, sys, probes),
-            eigen_data=eigen_data,
-            annotation="2n commuting generators from the eigenmodes of L",
+            case_tag="TheoryIncomplete", system=sys, annotation=why,
+            wsym_candidates=() if fc.L is None else tuple(
+                solve_wsym_linear_constraint(fc.L, np.diag(sys.beta))),
             force_tag=fc.tag)
-
-    # nonlinear force
-    if sys.isotropic:
-        if fc.tag == "NonlinearSecondOrderRegular":
-            return SymmetryAlgebra(
-                case_tag="NoRealSimple", system=sys, module_rank=0,
-                annotation="second-order regular nonlinear force admits no "
-                           "real simple symmetry (ghost scalings disregarded)",
-                force_tag=fc.tag)
-        return SymmetryAlgebra(
-            case_tag="TheoryIncomplete", system=sys,
-            annotation="nonlinear force with degenerate component Hessians: "
-                       "outside the classified cases",
-            force_tag=fc.tag)
+    _certify(gens, sys, probes)
     return SymmetryAlgebra(
-        case_tag="TheoryIncomplete", system=sys,
-        annotation="anisotropic nonlinear force: outside the classified "
-                   "cases",
-        force_tag=fc.tag)
+        system=sys, generators=tuple(gens),
+        commutators=_quick_bracket_table(gens, sys, probes),
+        force_tag=fc.tag, **case)
 
 
 def expdecay_residual_scan(sys, kappas, i=1, probes=None):

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import duals
-from .classify import _eigenmodes, mode_rates
+from .classify import _eigenmodes
 from .errors import (DimensionMismatch, DomainExit, InvalidGrid,
                      NonFiniteState, OusymError, WrongForceClass)
 from .model import ConstantForce, CustomItoProcess, LinearForce, _is_count
@@ -296,7 +296,10 @@ def _em_one_path(sys, x, v, inc, t0, dt, record, strict):
     Python floats: on a (1, 2n) batch numpy call overhead is most of a
     step. Every operation is the batch step's, in its order, so the path
     equals that path's row of any batch bit for bit, guard included.
-    inc is (n, steps); returns the (1, 2n) terminal state and blown mask.
+    inc is (n, steps); returns the (1, 2n) terminal state and blown mask,
+    and fills record, unless it is None, with all (steps + 1, 1, 2n)
+    states. Its callers: _ou_em on a one-path batch (record None) and
+    euler_maruyama.
     """
     F = sys.force._floats
     guard = BLOWUP_GUARD
@@ -325,15 +328,16 @@ def _em_one_path(sys, x, v, inc, t0, dt, record, strict):
     return np.array([row]), np.array([blown])
 
 
-def _ou_em(sys, x0, t0, t1, inc, record=None, strict=True):
+def _ou_em(sys, x0, t0, t1, inc, strict=True):
     """_em_batch with the euler_maruyama scheme, driven by inc
-    (paths, n, steps); a one-path batch goes to _em_one_path, which fills
-    record, if given, with all (steps + 1, 1, 2n) states."""
+    (paths, n, steps), keeping terminal states only; a one-path batch goes
+    to _em_one_path. euler_maruyama, which keeps every state, calls
+    _em_one_path itself."""
     n = sys.n
     x, v = _split_state(n, x0)
     dt = (t1 - t0) / inc.shape[2]
     if inc.shape[0] == 1:
-        return _em_one_path(sys, x, v, inc[0], t0, dt, record, strict)
+        return _em_one_path(sys, x, v, inc[0], t0, dt, None, strict)
     beta = np.asarray(sys.beta, dtype=float)
     mu = np.asarray(sys.mu, dtype=float)
     F = sys.force._rows
@@ -361,8 +365,10 @@ def euler_maruyama(sys, x0, grid):
     [-BLOWUP_GUARD, BLOWUP_GUARD] or is NaN. The path steps on Python
     floats and rounds like the batched ensemble loop.
     """
+    inc = _one_path(sys.n, grid)[0]
+    x, v = _split_state(sys.n, x0)
     record = np.empty((grid.steps + 1, 1, 2 * sys.n))
-    _ou_em(sys, x0, grid.t0, grid.t1, _one_path(sys.n, grid), record=record)
+    _em_one_path(sys, x, v, inc, grid.t0, grid.dt, record, strict=True)
     return Path(times=grid.times, states=record[:, 0],
                 labels=_ou_labels(sys.n),
                 meta=_grid_meta(grid, "euler-maruyama"))
@@ -573,7 +579,7 @@ def _exact_linear_paths(sys, x0, t, inc):
     beta = sys.beta[0]
     mu = sys.mu[0]
 
-    lams, M = _eigenmodes(L)
+    _, M, rates = _eigenmodes(L, beta)
     Minv = np.linalg.inv(M)
 
     s0 = x + shift
@@ -584,8 +590,7 @@ def _exact_linear_paths(sys, x0, t, inc):
     if real:
         M, Minv = M.real, Minv.real
     modes = []
-    for i in range(n):
-        kp, km = mode_rates(beta, lams[i])
+    for i, (kp, km) in enumerate(rates):
         yp0 = np.exp(kp * t[0]) * (km * q0[i] + p0[i]) / (km - kp)
         ym0 = np.exp(km * t[0]) * (kp * q0[i] + p0[i]) / (kp - km)
         modes.append((kp, km, yp0, ym0))
@@ -664,8 +669,7 @@ def _exact_solver(sys):
         return exact_solve_constant, _exact_constant_paths, "ou-constant"
     if isinstance(sys.force, LinearForce):
         return exact_solve_linear, _exact_linear_paths, "ou-linear"
-    raise WrongForceClass(
-        "no exact solver for this force class; nothing to compare")
+    raise WrongForceClass("no exact solver for this force class")
 
 
 # --- convergence studies ---

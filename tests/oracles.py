@@ -177,7 +177,7 @@ def exact_linear_paths(sys, x0, t, inc):
     beta = sys.beta[0]
     mu = sys.mu[0]
 
-    lams, M = _eigenmodes(L)
+    lams, M, _ = _eigenmodes(L, beta)
     Minv = np.linalg.inv(M)
 
     s0 = x + shift

@@ -26,8 +26,72 @@ def lin1d(alpha, beta=3.0, mu=1.0):
     return build_ou_system(1, [beta], [mu], LinearForce([[alpha]]))
 
 
+def _swap():
+    return LinearForce([[0.0, 1.0], [1.0, 0.0]])
+
+
+# the paper's case table, one system per row of classify_symmetries:
+# name -> (system, case_tag, force_tag, annotation, module_rank,
+# generator count, W-constraint candidate count)
+CASE_TABLE = {
+    "constant": (
+        build_ou_system(3, [1.0, 2.0, 0.5], [1.0, 3.0, 2.0],
+                        ConstantForce([0.5, -1.0, 2.0])),
+        "ConstantModule", "Constant",
+        "X-set spans an abelian ideal; module over the chi ring has rank 2n",
+        6, 6, 0),
+    "linear-1d": (
+        lin1d(4.0), "LinearPair1D", "LinearRegular",
+        "2n commuting generators from the eigenmodes of L", 0, 2, 0),
+    "linear-iso": (
+        build_ou_system(2, [3.0, 3.0], [1.0, 1.0], _swap()),
+        "LinearAbelian2n", "LinearRegular",
+        "2n commuting generators from the eigenmodes of L", 0, 4, 0),
+    "cubic": (
+        build_ou_system(1, [1.0], [1.0], parse_force_expression("x1^3", 1)),
+        "NoRealSimple", "NonlinearSecondOrderRegular",
+        "second-order regular nonlinear force admits no real simple "
+        "symmetry (ghost scalings disregarded)", 0, 0, 0),
+    "linear-degenerate": (
+        build_ou_system(2, [1.0, 1.0], [1.0, 1.0],
+                        LinearForce(np.diag([1.0, 0.0]))),
+        "TheoryIncomplete", "LinearDegenerate",
+        "degenerate linear force: closed-form theory needs a regular "
+        "matrix; attached W-constraint null-space basis is uncertified",
+        0, 0, 2),
+    "linear-aniso": (
+        build_ou_system(2, [1.0, 2.0], [1.0, 1.0], _swap()),
+        "TheoryIncomplete", "LinearRegular",
+        "anisotropic linear force: only the necessary W-matrix constraint "
+        "is solved; candidates are not certified symmetries", 0, 0, 0),
+    "nonlinear-degenerate": (
+        build_ou_system(2, [1.0, 1.0], [1.0, 1.0],
+                        parse_force_expression("x1^2; x1^2", 2)),
+        "TheoryIncomplete", "NonlinearSecondOrderDegenerate",
+        "nonlinear force with degenerate component Hessians: outside the "
+        "classified cases", 0, 0, 0),
+    "nonlinear-aniso": (
+        build_ou_system(2, [1.0, 2.0], [1.0, 1.0],
+                        parse_force_expression("x1^2 + x2^2; x1^2 + x2^2",
+                                               2)),
+        "TheoryIncomplete", "NonlinearSecondOrderRegular",
+        "anisotropic nonlinear force: outside the classified cases",
+        0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("name", CASE_TABLE)
+def test_each_row_of_the_case_table(name):
+    # every verdict, with its annotation and counts, as the JSON prints it
+    sys_, *row = CASE_TABLE[name]
+    data = classify_symmetries(sys_).to_json()
+    assert [data["case_tag"], data["force_tag"], data["annotation"],
+            data["module_rank"], len(data["generators"]),
+            len(data["wsym_candidates"])] == row
+
+
 def test_1d_linear_kappa_pair_matches_root_oracle():
-    sys1 = lin1d(4.0)
+    sys1 = CASE_TABLE["linear-1d"][0]
     alg = classify_symmetries(sys1)
     assert alg.case_tag == "LinearPair1D"
     assert len(alg.generators) == 2
@@ -65,8 +129,7 @@ def test_1d_complex_pair_certified():
 
 
 def test_nd_isotropic_linear_abelian():
-    L = np.array([[0.0, 1.0], [1.0, 0.0]])  # eigenvalues +-1
-    sys2 = build_ou_system(2, [3.0, 3.0], [1.0, 1.0], LinearForce(L))
+    sys2 = CASE_TABLE["linear-iso"][0]  # eigenvalues +-1
     alg = classify_symmetries(sys2)
     assert alg.case_tag == "LinearAbelian2n"
     assert len(alg.generators) == 4
@@ -113,7 +176,7 @@ def _searched_linear_modes(sys, L):
 
     n = sys.n
     beta = sys.beta[0]
-    lams, M = classify._eigenmodes(L)
+    lams, M, _ = classify._eigenmodes(L, beta)
     modes = []
     for i in range(n):
         kp, km = mode_rates(beta, lams[i])
@@ -205,8 +268,7 @@ def test_defective_matrix_raises():
 
 
 def test_anisotropic_linear_theory_incomplete():
-    L = np.array([[0.0, 1.0], [1.0, 0.0]])
-    sys2 = build_ou_system(2, [1.0, 2.0], [1.0, 1.0], LinearForce(L))
+    sys2 = CASE_TABLE["linear-aniso"][0]
     alg = classify_symmetries(sys2)
     assert alg.case_tag == "TheoryIncomplete"
     assert alg.generators == ()
@@ -215,16 +277,14 @@ def test_anisotropic_linear_theory_incomplete():
 
 
 def test_degenerate_linear_theory_incomplete():
-    L = np.array([[1.0, 0.0], [0.0, 0.0]])
-    sys2 = build_ou_system(2, [1.0, 1.0], [1.0, 1.0], LinearForce(L))
+    sys2 = CASE_TABLE["linear-degenerate"][0]
     alg = classify_symmetries(sys2)
     assert alg.case_tag == "TheoryIncomplete"
 
 
 def test_degenerate_nonlinear_theory_incomplete():
     # isotropic n = 2, both component Hessians singular at every probe
-    sys2 = build_ou_system(2, [1.0, 1.0], [1.0, 1.0],
-                           parse_force_expression("x1^2; x1^2", 2))
+    sys2 = CASE_TABLE["nonlinear-degenerate"][0]
     alg = classify_symmetries(sys2)
     assert alg.force_tag == "NonlinearSecondOrderDegenerate"
     assert alg.case_tag == "TheoryIncomplete"
@@ -233,8 +293,7 @@ def test_degenerate_nonlinear_theory_incomplete():
 
 
 def test_constant_module():
-    sys3 = build_ou_system(3, [1.0, 2.0, 0.5], [1.0, 3.0, 2.0],
-                           ConstantForce([0.5, -1.0, 2.0]))
+    sys3 = CASE_TABLE["constant"][0]
     alg = classify_symmetries(sys3)
     assert alg.case_tag == "ConstantModule"
     assert alg.module_rank == 6
@@ -249,8 +308,7 @@ def test_constant_module():
 
 
 def test_nonlinear_regular_no_real_simple():
-    sys1 = build_ou_system(1, [1.0], [1.0],
-                           parse_force_expression("x1^3", 1))
+    sys1 = CASE_TABLE["cubic"][0]
     alg = classify_symmetries(sys1)
     assert alg.case_tag == "NoRealSimple"
     assert alg.generators == ()

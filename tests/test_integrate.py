@@ -322,7 +322,7 @@ def parent_exact_linear_paths(sys, x0, t, inc):
     shift = np.linalg.solve(L, K) if np.any(K != 0.0) else np.zeros(n)
     beta = sys.beta[0]
     mu = sys.mu[0]
-    lams, M = _eigenmodes(L)
+    lams, M, _ = _eigenmodes(L, beta)
     Minv = np.linalg.inv(M)
     q0 = Minv @ (x + shift).astype(complex)
     p0 = Minv @ v.astype(complex)

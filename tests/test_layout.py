@@ -200,11 +200,15 @@ def test_philox_draws_only_in_sampling_and_the_block_iterator():
 
 
 def test_euler_maruyama_loops_are_pinned():
-    # one batch loop; one-path OU batches step on Python floats instead
+    # one batch loop; one-path OU batches step on Python floats instead, and
+    # euler_maruyama, which keeps every state, steps its path there itself,
+    # so the batch entry point takes no record it could leave unwritten
     assert _calling_functions({"_em_batch"}) == {
         ("integrate.py", "_ou_em"), ("integrate.py", "_ScalarProblem")}
     assert _calling_functions({"_em_one_path"}) == {
-        ("integrate.py", "_ou_em")}
+        ("integrate.py", "_ou_em"), ("integrate.py", "euler_maruyama")}
+    ou_em = _function("integrate.py", "_ou_em")
+    assert "record" not in [a.arg for a in ou_em.args.args]
 
 
 def test_each_fixture_sde_is_written_once():
@@ -289,11 +293,54 @@ def test_every_import_is_read():
 
 
 def test_eigenmodes_come_from_one_helper():
-    # eig, the complex cast and the defective-matrix check live together
+    # eig, the complex cast, the defective-matrix check and the rates live
+    # together: the mode emitter and the exact solver read one mode basis
     assert _calling_functions({"eig"}) == {("classify.py", "_eigenmodes")}
     assert _calling_functions({"_eigenmodes"}) == {
         ("classify.py", "_emit_linear_modes"),
         ("integrate.py", "_exact_linear_paths")}
+    assert _calling_functions({"mode_rates"}) == {
+        ("classify.py", "_eigenmodes")}
+    integrate = ast.parse((SRC / "integrate.py").read_text())
+    assert [alias.name for node in ast.walk(integrate)
+            if isinstance(node, ast.ImportFrom) and node.module == "classify"
+            for alias in node.names] == ["_eigenmodes"]
+
+
+def test_the_case_table_certifies_at_one_site():
+    # the constant and the isotropic linear case choose their generators
+    # and fall through to one certificate and one bracket table; every
+    # TheoryIncomplete verdict is one return
+    calls = [ast.unparse(node.func) for node in ast.walk(
+        _function("classify.py", "classify_symmetries"))
+        if isinstance(node, ast.Call)]
+    assert calls.count("_certify") == calls.count("_quick_bracket_table") == 1
+    assert sum(isinstance(node, ast.Constant)
+               and node.value == "TheoryIncomplete"
+               for node in ast.walk(ast.parse(
+                   (SRC / "classify.py").read_text()))) == 1
+
+
+def test_every_private_name_is_read():
+    # every _-prefixed function or class defined in the package is read
+    # somewhere in it, as a name, an attribute or an import; a helper no
+    # caller needs is deleted
+    defined, read = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                defined.add((path.name, node.name))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    assert defined
+    assert {(module, name) for module, name in defined
+            if name not in read} == set()
 
 
 def test_fixture_closed_forms_are_written_once():
