@@ -8,7 +8,10 @@ The closed-form answers implemented here:
   X_i = exp(-beta_i t)(d/dx_i - beta_i d/dv_i) and Y_i = d/dx_i.
 - Regular linear force, isotropic (every n = 1 system is): no nontrivial
   invariants; exactly 2n commuting generators built from the eigenmodes of
-  L with rates kappa_i_pm = (beta pm sqrt(beta^2 + 4 lambda_i)) / 2.
+  L with rates kappa_i_pm = (beta pm sqrt(beta^2 + 4 lambda_i)) / 2, the
+  slower taken as -lambda_i / kappa_i_+ so that it does not cancel. They
+  are a basis when L's eigenvector matrix is regular and no mode has
+  kappa_i_+ = kappa_i_-.
 - Second-order regular nonlinear force, isotropic: no real simple symmetry
   at all (the ghost scalings z d/dz are disregarded).
 - Everything else is reported as TheoryIncomplete: for linear force the
@@ -20,8 +23,9 @@ choose them and their case fields, and one _certify and one bracket table
 serve both; every TheoryIncomplete verdict is one return, its annotation
 naming the row (degenerate linear, anisotropic linear, isotropic nonlinear
 with degenerate Hessians, anisotropic nonlinear). The linear-mode basis
-(eig, the defective-matrix test, the rates) is formed once, by _eigenmodes,
-which the mode emitter and the exact linear solver both read.
+(eig, the rates, and the one scale-free witness that the 2n modes form a
+basis, decided at classify_force's model._TOL) is formed once, by
+_eigenmodes, which the mode emitter and the exact linear solver both read.
 
 The case is decided by classify_force from the force's derivatives at the
 probes, never from its Python class: an expression "1.5" or a linear force
@@ -46,8 +50,9 @@ import numpy as np
 
 from . import duals
 from .calculus import _contract, _field_jet, sample_probes, stack_probes
-from .errors import CertificationFailed, NotDiagonalizable
-from .model import classify_force
+from .errors import (CertificationFailed, NonFiniteEvaluation,
+                     NonPositiveFriction, NotDiagonalizable)
+from .model import _TOL, classify_force
 from .symmetry import (ExpDecay, InvariantCandidate, SymmetryGenerator,
                        Translation, _component, _drift_jet, _family_json,
                        _invariant_conditions, _judge, _max_abs,
@@ -149,30 +154,42 @@ def classify_invariants(sys, probes=None):
 
 
 def mode_rates(beta, lam):
-    """kappa pair for one eigenvalue; raises on a critically damped mode."""
-    disc = complex(beta * beta + 4.0 * lam)
-    if abs(disc) <= 1e-12 * max(1.0, beta * beta, 4.0 * abs(lam)):
-        raise NotDiagonalizable(
-            f"critically damped mode (beta^2 + 4 lambda = 0 for "
-            f"lambda={lam}): the two rates coincide")
-    sq = np.sqrt(disc)
-    return (beta + sq) / 2.0, (beta - sq) / 2.0
+    """The kappa pair (kappa+, kappa-) of one eigenvalue lam of L, for a
+    finite beta > 0: kappa+ = (beta + sqrt(beta^2 + 4 lam)) / 2 and
+    kappa- = -lam / kappa+, which does not cancel. When the root is
+    purely imaginary, kappa- = (beta - sqrt) / 2, the exact conjugate of
+    kappa+. Nothing else is refused: _eigenmodes decides whether the
+    modes form a basis."""
+    if not np.isfinite(beta):
+        raise NonFiniteEvaluation(f"beta must be finite, got {beta}")
+    if beta <= 0.0:
+        raise NonPositiveFriction(f"beta must be positive, got {beta}")
+    sq = np.sqrt(complex(beta * beta + 4.0 * lam))
+    kp = (beta + sq) / 2.0
+    # 0.0 - lam, not -lam: a real lam keeps kappa-'s imaginary part +0.0
+    return kp, (beta - sq) / 2.0 if sq.real == 0.0 else (0.0 - lam) / kp
 
 
 def _eigenmodes(L, beta):
     """The one linear-mode basis, read by _emit_linear_modes and the exact
     linear solver: L's eigenvalues lams and eigenvector matrix M, both
-    complex, and each eigenvalue's kappa pair from mode_rates. Raises
-    NotDiagonalizable when M is numerically singular (L is defective),
-    then when a mode is critically damped."""
+    complex, and each eigenvalue's kappa pair from mode_rates.
+
+    The 2n modes' values at t = 0 are diag(M, M) times one block
+    [[1, 1], [-kappa+, -kappa-]] per mode, so they form a basis when M is
+    regular and no mode has kappa+ = kappa-. The one witness is the
+    smaller of M's smallest relative singular value and
+    min |kappa+ - kappa-| / |kappa+|. A witness below model._TOL, or NaN,
+    raises NotDiagonalizable, naming it."""
     lams, M = np.linalg.eig(np.asarray(L, dtype=float))
-    M = M.astype(complex)
-    svals = np.linalg.svd(M, compute_uv=False)
-    if svals[-1] < 1e-10 * svals[0]:
-        raise NotDiagonalizable(
-            "force matrix is defective: eigenvector matrix is singular")
-    lams = lams.astype(complex)
-    return lams, M, [mode_rates(beta, lam) for lam in lams]
+    lams, M = lams.astype(complex), M.astype(complex)
+    rates = [mode_rates(beta, lam) for lam in lams]
+    witness = min([1.0 / np.linalg.cond(M)]
+                  + [abs(kp - km) / abs(kp) for kp, km in rates])
+    if not witness >= _TOL:
+        raise NotDiagonalizable(f"the linear modes are not a basis: witness "
+                                f"{witness:.3e} < {_TOL:.0e}")
+    return lams, M, rates
 
 
 def _emit_linear_modes(sys, L):
@@ -199,12 +216,9 @@ def _emit_linear_modes(sys, L):
         for k in (kp,) if lam.imag == 0 else (kp, km):
             gens += [SymmetryGenerator.linear_mode(col, k, n, part)
                      for part in ("re", "im")]
-    eigen_data = {
-        "eigenvalues": [complex(z) for z in lams],
-        "kappa_pairs": rates,
-        "M": [[complex(z) for z in row] for row in M],
-    }
-    return gens, eigen_data
+    return gens, {"eigenvalues": [complex(z) for z in lams],
+                  "kappa_pairs": rates,
+                  "M": [[complex(z) for z in row] for row in M]}
 
 
 def _certify(gens, sys, probes):

@@ -50,8 +50,9 @@ class NotAnInvariant(OusymError):
 
 
 class NotDiagonalizable(OusymError):
-    """The force matrix has no usable eigenbasis (defective, or a critically
-    damped mode with a double rate)."""
+    """The 2n linear modes are not a basis: the force matrix is defective
+    or a mode is critically damped (a double rate), as decided by one
+    scale-free witness at the classification threshold."""
 
 
 class UnclassifiableForce(OusymError):

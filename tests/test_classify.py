@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from ousym import (CertificationFailed, ConstantForce, LinearForce,
-                   NonFiniteResult, NotDiagonalizable, UnclassifiableForce,
+                   NonFiniteEvaluation, NonFiniteResult, NonPositiveFriction,
+                   NotDiagonalizable, UnclassifiableForce,
                    affine_invariant_nullspace, build_ou_system,
                    classify_invariants, classify_symmetries,
                    expdecay_residual_scan, extended_coords, lie_bracket,
@@ -263,8 +264,72 @@ def test_critically_damped_raises():
 def test_defective_matrix_raises():
     L = np.array([[1.0, 1.0], [0.0, 1.0]])  # Jordan block
     sys2 = build_ou_system(2, [3.0, 3.0], [1.0, 1.0], LinearForce(L))
-    with pytest.raises(NotDiagonalizable):
+    with pytest.raises(NotDiagonalizable, match="witness"):
         classify_symmetries(sys2)
+
+
+@pytest.mark.parametrize("beta,error", [
+    (-1.0, NonPositiveFriction), (0.0, NonPositiveFriction),
+    (np.nan, NonFiniteEvaluation), (np.inf, NonFiniteEvaluation),
+    (-np.inf, NonFiniteEvaluation)])
+def test_mode_rates_refuse_a_friction_that_is_not_finite_and_positive(
+        beta, error):
+    # as OUSystem does; kappa- = -lam / kappa+ needs kappa+ != 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            mode_rates(beta, 0.0)
+    assert mode_rates(1.0, 0.0) == (1.0, 0.0)
+
+
+def _ordinary_linear_systems():
+    """An n = 1 grid (beta from 0.1 to 100, lambda = +-1e-4 to +-100) and
+    300 isotropic systems drawn from default_rng(5): n from 2 to 4, beta =
+    10^U(-1, 2), L = N(0, 1) * 10^U(-3, 2)."""
+    for beta in np.logspace(-1, 2, 7):
+        for lam in np.concatenate([np.logspace(-4, 2, 7),
+                                   -np.logspace(-4, 2, 7)]):
+            yield lin1d(lam, beta=beta)
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n = int(rng.integers(2, 5))
+        beta = 10 ** rng.uniform(-1, 2)
+        L = rng.normal(size=(n, n)) * 10 ** rng.uniform(-3, 2)
+        yield build_ou_system(n, [beta] * n, [1.0] * n, LinearForce(L))
+
+
+def test_ordinary_linear_systems_all_certify():
+    # kappa- = -lam / kappa+ does not cancel when beta^2 >> |lam|, so no
+    # true mode is refused by the relative rule; a refusal here is a defect
+    count = 0
+    for sys_ in _ordinary_linear_systems():
+        alg = classify_symmetries(sys_)
+        assert alg.case_tag == (
+            "LinearPair1D" if sys_.n == 1 else "LinearAbelian2n")
+        assert len(alg.generators) == 2 * sys_.n
+        count += 1
+    assert count == 398
+
+
+def test_mode_rates_match_mpmath():
+    # each rate of the systems above within 4 eps relative of the roots of
+    # kappa^2 - beta kappa - lam = 0 at 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(30):
+        for sys_ in _ordinary_linear_systems():
+            lams, _, rates = classify._eigenmodes(sys_.force.L,
+                                                   sys_.beta[0])
+            beta = mpmath.mpf(sys_.beta[0])
+            for lam, pair in zip(lams, rates):
+                root = mpmath.sqrt(beta * beta
+                                   + 4 * mpmath.mpc(lam.real, lam.imag))
+                for got, want in zip(pair, ((beta + root) / 2,
+                                            (beta - root) / 2)):
+                    worst = max(worst, float(
+                        abs(mpmath.mpc(got.real, got.imag) - want)
+                        / abs(want)))
+    assert worst <= 4 * np.finfo(float).eps
 
 
 def test_anisotropic_linear_theory_incomplete():

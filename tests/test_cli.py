@@ -712,10 +712,10 @@ GOLDEN_CONVERGE = [
      "# used_paths=37\n"
      "# refine=8\n"
      "dt,strong_error\n"
-     "0.125,0.07109558952052432\n"
-     "0.0625,0.03324610866706797\n"
-     "0.03125,0.015958862715829622\n"
-     "# fitted_order=1.0777011099879878\n"),
+     "0.125,0.0710955895205242\n"
+     "0.0625,0.03324610866706792\n"
+     "0.03125,0.01595886271582951\n"
+     "# fitted_order=1.0777011099879916\n"),
 ]
 
 

@@ -10,15 +10,17 @@ import pytest
 
 from ousym import (ConstantForce, DimensionMismatch, DomainExit,
                    GBMConvergenceProblem, InvalidGrid,
-                   KozlovConvergenceProblem, LinearForce,
-                   NonFiniteState, OUConvergenceProblem, OusymError,
-                   WienerGrid, WrongForceClass, build_ou_system, coarsen,
-                   convergence_study, euler_maruyama,
-                   euler_maruyama_ensemble, exact_solve_constant,
-                   exact_solve_linear, integrate, parse_force_expression,
-                   read_path_csv, sample_wiener, solve_reference_problem,
-                   symmetry, write_convergence_csv, write_path_csv)
+                   KozlovConvergenceProblem, LinearForce, NonFiniteState,
+                   NotDiagonalizable, OUConvergenceProblem, OusymError,
+                   WienerGrid, WrongForceClass, build_ou_system,
+                   classify_symmetries, coarsen, convergence_study,
+                   euler_maruyama, euler_maruyama_ensemble,
+                   exact_solve_constant, exact_solve_linear, integrate,
+                   parse_force_expression, read_path_csv, sample_wiener,
+                   solve_reference_problem, symmetry,
+                   write_convergence_csv, write_path_csv)
 from ousym.classify import _eigenmodes, mode_rates
+from ousym.model import _TOL
 from oracles import _mode_quadrature as whole_mode_quadrature
 from oracles import (euler_maruyama_general, exact_constant_paths,
                      exact_linear_paths, gbm_exact_terminals, ito_integral,
@@ -253,6 +255,58 @@ def gaussian_transition(sys_, s0, t):
     Z = np.zeros((2 * n, 2 * n))
     E = expm(np.block([[-A, G @ G.T], [Z, A.T]]) * t)
     return mean, E[2 * n:, 2 * n:].T @ E[:2 * n, 2 * n:]
+
+
+def _near_singular_mode_bases():
+    """(family, L, beta, x0) near the two ways the mode basis is lost:
+    near-defective L = s [[-1, 1], [0, -1 + eps]] (n = 2) and near-critical
+    lambda = -beta^2 / 4 (1 - eps) (n = 1)."""
+    for beta in (0.3, 3.0, 30.0):
+        for s in (0.01, 1.0, 100.0):
+            for eps in np.logspace(-2, -12, 41):
+                yield ("defective", s * np.array([[-1.0, 1.0],
+                                                  [0.0, -1.0 + eps]]),
+                       beta, [0.5, -0.3, 0.2, 0.1])
+    for beta in (0.2, 2.0, 20.0):
+        for eps in np.logspace(-6, -17, 45):
+            for x0 in ([1.0, 0.0], [0.5, -0.3]):
+                yield ("critical", [[-beta * beta / 4.0 * (1.0 - eps)]],
+                       beta, x0)
+
+
+def test_exact_linear_solver_meets_expm_or_refuses_the_mode_basis():
+    # mu = 1e-200 leaves the drift alone, so the terminal state is
+    # expm(A) x0. The witness is the eigenvector matrix's relative smallest
+    # singular value or min |sqrt(beta^2 + 4 lam)| / |kappa+|, whichever is
+    # smaller: below model._TOL classify and the solver refuse the basis,
+    # and every accepted input is within 1e-7 of expm relative to the
+    # largest entry (4.2e-8 at worst, near-critical at beta = 0.2)
+    expm = pytest.importorskip("scipy.linalg").expm
+    verdicts = set()
+    for family, L, beta, x0 in _near_singular_mode_bases():
+        n = len(L)
+        sys_ = build_ou_system(n, [beta] * n, [1e-200] * n, LinearForce(L))
+        lams, M = np.linalg.eig(L)
+        sv = np.linalg.svd(M, compute_uv=False)
+        root = np.sqrt((beta * beta + 4.0 * lams).astype(complex))
+        witness = min(sv[-1] / sv[0],
+                      *np.abs(root) / np.abs((beta + root) / 2.0))
+        grid = sample_wiener(n, 0.0, 1.0, 64, seed=0)
+        verdicts.add((family, witness >= _TOL))
+        if witness < _TOL:
+            for refused in (lambda: exact_solve_linear(sys_, x0, grid),
+                            lambda: classify_symmetries(sys_)):
+                with pytest.raises(NotDiagonalizable, match="witness"):
+                    refused()
+            continue
+        A = np.block([[np.zeros((n, n)), np.eye(n)],
+                      [np.asarray(L), -beta * np.eye(n)]])
+        want = expm(A) @ x0
+        got = exact_solve_linear(sys_, x0, grid).terminal()
+        assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max(), (
+            family, beta, L)
+    assert verdicts == {(family, ok) for family in ("defective", "critical")
+                        for ok in (True, False)}
 
 
 @pytest.mark.parametrize("sys_,solver", [

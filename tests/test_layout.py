@@ -293,9 +293,15 @@ def test_every_import_is_read():
 
 
 def test_eigenmodes_come_from_one_helper():
-    # eig, the complex cast, the defective-matrix check and the rates live
-    # together: the mode emitter and the exact solver read one mode basis
+    # eig, the complex cast, the rates and the one mode-basis witness live
+    # together: the mode emitter and the exact solver read one mode basis,
+    # and it is the one place that refuses it
     assert _calling_functions({"eig"}) == {("classify.py", "_eigenmodes")}
+    raised = [(path.name, top.name) for path in sorted(SRC.glob("*.py"))
+              for top in ast.parse(path.read_text()).body
+              for node in ast.walk(top) if isinstance(node, ast.Raise)
+              and "NotDiagonalizable" in ast.unparse(node)]
+    assert raised == [("classify.py", "_eigenmodes")]
     assert _calling_functions({"_eigenmodes"}) == {
         ("classify.py", "_emit_linear_modes"),
         ("integrate.py", "_exact_linear_paths")}
@@ -388,7 +394,8 @@ def test_certification_has_one_tolerance():
     # invariant's scaling, the exp-decay scan's re-check, R's skew part
     # and an exact path's imaginary leakage) is decided by symmetry._judge,
     # the one relative rule, which alone reads the one constant CERT_REL;
-    # the only other tolerance name left is classify_force's model._TOL
+    # the only other tolerance name left is model._TOL, read by
+    # classify_force and by the mode-basis witness in classify._eigenmodes
     names, literals = set(), set()
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -398,15 +405,21 @@ def test_certification_has_one_tolerance():
                 name = getattr(node, "id", None) or getattr(node, "attr", None)
                 if name and re.fullmatch(r"\w*_TOL\w*|CERT_REL", name):
                     names.add((path.name, label, name))
-                if isinstance(node, ast.Constant) and node.value == 1e-12:
+                if (isinstance(node, ast.Constant)
+                        and isinstance(node.value, float)
+                        and 0.0 < node.value < 1e-3):
                     literals.add((path.name, label))
-    assert {(module, name) for module, _, name in names
-            if name != "CERT_REL"} == {("model.py", "_TOL")}
+    assert {entry for entry in names if entry[2] != "CERT_REL"} == {
+        ("model.py", "_TOL", "_TOL"), ("model.py", "_relative_rank", "_TOL"),
+        ("model.py", "classify_force", "_TOL"),
+        ("classify.py", "_eigenmodes", "_TOL")}
     assert {entry[:2] for entry in names if entry[2] == "CERT_REL"} == {
         ("symmetry.py", "CERT_REL"), ("symmetry.py", "_judge")}
-    # mode_rates' critical-damping test is not a certificate
-    assert literals == {("symmetry.py", "CERT_REL"),
-                        ("classify.py", "mode_rates")}
+    # every small float literal: the two tolerances, the affine null-space
+    # solve's rcond and the Kozlov state's floor
+    assert literals == {("model.py", "_TOL"), ("symmetry.py", "CERT_REL"),
+                        ("symmetry.py", "affine_invariant_nullspace"),
+                        ("integrate.py", "_kozlov_transform")}
     assert _calling_functions({"_judge"}) == {
         ("classify.py", "_certify"), ("classify.py", "classify_invariants"),
         ("classify.py", "expdecay_residual_scan"),
