@@ -237,15 +237,19 @@ def _ito_jet(fvec, proc, p):
     coords = extended_coords(p)
     S = [coords.index(c) for c in proc.state_coords]
     W = [coords.index(c) for c in proc.wiener_coords]
-    sig = proc.sigma(p)
     k0 = len(S) + 1
     e1 = np.zeros((k0 + len(W),) + _probe_shape(p) + (len(coords),))
-    for r, c in enumerate(S + [coords.index(("t", 0))]):
-        e1[r, ..., c] = 1.0
-    for k, w in enumerate(W):
-        e1[k0 + k, ..., w] = 1.0
-        for j, s in enumerate(S):
-            e1[k0 + k, ..., s] = sig[j][k]
+    # e1 with the probe axes first, then its rows and its columns: a unit
+    # per row, in column S, t, then W
+    rows = np.moveaxis(e1, 0, -2)
+    rows[..., range(k0 + len(W)), S + [coords.index(("t", 0))] + W] = 1.0
+    # sigma_jk in column S[j] of D row k: a constant sigma is one array; a
+    # state-dependent one's entries are broadcast to the probes row by row
+    sig = proc.sigma(p) if proc.sigma_is_constant else [
+        np.broadcast_arrays(*row, np.empty(_probe_shape(p)))[:-1]
+        for row in proc.sigma(p)]
+    rows[..., k0:, S] = np.moveaxis(np.asarray(sig, dtype=float), (0, 1),
+                                    (-1, -2))
     e2 = e1.copy()
     e2[:k0] = 0.0
     vals, d1, d12 = _jet(fvec, p, e1, e2)

@@ -52,7 +52,7 @@ from . import duals
 from .calculus import _contract, _field_jet, sample_probes, stack_probes
 from .errors import (CertificationFailed, NonFiniteEvaluation,
                      NonPositiveFriction, NotDiagonalizable)
-from .model import _TOL, classify_force
+from .model import _TOL, _relative_rank, classify_force
 from .symmetry import (ExpDecay, InvariantCandidate, SymmetryGenerator,
                        Translation, _component, _drift_jet, _family_json,
                        _invariant_conditions, _judge, _max_abs,
@@ -123,39 +123,44 @@ def _cplx(z):
 def classify_invariants(sys, probes=None):
     """Invariant ring generators, or certified emptiness: each chi's
     invariance conditions must pass symmetry._judge, the one certification
-    rule, at every probe."""
+    rule, at every probe, and the verdict must agree with the dimension
+    of the affine null space, its own evidence: n for a constant force,
+    0 for a regular linear one. A disagreement raises CertificationFailed
+    and names both numbers."""
     if probes is None:
         probes = sample_probes(sys, count=32, seed=0)
     fc = classify_force(sys.force, probes=[p.x for p in probes])
     dim, _basis = affine_invariant_nullspace(sys, probes=probes)
-    if fc.tag == "Constant":
-        gens = [InvariantCandidate.chi(sys, i) for i in range(1, sys.n + 1)]
-        p = stack_probes(probes)
-        for g in gens:
-            # what overflows, or is NaN where c = F(0) is undefined, fails
-            # the gate below
-            why = _judge(*_invariant_conditions(lambda q: [g(q)], sys, p))[1]
-            if why:
-                raise CertificationFailed(
-                    f"{g.label} failed invariance certification: {why}")
-        return InvariantSet(basis_kind="ChiBasis", generators=tuple(gens),
-                            annotation="constant force: chi basis",
-                            affine_nullspace_dim=dim)
-    if fc.tag == "LinearRegular":
-        return InvariantSet(basis_kind="Empty",
-                            annotation="regular linear force admits no "
-                                       "nontrivial invariant",
-                            affine_nullspace_dim=dim)
-    return InvariantSet(
-        basis_kind="Empty",
-        annotation=f"force class {fc.tag}: not classified by theory; "
-                   f"affine null-space solve attached as numerical check",
-        affine_nullspace_dim=dim)
+    # the annotation of each verdict and the dimension it needs
+    annotation, need = {
+        "Constant": ("constant force: chi basis", sys.n),
+        "LinearRegular": ("regular linear force admits no nontrivial "
+                          "invariant", 0)}.get(fc.tag, (
+            f"force class {fc.tag}: not classified by theory; affine "
+            f"null-space solve attached as numerical check", dim))
+    if dim != need:
+        raise CertificationFailed(
+            f"affine null-space dimension {dim} contradicts the {fc.tag} "
+            f"verdict, which needs {need}")
+    gens = ([InvariantCandidate.chi(sys, i) for i in range(1, sys.n + 1)]
+            if fc.tag == "Constant" else [])
+    p = stack_probes(probes)
+    for g in gens:
+        # what overflows, or is NaN where c = F(0) is undefined, fails the
+        # gate below
+        why = _judge(*_invariant_conditions(lambda q: [g(q)], sys, p))[1]
+        if why:
+            raise CertificationFailed(
+                f"{g.label} failed invariance certification: {why}")
+    return InvariantSet(basis_kind="ChiBasis" if gens else "Empty",
+                        generators=tuple(gens), annotation=annotation,
+                        affine_nullspace_dim=dim)
 
 
 def mode_rates(beta, lam):
-    """The kappa pair (kappa+, kappa-) of one eigenvalue lam of L, for a
-    finite beta > 0: kappa+ = (beta + sqrt(beta^2 + 4 lam)) / 2 and
+    """The kappa pairs (kappa+, kappa-) of the eigenvalues lam of L, one or
+    an array of them, as complex values of lam's shape, for a finite
+    beta > 0: kappa+ = (beta + sqrt(beta^2 + 4 lam)) / 2 and
     kappa- = -lam / kappa+, which does not cancel. When the root is
     purely imaginary, kappa- = (beta - sqrt) / 2, the exact conjugate of
     kappa+. Nothing else is refused: _eigenmodes decides whether the
@@ -164,32 +169,37 @@ def mode_rates(beta, lam):
         raise NonFiniteEvaluation(f"beta must be finite, got {beta}")
     if beta <= 0.0:
         raise NonPositiveFriction(f"beta must be positive, got {beta}")
-    sq = np.sqrt(complex(beta * beta + 4.0 * lam))
+    lam = np.asarray(lam, dtype=complex)
+    sq = np.sqrt(beta * beta + 4.0 * lam)
     kp = (beta + sq) / 2.0
     # 0.0 - lam, not -lam: a real lam keeps kappa-'s imaginary part +0.0
-    return kp, (beta - sq) / 2.0 if sq.real == 0.0 else (0.0 - lam) / kp
+    km = np.where(sq.real == 0.0, (beta - sq) / 2.0, (0.0 - lam) / kp)
+    return kp[()], km[()]
 
 
 def _eigenmodes(L, beta):
     """The one linear-mode basis, read by _emit_linear_modes and the exact
     linear solver: L's eigenvalues lams and eigenvector matrix M, both
-    complex, and each eigenvalue's kappa pair from mode_rates.
+    complex, and each eigenvalue's kappa pair, from one call of
+    mode_rates.
 
     The 2n modes' values at t = 0 are diag(M, M) times one block
     [[1, 1], [-kappa+, -kappa-]] per mode, so they form a basis when M is
     regular and no mode has kappa+ = kappa-. The one witness is the
-    smaller of M's smallest relative singular value and
-    min |kappa+ - kappa-| / |kappa+|. A witness below model._TOL, or NaN,
-    raises NotDiagonalizable, naming it."""
+    smaller of M's smallest relative singular value (model._relative_rank,
+    the one rank rule's SVD) and min |kappa+ - kappa-| / |kappa+|. A
+    witness below model._TOL, or NaN, raises NotDiagonalizable, naming
+    it."""
     lams, M = np.linalg.eig(np.asarray(L, dtype=float))
     lams, M = lams.astype(complex), M.astype(complex)
-    rates = [mode_rates(beta, lam) for lam in lams]
-    witness = min([1.0 / np.linalg.cond(M)]
-                  + [abs(kp - km) / abs(kp) for kp, km in rates])
+    kp, km = mode_rates(beta, lams)
+    # a NaN gap or singular value makes the witness NaN
+    witness = np.min(np.abs(kp - km) / np.abs(kp),
+                     initial=_relative_rank(M)[1])
     if not witness >= _TOL:
         raise NotDiagonalizable(f"the linear modes are not a basis: witness "
                                 f"{witness:.3e} < {_TOL:.0e}")
-    return lams, M, rates
+    return lams, M, list(zip(kp, km))
 
 
 def _emit_linear_modes(sys, L):

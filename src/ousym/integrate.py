@@ -1,6 +1,12 @@
 """Path generation: Wiener grids, Euler-Maruyama, exact rectified solvers,
 strong-convergence studies, reference fixtures, and CSV output.
 
+What the exact OU solvers take exactly is the drift, in closed form. The
+noise integrals, exp(kappa s) dW over each step, are left-point sums
+exp(kappa t_j) dW_j of the grid's increments, of strong order 1, as
+Euler-Maruyama's are for this additive noise: a convergence study takes
+its reference on a grid refine times finer than its finest rung.
+
 Randomness is counter-based (Philox keyed by (seed, path_index)), so every
 path is reproducible in isolation and a batch of paths gives the same
 numbers as the paths one at a time. Stepping runs in the calling thread:
@@ -524,9 +530,12 @@ def exact_solve_constant(sys, x0, grid):
         y_i = x_i + v_i / beta_i          (straight line plus scaled noise)
         z_i = -(exp(beta_i t) / beta_i) v_i
 
-    which reduce both equations to pure quadrature. x0 holds 2n numbers,
-    x then v. NonFiniteState when a state leaves [-BLOWUP_GUARD,
-    BLOWUP_GUARD] or is NaN, as in euler_maruyama.
+    which reduce both equations to pure quadrature. The drift terms are
+    exact; the noise quadrature of z, exp(beta_i t) dw, is the left-point
+    sum over the grid's increments, of strong order 1 (the one of y, dw
+    alone, is exact). x0 holds 2n numbers, x then v. NonFiniteState when
+    a state leaves [-BLOWUP_GUARD, BLOWUP_GUARD] or is NaN, as in
+    euler_maruyama.
     """
     states, _, _ = _guarded(_exact_constant_paths, sys, x0, grid.times,
                             _one_path(sys.n, grid))
@@ -645,6 +654,13 @@ def exact_solve_linear(sys, x0, grid):
         y_pm = exp(kappa_pm t) (kappa_mp q + p) / (kappa_mp - kappa_pm)
     whose drift vanishes identically, leaving the quadratures
         dy_pm = mu exp(kappa_pm t) / (kappa_mp - kappa_pm) dW~.
+    The drift is thus exact; each quadrature is the left-point sum over
+    the grid's increments, of strong order 1. An affine offset K is
+    absorbed by the shift L^-1 K, which cancels when L is nearly singular
+    (a known defect): with n = 1, beta = 1, mu = 1e-200, K = [1] and
+    x0 = (0.5, 0) on [0, 1], the terminal state is 1.9e-4 relative off
+    expm at L = [[1e-12]] and 8.2e-3 at L = [[1e-14]]; a singular L with
+    K != 0 raises WrongForceClass.
     With real eigenvectors (every symmetric L, every L with a real
     spectrum) the modes run in float64, a conjugate pair of rates is taken
     once, and meta["max_imag_leakage"] is exactly 0.0. Complex eigenvectors
@@ -810,7 +826,9 @@ def convergence_study(problem, x0, t0, t1, ladder_steps, n_paths=200,
                       seed=0, refine=64):
     """Strong error of Euler-Maruyama against the exact solution.
 
-    The reference uses the exact solver on a refine-times-finer grid; each
+    The reference uses the exact solver on a refine-times-finer grid (its
+    noise integrals are left-point sums, of strong order 1, so the finer
+    grid keeps its own error small next to Euler-Maruyama's); each
     rung re-drives Euler-Maruyama with the coarsened copy of the same
     noise. Paths where any solver exits its domain or blows up are skipped
     whole (deterministically, by path index) and counted.

@@ -23,6 +23,7 @@ from .expressions import parse_force_expression
 
 
 # relative threshold of every zero and singularity decision in classify_force
+# and of every rank (_rank_rule)
 _TOL = 1e-8
 
 
@@ -229,14 +230,19 @@ class ForceClass:
     detail: str = ""
 
 
-def _relative_rank(M):
-    """From one SVD of each matrix of the stack M: the count of its
-    singular values at least _TOL times its largest, and its smallest
-    over its largest singular value (0 and 0 for a zero matrix)."""
-    s = np.linalg.svd(M, compute_uv=False)
+def _rank_rule(s):
+    """The one rank rule of the package, on the singular values s of each
+    matrix of a stack, largest first: the count of those at least _TOL
+    times the largest, and the smallest over the largest (0 and 0 for a
+    zero matrix, 0 and 1 for a matrix without singular values)."""
     top = s[..., :1]
     rel = s / np.where(top == 0.0, 1.0, top)
-    return (rel >= _TOL).sum(axis=-1), rel[..., -1]
+    return (rel >= _TOL).sum(axis=-1), rel.min(axis=-1, initial=1.0)
+
+
+def _relative_rank(M):
+    """_rank_rule of one SVD of each matrix of the stack M."""
+    return _rank_rule(np.linalg.svd(M, compute_uv=False))
 
 
 def classify_force(force, probes=None):

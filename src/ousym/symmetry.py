@@ -29,6 +29,12 @@ residual that is NaN or infinite fails. _residual_blocks and
 _invariant_conditions return the sizes beside the residuals, from the
 same Ito jet; the classify gates, scale_by_invariant, R's skew check and
 the exact solver's leakage test all call _judge.
+
+Every null space is taken by _null_space, whose rank is decided by
+model._rank_rule, the one rank rule of the package (singular values at
+least model._TOL times the largest): the affine-invariant solve applies
+it to its conditions with each column scaled to a largest |entry| of 1,
+the W-matrix constraint to its Kronecker matrix as it is.
 """
 
 from dataclasses import dataclass
@@ -40,7 +46,7 @@ from .calculus import (_force_at_origin, _gradients, _ito_jet,
                        extended_coords, sample_probes, stack_probes)
 from .duals import value
 from .errors import DimensionMismatch, NonFiniteResult, NotAnInvariant
-from .model import _is_count
+from .model import _is_count, _rank_rule
 
 # the one certification limit, relative to an entry's size (_judge)
 CERT_REL = 1e-12
@@ -536,26 +542,27 @@ def scale_by_invariant(X, alpha, sys, probes=None):
 
 # --- linear W-symmetry constraint ---
 
-def _null_space(A, rcond=None):
-    """Orthonormal basis (columns) of the null space of A by SVD: singular
-    values at most max(s) * rcond count as zero, rcond = eps * max(M, N)
-    by default. A non-finite A raises NonFiniteResult."""
+def _null_space(A):
+    """Orthonormal basis (columns) of the null space of A by SVD, its rank
+    decided by model._rank_rule, the one rank rule: singular values below
+    _TOL times the largest count as zero. A non-finite A raises
+    NonFiniteResult."""
     if not np.all(np.isfinite(A)):
         raise NonFiniteResult("null-space matrix is not finite")
     # U is never read; vh is square either way, and only a wide A needs
     # the full one for its null rows
     _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
-    if rcond is None:
-        rcond = np.finfo(s.dtype).eps * max(A.shape)
-    rank = np.sum(s > np.amax(s, initial=0.0) * rcond, dtype=int)
-    return vh[rank:].T
+    return vh[_rank_rule(s)[0]:].T
 
 
 def solve_wsym_linear_constraint(L, B):
     """Basis of solutions R of  L R = B R - R B  (B diagonal).
 
     Vectorized column-major: [(I kron L) - (I kron B) + (B^T kron I)] vec R = 0;
-    the null space is computed by SVD. Empty list means only R = 0 solves.
+    the null space is computed by SVD, at the one rank rule (_null_space).
+    The Kronecker columns are not scaled: a resonant column, zero up to
+    rounding, would become a unit column. Empty list means only R = 0
+    solves.
     """
     L = np.asarray(L, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -578,24 +585,26 @@ def affine_invariant_nullspace(sys, probes=None):
     """Solve the invariance conditions over affine Theta (constant excluded).
 
     Coefficients are ordered (a_x, a_v, a_w, a_t); a_0 never enters any
-    condition, so constants are quotiented out. Singular values at most
-    1e-9 times the largest count as zero. Returns (dimension, list of
-    AffineRecord basis elements); conditions that are not finite raise
-    NonFiniteResult.
+    condition, so constants are quotiented out. The a_v column carries mu
+    and the force, so each column of the stacked conditions is scaled to a
+    largest |entry| of 1 before the one rank rule (_null_space) decides
+    the dimension; the null vectors are mapped back and re-orthonormalized.
+    Returns (dimension, list of AffineRecord basis elements); conditions
+    that are not finite raise NonFiniteResult.
     """
     n = sys.n
     if probes is None:
         probes = sample_probes(sys, count=max(32, 3 * n + 4), seed=11)
     # column c holds the conditions on coordinate function c, probes inner;
-    # _null_space rejects what overflows
+    # a zero column is not scaled, nor one that is not finite, which
+    # _null_space rejects
     rows = _invariant_conditions(lambda q: [*q.x, *q.v, *q.w, q.t], sys,
                                  stack_probes(probes))[0]
-    ns = _null_space(np.swapaxes(rows, 1, 2).reshape(-1, 3 * n + 1),
-                     rcond=1e-9)
-    basis = []
-    for k in range(ns.shape[1]):
-        vec = ns[:, k]
-        basis.append(AffineRecord(
-            a_x=tuple(vec[0:n]), a_v=tuple(vec[n:2 * n]),
-            a_w=tuple(vec[2 * n:3 * n]), a_t=float(vec[3 * n]), a_0=0.0))
-    return ns.shape[1], basis
+    A = np.swapaxes(rows, 1, 2).reshape(-1, 3 * n + 1)
+    scale = np.abs(A).max(axis=0)
+    scale = np.where((scale > 0.0) & (scale < np.inf), scale, 1.0)
+    ns = np.linalg.qr(_null_space(A / scale) / scale[:, None])[0]
+    return ns.shape[1], [AffineRecord(
+        a_x=tuple(vec[0:n]), a_v=tuple(vec[n:2 * n]),
+        a_w=tuple(vec[2 * n:3 * n]), a_t=float(vec[3 * n]), a_0=0.0)
+        for vec in ns.T]

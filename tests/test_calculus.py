@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from ousym import (ConstantForce, EmptyProbeSet, GBMConvergenceProblem,
-                   KozlovConvergenceProblem, LinearForce,
+from ousym import (ConstantForce, CustomItoProcess, EmptyProbeSet,
+                   GBMConvergenceProblem, KozlovConvergenceProblem,
+                   LinearForce,
                    SymmetryGenerator, build_ou_system, derivative,
                    expdecay_residual_scan, extended_coords, ito_laplacian,
                    lie_bracket, max_residuals, parse_force_expression,
@@ -181,6 +182,27 @@ def test_ito_laplacian_on_custom_process():
                   + fd_derivative(f, stacked, w, order=2))
         assert np.allclose(ito_laplacian(f, proc, stacked), oracle,
                            rtol=1e-4, atol=1e-6)
+
+
+def test_ito_laplacian_reads_sigma_entries_of_mixed_shapes():
+    # sigma = (x, 0.5) over two Wiener processes: one entry varies over
+    # the probes, one is a plain float. For f = x^2 w2,
+    # Delta f = sum_k sigma_k^2 f_xx + 2 sigma_k f_xwk + f_wkwk
+    #         = 2 w2 (x^2 + 0.25) + 2 x, at a point and on stacked probes
+    proc = CustomItoProcess(1, 2, lambda q: [0.0 * q.x[0]],
+                            lambda q: [[q.x[0], 0.5]])
+    probes = [point(x=[x], v=[], t=0.3, w=[0.1, w], z=[])
+              for x, w in [(0.7, -0.4), (-1.2, 0.9), (2.0, 0.3)]]
+    want = [2.0 * q.w[1] * (q.x[0] ** 2 + 0.25) + 2.0 * q.x[0]
+            for q in probes]
+
+    def f(q):
+        return q.x[0] * q.x[0] * q.w[1]
+
+    assert ito_laplacian(f, proc, probes[0]) == pytest.approx(want[0],
+                                                              rel=1e-14)
+    np.testing.assert_allclose(
+        ito_laplacian(f, proc, stack_probes(probes)), want, rtol=1e-14)
 
 
 def test_what_overflows_raises_without_a_numpy_warning():

@@ -408,6 +408,46 @@ def test_invariants_unclassified_annotated():
     assert inv.affine_nullspace_dim == 0
 
 
+def _invariant_sweep():
+    """216 systems and their (basis kind, affine null-space dimension): n
+    from 1 to 3, beta in logspace(-2, 3, 6) and mu in logspace(-4, 6, 6),
+    each with the regular linear force L = -I + 0.3 (superdiagonal), which
+    has no invariant, and with the constant force c = linspace(-1, 1, n),
+    which has the n chi."""
+    for n in (1, 2, 3):
+        L = -np.eye(n) + 0.3 * np.eye(n, k=1)
+        for beta in np.logspace(-2, 3, 6):
+            for mu in np.logspace(-4, 6, 6):
+                for force, want in (
+                        (LinearForce(L), ("Empty", 0)),
+                        (ConstantForce(np.linspace(-1.0, 1.0, n)),
+                         ("ChiBasis", n))):
+                    yield build_ou_system(n, [beta] * n, [mu] * n,
+                                          force), want
+
+
+def test_invariant_verdict_agrees_with_its_null_space_at_every_scale():
+    # every verdict comes with the dimension it needs, from mu = 1e-4 to
+    # 1e6; with unscaled columns every linear system at mu = 1e6 gave n
+    found = [(classify_invariants(s), want) for s, want in _invariant_sweep()]
+    got = [(inv.basis_kind, inv.affine_nullspace_dim) for inv, _ in found]
+    assert len(found) == 216
+    assert [(k, g) for k, (g, (_, want)) in enumerate(zip(got, found))
+            if g != want] == []
+
+
+def test_invariant_verdict_that_contradicts_its_null_space_is_refused():
+    # L = diag(1, 2e-8) has full rank at model._TOL, so it is LinearRegular,
+    # but at beta = 100 its affine conditions have a null vector: the
+    # verdict is refused, naming both numbers
+    sys2 = build_ou_system(2, [100.0] * 2, [1.0] * 2,
+                           LinearForce(np.diag([1.0, 2e-8])))
+    with pytest.raises(CertificationFailed, match="^affine null-space "
+                       "dimension 1 contradicts the LinearRegular verdict, "
+                       "which needs 0$"):
+        classify_invariants(sys2)
+
+
 def test_unclassifiable_force_propagates():
     f = parse_force_expression("x1^3", 1)
     sys1 = build_ou_system(1, [1.0], [1.0], f)

@@ -78,6 +78,28 @@ def test_invariants_constant_chi_basis(constant_system, capsys):
     assert payload["affine_nullspace_dim"] == 1
 
 
+def test_invariants_print_no_dimension_that_contradicts_the_verdict(
+        tmp_path, capsys):
+    # at mu = 1e6 a regular linear force prints dimension 0 (before the
+    # affine columns were scaled it printed n); L = diag(1, 2e-8) at
+    # beta = 100 is regular at 1e-8 but has a null vector, and exits 1
+    # naming both numbers
+    def system(L, beta, mu):
+        return write_system(tmp_path, "system.json", {
+            "n": 2, "beta": [beta] * 2, "mu": [mu] * 2,
+            "force": {"type": "linear", "L": L}})
+
+    code, out, err = run(capsys, "invariants", "--system",
+                         system([[-1.0, 0.3], [0.0, -1.0]], 1.0, 1e6))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["affine_nullspace_dim"] == 0
+    code, out, err = run(capsys, "invariants", "--system",
+                         system([[1.0, 0.0], [0.0, 2e-8]], 100.0, 1.0))
+    assert (code, out) == (1, "")
+    assert err == ("error: affine null-space dimension 1 contradicts the "
+                   "LinearRegular verdict, which needs 0\n")
+
+
 def test_verify_shorthand_true_rate(linear_system, capsys):
     code, out, _ = run(capsys, "verify", "--system", linear_system,
                        "--generator", "expdecay:i=1,kappa=4")

@@ -309,6 +309,28 @@ def test_exact_linear_solver_meets_expm_or_refuses_the_mode_basis():
                         for ok in (True, False)}
 
 
+@pytest.mark.parametrize("force", [LinearForce([[-1.0]]),
+                                   ConstantForce([0.3])],
+                         ids=["linear", "constant"])
+def test_exact_paths_have_strong_order_one(force):
+    # the drift is closed form, but each step's noise integral is the
+    # left-point sum exp(kappa t_j) dW_j: against the exact path of the
+    # same Brownian path on 8192 steps (400 paths from default_rng(0),
+    # x0 = (0.5, 0) on [0, 1]), the mean max-abs terminal error on 8 to
+    # 128 steps halves as the step halves (ratios 1.95 to 1.98 here)
+    problem = OUConvergenceProblem(build_ou_system(1, [1.0], [1.0], force))
+    inc = np.random.default_rng(0).normal(0.0, np.sqrt(1.0 / 8192),
+                                          (400, 1, 8192))
+    ref = problem.exact_terminals([0.5, 0.0], 0.0, 1.0, inc)[0]
+    errors = np.array([np.abs(problem.exact_terminals(
+        [0.5, 0.0], 0.0, 1.0,
+        inc.reshape(400, 1, steps, 8192 // steps).sum(axis=3))[0]
+        - ref).max(axis=1).mean() for steps in (8, 16, 32, 64, 128)])
+    ratios = errors[:-1] / errors[1:]
+    assert np.all((ratios > 1.8) & (ratios < 2.2)), ratios
+    assert 0.03 < errors[0] < 0.06
+
+
 @pytest.mark.parametrize("sys_,solver", [
     (build_ou_system(2, [1.0, 2.0], [0.5, 1.5], ConstantForce([0.3, -0.2])),
      exact_solve_constant),

@@ -395,7 +395,8 @@ def test_certification_has_one_tolerance():
     # and an exact path's imaginary leakage) is decided by symmetry._judge,
     # the one relative rule, which alone reads the one constant CERT_REL;
     # the only other tolerance name left is model._TOL, read by
-    # classify_force and by the mode-basis witness in classify._eigenmodes
+    # classify_force, by the one rank rule and by the mode-basis witness
+    # in classify._eigenmodes
     names, literals = set(), set()
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -410,21 +411,34 @@ def test_certification_has_one_tolerance():
                         and 0.0 < node.value < 1e-3):
                     literals.add((path.name, label))
     assert {entry for entry in names if entry[2] != "CERT_REL"} == {
-        ("model.py", "_TOL", "_TOL"), ("model.py", "_relative_rank", "_TOL"),
+        ("model.py", "_TOL", "_TOL"), ("model.py", "_rank_rule", "_TOL"),
         ("model.py", "classify_force", "_TOL"),
         ("classify.py", "_eigenmodes", "_TOL")}
     assert {entry[:2] for entry in names if entry[2] == "CERT_REL"} == {
         ("symmetry.py", "CERT_REL"), ("symmetry.py", "_judge")}
-    # every small float literal: the two tolerances, the affine null-space
-    # solve's rcond and the Kozlov state's floor
+    # every small float literal: the two tolerances and the Kozlov state's
+    # floor
     assert literals == {("model.py", "_TOL"), ("symmetry.py", "CERT_REL"),
-                        ("symmetry.py", "affine_invariant_nullspace"),
                         ("integrate.py", "_kozlov_transform")}
     assert _calling_functions({"_judge"}) == {
         ("classify.py", "_certify"), ("classify.py", "classify_invariants"),
         ("classify.py", "expdecay_residual_scan"),
         ("symmetry.py", "scale_by_invariant"),
         ("symmetry.py", "SymmetryGenerator"), ("integrate.py", "_guarded")}
+
+
+def test_every_rank_is_decided_by_one_rule():
+    # one SVD gives the singular values of a rank (model._relative_rank)
+    # and one gives a null space (symmetry._null_space), and both read the
+    # one rank rule; no rank, condition number or tolerance is taken
+    # anywhere else, and _null_space takes no tolerance of its own
+    assert _calling_functions({"svd"}) == _calling_functions(
+        {"_rank_rule"}) == {("model.py", "_relative_rank"),
+                            ("symmetry.py", "_null_space")}
+    assert _calling_functions({"cond", "matrix_rank", "pinv", "lstsq",
+                               "null_space"}) == set()
+    assert [a.arg for a in _function("symmetry.py",
+                                     "_null_space").args.args] == ["A"]
 
 
 def test_exact_paths_stream_through_one_splitter_into_one_consumer():

@@ -16,7 +16,7 @@ from ousym import (ConstantForce, DimensionMismatch, GBMConvergenceProblem,
                    parse_force_expression, point, sample_probes,
                    scale_by_invariant, sigma_residual,
                    solve_wsym_linear_constraint, stack_probes)
-from ousym import duals, symmetry
+from ousym import duals, model, symmetry
 from ousym.calculus import (_field_jet, _ito_jet, derivative,
                             extended_coords)
 from oracles import per_entry_extended_field, two_profile_linear_mode_phi
@@ -631,32 +631,34 @@ def test_null_space_rejects_inf():
 
 
 def test_null_space_rank_rule():
-    # singular values 1, 1e-8 and ~1e-17: the default rcond = eps * 3
-    # drops only the last, rcond = 1e-6 drops two; an all-zero or empty
-    # matrix has rank 0
+    # singular values 1, 2e-8, 5e-9 and 0: the one rank rule counts those
+    # at least model._TOL = 1e-8 times the largest, so the null space has
+    # dimension 2 at every scale of A; an all-zero or empty matrix has
+    # rank 0
     rng = np.random.default_rng(3)
-    U, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    V, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    A = U @ np.diag([1.0, 1e-8, 0.0]) @ V.T
-    assert symmetry._null_space(A).shape == (3, 1)
-    assert symmetry._null_space(A, rcond=1e-6).shape == (3, 2)
+    U, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    V, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    A = U @ np.diag([1.0, 2e-8, 5e-9, 0.0]) @ V.T
+    for scale in (1e-200, 1.0, 1e200):
+        assert symmetry._null_space(scale * A).shape == (4, 2)
     for Z in (np.zeros((2, 3)), np.zeros((0, 3))):
         assert symmetry._null_space(Z).shape == (3, 3)
 
 
 @pytest.fixture(scope="module")
 def null_space_inputs():
-    """Every (A, rcond) that solve_wsym_linear_constraint and
+    """Every matrix that solve_wsym_linear_constraint and
     affine_invariant_nullspace pass to _null_space on seeded systems: the
     W-constraint matrices for n = 1..8 (generic L and B; L = 0 with
     repeated B entries; isotropic B with a rank-deficient symmetric L) and
-    the affine systems of constant and linear forces for n = 1..4."""
+    the column-scaled affine systems of constant and linear forces for
+    n = 1..4."""
     seen = []
     solve = symmetry._null_space
 
-    def record(A, rcond=None):
-        seen.append((A.copy(), rcond))
-        return solve(A, rcond)
+    def record(A):
+        seen.append(A.copy())
+        return solve(A)
 
     rng = np.random.default_rng(5)
     with pytest.MonkeyPatch.context() as mp:
@@ -681,51 +683,89 @@ def null_space_inputs():
 
 
 def test_null_space_oracles(null_space_inputs):
-    dims = []
-    for A, rcond in null_space_inputs:
-        ns = symmetry._null_space(A, rcond)
+    dims, shapes = [], set()
+    for A in null_space_inputs:
+        ns = symmetry._null_space(A)
         smax = np.linalg.norm(A, 2)
-        tol = None if rcond is None else rcond * smax
         dims.append(ns.shape[1])
-        assert ns.shape == (A.shape[1],
-                            A.shape[1] - np.linalg.matrix_rank(A, tol=tol))
+        shapes.add("tall" if A.shape[0] > A.shape[1] else "square")
+        assert ns.shape == (A.shape[1], A.shape[1] - np.linalg.matrix_rank(
+            A, tol=model._TOL * smax))
         assert np.allclose(ns.T @ ns, np.eye(ns.shape[1]), atol=1e-12)
         assert np.max(np.abs(A @ ns), initial=0.0) <= 1e-12 * smax
-    # both callers, and both empty and non-empty null spaces, were seen
-    assert {rcond for _, rcond in null_space_inputs} == {None, 1e-9}
+    # both callers (the square W-constraint matrices and the tall affine
+    # systems), and both empty and non-empty null spaces, were seen
+    assert shapes == {"tall", "square"}
     assert min(dims) == 0 and max(dims) > 0
 
 
 def test_null_space_matches_scipy(null_space_inputs):
     scipy_linalg = pytest.importorskip("scipy.linalg")
-    for A, rcond in null_space_inputs:
-        assert np.array_equal(symmetry._null_space(A, rcond),
-                              scipy_linalg.null_space(A, rcond=rcond))
+    for A in null_space_inputs:
+        assert np.array_equal(symmetry._null_space(A),
+                              scipy_linalg.null_space(A, rcond=model._TOL))
 
 
-def _full_svd_null_space(A, rcond=None):
-    """The null space from numpy's full SVD, U and all: the oracle of the
-    one that skips U."""
+def _full_svd_null_space(A):
+    """The null space from numpy's full SVD, U and all, at the one rank
+    rule: the oracle of the one that skips U."""
     _, s, vh = np.linalg.svd(A, full_matrices=True)
-    if rcond is None:
-        rcond = np.finfo(s.dtype).eps * max(A.shape)
-    rank = np.sum(s > np.amax(s, initial=0.0) * rcond, dtype=int)
-    return vh[rank:].T
+    return vh[model._rank_rule(s)[0]:].T
 
 
 def test_null_space_matches_the_full_svd(null_space_inputs):
     # the tall affine systems and the square n^2 W-constraint matrices, then
     # wide ones (the only shape that needs the full vh)
     rng = np.random.default_rng(8)
-    wide = [(rng.normal(size=(m, k)) @ rng.normal(size=(k, n)), None)
+    wide = [rng.normal(size=(m, k)) @ rng.normal(size=(k, n))
             for m, n, k in [(3, 7, 2), (1, 4, 1), (5, 9, 5)]]
     shapes = set()
-    for A, rcond in null_space_inputs + wide:
+    for A in null_space_inputs + wide:
         shapes.add("tall" if A.shape[0] > A.shape[1] else
                    "square" if A.shape[0] == A.shape[1] else "wide")
-        assert np.array_equal(symmetry._null_space(A, rcond),
-                              _full_svd_null_space(A, rcond))
+        assert np.array_equal(symmetry._null_space(A),
+                              _full_svd_null_space(A))
     assert shapes == {"tall", "square", "wide"}
+
+
+def _wsym_families():
+    """600 W-constraint systems whose null-space dimension is known by
+    construction, from default_rng(0). 300 rank-r L = s U diag(d) V^T
+    (n from 2 to 6, r from 1 to n - 1, d_i in [0.1, 3] for i < r and 0
+    after, s = 10^U(-3, 3)) with isotropic B = b I (b = 10^U(-2, 2)):
+    L R = 0, so dimension n (n - r). 300 diagonal L and B with distinct
+    b_i and one resonant entry l_i = b_i - b_j (i != j), both scaled by
+    10^U(-3, 3): R_ij alone is free, so dimension 1."""
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        r = int(rng.integers(1, n))
+        U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        d = np.zeros(n)
+        d[:r] = rng.uniform(0.1, 3.0, r)
+        L = 10 ** rng.uniform(-3, 3) * (U @ np.diag(d) @ V.T)
+        yield L, 10 ** rng.uniform(-2, 2) * np.eye(n), n * (n - r)
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        b = rng.uniform(0.5, 3.0, n)
+        lam = rng.uniform(0.5, 3.0, n) * rng.choice([-1.0, 1.0], n)
+        i, j = rng.choice(n, 2, replace=False)
+        lam[i] = b[i] - b[j]
+        scale = 10 ** rng.uniform(-3, 3)
+        yield scale * np.diag(lam), scale * np.diag(b), 1
+
+
+def test_wsym_dimension_is_known_by_construction():
+    # the one rank rule on the unscaled Kronecker columns finds every
+    # dimension; eps * max(M, N) missed some of the rank-deficient L, and
+    # column scaling would turn the resonant column, zero up to rounding,
+    # into a unit column
+    found = [(len(solve_wsym_linear_constraint(L, B)), want)
+             for L, B, want in _wsym_families()]
+    assert len(found) == 600
+    assert [(k, got, want) for k, (got, want) in enumerate(found)
+            if got != want] == []
 
 
 def test_affine_nullspace_dimension_property():
