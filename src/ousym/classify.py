@@ -164,16 +164,18 @@ def mode_rates(beta, lam):
     kappa- = -lam / kappa+, which does not cancel. When the root is
     purely imaginary, kappa- = (beta - sqrt) / 2, the exact conjugate of
     kappa+. Nothing else is refused: _eigenmodes decides whether the
-    modes form a basis."""
+    modes form a basis. numpy does not warn: a beta whose square overflows
+    gives NaN rates, which _eigenmodes' witness refuses."""
     if not np.isfinite(beta):
         raise NonFiniteEvaluation(f"beta must be finite, got {beta}")
     if beta <= 0.0:
         raise NonPositiveFriction(f"beta must be positive, got {beta}")
     lam = np.asarray(lam, dtype=complex)
-    sq = np.sqrt(beta * beta + 4.0 * lam)
-    kp = (beta + sq) / 2.0
-    # 0.0 - lam, not -lam: a real lam keeps kappa-'s imaginary part +0.0
-    km = np.where(sq.real == 0.0, (beta - sq) / 2.0, (0.0 - lam) / kp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.sqrt(beta * beta + 4.0 * lam)
+        kp = (beta + sq) / 2.0
+        # 0.0 - lam, not -lam: a real lam keeps kappa-'s imaginary part +0.0
+        km = np.where(sq.real == 0.0, (beta - sq) / 2.0, (0.0 - lam) / kp)
     return kp[()], km[()]
 
 

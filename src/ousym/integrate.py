@@ -35,16 +35,19 @@ Their closed forms are written once, batched, and serve both the adapters
 and solve_reference_problem.
 
 Each rejection rule is written once. Every exact OU path, one grid or a
-study's batch, passes _guarded, which applies the blow-up guard and the
-leakage test together: a path's largest imaginary part must pass
-symmetry._judge, the one certification rule, against the path's largest
-|state|. A single solve raises NonFiniteState where a study skips the
-path. The exact OU solvers yield their paths in time windows of
-about WINDOW_VALUES values (_windows); _guarded folds the guard and the
-leakage over the windows and keeps every state for a single solve but
-only the terminal states for a study, so a study never builds a block's
-whole path; the GBM and Kozlov references sum the Wiener path over the
-same windows. Every integer argument (steps, n_proc, seed, path_index,
+study's batch, passes _guarded, which reads one number per path, its
+largest |state|: the blow-up guard bounds it, and the path's largest
+imaginary part must pass symmetry._judge, the one certification rule,
+against it. An overflow in a closed form raises nothing and warns of
+nothing: it is an inf or NaN state, which the guard rejects. A single
+solve raises NonFiniteState where a study skips the path. The exact OU
+solvers yield their paths in time windows of about WINDOW_VALUES values
+(_windows); _guarded folds the size and the leakage over the windows and
+keeps every state for a single solve but only the terminal states for a
+study, so a study never builds a block's whole path; the GBM and Kozlov
+references sum the Wiener path over the same windows. An initial state,
+an OU system's 2n numbers or a scalar fixture's one, is judged by
+_flat_state. Every integer argument (steps, n_proc, seed, path_index,
 path counts, rungs, factors) is judged by model._is_count; seed and
 path_index are the two 64-bit words of a Philox key, so each is also
 below 2**64.
@@ -245,20 +248,28 @@ class Path:
         return self.states[-1]
 
 
-def _split_state(n, x0):
-    """x and v from x0: 2n numbers, x then v, in any nesting that flattens
-    to 2n floats (a flat sequence, a (2, n) array, an (x, v) pair)."""
+def _flat_state(x0, size, name):
+    """x0 as size finite floats, in any nesting that flattens to them: the
+    one rule for an initial state, an OU system's 2n numbers or a scalar
+    fixture's one. name is the count's symbol in the messages."""
     try:
         flat = np.asarray(x0, dtype=float).ravel()
     except ValueError as exc:
         raise DimensionMismatch(
-            f"initial state does not flatten to 2n = {2 * n} numbers: "
+            f"initial state does not flatten to {name} = {size} numbers: "
             f"{exc}") from None
-    if flat.shape[0] != 2 * n:
+    if flat.shape[0] != size:
         raise DimensionMismatch(
-            f"initial state needs 2n = {2 * n} entries, got {flat.shape[0]}")
+            f"initial state needs {name} = {size} entries, got {flat.size}")
     if not np.all(np.isfinite(flat)):
         raise NonFiniteState("initial state is not finite")
+    return flat
+
+
+def _split_state(n, x0):
+    """x and v from x0: 2n numbers, x then v, in any nesting that flattens
+    to 2n floats (a flat sequence, a (2, n) array, an (x, v) pair)."""
+    flat = _flat_state(x0, 2 * n, "2n")
     return flat[:n], flat[n:]
 
 
@@ -428,52 +439,46 @@ def _windows(steps, per_step):
     return list(zip(starts, starts[1:] + [steps + 1]))
 
 
-def _guarded(exact_paths, sys, x0, t, inc, strict=True, whole=True):
+def _guarded(exact_paths, sys, x0, t, inc, study=False):
     """exact_paths(sys, x0, t, inc) under the one rule that rejects an exact
     path. exact_paths yields the path in time windows (k0, k1, x, v, leak):
     the states of rows k0..k1 - 1 as x and v (paths, k1 - k0, n) and the
-    window's largest imaginary part per path (paths,) or 0.0. The guard and
-    the leakage are folded over the windows, so the states are kept only as
-    asked: every state (paths, steps + 1, 2n) when whole, else the terminal
-    states (paths, 2n) alone.
+    window's largest imaginary part per path (paths,) or 0.0. Each path's
+    largest |state| and its leakage are folded over the windows.
 
-    Returns those states, each path's leakage and the (paths,) mask of
-    rejected paths. A path is rejected when it fails max |state| <=
-    BLOWUP_GUARD (NaN fails it; its leakage is set to inf) or when its
-    leakage fails symmetry._judge with the path's largest |state| as its
-    size (CERT_REL read at call time); a study skips it, and strict raises
-    NonFiniteState instead. numpy does not warn, and a
-    Python-float overflow, or a division by a square that underflows to
-    zero, raises NonFiniteState as well."""
+    The rule reads that one size per path: a path is rejected when it fails
+    size <= BLOWUP_GUARD (NaN fails it; its leakage is set to inf) or when
+    its leakage fails symmetry._judge against the size (CERT_REL read at
+    call time). numpy does not warn, and an overflow anywhere in the
+    closed form is an inf or NaN state that the guard rejects.
+
+    A study (study=True) keeps the terminal states (paths, 2n) and skips
+    the rejected paths; a solve keeps every state (paths, steps + 1, 2n)
+    and raises NonFiniteState on a rejected path. Returns those states,
+    each path's leakage and the (paths,) mask of rejected paths."""
     paths, n = inc.shape[:2]
     rows = t.shape[0]
-    states = np.empty((paths, rows, 2 * n) if whole else (paths, 2 * n))
-    hi = np.full(paths, -np.inf)
-    lo = np.full(paths, np.inf)
+    states = np.empty((paths, 2 * n) if study else (paths, rows, 2 * n))
+    size = np.zeros(paths)
     leak = np.zeros(paths)
-    try:
-        with np.errstate(all="ignore"):
-            for k0, k1, x, v, part in exact_paths(sys, x0, t, inc):
-                for s in (x, v):
-                    # NaN propagates through both, and fails the guard
-                    hi = np.maximum(hi, s.max(axis=(1, 2)))
-                    lo = np.minimum(lo, s.min(axis=(1, 2)))
-                leak = np.maximum(leak, part)
-                if whole:
-                    states[:, k0:k1, :n] = x
-                    states[:, k0:k1, n:] = v
-                elif k1 == rows:
-                    states[:, :n] = x[:, -1]
-                    states[:, n:] = v[:, -1]
-    except (OverflowError, ZeroDivisionError):
-        # 1e300 ** 2 overflows; c / b ** 2 divides by zero when b ** 2 = 0.0
-        raise NonFiniteState("exact solution leaves the float range") from None
-    ok = (hi <= BLOWUP_GUARD) & (lo >= -BLOWUP_GUARD)
-    if strict and not ok.all():
+    with np.errstate(all="ignore"):
+        for k0, k1, x, v, part in exact_paths(sys, x0, t, inc):
+            for s in (x, v):
+                # NaN propagates, and fails the guard
+                size = np.maximum(size, np.abs(s).max(axis=(1, 2)))
+            leak = np.maximum(leak, part)
+            if not study:
+                states[:, k0:k1, :n] = x
+                states[:, k0:k1, n:] = v
+            elif k1 == rows:
+                states[:, :n] = x[:, -1]
+                states[:, n:] = v[:, -1]
+    ok = size <= BLOWUP_GUARD
+    if not (study or ok.all()):
         raise NonFiniteState("exact path is NaN or beyond BLOWUP_GUARD")
     leak = np.where(ok, leak, np.inf)
-    clean, why = _judge(leak, np.maximum(hi, -lo))
-    if strict and why:
+    clean, why = _judge(leak, size)
+    if why and not study:
         raise NonFiniteState(f"imaginary leakage {why}")
     return states, leak, ~clean
 
@@ -488,7 +493,9 @@ def _exact_constant_paths(sys, x0, t, inc):
     sum of exp(beta t) dw and one of dw over the whole (paths, n, steps)
     block, and one pair of sums carries over to the next window. Each
     entry is computed as the per-component formula computes it, operand
-    for operand."""
+    for operand. Nothing raises on overflow: c / beta^2 is formed on numpy
+    scalars, so a square that overflows, or underflows to 0, gives inf or
+    NaN states, which _guarded's one rule rejects."""
     if not isinstance(sys.force, ConstantForce):
         raise WrongForceClass("exact_solve_constant needs a constant force")
     x, v = _split_state(sys.n, x0)
@@ -496,10 +503,9 @@ def _exact_constant_paths(sys, x0, t, inc):
     b = np.array(sys.beta)[:, None]
     mb = np.array(sys.mu)[:, None] / b
     cy = np.array(sys.force.c)[:, None] / b
-    # c / b ** 2 on Python floats: b ** 2 is libm's pow, whose last bit an
-    # array's b ** 2 (b * b) misses now and then, and it raises where
-    # _guarded expects, on overflow and on a square that underflows to 0
-    cz = np.array([[ci / bi ** 2] for bi, ci in zip(sys.beta, sys.force.c)])
+    # on numpy scalars (b[:, 0]), whose ** is libm's pow, as Python's is:
+    # an array's b ** 2 (b * b) misses its last bit now and then
+    cz = np.array([[ci / bi ** 2] for bi, ci in zip(b[:, 0], sys.force.c)])
     e0 = np.exp(b * t[0])
     z0 = -e0 / b * v[:, None]
     y0 = x[:, None] + v[:, None] / b
@@ -562,8 +568,8 @@ def _exact_linear_paths(sys, x0, t, inc):
     in the time windows of _guarded, with each window's largest imaginary
     part per path.
 
-    When the eigenvector matrix M, its inverse and the initial modes are
-    real (every symmetric L, every L with a real spectrum), the modes run
+    When the eigenvector matrix M and its inverse are real (every
+    symmetric L, every L with a real spectrum), the modes run
     in float64 and the leakage is exactly 0.0: a real mode takes the real
     parts of its complex coefficients, and a conjugate pair is formed from
     its + branch alone, its - branch being the bitwise conjugate. Otherwise
@@ -575,8 +581,7 @@ def _exact_linear_paths(sys, x0, t, inc):
             "the exact linear solver covers n = 1 or isotropic systems")
     n = sys.n
     x, v = _split_state(n, x0)
-    L = np.asarray(sys.force.L, dtype=float)
-    K = np.asarray(sys.force.K, dtype=float)
+    L, K = sys.force.L, sys.force.K
     if np.any(K != 0.0):
         try:
             shift = np.linalg.solve(L, K)
@@ -591,11 +596,10 @@ def _exact_linear_paths(sys, x0, t, inc):
     _, M, rates = _eigenmodes(L, beta)
     Minv = np.linalg.inv(M)
 
-    s0 = x + shift
-    q0 = Minv @ s0.astype(complex)
+    q0 = Minv @ (x + shift).astype(complex)
     p0 = Minv @ v.astype(complex)
-    real = not (M.imag.any() or Minv.imag.any() or q0.imag.any()
-                or p0.imag.any())
+    # q0 and p0 are real whenever M and Minv are
+    real = not (M.imag.any() or Minv.imag.any())
     if real:
         M, Minv = M.real, Minv.real
     modes = []
@@ -739,7 +743,7 @@ class OUConvergenceProblem(_ConvergenceProblem):
     def exact_terminals(self, x0, t0, t1, inc):
         t = np.linspace(t0, t1, inc.shape[2] + 1)
         term, _, skip = _guarded(self._exact_paths, self.sys, x0, t, inc,
-                                 strict=False, whole=False)
+                                 study=True)
         return term, skip
 
     def em_terminals(self, x0, t0, t1, inc):
@@ -760,13 +764,18 @@ class _ScalarProblem(_ConvergenceProblem):
         return CustomItoProcess(1, 1, lambda p: [self.drift(p.x[0])],
                                 lambda p: [[self.sigma(p.x[0])]])
 
+    def _start(self, x0):
+        """The one number the fixture starts from, judged as an OU state is
+        (_flat_state)."""
+        return float(_flat_state(x0, 1, "d")[0])
+
     def em_terminals(self, x0, t0, t1, inc):
         dt = (t1 - t0) / inc.shape[2]
 
         def step(y, dw, out):
             np.add(y + self.drift(y) * dt, self.sigma(y) * dw, out=out)
 
-        start = np.full((inc.shape[0], 1), float(x0[0]))
+        start = np.full((inc.shape[0], 1), self._start(x0))
         return _em_batch(step, start, inc, t0, dt, strict=False)
 
 
@@ -790,7 +799,8 @@ class GBMConvergenceProblem(_ScalarProblem):
         w = None
         for k0, k1 in _windows(inc.shape[2], inc.shape[0]):
             w = _cumulative(inc[:, :, k0:k1], w)[:, :, -1]
-        x = float(x0[0]) * np.exp(_gbm_exponent(self.a, self.b, t1 - t0, w))
+        x = self._start(x0) * np.exp(
+            _gbm_exponent(self.a, self.b, t1 - t0, w))
         return x, np.zeros(inc.shape[0], dtype=bool)
 
 
@@ -811,12 +821,13 @@ class KozlovConvergenceProblem(_ScalarProblem):
         # x and its floor mask window by window, the running sums carried
         # as in GBMConvergenceProblem: w holds states k0..k1, the last of
         # which starts the next window, and the last window ends at t1
+        y0 = self._start(x0)
         s = np.linspace(t0, t1, inc.shape[2] + 1) - t0
         end, skip = None, np.zeros(inc.shape[0], dtype=bool)
         for k0, k1 in _windows(inc.shape[2], inc.shape[0]):
             w = _cumulative(inc[:, :, k0:k1], end)
             end = w[:, :, -1]
-            x, below = _kozlov_transform(float(x0[0]), s[k0:k1 + 1], w)
+            x, below = _kozlov_transform(y0, s[k0:k1 + 1], w)
             skip |= below[:, 0].any(axis=1)
         with np.errstate(invalid="ignore"):
             return np.log(x[:, :, -1]), skip

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench.py"
-SPEC = [{"name": "wall_s", "unit": "s", "better": "lower"},
-        {"name": "rate", "unit": "1/s", "better": "higher"}]
+SPEC = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.25}]
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +78,37 @@ def test_one_pair_has_degenerate_quartiles(bench):
     assert q["q1"] == q["median"] == q["q3"] == 0.5
 
 
+# ten base runs whose interquartile range (0.045) is within the bound
+TIGHT = [1.0 + 0.01 * k for k in range(10)]
+
+
+@pytest.mark.parametrize("base,change,verdict", [
+    # 10/10 wins, and the medians 0.2 apart, beyond the base IQR
+    (TIGHT, [b - 0.2 for b in TIGHT], "better"),
+    # a median 16% lower from 8 wins in 10 pairs claims nothing
+    (TIGHT, [1.2, 1.2] + [0.84 * b for b in TIGHT[2:]], "same"),
+    (TIGHT, [1.5 * b for b in TIGHT], "worse"),
+    (TIGHT, [b + 0.01 for b in TIGHT], "same"),
+    # a base IQR of 4.5 at a median of 5.5, beyond the bound
+    ([float(k) for k in range(1, 11)],
+     [float(k) for k in range(10, 0, -1)], "unresolved"),
+    # the same spread tells nothing, even when the change medians worse
+    ([float(k) for k in range(1, 11)], [9.0] * 10, "unresolved"),
+    # a wide base, but every change run beats every base run
+    ([1.0] * 5 + [3.0] * 5, [0.99] * 10, "same"),
+], ids=["better", "pr-30", "worse", "within-bound", "spread",
+        "spread-and-worse", "spread-but-every-run-beats"])
+def test_verdict_per_metric(bench, base, change, verdict):
+    # wall_s is lower-better; rate, higher-better, mirrors it
+    pairs = [(summary(b, 1.0), summary(c, 1.0))
+             for b, c in zip(base, change)]
+    out = bench.report(pairs, SPEC, {})
+    assert out["verdicts"]["wall_s"] == verdict
+    mirrored = [(summary(1.0, -b), summary(1.0, -c))
+                for b, c in zip(base, change)]
+    assert bench.report(mirrored, SPEC, {})["verdicts"]["rate"] == verdict
+
+
 def test_commit_ignores_the_bench_files_it_writes(bench, tmp_path):
     def git(*args):
         subprocess.run(["git", "-C", str(tmp_path), *args], check=True,
@@ -126,10 +157,14 @@ def test_pairs_exits_one_on_a_digest_mismatch_or_a_failed_op(
     canned_runs(monkeypatch, bench, tmp_path, runs)
     assert bench.main(["pairs", "--base", str(tmp_path), "--workload", "w",
                        "--pairs", "2"]) == code
-    # the BENCH file is written either way
+    # the BENCH file is written either way, with a verdict per metric,
+    # which is printed too
     out = json.loads((tmp_path / "BENCH_w.json").read_text())
     assert out["pairs"] == 2
-    err = capsys.readouterr().err
+    assert out["verdicts"] == {"wall_s": "same", "rate": "same"}
+    captured = capsys.readouterr()
+    assert "wall_s: median 1 -> 1, change won 0/2: same" in captured.out
+    err = captured.err
     if code:
         assert err.startswith("FAIL seed 101: ")
     else:

@@ -91,6 +91,52 @@ def test_each_row_of_the_case_table(name):
             len(data["wsym_candidates"])] == row
 
 
+@pytest.mark.parametrize("name", ["constant", "linear-1d", "linear-iso"])
+def test_the_certificate_refuses_every_emitted_object_moved_by_1e9(name):
+    # the certificate's power on each certified row of the case table: the
+    # emitted generators pass, and each exp-decay rate, mode rate and mode
+    # column moved by a relative 1e-9 is refused (refusal was measured
+    # from 3.2e-12 to 1e-11 relative); a column of one entry only scales
+    # its mode, so columns are moved from n = 2 on
+    sys_ = CASE_TABLE[name][0]
+    n = sys_.n
+    probes = sample_probes(sys_, count=32, seed=0)
+    alg = classify_symmetries(sys_, probes=probes)
+    classify._certify(list(alg.generators), sys_, probes)
+    eigenmodes = classify._eigenmodes
+
+    def moved_rates(beta, lam):
+        return tuple((1.0 + 1e-9) * k for k in mode_rates(beta, lam))
+
+    def moved_columns(L, beta):
+        lams, M, rates = eigenmodes(L, beta)
+        # the first entry of every column: a new direction for n >= 2
+        M = M.copy()
+        M[0] *= 1.0 + 1e-9
+        return lams, M, rates
+
+    if alg.case_tag == "ConstantModule":
+        moved = [SymmetryGenerator.exp_decay(g.family.i,
+                                             (1.0 + 1e-9) * g.family.kappa, n)
+                 for g in alg.generators if hasattr(g.family, "kappa")]
+        assert len(moved) == n
+    else:
+        patches = [("mode_rates", moved_rates)]
+        if n > 1:
+            patches.append(("_eigenmodes", moved_columns))
+        moved = []
+        for attr, patched in patches:
+            with mock.patch.object(classify, attr, patched):
+                gens, _ = classify._emit_linear_modes(sys_, sys_.force.L)
+            assert [g.family.part for g in gens] == [
+                g.family.part for g in alg.generators]
+            moved += gens
+        assert len(moved) == len(patches) * 2 * n
+    for g in moved:
+        with pytest.raises(CertificationFailed):
+            classify._certify([g], sys_, probes)
+
+
 def test_1d_linear_kappa_pair_matches_root_oracle():
     sys1 = CASE_TABLE["linear-1d"][0]
     alg = classify_symmetries(sys1)

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import re
@@ -236,7 +237,7 @@ def test_solve_rejects_a_non_finite_force(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("force,beta", [
-    # 1e300 squared overflows a Python float
+    # 1e300 squared overflows to inf
     ({"type": "constant", "c": [1e300]}, 1e300),
     # exp(beta t) overflows to inf in numpy
     ({"type": "constant", "c": [1.0]}, 1e150),
@@ -262,29 +263,42 @@ def test_exact_solution_out_of_range_exits_one(tmp_path, capsys, force,
 
 UNDERFLOW = {"n": 1, "beta": [1e-300], "mu": [1.0],
              "force": {"type": "constant", "c": [2.5]}}
+UNDERFLOW_170 = {"n": 1, "beta": [1e-170], "mu": [1.0],
+                 "force": {"type": "constant", "c": [0.5]}}
+GUARD = "error: exact path is NaN or beyond BLOWUP_GUARD\n"
+SKIPPED = "error: every path was skipped; nothing to average\n"
 
 
-@pytest.mark.parametrize("payload,argv", [
-    # c / beta^2 with beta^2 = 0.0 in Python floats
-    (UNDERFLOW, ["solve", "--steps", "5"]),
-    (UNDERFLOW, ["converge", "--paths", "4", "--ladder", "1"]),
+@pytest.mark.parametrize("payload,argv,message", [
+    # c / beta^2 with beta^2 = 0.0: an inf coefficient and a NaN path,
+    # which the blow-up guard refuses, and a study skips
+    (UNDERFLOW, ["solve", "--steps", "5"], GUARD),
+    (UNDERFLOW, ["converge", "--paths", "4", "--ladder", "1"], SKIPPED),
+    (UNDERFLOW_170, ["solve", "--steps", "5"], GUARD),
+    (UNDERFLOW_170, ["converge", "--paths", "4", "--ladder", "1"], SKIPPED),
     # beta / mu = inf in chi, inf * 0 in the Ito jet
     ({"n": 1, "beta": [1e300], "mu": [1e-300],
-      "force": {"type": "constant", "c": [1.0]}}, ["invariants"]),
+      "force": {"type": "constant", "c": [1.0]}}, ["invariants"], None),
     # exp(-kappa t) overflows in the certificate of an eigenmode
     ({"n": 1, "beta": [1e-300], "mu": [1.0],
       "force": {"type": "linear", "L": [[1e300]], "K": [0.0]}},
-     ["classify"]),
-], ids=["solve-underflow", "converge-underflow", "invariants-inf-chi",
-        "classify-overflowing-mode"])
+     ["classify"], None),
+    # beta^2 overflows: NaN rates, which the mode-basis witness refuses
+    ({"n": 1, "beta": [1e200], "mu": [1.0],
+      "force": {"type": "linear", "L": [[-1.0]]}}, ["classify"],
+     "error: the linear modes are not a basis: witness nan < 1e-08\n"),
+], ids=["solve-underflow", "converge-underflow", "solve-underflow-170",
+        "converge-underflow-170", "invariants-inf-chi",
+        "classify-overflowing-mode", "classify-overflowing-square"])
 def test_out_of_range_parameters_exit_one_without_warnings(
-        tmp_path, capsys, payload, argv):
+        tmp_path, capsys, payload, argv, message):
     system = write_system(tmp_path, "edge.json", payload)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, *argv, "--system", system)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "Warning" not in err
+    assert message is None or err == message
 
 
 def test_a_mode_that_overflows_at_the_probes_fails_certification_by_name(
@@ -340,6 +354,48 @@ def test_overflow_puts_no_warning_on_stderr(tmp_path, capsys, payload, argv,
         assert math.isnan(json.loads(out)["max_residual"])
     else:
         assert out == "" and err.startswith("error: ")
+
+
+SWEEP_FORCES = {"constant": {"type": "constant", "c": [0.5]},
+                "linear": {"type": "linear", "L": [[-1.0]], "K": [0.5]},
+                "expr": {"type": "expr", "components": "x1 - x1^3"}}
+SWEEP_COMMANDS = {
+    "classify": ["classify", "--probes", "4"],
+    "invariants": ["invariants", "--probes", "4"],
+    "verify": ["verify", "--probes", "4", "--generator",
+               "expdecay:i=1,kappa=1"],
+    "solve": ["solve", "--steps", "5"],
+    "converge": ["converge", "--paths", "3", "--ladder", "2",
+                 "--base-steps", "2", "--refine", "2"],
+    "simulate": ["simulate", "--steps", "5"]}
+
+
+@pytest.mark.parametrize("command", sorted(SWEEP_COMMANDS))
+@pytest.mark.parametrize("force", sorted(SWEEP_FORCES))
+def test_extreme_parameters_print_no_warning(tmp_path, force, command):
+    # README: an overflow prints no numpy warning. Every beta and mu of the
+    # grid, subnormal to near the float maximum, exits 0 or 1 with nothing
+    # caught and no "Warning" on stderr, and exits alike when warnings are
+    # raised as errors
+    system = tmp_path / "edge.json"
+    for beta, mu in itertools.product([1e-310, 1.0, 1e200, 1e300],
+                                      [1e-310, 1.0, 1e308]):
+        system.write_text(json.dumps({"n": 1, "beta": [beta], "mu": [mu],
+                                      "force": SWEEP_FORCES[force]}))
+        argv = [*SWEEP_COMMANDS[command], "--system", str(system)]
+        codes = []
+        for action in ("always", "error"):
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter(action)
+                codes.append(main(argv))
+            shown = [str(w.message) for w in caught
+                     if not issubclass(w.category, ResourceWarning)]
+            assert not shown, (beta, mu, shown)
+            assert "Warning" not in err.getvalue(), (beta, mu)
+        assert codes[0] in (0, 1) and codes[0] == codes[1], (beta, mu, codes)
 
 
 def _malformed(path, value):

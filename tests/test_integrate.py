@@ -448,6 +448,18 @@ COMPLEX_ISO2 = build_ou_system(2, [1.0, 1.0], [0.6, 0.6],
                                LinearForce([[-3.0, 1.0], [-1.0, -3.0]]))
 
 
+def guarded_both_ways(exact_paths, sys_, x0, t, inc):
+    """_guarded's study result (terminal states, leakage, skip mask), and
+    its solve result (every state, leakage, mask) after it when the study
+    rejects no path; when it rejects one, the solve must raise."""
+    study = integrate._guarded(exact_paths, sys_, x0, t, inc, study=True)
+    if study[2].any():
+        with pytest.raises(NonFiniteState):
+            integrate._guarded(exact_paths, sys_, x0, t, inc)
+        return study
+    return study + integrate._guarded(exact_paths, sys_, x0, t, inc)
+
+
 @pytest.mark.parametrize("sys_,x0,scale", [
     (build_ou_system(1, [1.0], [0.7], LinearForce([[-3.0]])),
      [0.5, -0.2], None),
@@ -473,13 +485,12 @@ def test_exact_linear_paths_equal_the_complex_oracle(monkeypatch, sys_, x0,
     for window_values, windows in ((integrate.WINDOW_VALUES, 1), (1, 16)):
         monkeypatch.setattr(integrate, "WINDOW_VALUES", window_values)
         assert len(integrate._windows(steps, 6 * sys_.n)) == windows
-        for whole in (False, True):
-            got = integrate._guarded(integrate._exact_linear_paths, sys_, x0,
-                                     t, inc, strict=False, whole=whole)
-            want = integrate._guarded(oracle, sys_, x0, t, inc, strict=False,
-                                      whole=whole)
-            for a, b in zip(got, want):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        got = guarded_both_ways(integrate._exact_linear_paths, sys_, x0, t,
+                                inc)
+        want = guarded_both_ways(oracle, sys_, x0, t, inc)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     leak = got[1]
     if sys_ is COMPLEX_ISO2:
         assert np.all(leak > 0.0)
@@ -597,17 +608,17 @@ def test_windowed_exact_paths_equal_the_whole_array_oracle():
             got, want = windowed_and_oracle(sys_, x0, t, inc)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-            # and through the guard, every state or the terminal ones
+            # and through the guard, as a study and, on a path it
+            # accepts, as a solve
             oracle = one_window(exact_constant_paths if isinstance(
                 sys_.force, ConstantForce) else exact_linear_paths)
-            for whole in (True, False):
-                got = integrate._guarded(
-                    integrate.OUConvergenceProblem(sys_)._exact_paths, sys_,
-                    x0, t, inc, strict=False, whole=whole)
-                want = integrate._guarded(oracle, sys_, x0, t, inc,
-                                          strict=False, whole=whole)
-                for a, b in zip(got, want):
-                    assert a.tobytes() == b.tobytes()
+            got = guarded_both_ways(
+                integrate.OUConvergenceProblem(sys_)._exact_paths, sys_, x0,
+                t, inc)
+            want = guarded_both_ways(oracle, sys_, x0, t, inc)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
             assert got[2][-1] == (trouble is not None)
 
     check()
@@ -892,6 +903,40 @@ def test_initial_state_is_2n_numbers_in_any_nesting():
                                ConstantForce([0.1, 0.2]))
     with pytest.raises(NonFiniteState, match="initial state is not finite"):
         exact_solve_constant(constant, x + [0.1, np.inf], g)
+
+
+@pytest.mark.parametrize("problem", [GBMConvergenceProblem(1.0, 0.5),
+                                     KozlovConvergenceProblem()],
+                         ids=["gbm", "kozlov"])
+def test_scalar_fixtures_judge_the_initial_state_as_ou_does(problem):
+    # one finite number in any nesting; a second number, none at all or a
+    # non-finite one is refused by the rule of an OU state, in the study
+    # and on one grid alike
+    grid = sample_wiener(1, 0.0, 1.0, 8, seed=1)
+    reports = [convergence_study(problem, x0, 0.0, 1.0, [2, 4], n_paths=4,
+                                 refine=2)
+               for x0 in ([1.5], 1.5, np.array([[1.5]]))]
+    assert reports[0] == reports[1] == reports[2]
+    for x0, error, match in [
+            ([1.0, 99.0], DimensionMismatch, "needs d = 1 entries, got 2"),
+            ([], DimensionMismatch, "needs d = 1 entries, got 0"),
+            ([[1.0], [2.0, 3.0]], DimensionMismatch,
+             "does not flatten to d = 1 numbers"),
+            ([np.nan], NonFiniteState, "initial state is not finite"),
+            ([np.inf], NonFiniteState, "initial state is not finite")]:
+        with pytest.raises(error, match=match):
+            convergence_study(problem, x0, 0.0, 1.0, [2, 4], n_paths=4,
+                              refine=2)
+        with pytest.raises(error, match=match):
+            problem.exact_terminal(x0, grid)
+        with pytest.raises(error, match=match):
+            problem.em_terminal(x0, grid)
+    # the OU messages keep their text
+    sys2 = build_ou_system(2, [1.0, 1.0], [0.5, 0.5],
+                           ConstantForce([0.1, 0.2]))
+    with pytest.raises(DimensionMismatch,
+                       match=r"^initial state needs 2n = 4 entries, got 3$"):
+        euler_maruyama(sys2, [0.0] * 3, sample_wiener(2, 0.0, 1.0, 8))
 
 
 def test_exact_solvers_refuse_what_they_do_not_cover():
@@ -1439,17 +1484,19 @@ def test_exact_guard_fails_each_out_of_range_state(bad):
                     v[1, -1, -1] = bad
                 yield k0, k1, x, v, 0.0
 
-        for whole in (False, True):
-            states, leak, skip = integrate._guarded(
-                exact_paths, None, None, t, inc, strict=False, whole=whole)
-            assert leak.tolist() == [0.0, np.inf]
-            assert skip.tolist() == [False, True]
-            with pytest.raises(NonFiniteState):
-                integrate._guarded(exact_paths, None, None, t, inc,
-                                   whole=whole)
-        assert np.array_equal(states[1, row - 1, -1], bad, equal_nan=True)
-        states[1, row - 1, -1] = 0.0
+        states, leak, skip = integrate._guarded(
+            exact_paths, None, None, t, inc, study=True)
+        assert leak.tolist() == [0.0, np.inf]
+        assert skip.tolist() == [False, True]
+        # a study keeps the terminal states alone
+        assert states.shape == (2, 2)
+        if row == 7:
+            assert np.array_equal(states[1, -1], bad, equal_nan=True)
+            states[1, -1] = 0.0
         assert not states.any()
+        with pytest.raises(NonFiniteState,
+                           match="^exact path is NaN or beyond"):
+            integrate._guarded(exact_paths, None, None, t, inc)
 
 
 def test_exact_solve_linear_reads_the_leakage_limit_when_called(

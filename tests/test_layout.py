@@ -456,6 +456,23 @@ def test_exact_paths_stream_through_one_splitter_into_one_consumer():
         ("integrate.py", "_guarded")}
 
 
+def test_exact_paths_are_rejected_by_one_rule():
+    # an overflow on the exact-path route is a value the guard refuses, not
+    # an exception: integrate.py names neither OverflowError nor
+    # ZeroDivisionError; _guarded takes one mode flag, and one size per
+    # path (the fold of |state|) feeds the guard and the leakage test
+    tree = ast.parse((SRC / "integrate.py").read_text())
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not named & {"OverflowError", "ZeroDivisionError"}
+    guarded = _function("integrate.py", "_guarded")
+    assert [a.arg for a in guarded.args.args] == [
+        "exact_paths", "sys", "x0", "t", "inc", "study"]
+    calls = [ast.unparse(node.func) for node in ast.walk(guarded)
+             if isinstance(node, ast.Call)]
+    assert calls.count("np.abs") == 1
+    assert "np.minimum" not in calls and "_judge" in calls
+
+
 def test_running_sums_carry_across_windows_in_one_helper():
     # every cumsum is _cumulative's; a sum continued from the window before
     # (a second argument) is taken by the constant solver, the GBM and
@@ -545,13 +562,15 @@ def test_R_is_read_against_the_process_in_one_place():
 def test_residual_overflow_policy_is_set_where_residuals_are_computed():
     # the drift jet, the determining blocks and the invariance conditions
     # silence numpy's overflow warnings themselves, so no caller has to;
-    # the exp-decay scan keeps its own for the closed form
+    # the exp-decay scan keeps its own for the closed form, and the mode
+    # rates theirs, whose NaN the mode-basis witness refuses
     found = {pair for pair in _calling_functions({"errstate"})
              if pair[0] in ("symmetry.py", "classify.py")}
     assert found == {("symmetry.py", "_drift_jet"),
                      ("symmetry.py", "_residual_blocks"),
                      ("symmetry.py", "_invariant_conditions"),
-                     ("classify.py", "expdecay_residual_scan")}
+                     ("classify.py", "expdecay_residual_scan"),
+                     ("classify.py", "mode_rates")}
 
 
 def test_certification_reads_no_force_class():

@@ -11,10 +11,11 @@ metrics. The script writes BENCH_<label>.json at the root of this tree,
 holding the commits, nproc, Python and numpy; each side's median, first
 and third quartile of every gated metric; the pairs each side won per
 metric (ties count for neither); each side's failed and attempted
-totals; and, per pair, whether the two sides' outputs_sha256 (the digest
+totals; per pair, whether the two sides' outputs_sha256 (the digest
 of every op's output, from the run's `passes=... outputs_sha256=...` line)
-matched. BENCHMARK.json gives the gated metrics, whether lower or higher is
-better, and the run length.
+matched; and a verdict per gated metric (see verdicts), which it also
+prints. BENCHMARK.json gives the gated metrics, whether lower or higher is
+better, their bounds, and the run length.
 
 The exit status is 1, after the file is written, when on some seed the two
 sides' outputs digests differ (or a run printed none) or either side
@@ -100,9 +101,43 @@ def pair_wins(pairs, spec):
     return wins
 
 
+def verdicts(pairs, spec, wins):
+    """Per metric, what the pairs show of the change against the base:
+    - "better": the change won at least 9 in 10 pairs, and its median beats
+      the base median by more than the base's interquartile range;
+    - "unresolved": the base's interquartile range exceeds the metric's
+      bound times the base median, and not every change run beats every
+      base run;
+    - "worse": the change median is worse than the base median by more
+      than the bound times the base median;
+    - "same": anything else.
+    The first that holds is the verdict."""
+    out = {}
+    for m in spec:
+        # signed so that lower is better
+        sign = 1.0 if m["better"] == "lower" else -1.0
+        base, change = ([sign * run["metrics"][m["name"]]["value"]
+                         for run in side] for side in zip(*pairs))
+        q1, med, q3 = quartiles(base)
+        margin = m["bound"] * abs(med)
+        change_med = quartiles(change)[1]
+        if (10 * wins[m["name"]]["change"] >= 9 * len(pairs)
+                and med - change_med > q3 - q1):
+            out[m["name"]] = "better"
+        elif q3 - q1 > margin and not max(change) < min(base):
+            out[m["name"]] = "unresolved"
+        elif change_med - med > margin:
+            out[m["name"]] = "worse"
+        else:
+            out[m["name"]] = "same"
+    return out
+
+
 def report(pairs, spec, meta):
     """The BENCH file's content from (base, change) run summaries."""
-    return dict(meta, pairs=len(pairs), pair_wins=pair_wins(pairs, spec),
+    wins = pair_wins(pairs, spec)
+    return dict(meta, pairs=len(pairs), pair_wins=wins,
+                verdicts=verdicts(pairs, spec, wins),
                 outputs_match=[same_outputs(b, c) for b, c in pairs],
                 **{side: summarize([p[k] for p in pairs], spec)
                    for k, side in enumerate(SIDES)})
@@ -200,7 +235,7 @@ def main(argv=None):
     for name, count in out["pair_wins"].items():
         med = [out[side]["metrics"][name]["median"] for side in SIDES]
         print(f"{name}: median {med[0]:.4g} -> {med[1]:.4g}, change won "
-              f"{count['change']}/{len(pairs)}")
+              f"{count['change']}/{len(pairs)}: {out['verdicts'][name]}")
     print(f"outputs matched on {sum(out['outputs_match'])}/{len(pairs)} "
           f"seeds")
     print(f"wrote {dest}")
