@@ -254,11 +254,11 @@ def _flat_state(x0, size, name):
     fixture's one. name is the count's symbol in the messages."""
     try:
         flat = np.asarray(x0, dtype=float).ravel()
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise DimensionMismatch(
             f"initial state does not flatten to {name} = {size} numbers: "
             f"{exc}") from None
-    if flat.shape[0] != size:
+    if flat.size != size:
         raise DimensionMismatch(
             f"initial state needs {name} = {size} entries, got {flat.size}")
     if not np.all(np.isfinite(flat)):

@@ -922,6 +922,8 @@ def test_scalar_fixtures_judge_the_initial_state_as_ou_does(problem):
             ([], DimensionMismatch, "needs d = 1 entries, got 0"),
             ([[1.0], [2.0, 3.0]], DimensionMismatch,
              "does not flatten to d = 1 numbers"),
+            ({"y0": 1.0}, DimensionMismatch,
+             "does not flatten to d = 1 numbers"),
             ([np.nan], NonFiniteState, "initial state is not finite"),
             ([np.inf], NonFiniteState, "initial state is not finite")]:
         with pytest.raises(error, match=match):
